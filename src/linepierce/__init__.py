@@ -10,11 +10,9 @@ from .exactnum import (
     QuadExt,
     Rational,
     RootSet,
-    compare,
     format_rational,
     parse_quadext,
     parse_rational,
-    quad_sign,
     solve_quadratic,
 )
 from .family import (
@@ -24,10 +22,8 @@ from .family import (
     SupportAssigner,
     body_from_record,
     body_to_record,
-    build_body,
     enumerate_Q0,
     eps_of,
-    truncate_family,
 )
 from .geometry import (
     Line3,
@@ -38,7 +34,6 @@ from .geometry import (
     classify_line,
     line_plane_intersection,
     line_surface_intersection,
-    plane_coords,
     ruling_line_x,
     ruling_line_y,
     vertical_distance,

@@ -21,22 +21,21 @@ Scalar = Union[Fraction, "QuadExt"]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "num/den" (or a bare integer) into a Fraction.
+
+    Anything else, a zero denominator included, raises ValueError.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a 'num/den' string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "num/den", always with an explicit denominator."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def compare(x: Fraction, y: Fraction) -> int:
-    """Total order on rationals: -1, 0 or +1."""
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 def rational_square_root(x: Fraction) -> Fraction | None:
@@ -129,17 +128,16 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d) in {-1, 0, +1}."""
-        sa = compare(self.a, Fraction(0))
+        sa = (self.a > 0) - (self.a < 0)
         if self.b == 0:
             return sa
-        sb = compare(self.b, Fraction(0))
-        if sa == 0:
+        sb = (self.b > 0) - (self.b < 0)
+        if sa == 0 or sa == sb:
             return sb
-        if sa == sb:
-            return sa
         # Opposite signs: |a| vs |b|*sqrt(d) decided by squaring.
         # d is not a rational square here, so the squares never tie.
-        return sa * compare(self.a * self.a, self.b * self.b * self.d)
+        sq_a, sq_b = self.a * self.a, self.b * self.b * self.d
+        return sa * ((sq_a > sq_b) - (sq_a < sq_b))
 
     def __bool__(self) -> bool:
         return self.sign() != 0
@@ -190,30 +188,6 @@ def parse_quadext(text: str) -> QuadExt:
         parse_rational(b_part),
         parse_rational(d_part.rstrip().rstrip(")")),
     )
-
-
-def quad_sign(x: QuadExt) -> int:
-    return x.sign()
-
-
-def scalar_sign(x: Scalar | int) -> int:
-    if isinstance(x, QuadExt):
-        return x.sign()
-    return compare(Fraction(x), Fraction(0))
-
-
-def scalar_le(x: Scalar | int, y: Scalar | int) -> bool:
-    return scalar_sign(_scalar_sub(y, x)) >= 0
-
-
-def scalar_lt(x: Scalar | int, y: Scalar | int) -> bool:
-    return scalar_sign(_scalar_sub(y, x)) > 0
-
-
-def _scalar_sub(x: Scalar | int, y: Scalar | int) -> Scalar:
-    if isinstance(x, QuadExt) or isinstance(y, QuadExt):
-        return QuadExt.of(x) - QuadExt.of(y)
-    return Fraction(x) - Fraction(y)
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,6 @@ class ConvexBody:
     q: Fraction
     m: int
     f_index: int
-    eps: Fraction
     support: IntervalSet
 
     def __post_init__(self) -> None:
@@ -272,6 +271,10 @@ class ConvexBody:
             raise ValueError("body support must be nonempty")
         if self.support.min_point() < 0 or self.support.max_point() > 1:
             raise ValueError("body support must lie within [0,1]")
+
+    @cached_property
+    def eps(self) -> Fraction:
+        return eps_of(self.f_index)
 
     @cached_property
     def plane(self) -> TiltedPlane:
@@ -315,13 +318,6 @@ class ConvexBody:
         a, b = self.support.gap_around(u)
         return self.parabola(a) + self.chord_slope(a, b) * (u - a)
 
-    def contains_chart(self, u: Fraction, w: Fraction) -> bool:
-        if u < self.r_min or u > self.r_max:
-            return False
-        if w > self.top_chord(u):
-            return False
-        return w >= self.lower_envelope(u)
-
     def y_range(self) -> tuple[Fraction, Fraction]:
         return (self.q + self.eps * self.r_min, self.q + self.eps * self.r_max)
 
@@ -341,10 +337,6 @@ class ConvexBody:
             if not seen or seen[-1] != e:
                 seen.append(e)
         return [self.slice_point(e) for e in seen]
-
-
-def build_body(q: Fraction, f_index: int, support: IntervalSet, m: int = 0) -> ConvexBody:
-    return ConvexBody(q=q, m=m, f_index=f_index, eps=eps_of(f_index), support=support)
 
 
 class FamilyStream:
@@ -383,7 +375,7 @@ class FamilyStream:
         self._registry.add(q)
         support = self._assigner.assign(q, m)
         self._bodies.append(
-            build_body(q=q, f_index=len(self._bodies) + 1, support=support, m=m)
+            ConvexBody(q=q, m=m, f_index=len(self._bodies) + 1, support=support)
         )
 
     def body_at(self, index: int) -> ConvexBody:
@@ -392,20 +384,10 @@ class FamilyStream:
             self._emit()
         return self._bodies[index]
 
-    def bodies(self):
-        i = 0
-        while True:
-            yield self.body_at(i)
-            i += 1
-
     def truncate(self, n: int) -> list[ConvexBody]:
         if n < 1:
             raise ValueError(f"truncation size must be positive, got {n}")
         return [self.body_at(i) for i in range(n)]
-
-
-def truncate_family(stream: FamilyStream, n: int) -> list[ConvexBody]:
-    return stream.truncate(n)
 
 
 def body_to_record(body: ConvexBody) -> dict:
@@ -425,9 +407,9 @@ def body_from_record(record: dict) -> ConvexBody:
         f = int(record["f"])
         eps = parse_rational(record["eps"])
         support = IntervalSet.from_strings(record["support"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed body record: {exc}") from exc
-    body = build_body(q=q, f_index=f, support=support, m=m)
+    body = ConvexBody(q=q, m=m, f_index=f, support=support)
     if body.eps != eps:
         raise ValueError(
             f"tilt mismatch in body record: stated {eps}, rule gives {body.eps}"

@@ -158,10 +158,6 @@ def line_plane_intersection(line: Line3, plane: TiltedPlane) -> PlaneIntersectio
     return PlaneIntersection(PLANE_HIT, line.at(s))
 
 
-def plane_coords(plane: TiltedPlane, pt: Point3) -> tuple[Scalar, Scalar]:
-    return plane.chart(pt)
-
-
 def vertical_distance(pt: Point3) -> Scalar:
     """|z - x*y|: offset from the surface along the z-axis."""
     return abs(pt.z - pt.x * pt.y)

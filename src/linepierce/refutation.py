@@ -1,13 +1,23 @@
 """Exact piercing predicates, line covers, and the transversal refuter.
 
 A line pierces a body iff it meets the body's plane inside the chart hull.
-For a line crossing the plane this is a point-in-hull test with rational
-inequalities; for a line inside the plane it is a one-dimensional
-feasibility problem whose bounds may live in a quadratic extension.  The
-refuter scans the family stream for a body missed by every line of a given
-finite pool, using the support and plane-slab filters as accelerators and
-the exact predicate as the final arbiter, and emits one re-verifiable
-non-piercing certificate per line.
+Each line class has one exact miss decision, which returns the failed
+inequality as a certificate, or None when the line pierces:
+
+- a line crossing the plane misses iff its chart point lies outside the
+  hull;
+- a line inside the plane misses iff it is above the top chord at both ends
+  of the range or below the convex lower envelope on the whole range; each
+  minimum lies at an endpoint or at a rational parabola vertex, so no
+  radicals arise;
+- a ruling meets the plane on the parabola, at chart abscissa ``c``
+  (x-ruling) or ``(b - q)/eps`` (y-ruling), and pierces iff that abscissa
+  lies in the support.
+
+``pierce`` applies the first two decisions to any line; for rulings it is
+the independent geometric cross-check of the support rule.  The refuter
+scans the family stream for the first body missed by every line of a
+finite pool and emits one re-verifiable certificate per line.
 """
 
 from __future__ import annotations
@@ -15,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadExt, Scalar, format_rational, scalar_le, solve_quadratic
+from .exactnum import QuadExt, Scalar, format_rational
 from .family import ConvexBody, FamilyStream
 from .geometry import (
     GENERIC,
-    PLANE_HIT,
+    PLANE_CONTAINED,
     PLANE_PARALLEL,
     X_RULING,
-    Y_RULING,
     Line3,
     LineClass,
     Point3,
@@ -44,93 +53,9 @@ def max_vertical_distance(body: ConvexBody) -> Fraction:
 
 
 def pierce(line: Line3, body: ConvexBody) -> bool:
-    hit = line_plane_intersection(line, body.plane)
-    if hit.kind == PLANE_PARALLEL:
-        return False
-    if hit.kind == PLANE_HIT:
-        u, w = body.plane.chart(hit.point)
-        return body.contains_chart(u, w)
-    return _pierce_within_plane(line, body)
-
-
-def _chart_line(line: Line3) -> tuple[Fraction, Fraction] | None:
-    """Chart image w = alpha + beta*u of an in-plane line; None if vertical."""
-    dx, _, dz = line.dir
-    if dx == 0:
-        return None
-    beta = dz / dx
-    return (line.base.z - line.base.x * beta, beta)
-
-
-def _pierce_within_plane(line: Line3, body: ConvexBody) -> bool:
-    ab = _chart_line(line)
-    if ab is None:
-        # vertical chart line u = const sweeps all w
-        return body.r_min <= line.base.x <= body.r_max
-    alpha, beta = ab
-    for kind, a, b in body.envelope_pieces():
-        if _piece_feasible(body, kind, a, b, alpha, beta):
-            return True
-    return False
-
-
-def _piece_feasible(
-    body: ConvexBody,
-    kind: str,
-    a: Fraction,
-    b: Fraction,
-    alpha: Fraction,
-    beta: Fraction,
-) -> bool:
-    """Is there u in [a, b] with envelope(u) <= alpha + beta*u <= top(u)?"""
-    lowers: list[Scalar] = [a]
-    uppers: list[Scalar] = [b]
-    # below the top chord: alpha + beta*u <= t0 + t1*u
-    t1 = body.chord_slope(body.r_min, body.r_max)
-    t0 = body.parabola(body.r_min) - t1 * body.r_min
-    if not _affine_halfline(beta - t1, alpha - t0, lowers, uppers, keep_below=True):
-        return False
-    if kind == "chord":
-        # above the gap chord: alpha + beta*u >= e0 + e1*u
-        e1 = body.chord_slope(a, b)
-        e0 = body.parabola(a) - e1 * a
-        if not _affine_halfline(beta - e1, alpha - e0, lowers, uppers, keep_below=False):
-            return False
-    else:
-        # above the parabola: eps*u^2 + (q - beta)*u - alpha <= 0
-        roots = solve_quadratic(body.eps, body.q - beta, -alpha)
-        if roots.kind == "none":
-            return False
-        if roots.kind == "one":
-            lowers.append(roots.roots[0])
-            uppers.append(roots.roots[0])
-        elif roots.kind == "two":
-            lowers.append(roots.roots[0])
-            uppers.append(roots.roots[1])
-    return all(scalar_le(lo, up) for lo in lowers for up in uppers)
-
-
-def _affine_halfline(
-    coeff: Fraction,
-    shift: Fraction,
-    lowers: list[Scalar],
-    uppers: list[Scalar],
-    keep_below: bool,
-) -> bool:
-    """Fold coeff*u + shift <= 0 (or >= 0) into interval bounds.
-
-    Returns False when the condition is unsatisfiable outright.
-    """
-    if not keep_below:
-        coeff, shift = -coeff, -shift
-    if coeff == 0:
-        return shift <= 0
-    bound = -shift / coeff
-    if coeff > 0:
-        uppers.append(bound)
-    else:
-        lowers.append(bound)
-    return True
+    """Does the line meet the body?  Decided by where the line meets the
+    body's plane, for every line class alike."""
+    return _geometric_miss(line, body, 0) is None
 
 
 @dataclass(frozen=True)
@@ -285,26 +210,42 @@ def non_piercing_certificate(
     line: Line3, body: ConvexBody, index: int = 0, cls: LineClass | None = None
 ) -> Certificate | None:
     """Certificate that the line misses the body, or None if it pierces."""
-    if pierce(line, body):
-        return None
     cls = cls or classify_line(line)
+    if cls.kind == GENERIC:
+        return _geometric_miss(line, body, index)
+    return _ruling_miss(cls, body, index)
+
+
+def _ruling_abscissa(cls: LineClass, body: ConvexBody) -> Fraction:
+    """Where a ruling meets the body's plane: on the parabola, at chart
+    abscissa c (x-ruling x = c) or (b - q)/eps (y-ruling y = b)."""
+    return cls.param if cls.kind == X_RULING else (cls.param - body.q) / body.eps
+
+
+def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
+    """The support rule: a ruling pierces iff its abscissa is in the support.
+
+    ``pierce`` decides rulings by an independent geometric path; the
+    verifier and the witness command use it to cross-check this rule.
+    """
+    return body.support.contains(_ruling_abscissa(cls, body))
+
+
+def _ruling_miss(cls: LineClass, body: ConvexBody, index: int) -> Certificate | None:
+    if _ruling_pierces(cls, body):
+        return None
+    u = _ruling_abscissa(cls, body)
     if cls.kind == X_RULING:
-        return _arc_point_certificate(cls.param, body, index, "support")
-    if cls.kind == Y_RULING:
+        tag = "support"
+    else:
+        # out of range reads as b outside the body's y-slab
         b = cls.param
         y_lo, y_hi = body.y_range()
         if b < y_lo:
             return Certificate(index, "plane-slab-below", b, "<", y_lo)
         if b > y_hi:
             return Certificate(index, "plane-slab-above", b, ">", y_hi)
-        # crossing point sits on the parabola at u = (b - q)/eps
-        return _arc_point_certificate((b - body.q) / body.eps, body, index, "slab")
-    return _generic_certificate(line, body, index)
-
-
-def _arc_point_certificate(
-    u: Fraction, body: ConvexBody, index: int, tag: str
-) -> Certificate:
+        tag = "slab"
     if u < body.r_min:
         return Certificate(index, f"{tag}-below-range", u, "<", body.r_min)
     if u > body.r_max:
@@ -315,57 +256,63 @@ def _arc_point_certificate(
     )
 
 
-def _generic_certificate(line: Line3, body: ConvexBody, index: int) -> Certificate:
+def _geometric_miss(line: Line3, body: ConvexBody, index: int) -> Certificate | None:
     hit = line_plane_intersection(line, body.plane)
     if hit.kind == PLANE_PARALLEL:
         residual = line.base.y - body.q - body.eps * line.base.x
         return Certificate(index, "plane-parallel", residual, "!=", Fraction(0))
-    if hit.kind == PLANE_HIT:
-        u, w = body.plane.chart(hit.point)
-        if u < body.r_min:
-            return Certificate(index, "point-below-range", u, "<", body.r_min)
-        if u > body.r_max:
-            return Certificate(index, "point-above-range", u, ">", body.r_max)
-        top = body.top_chord(u)
-        if w > top:
-            return Certificate(index, "point-above-top-chord", w, ">", top)
-        return Certificate(index, "point-below-envelope", w, "<", body.lower_envelope(u))
-    return _in_plane_certificate(line, body, index)
+    if hit.kind == PLANE_CONTAINED:
+        return _in_plane_miss(line, body, index)
+    u, w = body.plane.chart(hit.point)
+    if u < body.r_min:
+        return Certificate(index, "point-below-range", u, "<", body.r_min)
+    if u > body.r_max:
+        return Certificate(index, "point-above-range", u, ">", body.r_max)
+    top = body.top_chord(u)
+    if w > top:
+        return Certificate(index, "point-above-top-chord", w, ">", top)
+    low = body.lower_envelope(u)
+    if w < low:
+        return Certificate(index, "point-below-envelope", w, "<", low)
+    return None
 
 
-def _in_plane_certificate(line: Line3, body: ConvexBody, index: int) -> Certificate:
-    ab = _chart_line(line)
-    if ab is None:
+def _in_plane_miss(line: Line3, body: ConvexBody, index: int) -> Certificate | None:
+    dx, _, dz = line.dir
+    if dx == 0:
+        # the chart line u = x sweeps every w
         u = line.base.x
         if u < body.r_min:
             return Certificate(index, "inplane-below-range", u, "<", body.r_min)
-        return Certificate(index, "inplane-above-range", u, ">", body.r_max)
-    alpha, beta = ab
+        if u > body.r_max:
+            return Certificate(index, "inplane-above-range", u, ">", body.r_max)
+        return None
+    # chart image w = alpha + beta*u
+    beta = dz / dx
+    alpha = line.base.z - line.base.x * beta
 
     def on_line(u: Fraction) -> Fraction:
         return alpha + beta * u
 
-    # a disjoint in-plane line is entirely above the top chord or entirely
-    # below the lower envelope over [r_min, r_max]
+    # the line misses iff it is above the top chord over the whole range or
+    # below the lower envelope over the whole range
     top_slack = min(
         on_line(body.r_min) - body.top_chord(body.r_min),
         on_line(body.r_max) - body.top_chord(body.r_max),
     )
     if top_slack > 0:
         return Certificate(index, "inplane-above-top-chord", top_slack, ">", Fraction(0))
-    env_slack = None
-    for kind, a, b in body.envelope_pieces():
-        if kind == "chord":
-            local = min(body.lower_envelope(x) - on_line(x) for x in (a, b))
-        else:
-            # minimize the convex difference parabola(u) - line(u) on [a, b]
-            vertex = (beta - body.q) / (2 * body.eps)
-            pts = [a, b] + ([vertex] if a < vertex < b else [])
-            local = min(body.parabola(x) - on_line(x) for x in pts)
-        env_slack = local if env_slack is None else min(env_slack, local)
-    if env_slack is None or env_slack <= 0:
-        raise AssertionError("in-plane certificate requested for a piercing line")
-    return Certificate(index, "inplane-below-envelope", env_slack, ">", Fraction(0))
+    # envelope minus line is convex and affine across gaps, so its minimum
+    # lies at a support endpoint or at the parabola's vertex when the
+    # support holds it; the envelope is the parabola at all those points
+    vertex = (beta - body.q) / (2 * body.eps)
+    points = body.support.endpoints()
+    if body.support.contains(vertex):
+        points.append(vertex)
+    env_slack = min(body.parabola(u) - on_line(u) for u in points)
+    if env_slack > 0:
+        return Certificate(index, "inplane-below-envelope", env_slack, ">", Fraction(0))
+    return None
 
 
 def _scalar_str(x: Scalar) -> str:
@@ -435,44 +382,35 @@ class RefutationOutcome:
 def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> RefutationOutcome:
     """First family member missed by every line in the pool.
 
-    The scan applies the exact support filter for constant-x ruling lines
-    and the plane-slab filter for constant-y ruling lines, then the full
-    pierce predicate for the rest; the winner is re-verified against every
-    line before being reported.  Exhaustion only signals that the search
-    budget ran out.
+    Rulings are decided by the support rule and the other lines by
+    ``pierce``.  The first body every line misses is reported with one
+    certificate per line; a certificate that does not hold is an internal
+    error.  Exhaustion only signals that the search budget ran out.
     """
     if n_max < 1:
         raise ValueError(f"search budget must be positive, got {n_max}")
     infos = classify_pool(lines)
-    x_params = [i.cls.param for i in infos if i.cls.kind == X_RULING]
-    y_params = [i.cls.param for i in infos if i.cls.kind == Y_RULING]
-    generic = [i.index for i in infos if i.cls.kind == GENERIC]
+    rulings = [i.cls for i in infos if i.cls.kind != GENERIC]
+    generic = [lines[i.index] for i in infos if i.cls.kind == GENERIC]
 
-    checked = 0
     for i in range(n_max):
         body = stream.body_at(i)
-        checked = i + 1
-        if any(body.support.contains(r) for r in x_params):
+        if any(_ruling_pierces(cls, body) for cls in rulings):
             continue
-        y_lo, y_hi = body.y_range()
-        if any(y_lo <= b <= y_hi for b in y_params):
+        if any(pierce(line, body) for line in generic):
             continue
-        if any(pierce(lines[i], body) for i in generic):
-            continue
-        if any(pierce(line, body) for line in lines):  # independent re-check
-            continue
-        certs = []
-        for info in infos:
-            cert = non_piercing_certificate(lines[info.index], body, info.index, info.cls)
-            if cert is None:
-                raise AssertionError("witness re-verification failed")
-            certs.append(cert)
+        certs = tuple(
+            non_piercing_certificate(lines[info.index], body, info.index, info.cls)
+            for info in infos
+        )
+        if not all(cert is not None and cert.holds() for cert in certs):
+            raise AssertionError(f"certificate check failed at emission {body.f_index}")
         report = RefutationReport(
             body=body,
             emission_index=body.f_index,
-            checked=checked,
+            checked=i + 1,
             line_infos=tuple(infos),
-            certificates=tuple(certs),
+            certificates=certs,
         )
-        return RefutationOutcome(True, report, checked, n_max)
-    return RefutationOutcome(False, None, checked, n_max)
+        return RefutationOutcome(True, report, i + 1, n_max)
+    return RefutationOutcome(False, None, n_max, n_max)

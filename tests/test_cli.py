@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
-from linepierce.cli import main
+import pytest
+
+import linepierce
+from linepierce.cli import InputError, main, verify_refutation
 from linepierce.family import FamilyStream
 from linepierce.geometry import line_to_record, ruling_line_x, ruling_line_y
 from linepierce.refutation import pierce
@@ -270,3 +277,66 @@ class TestPipelineDeterminism:
                 (family.read_bytes(), witness.read_bytes(), report.read_bytes())
             )
         assert artifacts[0] == artifacts[1]
+
+
+class TestVerifyRefutation:
+    def refuted(self, tmp_path):
+        pool = [ruling_line_x(F(1, 2)), ruling_line_y(F(1, 3))]
+        lines, out = tmp_path / "lines.jsonl", tmp_path / "r.json"
+        write_lines(lines, pool)
+        assert main(["refute", "--delta", "1/2", "--lines", str(lines), "--out", str(out)]) == 0
+        return lines, out, json.loads(out.read_text())
+
+    @pytest.mark.parametrize("tamper", [
+        lambda certs: certs.clear(),
+        lambda certs: certs[-1].update(line=len(certs)),
+        lambda certs: certs.reverse(),
+        lambda certs: certs.pop(),
+    ], ids=["empty", "line-out-of-range", "out-of-order", "one-missing"])
+    def test_certificates_must_match_lines_one_to_one(self, tmp_path, tamper):
+        lines, out, data = self.refuted(tmp_path)
+        tamper(data["certificates"])
+        out.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(InputError, match="one certificate per line"):
+            verify_refutation(str(out), str(lines))
+
+
+GOOD_LINE = {"base": ["1/2", "0/1", "0/1"], "dir": ["0/1", "1/1", "1/2"]}
+GOOD_BODY = {"q": "1/4", "m": 1, "f": 1, "eps": "1/64",
+             "support": [["0/1", "0/1"], ["1/4", "1/1"]]}
+BAD_CONTENTS = {
+    "zero-denominator": {"lines": {**GOOD_LINE, "dir": ["0/1", "1/0", "1/2"]},
+                         "family": {**GOOD_BODY, "q": "1/0"}},
+    "json-number": {"lines": {**GOOD_LINE, "base": [0.5, "0/1", "0/1"]},
+                    "family": {**GOOD_BODY, "eps": 0.015625}},
+    "infinite-number": {"lines": {**GOOD_LINE, "dir": ["0/1", 1e400, "1/2"]},
+                        "family": {**GOOD_BODY, "f": 1e400}},
+    "not-utf8": {"lines": b"\xff\xfe{}\n", "family": b"\xff\xfe{}\n"},
+}
+COMMANDS = {
+    "refute": (["lines"], lambda p: ["refute", "--delta", "1/2", "--lines", p["lines"]]),
+    "witness": (["family"], lambda p: ["witness", "--t", "1", "--family", p["family"]]),
+    "cover": (["family", "lines"],
+              lambda p: ["cover", "--family", p["family"], "--lines", p["lines"]]),
+}
+
+
+@pytest.mark.parametrize("content", sorted(BAD_CONTENTS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_bad_input_exits_3_without_traceback(tmp_path, command, content):
+    needs, argv = COMMANDS[command]
+    for bad in needs:
+        # one bad file per run; any other input the command reads is good
+        paths = {}
+        for kind, good in (("lines", GOOD_LINE), ("family", GOOD_BODY)):
+            path = tmp_path / f"{kind}.jsonl"
+            data = BAD_CONTENTS[content][kind] if kind == bad else good
+            path.write_bytes(data if isinstance(data, bytes) else (json.dumps(data) + "\n").encode())
+            paths[kind] = str(path)
+        env = {**os.environ, "PYTHONPATH": str(Path(linepierce.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "linepierce.cli", *argv(paths), "--out", str(tmp_path / "out.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr

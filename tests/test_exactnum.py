@@ -6,11 +6,9 @@ import pytest
 
 from linepierce.exactnum import (
     QuadExt,
-    compare,
     format_rational,
     parse_quadext,
     parse_rational,
-    quad_sign,
     quadratic_residual,
     solve_quadratic,
 )
@@ -36,7 +34,7 @@ class TestRationals:
         assert F(1, 3) + F(1, 6) == F(1, 2)
 
     def test_compare_canonicalizes(self):
-        assert compare(F(2, 4), F(1, 2)) == 0
+        assert (QuadExt.of(F(2, 4)) - F(1, 2)).sign() == 0
 
     def test_inverse_product(self):
         assert F(3, 7) * F(7, 3) == 1
@@ -51,6 +49,11 @@ class TestRationals:
             x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
             assert parse_rational(format_rational(x)) == x
 
+    @pytest.mark.parametrize("bad", ["1/0", "0/0", 0.5, 3, None, ["1/2"]])
+    def test_parse_rejects_with_value_error(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
     def test_format_always_explicit(self):
         assert format_rational(F(33, 64)) == "33/64"
         assert format_rational(F(3)) == "3/1"
@@ -58,17 +61,17 @@ class TestRationals:
 
 class TestQuadExt:
     def test_sign_both_positive(self):
-        assert quad_sign(QuadExt(F(1), F(1), F(2))) == 1
+        assert QuadExt(F(1), F(1), F(2)).sign() == 1
 
     def test_perfect_square_normalizes_to_zero(self):
         x = QuadExt(F(-1), F(1), F(1))
         assert x.b == 0 and x.d == 0
-        assert quad_sign(x) == 0
+        assert x.sign() == 0
 
     def test_mixed_sign_squaring(self):
         # 3 > 2*sqrt(2) since 9 > 8; checked against the decimal oracle
         x = QuadExt(F(3), F(-2), F(2))
-        assert quad_sign(x) == 1
+        assert x.sign() == 1
         assert decimal_sign_oracle(F(3), F(-2), F(2)) == 1
 
     def test_negative_radicand_rejected(self):
@@ -99,7 +102,7 @@ class TestQuadExt:
             a = F(rng.randint(-50, 50), rng.randint(1, 50))
             b = F(rng.randint(-50, 50), rng.randint(1, 50))
             d = F(rng.randint(0, 50), rng.randint(1, 50))
-            got = quad_sign(QuadExt(a, b, d))
+            got = QuadExt(a, b, d).sign()
             want = decimal_sign_oracle(a, b, d)
             assert got == want, f"{a} + {b}*sqrt({d})"
 

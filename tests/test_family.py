@@ -5,17 +5,24 @@ from itertools import combinations_with_replacement
 import pytest
 
 from linepierce.family import (
+    ConvexBody,
     DyadicApproacher,
     FamilyStream,
     SupportAssigner,
     body_from_record,
     body_to_record,
-    build_body,
     enumerate_Q0,
     eps_of,
-    truncate_family,
 )
+from linepierce.geometry import Line3
 from linepierce.intervals import IntervalSet, make_cover, remove_intervals
+from linepierce.refutation import pierce
+
+
+def pierced_at(body, u, w):
+    """Is the chart point (u, w) in the body?  Asked of the line through it
+    along (0, 1, 0), which crosses the body's plane there."""
+    return pierce(Line3(body.plane.from_chart(u, w), (F(0), F(1), F(0))), body)
 
 
 class TestBaseEnumeration:
@@ -182,7 +189,7 @@ class TestSupportAssigner:
 
 class TestBuildBody:
     def test_full_support_shape(self):
-        body = build_body(F(1, 2), 1, IntervalSet.unit())
+        body = ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet.unit())
         assert body.eps == F(1, 64)
         assert (body.r_min, body.r_max) == (F(0), F(1))
         # extremes on the constant-x lines at 0 and 1
@@ -196,16 +203,16 @@ class TestBuildBody:
 
     def test_single_point_support_degenerates(self):
         support = IntervalSet.from_pairs([(F(1, 2), F(1, 2))])
-        body = build_body(F(1, 3), 2, support)
+        body = ConvexBody(q=F(1, 3), m=0, f_index=2, support=support)
         assert body.r_min == body.r_max == F(1, 2)
         w = body.parabola(F(1, 2))
-        assert body.contains_chart(F(1, 2), w)
-        assert not body.contains_chart(F(1, 2), w + F(1, 10**9))
-        assert not body.contains_chart(F(1, 4), w)
+        assert pierced_at(body, F(1, 2), w)
+        assert not pierced_at(body, F(1, 2), w + F(1, 10**9))
+        assert not pierced_at(body, F(1, 4), w)
 
     def test_gap_chord_strictly_above_parabola(self):
         support = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
-        body = build_body(F(1, 2), 1, support)
+        body = ConvexBody(q=F(1, 2), m=0, f_index=1, support=support)
         u = F(1, 2)
         assert body.lower_envelope(u) > body.parabola(u)
         # chord endpoints rejoin the parabola
@@ -214,15 +221,15 @@ class TestBuildBody:
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            build_body(F(1, 2), 1, IntervalSet.empty())
+            ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet.empty())
 
     def test_record_round_trip(self):
-        body = build_body(F(2, 5), 3, IntervalSet.from_pairs([(F(0), F(1, 3))]), m=2)
+        body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
         again = body_from_record(body_to_record(body))
         assert again == body
 
     def test_record_tilt_mismatch_rejected(self):
-        body = build_body(F(2, 5), 3, IntervalSet.from_pairs([(F(0), F(1, 3))]), m=2)
+        body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
         record = body_to_record(body)
         record["eps"] = "1/64"
         with pytest.raises(ValueError, match="tilt"):
@@ -232,8 +239,8 @@ class TestBuildBody:
 class TestFamilyStream:
     def test_prefix_is_memoized_and_stable(self):
         stream = FamilyStream(F(1, 2))
-        first = truncate_family(stream, 10)
-        second = truncate_family(stream, 10)
+        first = stream.truncate(10)
+        second = stream.truncate(10)
         assert first == second
 
     def test_fresh_streams_agree_byte_for_byte(self):
@@ -292,11 +299,11 @@ class TestFamilyStream:
         for body in bodies[:10]:
             for j, (lo, hi) in enumerate(body.support.intervals):
                 rest = [iv for i, iv in enumerate(body.support.intervals) if i != j]
-                reduced = build_body(
-                    body.q, body.f_index, IntervalSet.from_pairs(rest), m=body.m
+                reduced = ConvexBody(
+                    q=body.q, m=body.m, f_index=body.f_index, support=IntervalSet.from_pairs(rest)
                 )
                 probe = (lo + hi) / 2
-                assert not reduced.contains_chart(probe, body.parabola(probe))
+                assert not pierced_at(reduced, probe, body.parabola(probe))
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from linepierce.exactnum import QuadExt, scalar_sign
+from linepierce.exactnum import QuadExt
 from linepierce.geometry import (
     GENERIC,
     PLANE_CONTAINED,
@@ -19,7 +19,6 @@ from linepierce.geometry import (
     line_plane_intersection,
     line_surface_intersection,
     line_to_record,
-    plane_coords,
     ruling_line_x,
     ruling_line_y,
     vertical_distance,
@@ -37,7 +36,7 @@ def random_line(rng) -> Line3:
 
 
 def surface_residual_sign(pt: Point3) -> int:
-    return scalar_sign(pt.z - pt.x * pt.y)
+    return QuadExt.of(pt.z - pt.x * pt.y).sign()
 
 
 class TestClassify:
@@ -159,16 +158,16 @@ class TestChart:
     def test_projection(self):
         plane = TiltedPlane(F(1, 2), F(1, 16))
         pt = Point3(F(1, 4), F(33, 64), F(33, 256))
-        assert plane_coords(plane, pt) == (F(1, 4), F(33, 256))
+        assert plane.chart(pt) == (F(1, 4), F(33, 256))
 
     def test_plane_origin(self):
         plane = TiltedPlane(F(1, 2), F(1, 16))
-        assert plane_coords(plane, Point3(F(0), F(1, 2), F(0))) == (F(0), F(0))
+        assert plane.chart(Point3(F(0), F(1, 2), F(0))) == (F(0), F(0))
 
     def test_off_plane_rejected(self):
         plane = TiltedPlane(F(1, 2), F(1, 16))
         with pytest.raises(ValueError):
-            plane_coords(plane, Point3(F(0), F(1, 3), F(0)))
+            plane.chart(Point3(F(0), F(1, 3), F(0)))
 
     def test_round_trip(self):
         rng = random.Random(73)
@@ -177,7 +176,7 @@ class TestChart:
             u = F(rng.randint(-20, 20), rng.randint(1, 20))
             w = F(rng.randint(-20, 20), rng.randint(1, 20))
             pt = plane.from_chart(u, w)
-            assert plane_coords(plane, pt) == (u, w)
+            assert plane.chart(pt) == (u, w)
 
 
 class TestVerticalDistance:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from linepierce.family import FamilyStream, build_body
+from linepierce.family import ConvexBody, FamilyStream
 from linepierce.geometry import (
     PLANE_HIT,
     GENERIC,
@@ -31,7 +31,7 @@ from linepierce.refutation import (
 
 def body_with_gap():
     support = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
-    return build_body(F(1, 2), 1, support)
+    return ConvexBody(q=F(1, 2), m=0, f_index=1, support=support)
 
 
 class TestPierce:
@@ -194,11 +194,13 @@ class TestPierce:
 
 class TestMaxVerticalDistance:
     def test_full_span(self):
-        body = build_body(F(1, 2), 1, IntervalSet.unit())
+        body = ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet.unit())
         assert max_vertical_distance(body) == F(1, 256)
 
     def test_point_body(self):
-        body = build_body(F(1, 2), 1, IntervalSet.from_pairs([(F(1, 3), F(1, 3))]))
+        body = ConvexBody(
+            q=F(1, 2), m=0, f_index=1, support=IntervalSet.from_pairs([(F(1, 3), F(1, 3))])
+        )
         assert max_vertical_distance(body) == 0
 
     def test_sampled_distances_bounded_and_tight(self):
@@ -319,13 +321,23 @@ class TestRefute:
         outcome = refute([ruling_line_y(b)], FamilyStream(F(1, 2)), 1000)
         assert outcome.found
         def avoider(body):
-            lo, hi = body.y_range()
-            return not (lo <= b <= hi)
+            # the ruling meets the plane on the parabola at u = (b - q)/eps
+            return not body.support.contains((b - body.q) / body.eps)
         want_index, _ = replay_first_avoiding(F(1, 2), avoider)
         assert outcome.report.emission_index == want_index
         assert outcome.report.certificates[0].case in (
             "plane-slab-below", "plane-slab-above"
         )
+
+    def test_y_ruling_through_a_support_gap(self):
+        # inside body 1's y-slab, but over the support gap (0, 1/4)
+        first = FamilyStream(F(1, 2)).body_at(0)
+        line = ruling_line_y(first.q + first.eps / 8)
+        assert not pierce(line, first)
+        outcome = refute([line], FamilyStream(F(1, 2)), 10)
+        assert outcome.report.emission_index == 1
+        cert = outcome.report.certificates[0]
+        assert cert.case == "slab-gap" and cert.holds()
 
     def test_empty_pool_returns_first_body(self):
         outcome = refute([], FamilyStream(F(1, 2)), 10)
@@ -411,3 +423,98 @@ class TestVerticalClearance:
                     cleared += 1
                     assert not pierce(line, body)
         assert cleared > 100
+
+
+def mixed_pool(rng, early):
+    """A few early x-rulings, y-rulings aimed at support gaps of early
+    bodies, in-plane lines of early bodies and generic lines."""
+    pool = [ruling_line_x(r) for r in rng.sample([F(0), F(1), F(1, 2), F(1, 3)], rng.randint(0, 3))]
+    gapped = [b for b in early if len(b.support.intervals) > 1]
+    for _ in range(rng.randint(1, 3)):
+        body = rng.choice(gapped)
+        (_, lo), (hi, _) = rng.choice(list(zip(body.support.intervals, body.support.intervals[1:])))
+        u = lo + (hi - lo) * F(rng.randint(1, 7), 8)
+        pool.append(ruling_line_y(body.q + body.eps * u))
+    for _ in range(rng.randint(0, 2)):
+        body = rng.choice(early)
+        u0 = rng.choice(body.support.endpoints())
+        slope = body.q + 2 * body.eps * u0
+        lift = rng.choice([F(0), F(1, 10**9), -F(1, 10**9), body.eps])
+        anchor = body.plane.from_chart(u0, body.parabola(u0) + lift)
+        pool.append(Line3(anchor, (F(1), body.eps, slope)))
+    for _ in range(rng.randint(0, 2)):
+        a, b = F(rng.randint(0, 8), 8), F(rng.randint(0, 8), 8)
+        direction = (F(1), F(rng.randint(1, 5), 3), F(rng.randint(-4, 4), 2))
+        pool.append(Line3(Point3(a, b, a * b), direction))
+    rng.shuffle(pool)
+    return pool
+
+
+def test_refute_returns_the_brute_force_first_witness():
+    rng = random.Random(127)
+    early = FamilyStream(F(1, 2)).truncate(12)
+    for _ in range(40):
+        pool = mixed_pool(rng, early)
+        outcome = refute(pool, FamilyStream(F(1, 2)), 400)
+        # brute force: the geometric pierce on every line/body pair
+        want, _ = replay_first_avoiding(
+            F(1, 2), lambda body: not any(pierce(line, body) for line in pool), 400
+        )
+        assert outcome.found and outcome.report.emission_index == want
+        assert all(cert.holds() for cert in outcome.report.certificates)
+
+
+def _sympy_pierces_in_plane(body, alpha, beta):
+    """Does the chart line w = alpha + beta*u meet the body's hull?  Each
+    condition is solved exactly by sympy: the line is under the top chord
+    and, on some envelope piece's range, above that piece."""
+    from sympy import Interval, Poly, Rational, Symbol, Union
+    from sympy.solvers.inequalities import solve_poly_inequality
+
+    def sym(x):
+        return Rational(x.numerator, x.denominator)
+
+    u = Symbol("u", real=True)
+
+    def nonpositive(expr):
+        return Union(*solve_poly_inequality(Poly(expr, u), "<="))
+
+    line = sym(alpha) + sym(beta) * u
+    slope = body.chord_slope(body.r_min, body.r_max)
+    under_top = nonpositive(line - sym(body.parabola(body.r_min)) - sym(slope) * (u - sym(body.r_min)))
+    above_arcs = nonpositive(sym(body.q) * u + sym(body.eps) * u**2 - line)
+    ivs = body.support.intervals
+    hits = [above_arcs.intersect(Interval(sym(lo), sym(hi))) for lo, hi in ivs]
+    for (_, a), (b, _) in zip(ivs, ivs[1:]):
+        chord = sym(body.parabola(a)) + sym(body.chord_slope(a, b)) * (u - sym(a))
+        hits.append(nonpositive(chord - line).intersect(Interval(sym(a), sym(b))))
+    return not Union(*hits).intersect(under_top).is_empty
+
+
+def test_in_plane_pierce_matches_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(131)
+    nudges = [F(0), F(1, 10**9), -F(1, 10**9)]
+    checked = 0
+    for _ in range(20):
+        cuts = sorted({F(rng.randint(0, 8), 8) for _ in range(rng.choice([2, 4, 6]))})
+        if len(cuts) % 2:
+            cuts.append(cuts[-1])
+        support = IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2]))
+        body = ConvexBody(q=F(rng.randint(0, 6), 6), m=0, f_index=rng.randint(1, 3), support=support)
+        charts = []
+        for u0 in body.support.endpoints() + [F(rng.randint(0, 8), 8) for _ in range(2)]:
+            slope = body.q + 2 * body.eps * u0  # tangent to the parabola at u0
+            charts += [(body.parabola(u0) - slope * u0 + h, slope) for h in nudges]
+        top = body.chord_slope(body.r_min, body.r_max)
+        charts += [(body.parabola(body.r_min) - top * body.r_min + h, top) for h in nudges]
+        while len(charts) < 26:
+            beta = body.q + body.eps * F(rng.randint(-4, 8), 4)
+            charts.append((body.eps * F(rng.randint(-8, 8), 16), beta))
+        for alpha, beta in charts:
+            line = Line3(body.plane.from_chart(F(0), alpha), (F(1), body.eps, beta))
+            assert pierce(line, body) == _sympy_pierces_in_plane(body, alpha, beta)
+            cert = non_piercing_certificate(line, body)
+            assert cert is None or cert.holds()
+            checked += 1
+    assert checked >= 500
