@@ -17,11 +17,11 @@ from .exactnum import (
 )
 from .family import (
     ConvexBody,
-    DyadicApproacher,
     FamilyStream,
     SupportAssigner,
     body_from_record,
     body_to_record,
+    dyadic_approach,
     enumerate_Q0,
     eps_of,
 )

@@ -14,9 +14,11 @@ Everything here is deterministic: same delta, same prefix, byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import gcd
 
 from .exactnum import format_rational, parse_rational
@@ -56,34 +58,19 @@ def eps_of(n: int) -> Fraction:
     return Fraction(1, 4 ** (n + 2))
 
 
-class DyadicApproacher:
-    """Emits distinct rationals converging to a target, avoiding a registry.
+def dyadic_approach(target: Fraction) -> Iterator[Fraction]:
+    """Distinct rationals in [0,1] converging to target.
 
     Candidates are target +- 2^-j for j = 2, 3, ... (plus before minus),
-    skipping values outside [0,1] and values the registry already holds.
+    skipping values outside [0,1].
     """
-
-    def __init__(self, target: Fraction):
-        if not (0 <= target <= 1):
-            raise ValueError(f"target must lie in [0,1], got {target}")
-        self.target = target
-        self._j = 2
-        self._plus = True
-
-    def next_value(self, registry: set[Fraction]) -> Fraction:
-        while True:
-            offset = Fraction(1, 2**self._j)
-            cand = self.target + offset if self._plus else self.target - offset
-            if self._plus:
-                self._plus = False
-            else:
-                self._plus = True
-                self._j += 1
-            if not (0 <= cand <= 1):
-                continue
-            if cand in registry:
-                continue
-            return cand
+    if not (0 <= target <= 1):
+        raise ValueError(f"target must lie in [0,1], got {target}")
+    for j in count(2):
+        offset = Fraction(1, 2**j)
+        for cand in (target + offset, target - offset):
+            if 0 <= cand <= 1:
+                yield cand
 
 
 class _LevelCursor:
@@ -93,13 +80,13 @@ class _LevelCursor:
     when no picked interval's interior contains the protected target and
     every excluded point lies in some picked interval's interior.  The walk
     yields multisets in lexicographic order without materializing the
-    enumeration, via a greedy feasibility oracle.
+    enumeration, via a greedy feasibility oracle (the lexicographic multiset
+    walk of Knuth, TAOCP Vol. 4A, 7.2.1.3).
     """
 
     def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[Fraction]):
         self.cover = cover
         self.size = cover.picks_per_set
-        self.target = target
         self.excluded = sorted(excluded)
         forbidden = set(cover.covering_indices(target))
         self.allowed = [p for p in range(len(cover.centers)) if p not in forbidden]
@@ -108,87 +95,82 @@ class _LevelCursor:
             e: [p for p in cover.covering_indices(e) if p not in forbidden]
             for e in self.excluded
         }
-        self.workable = bool(self.allowed) and all(self.cands[e] for e in self.excluded)
-
-    def _right_edge(self, p: int) -> Fraction:
-        return self.cover.open_interval(p)[1]
-
-    def _after_pick(self, uncovered: list[Fraction], p: int) -> list[Fraction]:
-        lo, hi = self.cover.open_interval(p)
-        return [e for e in uncovered if not (lo < e < hi)]
 
     def _need(self, uncovered: list[Fraction], p_min: int, cap: int) -> int | None:
         """Greedy minimum number of allowed picks >= p_min covering all
         points, or None when impossible or above cap."""
-        count = 0
+        used = 0
         i = 0
         while i < len(uncovered):
             options = [p for p in self.cands[uncovered[i]] if p >= p_min]
             if not options:
                 return None
-            count += 1
-            if count > cap:
+            used += 1
+            if used > cap:
                 return None
-            reach = self._right_edge(max(options))
+            reach = self.cover.open_interval(max(options))[1]
             i += 1
             while i < len(uncovered) and uncovered[i] < reach:
                 i += 1
-        return count
+        return used
 
-    def _trials(self, uncovered: list[Fraction], bound: int, strict: bool) -> list[int]:
-        """Candidate next indices: the smallest allowed filler plus every
+    def _trials(self, uncovered: list[Fraction], floor: int) -> list[int]:
+        """Candidate indices >= floor: the smallest allowed filler plus every
         interval that covers a still-uncovered point.  Any other index is
         dominated: a larger filler only shrinks the available index range."""
         out = set()
-        j = bisect_left(self.allowed, bound + 1 if strict else bound)
+        j = bisect_left(self.allowed, floor)
         if j < len(self.allowed):
             out.add(self.allowed[j])
-        floor = bound + 1 if strict else bound
         for e in uncovered:
             for p in self.cands[e]:
                 if p >= floor:
                     out.add(p)
         return sorted(out)
 
-    def _complete(self, combo: list[int], uncovered: list[Fraction], floor: int) -> list[int] | None:
-        """Lex-least completion of a feasible prefix, or None."""
-        while len(combo) < self.size:
-            slots_after = self.size - len(combo) - 1
-            choice = None
-            for p in self._trials(uncovered, floor, strict=False):
-                rest = self._after_pick(uncovered, p)
-                if self._need(rest, p, slots_after) is not None:
-                    choice = p
-                    uncovered = rest
-                    break
-            if choice is None:
-                return None
-            combo.append(choice)
-            floor = choice
-        return combo if not uncovered else None
-
-    def first(self) -> list[int] | None:
-        if not self.workable:
-            return None
-        if self._need(self.excluded, 0, self.size) is None:
-            return None
-        return self._complete([], list(self.excluded), 0)
-
-    def next_after(self, combo: list[int]) -> list[int] | None:
-        """Lexicographic successor of a valid multiset, or None."""
-        if not self.workable:
-            return None
-        for j in range(self.size - 1, -1, -1):
-            prefix = combo[:j]
-            uncovered = list(self.excluded)
-            for p in prefix:
-                uncovered = self._after_pick(uncovered, p)
-            slots_after = self.size - j - 1
-            for p in self._trials(uncovered, combo[j], strict=True):
-                rest = self._after_pick(uncovered, p)
-                if self._need(rest, p, slots_after) is not None:
-                    return self._complete(prefix + [p], rest, p)
+    def _least_pick(
+        self, uncovered: list[Fraction], floor: int, slots_after: int
+    ) -> tuple[int, list[Fraction]] | None:
+        """Least pick >= floor whose remainder the later slots can still
+        cover, with that remainder; None when there is none."""
+        for p in self._trials(uncovered, floor):
+            lo, hi = self.cover.open_interval(p)
+            rest = [e for e in uncovered if not (lo < e < hi)]
+            if self._need(rest, p, slots_after) is not None:
+                return p, rest
         return None
+
+    def walk(self) -> Iterator[tuple[int, ...]]:
+        """Valid pick multisets as tuples, in lexicographic order.
+
+        ``uncovered[j]`` holds the points left uncovered by ``combo[:j]``.
+        Each position takes its least feasible pick >= ``floor``; after a
+        yield, or when a position has no such pick, the walk pops the last
+        pick and resumes just above it.  So a successor re-examines only the
+        positions it changes, and the walk never recurses: 2^level picks
+        cost no stack depth.
+        """
+        if self._need(self.excluded, 0, self.size) is None:
+            return
+        combo: list[int] = []
+        uncovered = [self.excluded]
+        floor = 0
+        while True:
+            step = None
+            if len(combo) < self.size:
+                step = self._least_pick(uncovered[-1], floor, self.size - len(combo) - 1)
+            else:
+                yield tuple(combo)
+            if step is not None:
+                p, rest = step
+                combo.append(p)
+                uncovered.append(rest)
+                floor = p
+            elif combo:
+                floor = combo.pop() + 1
+                uncovered.pop()
+            else:
+                return
 
 
 class SupportAssigner:
@@ -205,50 +187,26 @@ class SupportAssigner:
         if not (0 < delta < 1):
             raise ValueError(f"delta must lie in (0,1), got {delta}")
         self.delta = delta
-        self._states: dict[int, dict] = {}
-        self._memo: dict[Fraction, IntervalSet] = {}
+        self._walks: dict[int, Iterator[IntervalSet]] = {}
 
-    def _state(self, m: int) -> dict:
-        st = self._states.get(m)
-        if st is None:
-            st = {
-                "target": enumerate_Q0(m),
-                "excluded": [enumerate_Q0(k) for k in range(1, m)],
-                "level": 0,
-                "cursor": None,
-                "combo": None,
-                "assigned": set(),
-            }
-            self._states[m] = st
-            self._bump_level(st)
-        return st
+    def _supports(self, m: int) -> Iterator[IntervalSet]:
+        target = enumerate_Q0(m)
+        excluded = [enumerate_Q0(k) for k in range(1, m)]
+        seen: set[IntervalSet] = set()
+        for level in count(1):
+            cover = make_cover(self.delta, level)
+            for combo in _LevelCursor(cover, target, excluded).walk():
+                support = remove_intervals(cover, combo)
+                if support not in seen:
+                    seen.add(support)
+                    yield support
 
-    def _bump_level(self, st: dict) -> None:
-        st["level"] += 1
-        st["cursor"] = _LevelCursor(
-            make_cover(self.delta, st["level"]), st["target"], st["excluded"]
-        )
-        st["combo"] = None
-
-    def assign(self, q: Fraction, m: int) -> IntervalSet:
-        """Support for the emitted value q of approach sequence m (memoized)."""
-        got = self._memo.get(q)
-        if got is not None:
-            return got
-        st = self._state(m)
-        while True:
-            cursor: _LevelCursor = st["cursor"]
-            combo = cursor.first() if st["combo"] is None else cursor.next_after(st["combo"])
-            if combo is None:
-                self._bump_level(st)
-                continue
-            st["combo"] = combo
-            support = remove_intervals(cursor.cover, combo)
-            if support in st["assigned"]:
-                continue
-            st["assigned"].add(support)
-            self._memo[q] = support
-            return support
+    def assign(self, m: int) -> IntervalSet:
+        """Next unassigned support for approach sequence m."""
+        walk = self._walks.get(m)
+        if walk is None:
+            walk = self._walks[m] = self._supports(m)
+        return next(walk)
 
 
 @dataclass(frozen=True)
@@ -353,7 +311,7 @@ class FamilyStream:
         self.delta = delta
         self._assigner = SupportAssigner(delta)
         self._registry: set[Fraction] = set()
-        self._approachers: dict[int, DyadicApproacher] = {}
+        self._approaches: dict[int, Iterator[Fraction]] = {}
         self._bodies: list[ConvexBody] = []
         self._ms = self._dovetail_ms()
 
@@ -367,13 +325,12 @@ class FamilyStream:
 
     def _emit(self) -> None:
         m = next(self._ms)
-        approacher = self._approachers.get(m)
-        if approacher is None:
-            approacher = DyadicApproacher(enumerate_Q0(m))
-            self._approachers[m] = approacher
-        q = approacher.next_value(self._registry)
+        approach = self._approaches.get(m)
+        if approach is None:
+            approach = self._approaches[m] = dyadic_approach(enumerate_Q0(m))
+        q = next(v for v in approach if v not in self._registry)
         self._registry.add(q)
-        support = self._assigner.assign(q, m)
+        support = self._assigner.assign(m)
         self._bodies.append(
             ConvexBody(q=q, m=m, f_index=len(self._bodies) + 1, support=support)
         )
@@ -409,9 +366,9 @@ def body_from_record(record: dict) -> ConvexBody:
         support = IntervalSet.from_strings(record["support"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed body record: {exc}") from exc
-    body = ConvexBody(q=q, m=m, f_index=f, support=support)
-    if body.eps != eps:
-        raise ValueError(
-            f"tilt mismatch in body record: stated {eps}, rule gives {body.eps}"
-        )
-    return body
+    # eps_of(f) is 2^-(2f+4): check the stated tilt has that shape before
+    # the body computes it, so the work stays bounded by the record's size
+    den = eps.denominator
+    if f < 1 or eps.numerator != 1 or den & (den - 1) or den.bit_length() != 2 * f + 5:
+        raise ValueError(f"tilt mismatch in body record: stated {eps} for f = {f}")
+    return ConvexBody(q=q, m=m, f_index=f, support=support)

@@ -189,25 +189,6 @@ class CoverSpec:
                 out.append(idx)
         return out
 
-    def to_record(self) -> dict:
-        from .exactnum import format_rational
-
-        return {
-            "delta": format_rational(self.delta),
-            "level": self.level,
-            "length": format_rational(self.length),
-            "centers": [format_rational(c) for c in self.centers],
-        }
-
-    @staticmethod
-    def from_record(record: dict) -> CoverSpec:
-        from .exactnum import parse_rational
-
-        cover = make_cover(parse_rational(record["delta"]), int(record["level"]))
-        if cover.to_record() != record:
-            raise ValueError("cover record does not match the deterministic layout")
-        return cover
-
 
 def make_cover(delta: Fraction, level: int) -> CoverSpec:
     """Level-i cover: open intervals of length (1-delta)/2^i on the k*l/2 grid."""

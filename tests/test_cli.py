@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +47,13 @@ class TestConstruct:
         a = construct(tmp_path, name="a.jsonl")
         b = construct(tmp_path, name="b.jsonl")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_prefix_bytes_pinned(self, tmp_path):
+        # 300 bodies reach cover level 5, so every enumeration layer shows here
+        family = construct(tmp_path, count=300)
+        assert hashlib.sha256(family.read_bytes()).hexdigest() == (
+            "135bdf3494b33d4f9272f5f9f8edfb4cc892e25575ec2e862fdb1164d5d44f1e"
+        )
 
     def test_verify_flag(self, tmp_path):
         family = tmp_path / "fam.jsonl"
@@ -321,6 +329,16 @@ COMMANDS = {
 }
 
 
+def assert_exits_3_without_traceback(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(linepierce.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "linepierce.cli", *argv, "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("content", sorted(BAD_CONTENTS))
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_bad_input_exits_3_without_traceback(tmp_path, command, content):
@@ -333,10 +351,17 @@ def test_bad_input_exits_3_without_traceback(tmp_path, command, content):
             data = BAD_CONTENTS[content][kind] if kind == bad else good
             path.write_bytes(data if isinstance(data, bytes) else (json.dumps(data) + "\n").encode())
             paths[kind] = str(path)
-        env = {**os.environ, "PYTHONPATH": str(Path(linepierce.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "linepierce.cli", *argv(paths), "--out", str(tmp_path / "out.json")],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 3, done.stderr
-        assert "Traceback" not in done.stderr
+        assert_exits_3_without_traceback(tmp_path, argv(paths))
+
+
+@pytest.mark.parametrize("command", ["witness", "cover"])
+def test_huge_tilt_index_exits_3_without_traceback(tmp_path, command):
+    # the stated eps is checked before 4^(f+2) is computed, so this is quick
+    argv = COMMANDS[command][1]
+    paths = {}
+    for kind, record in (("lines", GOOD_LINE), ("family", {**GOOD_BODY, "f": 10**12})):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        paths[kind] = str(path)
+    assert_exits_3_without_traceback(tmp_path, argv(paths))
+

@@ -3,14 +3,17 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linepierce.family import (
     ConvexBody,
-    DyadicApproacher,
     FamilyStream,
     SupportAssigner,
+    _LevelCursor,
     body_from_record,
     body_to_record,
+    dyadic_approach,
     enumerate_Q0,
     eps_of,
 )
@@ -58,47 +61,52 @@ class TestEpsSequence:
         assert eps_of(49) < F(1, 4**50)
 
 
+def next_value(approach, registry):
+    """The next approach value the registry does not hold, as the stream takes it."""
+    return next(v for v in approach if v not in registry)
+
+
 class TestDyadicApproacher:
     def test_two_sided_target(self):
-        gen = DyadicApproacher(F(1, 2))
+        gen = dyadic_approach(F(1, 2))
         registry: set = set()
         got = []
         for _ in range(5):
-            v = gen.next_value(registry)
+            v = next_value(gen, registry)
             registry.add(v)
             got.append(v)
         assert got == [F(3, 4), F(1, 4), F(5, 8), F(3, 8), F(9, 16)]
 
     def test_boundary_target_one_sided(self):
-        gen = DyadicApproacher(F(0))
+        gen = dyadic_approach(F(0))
         registry: set = set()
-        got = [gen.next_value(registry) for _ in ()] or []
+        got = []
         for _ in range(4):
-            v = gen.next_value(registry)
+            v = next_value(gen, registry)
             registry.add(v)
             got.append(v)
         assert got == [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
 
     def test_collision_skipped(self):
-        gen = DyadicApproacher(F(1, 2))
+        gen = dyadic_approach(F(1, 2))
         registry = {F(3, 4)}
-        assert gen.next_value(registry) == F(1, 4)
+        assert next_value(gen, registry) == F(1, 4)
 
     def test_never_emits_target(self):
-        gen = DyadicApproacher(F(1, 4))
+        gen = dyadic_approach(F(1, 4))
         registry: set = set()
         for _ in range(60):
-            v = gen.next_value(registry)
+            v = next_value(gen, registry)
             registry.add(v)
             assert v != F(1, 4)
             assert 0 <= v <= 1
 
     def test_converges_to_target(self):
-        gen = DyadicApproacher(F(2, 3))
+        gen = dyadic_approach(F(2, 3))
         registry: set = set()
         dist = None
         for _ in range(40):
-            v = gen.next_value(registry)
+            v = next_value(gen, registry)
             registry.add(v)
             d = abs(v - F(2, 3))
             if dist is not None:
@@ -142,7 +150,7 @@ class TestSupportAssigner:
         delta = F(1, 2)
         assigner = SupportAssigner(delta)
         want = first_fit_oracle(delta, m, 8)
-        got = [assigner.assign(F(9000 + k, 10007), m) for k in range(8)]
+        got = [assigner.assign(m) for _ in range(8)]
         assert got == want
 
     def test_matches_brute_force_across_level_bump(self):
@@ -150,41 +158,82 @@ class TestSupportAssigner:
         delta = F(1, 2)
         assigner = SupportAssigner(delta)
         want = first_fit_oracle(delta, 2, 40)
-        got = [assigner.assign(F(5000 + k, 10007), 2) for k in range(40)]
+        got = [assigner.assign(2) for _ in range(40)]
         assert got == want
         levels = {len(s.endpoints()) for s in got}
         assert len(levels) > 1  # sets from both cover levels appear
 
     def test_first_set_for_m1_starts_at_zero(self):
-        s = SupportAssigner(F(1, 2)).assign(F(1, 4), 1)
+        s = SupportAssigner(F(1, 2)).assign(1)
         assert s.contains(F(0))
         assert s.intervals[0][0] == F(0)
 
     def test_m3_membership_constraints(self):
         assigner = SupportAssigner(F(1, 2))
-        for k in range(6):
-            s = assigner.assign(F(100 + k, 1009), 3)
+        for _ in range(6):
+            s = assigner.assign(3)
             assert s.contains(F(1, 2))
             assert not s.contains(F(0))
             assert not s.contains(F(1))
 
     def test_distinct_values_get_distinct_sets(self):
         assigner = SupportAssigner(F(1, 2))
-        sets = [assigner.assign(F(k, 101), 2) for k in range(1, 30)]
+        sets = [assigner.assign(2) for _ in range(29)]
         assert len(set(sets)) == len(sets)
-
-    def test_memoized_by_value(self):
-        assigner = SupportAssigner(F(1, 2))
-        a = assigner.assign(F(1, 7), 1)
-        b = assigner.assign(F(1, 7), 1)
-        assert a == b
 
     def test_measure_bound(self):
         assigner = SupportAssigner(F(3, 4))
         for m in (1, 2, 3, 5, 8):
-            for k in range(4):
-                s = assigner.assign(F(400 + 10 * m + k, 2003), m)
+            for _ in range(4):
+                s = assigner.assign(m)
                 assert s.measure() >= F(3, 4)
+
+
+def valid_multisets_oracle(cover, target, excluded):
+    """Every pick multiset of the level in lexicographic order, kept when its
+    support holds the target and none of the excluded points: a point of
+    [0,1] leaves the support exactly when a picked open interval holds it."""
+    spans = [cover.open_interval(p) for p in range(len(cover.centers))]
+    hits_target = [lo < target < hi for lo, hi in spans]
+    hit_mask = [
+        sum(1 << i for i, e in enumerate(excluded) if lo < e < hi) for lo, hi in spans
+    ]
+    everything = (1 << len(excluded)) - 1
+    for combo in combinations_with_replacement(range(len(spans)), cover.picks_per_set):
+        if any(hits_target[p] for p in combo):
+            continue
+        mask = 0
+        for p in combo:
+            mask |= hit_mask[p]
+        if mask == everything:
+            yield combo
+
+
+unit_rationals = st.integers(1, 24).flatmap(
+    lambda den: st.integers(0, den).map(lambda num: F(num, den))
+)
+
+
+class TestLevelCursorWalk:
+    @settings(max_examples=60)
+    @given(
+        delta=st.sampled_from([F(1, 3), F(1, 2), F(3, 5), F(2, 3)]),
+        level=st.integers(1, 2),
+        target=unit_rationals,
+        excluded=st.lists(unit_rationals, max_size=6),
+    )
+    def test_walk_matches_full_enumeration(self, delta, level, target, excluded):
+        cover = make_cover(delta, level)
+        got = list(_LevelCursor(cover, target, excluded).walk())
+        assert got == list(valid_multisets_oracle(cover, target, excluded))
+
+    def test_deep_level_does_not_recurse(self):
+        # 1024 picks: a walk that recursed once per pick would pass
+        # Python's default recursion limit of 1000
+        cover = make_cover(F(1, 2), 10)
+        combo = next(_LevelCursor(cover, F(0), [F(1, 3), F(1, 2)]).walk())
+        assert len(combo) == 1024
+        assert all(a <= b for a, b in zip(combo, combo[1:]))
 
 
 class TestBuildBody:
@@ -231,9 +280,11 @@ class TestBuildBody:
     def test_record_tilt_mismatch_rejected(self):
         body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
         record = body_to_record(body)
-        record["eps"] = "1/64"
-        with pytest.raises(ValueError, match="tilt"):
-            body_from_record(record)
+        assert record["eps"] == "1/1024"
+        # wrong power of two, wrong numerator, not a power of two, f below 1
+        for eps, f in (("1/64", 3), ("3/1024", 3), ("1/1023", 3), ("1/16", 0)):
+            with pytest.raises(ValueError, match="tilt"):
+                body_from_record({**record, "eps": eps, "f": f})
 
 
 class TestFamilyStream:
