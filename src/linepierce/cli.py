@@ -3,8 +3,8 @@
 All core computation is exact; decimals appear only in plot exports.  Every
 command writes deterministic artifacts (fixed key order, no timestamps), so
 re-running with the same flags reproduces files byte for byte.  Exit codes:
-0 success or witness found, 2 search/prefix exhausted, 3 input error,
-4 uncoverable pool.
+0 success or witness found, 2 search/prefix exhausted, 3 input error
+(a command-line usage error included), 4 uncoverable pool.
 """
 
 from __future__ import annotations
@@ -349,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=100_000,
         help="stream search budget in bodies (default 100000); the first 40 "
-        "base-rational x-rulings are refuted at emission 861 in about 1.5 s, a "
-        "scan of 2000 bodies takes about 5 s, and the cost per body grows "
-        "along the stream, so the whole default budget takes hours",
+        "base-rational x-rulings are refuted at emission 861 in about 0.4 s, "
+        "scans of 2000 and 8000 bodies take about 1.3 s and 11 s, and the "
+        "cost per body grows along the stream, so the whole default budget "
+        "is far beyond any run measured",
     )
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true")
@@ -377,7 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage; its exit code 2 would read as "exhausted"
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except InputError as exc:

@@ -82,39 +82,47 @@ class _LevelCursor:
     yields multisets in lexicographic order without materializing the
     enumeration, via a greedy feasibility oracle (the lexicographic multiset
     walk of Knuth, TAOCP Vol. 4A, 7.2.1.3).
+
+    Point sets are integer masks: bit i stands for the i-th smallest excluded
+    point, and ``hits[p]`` is the mask of the points interior to allowed
+    interval p.  After ``__init__`` the walk does no rational arithmetic.
     """
 
     def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[Fraction]):
-        self.cover = cover
         self.size = cover.picks_per_set
-        self.excluded = sorted(excluded)
+        self.everything = (1 << len(excluded)) - 1
         forbidden = set(cover.covering_indices(target))
         self.allowed = [p for p in range(len(cover.centers)) if p not in forbidden]
-        # each point is interior to at most two grid intervals
-        self.cands = {
-            e: [p for p in cover.covering_indices(e) if p not in forbidden]
-            for e in self.excluded
-        }
+        # each point is interior to at most two grid intervals, in increasing order
+        self.cands = [
+            [p for p in cover.covering_indices(e) if p not in forbidden]
+            for e in sorted(excluded)
+        ]
+        self.hits = [0] * len(cover.centers)
+        for i, ps in enumerate(self.cands):
+            for p in ps:
+                self.hits[p] |= 1 << i
 
-    def _need(self, uncovered: list[Fraction], p_min: int, cap: int) -> int | None:
+    def _need(self, uncovered: int, p_min: int, cap: int) -> int | None:
         """Greedy minimum number of allowed picks >= p_min covering all
-        points, or None when impossible or above cap."""
+        points, or None when impossible or above cap.
+
+        The lowest uncovered point takes its rightmost candidate.  Every
+        other uncovered point lies above that interval's left end, so the
+        interval covers exactly those of them below its right end.
+        """
         used = 0
-        i = 0
-        while i < len(uncovered):
-            options = [p for p in self.cands[uncovered[i]] if p >= p_min]
-            if not options:
+        while uncovered:
+            options = self.cands[(uncovered & -uncovered).bit_length() - 1]
+            if not options or options[-1] < p_min:
                 return None
             used += 1
             if used > cap:
                 return None
-            reach = self.cover.open_interval(max(options))[1]
-            i += 1
-            while i < len(uncovered) and uncovered[i] < reach:
-                i += 1
+            uncovered &= ~self.hits[options[-1]]
         return used
 
-    def _trials(self, uncovered: list[Fraction], floor: int) -> list[int]:
+    def _trials(self, uncovered: int, floor: int) -> list[int]:
         """Candidate indices >= floor: the smallest allowed filler plus every
         interval that covers a still-uncovered point.  Any other index is
         dominated: a larger filler only shrinks the available index range."""
@@ -122,20 +130,19 @@ class _LevelCursor:
         j = bisect_left(self.allowed, floor)
         if j < len(self.allowed):
             out.add(self.allowed[j])
-        for e in uncovered:
-            for p in self.cands[e]:
-                if p >= floor:
-                    out.add(p)
+        while uncovered:
+            low = uncovered & -uncovered
+            out.update(p for p in self.cands[low.bit_length() - 1] if p >= floor)
+            uncovered ^= low
         return sorted(out)
 
     def _least_pick(
-        self, uncovered: list[Fraction], floor: int, slots_after: int
-    ) -> tuple[int, list[Fraction]] | None:
+        self, uncovered: int, floor: int, slots_after: int
+    ) -> tuple[int, int] | None:
         """Least pick >= floor whose remainder the later slots can still
         cover, with that remainder; None when there is none."""
         for p in self._trials(uncovered, floor):
-            lo, hi = self.cover.open_interval(p)
-            rest = [e for e in uncovered if not (lo < e < hi)]
+            rest = uncovered & ~self.hits[p]
             if self._need(rest, p, slots_after) is not None:
                 return p, rest
         return None
@@ -143,17 +150,18 @@ class _LevelCursor:
     def walk(self) -> Iterator[tuple[int, ...]]:
         """Valid pick multisets as tuples, in lexicographic order.
 
-        ``uncovered[j]`` holds the points left uncovered by ``combo[:j]``.
+        ``uncovered[j]`` is the mask of the points left uncovered by
+        ``combo[:j]``.
         Each position takes its least feasible pick >= ``floor``; after a
         yield, or when a position has no such pick, the walk pops the last
         pick and resumes just above it.  So a successor re-examines only the
         positions it changes, and the walk never recurses: 2^level picks
         cost no stack depth.
         """
-        if self._need(self.excluded, 0, self.size) is None:
+        if self._need(self.everything, 0, self.size) is None:
             return
         combo: list[int] = []
-        uncovered = [self.excluded]
+        uncovered = [self.everything]
         floor = 0
         while True:
             step = None

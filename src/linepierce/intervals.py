@@ -10,13 +10,15 @@ induced by all endpoints, and deep-point witnesses.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_start = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,31 @@ class IntervalSet:
         return out
 
     def subtract_open(self, lo: Fraction, hi: Fraction) -> IntervalSet:
-        """Remove the open interval (lo, hi); the endpoints lo, hi survive."""
+        """Remove the open interval (lo, hi); the endpoints lo, hi survive.
+
+        Pieces i..k-1 meet (lo, hi); only piece i can keep a left stub
+        [a_i, lo] and only piece k-1 a right stub [hi, b_{k-1}].
+        """
         if hi <= lo:
             return self
-        pieces: list[tuple[Fraction, Fraction]] = []
-        for a, b in self.intervals:
-            if hi <= a or lo >= b:
-                pieces.append((a, b))
-                continue
-            if lo >= a:
-                pieces.append((a, lo))
-            if hi <= b:
-                pieces.append((hi, b))
-        return IntervalSet(tuple(pieces))
+        ivs = self.intervals
+        # cuts made left to right, as remove_intervals makes them, mostly
+        # start in the last piece: try it before bisecting
+        if ivs and lo >= ivs[-1][0]:
+            i = len(ivs) - 1
+        else:
+            i = max(bisect_right(ivs, lo, key=_start) - 1, 0)
+        if i < len(ivs) and ivs[i][1] <= lo:
+            i += 1
+        k = bisect_left(ivs, hi, i, key=_start)
+        if i >= k:
+            return self
+        stubs = []
+        if lo >= ivs[i][0]:
+            stubs.append((ivs[i][0], lo))
+        if hi <= ivs[k - 1][1]:
+            stubs.append((hi, ivs[k - 1][1]))
+        return IntervalSet(ivs[:i] + tuple(stubs) + ivs[k:])
 
     def intersect(self, other: IntervalSet) -> IntervalSet:
         out: list[tuple[Fraction, Fraction]] = []
@@ -165,29 +179,25 @@ class CoverSpec:
     def picks_per_set(self) -> int:
         return 2**self.level
 
-    def open_interval(self, index: int) -> tuple[Fraction, Fraction]:
-        c = self.centers[index]
+    @cached_property
+    def open_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         half = self.length / 2
-        return (c - half, c + half)
+        return tuple((c - half, c + half) for c in self.centers)
 
-    def covers(self, index: int, x: Fraction) -> bool:
-        lo, hi = self.open_interval(index)
-        return lo < x < hi
+    def open_interval(self, index: int) -> tuple[Fraction, Fraction]:
+        return self.open_intervals[index]
 
     def covering_indices(self, x: Fraction) -> list[int]:
         """Indices of cover intervals whose open interior contains x.
 
-        On the half-length grid each point is interior to one interval
-        (when x is a grid point) or two (otherwise).
+        In half-length steps interval k is (k-1, k+1), so a grid point
+        x = k*step is interior to interval k alone and any other x to
+        floor(x/step) and the next one.
         """
-        step = self.length / 2
-        ratio = x / step
-        k = ratio.numerator // ratio.denominator  # floor
-        out = []
-        for idx in (k, k + 1):
-            if 0 <= idx < len(self.centers) and self.covers(idx, x):
-                out.append(idx)
-        return out
+        ratio = x / (self.length / 2)
+        k, rem = divmod(ratio.numerator, ratio.denominator)
+        around = (k,) if rem == 0 else (k, k + 1)
+        return [idx for idx in around if 0 <= idx < len(self.centers)]
 
 
 def make_cover(delta: Fraction, level: int) -> CoverSpec:

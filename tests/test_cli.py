@@ -55,6 +55,13 @@ class TestConstruct:
             "135bdf3494b33d4f9272f5f9f8edfb4cc892e25575ec2e862fdb1164d5d44f1e"
         )
 
+    def test_benchmark_bytes_pinned(self, tmp_path):
+        # perfbench's construct workload checks the same digest
+        family = construct(tmp_path, count=2000)
+        assert hashlib.sha256(family.read_bytes()).hexdigest() == (
+            "cd43c8de4d90bddc0737e571da7ea113ac5c6a24dc4b75a44db256280d644ecc"
+        )
+
     def test_verify_flag(self, tmp_path):
         family = tmp_path / "fam.jsonl"
         assert main(["construct", "--delta", "1/2", "-N", "5",
@@ -365,3 +372,24 @@ def test_huge_tilt_index_exits_3_without_traceback(tmp_path, command):
         paths[kind] = str(path)
     assert_exits_3_without_traceback(tmp_path, argv(paths))
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--delta", "1/2"],
+        ["construct", "--delta", "1/2", "-N", "abc", "--out", "family.jsonl"],
+        ["frobnicate"],
+    ],
+)
+def test_usage_error_exits_3(argv, capsys):
+    # argparse's own exit code is 2, which the contract reserves for "exhausted"
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "usage: linepierce" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: linepierce" in capsys.readouterr().out

@@ -1,8 +1,12 @@
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linepierce.exactnum import (
     QuadExt,
@@ -182,3 +186,79 @@ class TestSolveQuadratic:
             roots = solve_quadratic(a, b, c)
             if roots.kind == "two":
                 assert roots.roots[0] < roots.roots[1]
+
+
+def sym(x) -> sympy.Expr:
+    """A Fraction or a QuadExt as an exact sympy number."""
+    if isinstance(x, QuadExt):
+        return sym(x.a) + sym(x.b) * sympy.sqrt(sym(x.d))
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def pell_convergent(n: int) -> tuple[int, int]:
+    """The n-th convergent p/q of sqrt(2): 1/1, 3/2, 7/5, 17/12, ..."""
+    p, q = 1, 1
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+scales = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+
+
+class TestSympyOracle:
+    """Exact differential checks: sympy decides the sign of a + b*sqrt(d)
+    and the roots of a rational quadratic without the decimal oracle's
+    cut-off, which matters most for near-cancelling operands."""
+
+    @settings(max_examples=300)
+    @given(a=rationals, b=rationals, d=st.fractions(min_value=0, max_value=50, max_denominator=50))
+    def test_sign_matches_sympy(self, a, b, d):
+        assert QuadExt(a, b, d).sign() == sympy.sign(sym(a) + sym(b) * sympy.sqrt(sym(d)))
+
+    @settings(max_examples=100)
+    @given(n=st.integers(0, 80), scale=scales, negate=st.booleans())
+    def test_sign_of_pell_gap_matches_sympy(self, n, scale, negate):
+        # |p - q*sqrt(2)| is below 1/q: the two terms agree to ~2*log10(q) digits
+        p, q = pell_convergent(n)
+        x = QuadExt(p * scale, -q * scale, F(2))
+        if negate:
+            x = -x
+        assert x.sign() == sympy.sign(sym(x)) != 0
+
+    @settings(max_examples=100)
+    @given(
+        d=st.integers(2, 99).filter(lambda d: isqrt(d) ** 2 != d),
+        q=st.integers(1, 10**40),
+        above=st.booleans(),
+        scale=scales,
+    )
+    def test_sign_of_floor_square_root_gap_matches_sympy(self, d, q, above, scale):
+        # p = floor(q*sqrt(d)) (+1): within 1 of q*sqrt(d), of either sign
+        p = isqrt(q * q * d) + above
+        x = QuadExt(p * scale, -q * scale, F(d))
+        assert x.sign() == sympy.sign(sym(x)) == (1 if above else -1)
+
+    @settings(max_examples=150)
+    @given(
+        coeffs=st.one_of(
+            st.tuples(rationals, rationals, rationals),
+            # a*(x - r)*(x - s): rational and double roots
+            st.tuples(rationals, rationals, rationals).map(
+                lambda t: (t[0], -t[0] * (t[1] + t[2]), t[0] * t[1] * t[2])
+            ),
+        )
+    )
+    def test_roots_match_sympy_solve(self, coeffs):
+        a, b, c = coeffs
+        assume(not a == b == c == 0)
+        x = sympy.Symbol("x")
+        # a polynomial has no denominators to check roots against
+        poly = sym(a) * x**2 + sym(b) * x + sym(c)
+        want = [r for r in sympy.solve(poly, x, check=False, simplify=False) if r.is_real]
+        roots = solve_quadratic(a, b, c)
+        got = [sym(r) for r in roots.roots]
+        assert roots.kind == ("none", "one", "two")[len(want)]
+        assert {sympy.expand(r) for r in got} == {sympy.expand(r) for r in want}
+        assert all(sympy.sign(hi - lo) == 1 for lo, hi in zip(got, got[1:]))

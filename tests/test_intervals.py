@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linepierce.intervals import (
     IntervalSet,
@@ -38,22 +40,54 @@ def covers_unit_interval(cover) -> bool:
     return open_spans_cover_unit([(c - half, c + half) for c in cover.centers])
 
 
+def linear_subtract_open(pieces, lo, hi) -> list[tuple[F, F]]:
+    """Remove (lo, hi) by testing every piece against the cut: the linear
+    scan that ``IntervalSet.subtract_open`` replaced with bisection."""
+    if hi <= lo:
+        return list(pieces)
+    out = []
+    for a, b in pieces:
+        if hi <= a or lo >= b:
+            out.append((a, b))
+            continue
+        if lo >= a:
+            out.append((a, lo))
+        if hi <= b:
+            out.append((hi, b))
+    return out
+
+
 def subtraction_oracle(cover, picks) -> list[tuple[F, F]]:
     """Direct set subtraction over a common denominator grid refinement."""
     pieces = [(F(0), F(1))]
     for p in picks:
-        lo, hi = cover.open_interval(p)
-        nxt = []
-        for a, b in pieces:
-            if hi <= a or lo >= b:
-                nxt.append((a, b))
-                continue
-            if lo >= a:
-                nxt.append((a, lo))
-            if hi <= b:
-                nxt.append((hi, b))
-        pieces = nxt
+        pieces = linear_subtract_open(pieces, *cover.open_interval(p))
     return sorted(pieces)
+
+
+@st.composite
+def canonical_sets(draw) -> IntervalSet:
+    """Canonical sets with endpoints on the 1/12 grid of [0,1], single
+    points included: sorted distinct grid values taken one (a point) or
+    two (an interval) at a time."""
+    values = sorted(draw(st.sets(st.integers(0, 12))))
+    pieces = []
+    while values:
+        lo = values.pop(0)
+        hi = values.pop(0) if values and draw(st.booleans()) else lo
+        pieces.append((F(lo, 12), F(hi, 12)))
+    return IntervalSet(tuple(pieces))
+
+
+# cut ends on the 1/24 grid of [-1/2, 3/2]: beyond [0,1], inside pieces,
+# and (every other value) on the grid of the set's endpoints
+CUT_ENDS = [F(k, 24) for k in range(-12, 37)]
+
+
+def cut_ends(s: IntervalSet):
+    if s.is_empty():
+        return st.sampled_from(CUT_ENDS)
+    return st.one_of(st.sampled_from(s.endpoints()), st.sampled_from(CUT_ENDS))
 
 
 class TestMakeCover:
@@ -140,6 +174,29 @@ class TestRemoveIntervals:
                 s = remove_intervals(c, picks)
                 assert s.measure() >= delta
                 assert list(s.intervals) == subtraction_oracle(c, picks)
+
+
+class TestSubtractOpen:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_linear_scan(self, data):
+        s = data.draw(canonical_sets())
+        assert IntervalSet.from_pairs(s.intervals) == s
+        for _ in range(data.draw(st.integers(1, 4))):
+            # hi <= lo (an empty cut) is drawn about half the time
+            lo, hi = data.draw(cut_ends(s)), data.draw(cut_ends(s))
+            want = linear_subtract_open(s.intervals, lo, hi)
+            s = s.subtract_open(lo, hi)
+            assert list(s.intervals) == want
+
+    def test_cut_on_endpoints_keeps_them(self):
+        s = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))])
+        # the cut's ends are endpoints of the pieces around it: only the
+        # single point strictly inside goes
+        assert s.subtract_open(F(1, 4), F(3, 4)).intervals == ((F(0), F(1, 4)), (F(3, 4), F(1)))
+        assert s.subtract_open(F(1, 4), F(1, 2)) is s
+        assert s.subtract_open(F(2), F(3)) is s
+        assert s.subtract_open(F(1, 2), F(0)) is s
 
 
 class TestMeasureAndIntersect:
