@@ -53,7 +53,6 @@ from .refutation import (
     CoverSolution,
     PiercingMatrix,
     RefutationOutcome,
-    RefutationReport,
     UncoverableError,
     max_vertical_distance,
     min_line_cover,

@@ -15,6 +15,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .exactnum import format_rational, parse_rational
 from .family import ConvexBody, FamilyStream, body_from_record, body_to_record
@@ -63,41 +64,36 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_family(path: str) -> list[ConvexBody]:
-    bodies = []
+def _read_jsonl(path: str, kind: str, parse: Callable[[object], object]) -> list:
+    """Parse every non-blank line of a JSON-lines file; any unreadable file
+    or bad line is an input error, and every bad line is named."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read family file {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+    records, problems = [], []
     for ln, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            bodies.append(body_from_record(json.loads(line)))
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"{path}:{ln}: {exc}") from exc
+            records.append(parse(json.loads(line)))
+        except (ValueError, RecursionError) as exc:
+            # json raises RecursionError on deeply nested arrays or objects
+            problems.append(f"{path}:{ln}: {exc}")
+    if problems:
+        raise InputError("\n".join(problems))
+    return records
+
+
+def load_family(path: str) -> list[ConvexBody]:
+    bodies = _read_jsonl(path, "family", body_from_record)
     if not bodies:
         raise InputError(f"family file {path} holds no bodies")
     return bodies
 
 
 def load_lines(path: str) -> list[Line3]:
-    out = []
-    problems = []
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read line file {path}: {exc}") from exc
-    for ln, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(line_from_record(json.loads(line)))
-        except (ValueError, json.JSONDecodeError) as exc:
-            problems.append(f"{path}:{ln}: {exc}")
-    if problems:
-        raise InputError("\n".join(problems))
-    return out
+    return _read_jsonl(path, "line", line_from_record)
 
 
 def render_decimal(x: Fraction, precision: int) -> str:
@@ -141,7 +137,9 @@ def cmd_witness(args) -> int:
     # the geometric pierce cross-checks the x-rulings' support rule
     for i in members:
         if not pierce(line, bodies[i]):
-            raise InputError(f"internal check failed: body {i} not pierced at r={r}")
+            raise InputError(
+                f"internal check failed: body {i} not pierced at r={format_rational(r)}"
+            )
         pierced.append({"index": i, "q": format_rational(bodies[i].q)})
     report = {
         "found": True,
@@ -164,7 +162,9 @@ def cmd_witness(args) -> int:
             if not pierce(ruling_line_x(rr), body):
                 raise InputError("verification failed: reported body not pierced")
         print(f"verified {len(data['pierced'])} pierced bodies")
-    print(f"witness r={r} piercing {len(members)} bodies -> {args.out}")
+    print(
+        f"witness r={format_rational(r)} piercing {len(members)} bodies -> {args.out}"
+    )
     return EXIT_OK
 
 
@@ -174,19 +174,15 @@ def cmd_refute(args) -> int:
         raise InputError(f"nmax must be positive, got {args.nmax}")
     lines = load_lines(args.lines)
     outcome = refute(lines, FamilyStream(delta), args.nmax)
+    _write(args.out, _dump_json(outcome.to_record()))
     if not outcome.found:
-        report = {"found": False, "checked": outcome.checked, "n_max": outcome.n_max}
-        _write(args.out, _dump_json(report))
         print(f"exhausted after {outcome.checked} bodies")
         return EXIT_EXHAUSTED
-    record = outcome.report.to_record()
-    record["found"] = True
-    _write(args.out, _dump_json(record))
     if args.verify:
         verify_refutation(args.out, args.lines)
         print("verified refutation report")
     print(
-        f"witness q={outcome.report.body.q} at emission {outcome.report.emission_index} "
+        f"witness q={outcome.witness.q} at emission {outcome.witness.f_index} "
         f"-> {args.out}"
     )
     return EXIT_OK
@@ -203,24 +199,16 @@ def verify_refutation(report_path: str, lines_path: str) -> None:
     for line in lines:
         if pierce(line, body):
             raise InputError("verification failed: a pool line pierces the witness")
-    certs = data["certificates"]
-    if [cert["line"] for cert in certs] != list(range(len(lines))):
-        raise InputError("verification failed: not one certificate per line, in line order")
-    for line, cert in zip(lines, certs):
-        fresh = non_piercing_certificate(line, body, cert["line"])
-        if fresh is None:
-            raise InputError("verification failed: certificate line pierces")
-        if not fresh.holds():
-            raise InputError("verification failed: certificate inequality false")
-        stated = (cert["lhs"], cert["rel"], cert["rhs"], cert["case"])
-        rebuilt = (
-            format_rational(fresh.lhs),
-            fresh.rel,
-            format_rational(fresh.rhs),
-            fresh.case,
+    fresh = [non_piercing_certificate(line, body) for line in lines]
+    if any(cert is None for cert in fresh):
+        raise InputError("verification failed: certificate line pierces")
+    if not all(cert.holds() for cert in fresh):
+        raise InputError("verification failed: certificate inequality false")
+    if data["certificates"] != [cert.to_record(i) for i, cert in enumerate(fresh)]:
+        raise InputError(
+            "verification failed: the certificates are not one certificate per line, "
+            "in line order, as rebuilt"
         )
-        if stated != rebuilt:
-            raise InputError("verification failed: certificate mismatch")
 
 
 def cmd_cover(args) -> int:

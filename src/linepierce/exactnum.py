@@ -10,7 +10,9 @@ not support towers of distinct radicals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -20,22 +22,45 @@ Rational = Fraction
 Scalar = Union[Fraction, "QuadExt"]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer) into a Fraction.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-    Anything else, a zero denominator included, raises ValueError.
-    """
-    if not isinstance(text, str):
-        raise ValueError(f"expected a 'num/den' string, got {text!r}")
+
+def _int_from_digits(digits: str) -> int:
     try:
-        return Fraction(text.strip())
+        return int(digits)
+    except ValueError:
+        # past sys.get_int_max_str_digits(); Decimal converts without a limit
+        return int(Decimal(digits))
+
+
+def _digits_of(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "num/den" or a bare integer into a Fraction.
+
+    Both parts are ASCII digits, the numerator with an optional sign, and
+    surrounding whitespace is ignored.  Anything else, a zero denominator,
+    an exponent or a decimal point included, raises ValueError.  Numbers of
+    any length are read, at a cost at most quadratic in the text's length.
+    """
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"expected a 'num/den' string, got {text!r}")
+    num, den = match.groups()
+    try:
+        return Fraction(_int_from_digits(num), _int_from_digits(den or "1"))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
     """Render a Fraction as "num/den", always with an explicit denominator."""
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_digits_of(x.numerator)}/{_digits_of(x.denominator)}"
 
 
 def rational_square_root(x: Fraction) -> Fraction | None:
@@ -192,27 +217,19 @@ def parse_quadext(text: str) -> QuadExt:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Real roots of a rational quadratic: none, one, two (sorted), or all."""
+    """Real roots of a rational quadratic: none, one, or two (sorted)."""
 
-    kind: str  # "none" | "one" | "two" | "all"
+    kind: str  # "none" | "one" | "two"
     roots: tuple[QuadExt, ...] = ()
 
 
-def solve_quadratic(
-    a: Fraction,
-    b: Fraction,
-    c: Fraction,
-    allow_identically_zero: bool = False,
-) -> RootSet:
+def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> RootSet:
     """Exact real roots of a*x^2 + b*x + c = 0.
 
     Roots live in the extension by sqrt(b^2 - 4ac).  The identically-zero
-    equation is an error unless the caller opts in, in which case it reports
-    kind "all".
+    equation, which every real solves, is an error.
     """
     if a == 0 and b == 0 and c == 0:
-        if allow_identically_zero:
-            return RootSet("all")
         raise ValueError("degenerate equation: 0 = 0 has all reals as roots")
     if a == 0:
         if b == 0:

@@ -205,8 +205,10 @@ class SupportAssigner:
             cover = make_cover(self.delta, level)
             for combo in _LevelCursor(cover, target, excluded).walk():
                 support = remove_intervals(cover, combo)
-                if support not in seen:
-                    seen.add(support)
+                # one hash per support: a set grows only by a new member
+                before = len(seen)
+                seen.add(support)
+                if len(seen) > before:
                     yield support
 
     def assign(self, m: int) -> IntervalSet:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import QuadExt, Scalar, format_rational
-from .family import ConvexBody, FamilyStream
+from .family import ConvexBody, FamilyStream, body_to_record
 from .geometry import (
     GENERIC,
     PLANE_CONTAINED,
@@ -35,6 +35,7 @@ from .geometry import (
     Line3,
     LineClass,
     Point3,
+    SurfaceIntersection,
     classify_line,
     line_plane_intersection,
     line_surface_intersection,
@@ -55,7 +56,7 @@ def max_vertical_distance(body: ConvexBody) -> Fraction:
 def pierce(line: Line3, body: ConvexBody) -> bool:
     """Does the line meet the body?  Decided by where the line meets the
     body's plane, for every line class alike."""
-    return _geometric_miss(line, body, 0) is None
+    return _geometric_miss(line, body) is None
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,6 @@ def _disjoint_rows_bound(matrix: PiercingMatrix) -> int:
 class Certificate:
     """One exact inequality witnessing that a line misses a body."""
 
-    line_index: int
     case: str
     lhs: Fraction
     rel: str  # "<" | ">" | "!="
@@ -196,9 +196,10 @@ class Certificate:
             return self.lhs != self.rhs
         raise ValueError(f"unknown relation {self.rel!r}")
 
-    def to_record(self) -> dict:
+    def to_record(self, line: int) -> dict:
+        """The record of the certificate for the pool's ``line``-th line."""
         return {
-            "line": self.line_index,
+            "line": line,
             "case": self.case,
             "lhs": format_rational(self.lhs),
             "rel": self.rel,
@@ -207,13 +208,13 @@ class Certificate:
 
 
 def non_piercing_certificate(
-    line: Line3, body: ConvexBody, index: int = 0, cls: LineClass | None = None
+    line: Line3, body: ConvexBody, cls: LineClass | None = None
 ) -> Certificate | None:
     """Certificate that the line misses the body, or None if it pierces."""
     cls = cls or classify_line(line)
     if cls.kind == GENERIC:
-        return _geometric_miss(line, body, index)
-    return _ruling_miss(cls, body, index)
+        return _geometric_miss(line, body)
+    return _ruling_miss(cls, body)
 
 
 def _ruling_abscissa(cls: LineClass, body: ConvexBody) -> Fraction:
@@ -231,7 +232,7 @@ def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
     return body.support.contains(_ruling_abscissa(cls, body))
 
 
-def _ruling_miss(cls: LineClass, body: ConvexBody, index: int) -> Certificate | None:
+def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
     if _ruling_pierces(cls, body):
         return None
     u = _ruling_abscissa(cls, body)
@@ -242,50 +243,48 @@ def _ruling_miss(cls: LineClass, body: ConvexBody, index: int) -> Certificate | 
         b = cls.param
         y_lo, y_hi = body.y_range()
         if b < y_lo:
-            return Certificate(index, "plane-slab-below", b, "<", y_lo)
+            return Certificate("plane-slab-below", b, "<", y_lo)
         if b > y_hi:
-            return Certificate(index, "plane-slab-above", b, ">", y_hi)
+            return Certificate("plane-slab-above", b, ">", y_hi)
         tag = "slab"
     if u < body.r_min:
-        return Certificate(index, f"{tag}-below-range", u, "<", body.r_min)
+        return Certificate(f"{tag}-below-range", u, "<", body.r_min)
     if u > body.r_max:
-        return Certificate(index, f"{tag}-above-range", u, ">", body.r_max)
+        return Certificate(f"{tag}-above-range", u, ">", body.r_max)
     # on-parabola point strictly under the gap chord
-    return Certificate(
-        index, f"{tag}-gap", body.parabola(u), "<", body.lower_envelope(u)
-    )
+    return Certificate(f"{tag}-gap", body.parabola(u), "<", body.lower_envelope(u))
 
 
-def _geometric_miss(line: Line3, body: ConvexBody, index: int) -> Certificate | None:
+def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     hit = line_plane_intersection(line, body.plane)
     if hit.kind == PLANE_PARALLEL:
         residual = line.base.y - body.q - body.eps * line.base.x
-        return Certificate(index, "plane-parallel", residual, "!=", Fraction(0))
+        return Certificate("plane-parallel", residual, "!=", Fraction(0))
     if hit.kind == PLANE_CONTAINED:
-        return _in_plane_miss(line, body, index)
+        return _in_plane_miss(line, body)
     u, w = body.plane.chart(hit.point)
     if u < body.r_min:
-        return Certificate(index, "point-below-range", u, "<", body.r_min)
+        return Certificate("point-below-range", u, "<", body.r_min)
     if u > body.r_max:
-        return Certificate(index, "point-above-range", u, ">", body.r_max)
+        return Certificate("point-above-range", u, ">", body.r_max)
     top = body.top_chord(u)
     if w > top:
-        return Certificate(index, "point-above-top-chord", w, ">", top)
+        return Certificate("point-above-top-chord", w, ">", top)
     low = body.lower_envelope(u)
     if w < low:
-        return Certificate(index, "point-below-envelope", w, "<", low)
+        return Certificate("point-below-envelope", w, "<", low)
     return None
 
 
-def _in_plane_miss(line: Line3, body: ConvexBody, index: int) -> Certificate | None:
+def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     dx, _, dz = line.dir
     if dx == 0:
         # the chart line u = x sweeps every w
         u = line.base.x
         if u < body.r_min:
-            return Certificate(index, "inplane-below-range", u, "<", body.r_min)
+            return Certificate("inplane-below-range", u, "<", body.r_min)
         if u > body.r_max:
-            return Certificate(index, "inplane-above-range", u, ">", body.r_max)
+            return Certificate("inplane-above-range", u, ">", body.r_max)
         return None
     # chart image w = alpha + beta*u
     beta = dz / dx
@@ -301,7 +300,7 @@ def _in_plane_miss(line: Line3, body: ConvexBody, index: int) -> Certificate | N
         on_line(body.r_max) - body.top_chord(body.r_max),
     )
     if top_slack > 0:
-        return Certificate(index, "inplane-above-top-chord", top_slack, ">", Fraction(0))
+        return Certificate("inplane-above-top-chord", top_slack, ">", Fraction(0))
     # envelope minus line is convex and affine across gaps, so its minimum
     # lies at a support endpoint or at the parabola's vertex when the
     # support holds it; the envelope is the parabola at all those points
@@ -311,7 +310,7 @@ def _in_plane_miss(line: Line3, body: ConvexBody, index: int) -> Certificate | N
         points.append(vertex)
     env_slack = min(body.parabola(u) - on_line(u) for u in points)
     if env_slack > 0:
-        return Certificate(index, "inplane-below-envelope", env_slack, ">", Fraction(0))
+        return Certificate("inplane-below-envelope", env_slack, ">", Fraction(0))
     return None
 
 
@@ -327,56 +326,52 @@ def _point_record(pt: Point3) -> dict:
 
 @dataclass(frozen=True)
 class LineInfo:
-    index: int
     cls: LineClass
-    surface_points: tuple[Point3, ...]
-    on_surface: bool
+    meet: SurfaceIntersection
 
-    def to_record(self) -> dict:
+    def to_record(self, index: int) -> dict:
         return {
-            "index": self.index,
+            "index": index,
             "class": self.cls.kind,
             "param": None if self.cls.param is None else format_rational(self.cls.param),
-            "on_surface": self.on_surface,
-            "surface_points": [_point_record(p) for p in self.surface_points],
-        }
-
-
-def classify_pool(lines: list[Line3]) -> list[LineInfo]:
-    infos = []
-    for i, line in enumerate(lines):
-        cls = classify_line(line)
-        meet = line_surface_intersection(line)
-        infos.append(LineInfo(i, cls, meet.points, meet.on_surface))
-    return infos
-
-
-@dataclass(frozen=True)
-class RefutationReport:
-    body: ConvexBody
-    emission_index: int
-    checked: int
-    line_infos: tuple[LineInfo, ...]
-    certificates: tuple[Certificate, ...]
-
-    def to_record(self) -> dict:
-        from .family import body_to_record
-
-        return {
-            "witness": body_to_record(self.body),
-            "emission_index": self.emission_index,
-            "checked": self.checked,
-            "lines": [info.to_record() for info in self.line_infos],
-            "certificates": [cert.to_record() for cert in self.certificates],
+            "on_surface": self.meet.on_surface,
+            "surface_points": [_point_record(p) for p in self.meet.points],
         }
 
 
 @dataclass(frozen=True)
 class RefutationOutcome:
-    found: bool
-    report: RefutationReport | None
-    checked: int
+    """The first body every pool line misses, with one certificate per line
+    in line order, or no witness when the budget of ``n_max`` bodies ran
+    out.  Stream position i holds emission i + 1, so the witness's
+    ``f_index`` is also the number of bodies checked."""
+
+    witness: ConvexBody | None
     n_max: int
+    line_infos: tuple[LineInfo, ...]
+    certificates: tuple[Certificate, ...]
+
+    @property
+    def found(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def checked(self) -> int:
+        return self.n_max if self.witness is None else self.witness.f_index
+
+    def to_record(self) -> dict:
+        if self.witness is None:
+            return {"found": False, "checked": self.n_max, "n_max": self.n_max}
+        return {
+            "found": True,
+            "witness": body_to_record(self.witness),
+            "emission_index": self.witness.f_index,
+            "checked": self.witness.f_index,
+            "lines": [info.to_record(i) for i, info in enumerate(self.line_infos)],
+            "certificates": [
+                cert.to_record(i) for i, cert in enumerate(self.certificates)
+            ],
+        }
 
 
 def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> RefutationOutcome:
@@ -389,9 +384,11 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> Re
     """
     if n_max < 1:
         raise ValueError(f"search budget must be positive, got {n_max}")
-    infos = classify_pool(lines)
-    rulings = [i.cls for i in infos if i.cls.kind != GENERIC]
-    generic = [lines[i.index] for i in infos if i.cls.kind == GENERIC]
+    infos = tuple(
+        LineInfo(classify_line(line), line_surface_intersection(line)) for line in lines
+    )
+    rulings = [info.cls for info in infos if info.cls.kind != GENERIC]
+    generic = [line for line, info in zip(lines, infos) if info.cls.kind == GENERIC]
 
     for i in range(n_max):
         body = stream.body_at(i)
@@ -400,17 +397,10 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> Re
         if any(pierce(line, body) for line in generic):
             continue
         certs = tuple(
-            non_piercing_certificate(lines[info.index], body, info.index, info.cls)
-            for info in infos
+            non_piercing_certificate(line, body, info.cls)
+            for line, info in zip(lines, infos)
         )
         if not all(cert is not None and cert.holds() for cert in certs):
             raise AssertionError(f"certificate check failed at emission {body.f_index}")
-        report = RefutationReport(
-            body=body,
-            emission_index=body.f_index,
-            checked=i + 1,
-            line_infos=tuple(infos),
-            certificates=certs,
-        )
-        return RefutationOutcome(True, report, i + 1, n_max)
-    return RefutationOutcome(False, None, n_max, n_max)
+        return RefutationOutcome(body, n_max, infos, certs)
+    return RefutationOutcome(None, n_max, infos, ())

@@ -241,7 +241,7 @@ def test_criterion_6_refutation_soundness(tmp_path):
             assert not pierce(line, body)
         assert len(data["certificates"]) == len(pool)
         for cert in data["certificates"]:
-            fresh = non_piercing_certificate(pool[cert["line"]], body, cert["line"])
+            fresh = non_piercing_certificate(pool[cert["line"]], body)
             assert fresh is not None and fresh.holds()
         worst = max(worst, took)
         deepest = max(deepest, data["emission_index"])

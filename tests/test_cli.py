@@ -1,18 +1,25 @@
+import copy
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from io import StringIO
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import linepierce
 from linepierce.cli import InputError, main, verify_refutation
-from linepierce.family import FamilyStream
-from linepierce.geometry import line_to_record, ruling_line_x, ruling_line_y
+from linepierce.family import ConvexBody, FamilyStream, body_to_record
+from linepierce.geometry import Line3, Point3, line_to_record, ruling_line_x, ruling_line_y
+from linepierce.intervals import IntervalSet
 from linepierce.refutation import pierce
 
 
@@ -75,6 +82,16 @@ class TestConstruct:
 
 
 class TestWitness:
+    def test_body_past_the_int_string_digit_limit(self, tmp_path):
+        # eps of emission 7141 has a 4301-digit denominator
+        body = ConvexBody(q=F(1, 4), m=1, f_index=7141,
+                          support=IntervalSet.from_pairs([(F(0), F(1))]))
+        family = tmp_path / "family.jsonl"
+        family.write_text(json.dumps(body_to_record(body)) + "\n", encoding="utf-8")
+        out = tmp_path / "w.json"
+        assert main(["witness", "--t", "1", "--family", str(family),
+                     "--out", str(out), "--verify"]) == 0
+
     def test_pair_overlap_high_delta(self, tmp_path):
         family = construct(tmp_path, delta="3/5", count=2)
         out = tmp_path / "w.json"
@@ -144,6 +161,20 @@ class TestRefuteCommand:
         assert len(data["certificates"]) == 5
         kinds = [e["class"] for e in data["lines"]]
         assert kinds == ["x-ruling", "x-ruling", "y-ruling", "generic", "generic"]
+
+    def test_lines_past_the_int_string_digit_limit(self, tmp_path):
+        tiny = F(1, 7**6000)  # 5,071 digits
+        pool = [
+            ruling_line_x(F(1, 3) + tiny),
+            Line3(Point3(F(0), F(0), tiny), (F(1), F(1), F(0))),
+        ]
+        lines = tmp_path / "lines.jsonl"
+        write_lines(lines, pool)
+        out = tmp_path / "r.json"
+        assert main(["refute", "--delta", "1/2", "--lines", str(lines),
+                     "--out", str(out), "--verify"]) == 0
+        data = json.loads(out.read_text())
+        assert len(data["lines"][1]["surface_points"][0]["z"]) > 5000
 
     def test_empty_pool_vacuous_report(self, tmp_path):
         lines = tmp_path / "lines.jsonl"
@@ -307,7 +338,10 @@ class TestVerifyRefutation:
         lambda certs: certs[-1].update(line=len(certs)),
         lambda certs: certs.reverse(),
         lambda certs: certs.pop(),
-    ], ids=["empty", "line-out-of-range", "out-of-order", "one-missing"])
+        lambda certs: certs[0].update(lhs="-7/3"),
+        lambda certs: certs[1].update(case="plane-parallel"),
+    ], ids=["empty", "line-out-of-range", "out-of-order", "one-missing", "lhs-changed",
+            "case-changed"])
     def test_certificates_must_match_lines_one_to_one(self, tmp_path, tamper):
         lines, out, data = self.refuted(tmp_path)
         tamper(data["certificates"])
@@ -327,6 +361,11 @@ BAD_CONTENTS = {
     "infinite-number": {"lines": {**GOOD_LINE, "dir": ["0/1", 1e400, "1/2"]},
                         "family": {**GOOD_BODY, "f": 1e400}},
     "not-utf8": {"lines": b"\xff\xfe{}\n", "family": b"\xff\xfe{}\n"},
+    "exponent-literal": {"lines": {**GOOD_LINE, "dir": ["0/1", "1e100000", "1/2"]},
+                         "family": {**GOOD_BODY, "q": "1e100000"}},
+    "decimal-literal": {"lines": {**GOOD_LINE, "base": ["0.5", "0/1", "0/1"]},
+                        "family": {**GOOD_BODY, "eps": "0.015625"}},
+    "deeply-nested": {"lines": b"[" * 100_000 + b"\n", "family": b"[" * 100_000 + b"\n"},
 }
 COMMANDS = {
     "refute": (["lines"], lambda p: ["refute", "--delta", "1/2", "--lines", p["lines"]]),
@@ -393,3 +432,115 @@ def test_usage_error_exits_3(argv, capsys):
 def test_help_exits_0(argv, capsys):
     assert main(argv) == 0
     assert "usage: linepierce" in capsys.readouterr().out
+
+
+# --- fuzzing the input boundary -------------------------------------------
+
+LONG_DIGITS = "7" * 5000
+GOOD_LINE_RECORDS = [
+    line_to_record(line)
+    for line in (
+        ruling_line_x(F(1, 3)),
+        ruling_line_y(F(1, 2)),
+        Line3(Point3(F(0), F(0), F(1)), (F(1), F(1), F(0))),
+    )
+]
+GOOD_BODY_RECORDS = [body_to_record(body) for body in FamilyStream(F(1, 2)).truncate(3)]
+ODD_VALUES = [
+    "1/0", "0/0", "1e5", "1e400", "-2E-3", "2.5", "-.5", "1/2.0", "0x10", "1_000",
+    "\u0661/\u0662", " 7/3 ", "-3/7", "0/1", "1/1", LONG_DIGITS, "1/" + LONG_DIGITS,
+    "-" + LONG_DIGITS + "/3", 0.5, 3, -0.0, float("inf"), True, None, [], {}, ["1/2"],
+]
+RAW_LINES = [
+    b"[" * 10_000,
+    b'{"a":' * 10_000,
+    b"not json",
+    b"",
+    b"   ",
+    b"\xff\xfe{}",
+    b'{"base": ["1/2"',
+    b'"1/2"',
+    b"null",
+    b"[1, 2, 3]",
+    # JSON numbers: a 5,000-digit integer and exponent literals where strings belong
+    b'{"base":[' + LONG_DIGITS.encode() + b',"0/1","0/1"],"dir":["0/1","1/1","0/1"]}',
+    b'{"q":"1/4","m":1,"f":' + LONG_DIGITS.encode()
+    + b',"eps":"1/64","support":[["0/1","1/1"]]}',
+    b'{"base":[1e5,"0/1","0/1"],"dir":["0/1","1/1",2.5e-3]}',
+]
+
+
+def _node_paths(node, path=()):
+    """Paths to every node below the root of a JSON value."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_record(draw, records):
+    """A good record with one node replaced by an odd value."""
+    record = copy.deepcopy(draw(st.sampled_from(records)))
+    *parents, key = draw(st.sampled_from(list(_node_paths(record))))
+    node = record
+    for step in parents:
+        node = node[step]
+    node[key] = draw(st.sampled_from(ODD_VALUES))
+    return json.dumps(record).encode()
+
+
+def jsonl_file(records):
+    """Lines of one record kind: good, mutated, raw, or cut off by a
+    non-UTF-8 byte."""
+    good = st.sampled_from(records).map(lambda r: json.dumps(r).encode())
+    line = st.one_of(
+        good,
+        mutated_record(records),
+        st.sampled_from(RAW_LINES),
+        good.map(lambda line: line[:-1] + b"\x80}"),
+    )
+    return st.lists(line, max_size=3).map(lambda lines: b"".join(ln + b"\n" for ln in lines))
+
+
+def _run_quietly(argv):
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200)
+@given(content=st.one_of(jsonl_file(GOOD_LINE_RECORDS), jsonl_file(GOOD_BODY_RECORDS)))
+@example(content=b"[" * 10_000 + b"\n")
+@example(content=json.dumps({**GOOD_LINE, "dir": ["0/1", "1e400", "1/2"]}).encode())
+@example(content=json.dumps({**GOOD_BODY, "eps": "0.015625"}).encode())
+@example(content=json.dumps({**GOOD_LINE, "base": ["1/" + LONG_DIGITS, "0/1", "0/1"]}).encode())
+# two bodies, so witness --t 2 reports a 5,001-digit point
+@example(content=2 * (json.dumps({**GOOD_BODY, "support": [["1/" + LONG_DIGITS, "1/1"]]})
+                      + "\n").encode())
+@example(content=RAW_LINES[-3])
+@example(content=json.dumps({**GOOD_LINE, "dir": ["0/1", "1/0", "1/2"]}).encode())
+@example(content=json.dumps({**GOOD_BODY, "q": 0.25}).encode())
+@example(content=b"\xff\xfe{}\n")
+def test_any_input_file_exits_with_a_contract_code(content):
+    """Whatever bytes a lines or family file holds, refute, witness and cover
+    exit 0, 2, 3 or 4 without raising, and --verify never fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed, lines, family, out = (os.path.join(tmp, name) for name in
+                                      ("fuzzed.jsonl", "lines.jsonl", "family.jsonl", "out.json"))
+        Path(fuzzed).write_bytes(content)
+        Path(lines).write_text(json.dumps(GOOD_LINE) + "\n", encoding="utf-8")
+        Path(family).write_text(json.dumps(GOOD_BODY) + "\n", encoding="utf-8")
+        for argv in (
+            ["refute", "--delta", "1/2", "--nmax", "5", "--lines", fuzzed],
+            ["witness", "--t", "2", "--family", fuzzed],
+            ["cover", "--family", fuzzed, "--lines", lines],
+            ["cover", "--family", family, "--lines", fuzzed],
+        ):
+            code, err = _run_quietly([*argv, "--out", out, "--verify"])
+            assert code in (0, 2, 3, 4), (argv[0], code)
+            assert "verification failed" not in err, (argv[0], err)

@@ -277,6 +277,13 @@ class TestBuildBody:
         again = body_from_record(body_to_record(body))
         assert again == body
 
+    @pytest.mark.parametrize("f", [7140, 7141, 20000])
+    def test_record_round_trip_at_any_tilt_index(self, f):
+        # from f = 7141 on, eps's denominator has more than 4300 digits
+        body = ConvexBody(q=F(1, 4), m=1, f_index=f, support=IntervalSet.from_pairs([(F(0), F(1))]))
+        record = body_to_record(body)
+        assert body_from_record(json.loads(json.dumps(record))) == body
+
     def test_record_tilt_mismatch_rejected(self):
         body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
         record = body_to_record(body)

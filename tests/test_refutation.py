@@ -311,9 +311,9 @@ class TestRefute:
         want_index, want_body = replay_first_avoiding(
             F(1, 2), lambda b: not b.support.contains(r)
         )
-        assert outcome.report.emission_index == want_index
-        assert outcome.report.body == want_body
-        cert = outcome.report.certificates[0]
+        assert outcome.witness.f_index == want_index
+        assert outcome.witness == want_body
+        cert = outcome.certificates[0]
         assert cert.case == "support-gap" and cert.holds()
 
     def test_single_constant_y_line(self):
@@ -324,8 +324,8 @@ class TestRefute:
             # the ruling meets the plane on the parabola at u = (b - q)/eps
             return not body.support.contains((b - body.q) / body.eps)
         want_index, _ = replay_first_avoiding(F(1, 2), avoider)
-        assert outcome.report.emission_index == want_index
-        assert outcome.report.certificates[0].case in (
+        assert outcome.witness.f_index == want_index
+        assert outcome.certificates[0].case in (
             "plane-slab-below", "plane-slab-above"
         )
 
@@ -335,15 +335,15 @@ class TestRefute:
         line = ruling_line_y(first.q + first.eps / 8)
         assert not pierce(line, first)
         outcome = refute([line], FamilyStream(F(1, 2)), 10)
-        assert outcome.report.emission_index == 1
-        cert = outcome.report.certificates[0]
+        assert outcome.witness.f_index == 1
+        cert = outcome.certificates[0]
         assert cert.case == "slab-gap" and cert.holds()
 
     def test_empty_pool_returns_first_body(self):
         outcome = refute([], FamilyStream(F(1, 2)), 10)
         assert outcome.found
-        assert outcome.report.emission_index == 1
-        assert outcome.report.certificates == ()
+        assert outcome.witness.f_index == 1
+        assert outcome.certificates == ()
 
     def test_report_is_sound(self):
         lines = [
@@ -354,21 +354,20 @@ class TestRefute:
         ]
         outcome = refute(lines, FamilyStream(F(1, 2)), 5000)
         assert outcome.found
-        body = outcome.report.body
+        body = outcome.witness
         for line in lines:
             assert not pierce(line, body)
-        assert len(outcome.report.certificates) == len(lines)
-        for cert in outcome.report.certificates:
+        assert len(outcome.certificates) == len(lines)
+        for line, cert in zip(lines, outcome.certificates):
             assert cert.holds()
-            fresh = non_piercing_certificate(lines[cert.line_index], body, cert.line_index)
-            assert fresh == cert
+            assert non_piercing_certificate(line, body) == cert
 
     def test_generic_line_classification_in_report(self):
         line = Line3(Point3(F(0), F(0), F(1)), (F(1), F(1), F(0)))
         outcome = refute([line], FamilyStream(F(1, 2)), 1000)
-        info = outcome.report.line_infos[0]
+        info = outcome.line_infos[0]
         assert info.cls.kind == GENERIC
-        assert len(info.surface_points) == 2
+        assert len(info.meet.points) == 2
 
     def test_exhaustion_reported(self):
         # a pool of rulings dense enough to pierce every early body
@@ -384,7 +383,7 @@ class TestRefute:
             pool = [ruling_line_x(r) for r in rs[:size]]
             outcome = refute(pool, FamilyStream(F(1, 2)), 10_000)
             assert outcome.found
-            indices.append(outcome.report.emission_index)
+            indices.append(outcome.witness.f_index)
         assert indices == sorted(indices)
 
     def test_budget_validation(self):
@@ -460,8 +459,8 @@ def test_refute_returns_the_brute_force_first_witness():
         want, _ = replay_first_avoiding(
             F(1, 2), lambda body: not any(pierce(line, body) for line in pool), 400
         )
-        assert outcome.found and outcome.report.emission_index == want
-        assert all(cert.holds() for cert in outcome.report.certificates)
+        assert outcome.found and outcome.witness.f_index == want
+        assert all(cert.holds() for cert in outcome.certificates)
 
 
 def _sympy_pierces_in_plane(body, alpha, beta):
