@@ -6,53 +6,19 @@ arithmetic, and refutes any finite candidate line pool by exhibiting a
 family member missed by all of its lines.
 """
 
-from .exactnum import (
-    QuadExt,
-    Rational,
-    RootSet,
-    format_rational,
-    parse_quadext,
-    parse_rational,
-    solve_quadratic,
-)
-from .family import (
-    ConvexBody,
-    FamilyStream,
-    SupportAssigner,
-    body_from_record,
-    body_to_record,
-    dyadic_approach,
-    enumerate_Q0,
-    eps_of,
-)
+from .exactnum import QuadExt, format_rational, parse_rational
+from .family import ConvexBody, FamilyStream, body_from_record, body_to_record
 from .geometry import (
     Line3,
-    LineClass,
     Point3,
-    SurfaceIntersection,
-    TiltedPlane,
     classify_line,
-    line_plane_intersection,
     line_surface_intersection,
     ruling_line_x,
     ruling_line_y,
-    vertical_distance,
 )
-from .intervals import (
-    CoverSpec,
-    DepthCell,
-    IntervalSet,
-    deep_witness,
-    depth_profile,
-    intersect_many,
-    make_cover,
-    remove_intervals,
-)
+from .intervals import IntervalSet, deep_witness, make_cover, remove_intervals
 from .refutation import (
-    Certificate,
-    CoverSolution,
-    PiercingMatrix,
-    RefutationOutcome,
+    InternalError,
     UncoverableError,
     max_vertical_distance,
     min_line_cover,

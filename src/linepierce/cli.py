@@ -4,7 +4,8 @@ All core computation is exact; decimals appear only in plot exports.  Every
 command writes deterministic artifacts (fixed key order, no timestamps), so
 re-running with the same flags reproduces files byte for byte.  Exit codes:
 0 success or witness found, 2 search/prefix exhausted, 3 input error
-(a command-line usage error included), 4 uncoverable pool.
+(a command-line usage error included), 4 uncoverable pool, 5 internal error
+(two exact decision paths disagreed: a defect, never the input's fault).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -22,6 +23,7 @@ from .family import ConvexBody, FamilyStream, body_from_record, body_to_record
 from .geometry import Line3, line_from_record, line_to_record, ruling_line_x
 from .intervals import deep_witness
 from .refutation import (
+    InternalError,
     UncoverableError,
     min_line_cover,
     non_piercing_certificate,
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_EXHAUSTED = 2
 EXIT_INPUT = 3
 EXIT_UNCOVERABLE = 4
+EXIT_INTERNAL = 5
 
 
 class InputError(Exception):
@@ -137,8 +140,8 @@ def cmd_witness(args) -> int:
     # the geometric pierce cross-checks the x-rulings' support rule
     for i in members:
         if not pierce(line, bodies[i]):
-            raise InputError(
-                f"internal check failed: body {i} not pierced at r={format_rational(r)}"
+            raise InternalError(
+                f"body {i} contains r={format_rational(r)} but is not pierced there"
             )
         pierced.append({"index": i, "q": format_rational(bodies[i].q)})
     report = {
@@ -250,8 +253,8 @@ def cmd_cover(args) -> int:
 def cmd_export_plot(args) -> int:
     if args.samples < 1:
         raise InputError(f"samples must be positive, got {args.samples}")
-    if args.precision < 1:
-        raise InputError(f"precision must be positive, got {args.precision}")
+    if not (1 <= args.precision <= MAX_PREC):
+        raise InputError(f"precision must lie in [1, {MAX_PREC}], got {args.precision}")
     bodies = load_family(args.family)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

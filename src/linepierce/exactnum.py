@@ -3,9 +3,9 @@
 Every geometric predicate in this package bottoms out in a sign evaluation
 of a value of the form a + b*sqrt(d) with rational a, b and rational d >= 0.
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator, canonical), re-exported as ``Rational``.  ``QuadExt`` adds the
-single radical needed for roots of rational quadratics; it deliberately does
-not support towers of distinct radicals.
+denominator, canonical).  ``QuadExt`` adds the single radical needed for
+roots of rational quadratics; it deliberately does not support towers of
+distinct radicals.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Union
-
-Rational = Fraction
 
 Scalar = Union[Fraction, "QuadExt"]
 
@@ -112,15 +110,11 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def _common_radicand(self, other: QuadExt) -> Fraction:
         if self.b != 0 and other.b != 0 and self.d != other.d:
             raise ValueError(
-                f"incompatible radicands sqrt({self.d}) and sqrt({other.d})"
+                f"incompatible radicands sqrt({format_rational(self.d)}) and "
+                f"sqrt({format_rational(other.d)})"
             )
         return self.d if self.b != 0 else other.d
 
@@ -202,29 +196,8 @@ class QuadExt:
         )
 
 
-def parse_quadext(text: str) -> QuadExt:
-    """Inverse of str(QuadExt): "a + b*sqrt(d)" with num/den parts."""
-    head, _, tail = text.partition("+")
-    if "*sqrt(" not in tail or not tail.rstrip().endswith(")"):
-        raise ValueError(f"malformed quadratic extension literal: {text!r}")
-    b_part, _, d_part = tail.partition("*sqrt(")
-    return QuadExt(
-        parse_rational(head),
-        parse_rational(b_part),
-        parse_rational(d_part.rstrip().rstrip(")")),
-    )
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Real roots of a rational quadratic: none, one, or two (sorted)."""
-
-    kind: str  # "none" | "one" | "two"
-    roots: tuple[QuadExt, ...] = ()
-
-
-def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> RootSet:
-    """Exact real roots of a*x^2 + b*x + c = 0.
+def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> tuple[QuadExt, ...]:
+    """Exact real roots of a*x^2 + b*x + c = 0, ascending: none, one or two.
 
     Roots live in the extension by sqrt(b^2 - 4ac).  The identically-zero
     equation, which every real solves, is an error.
@@ -233,18 +206,13 @@ def solve_quadratic(a: Fraction, b: Fraction, c: Fraction) -> RootSet:
         raise ValueError("degenerate equation: 0 = 0 has all reals as roots")
     if a == 0:
         if b == 0:
-            return RootSet("none")
-        return RootSet("one", (QuadExt.of(Fraction(-c, b)),))
+            return ()
+        return (QuadExt.of(Fraction(-c, b)),)
     disc = b * b - 4 * a * c
     if disc < 0:
-        return RootSet("none")
+        return ()
     if disc == 0:
-        return RootSet("one", (QuadExt.of(Fraction(-b, 2 * a)),))
+        return (QuadExt.of(Fraction(-b, 2 * a)),)
     lo = QuadExt(Fraction(-b, 2 * a), -abs(Fraction(1, 2 * a)), disc)
     hi = QuadExt(Fraction(-b, 2 * a), abs(Fraction(1, 2 * a)), disc)
-    return RootSet("two", (lo, hi))
-
-
-def quadratic_residual(a: Fraction, b: Fraction, c: Fraction, x: QuadExt) -> QuadExt:
-    """a*x^2 + b*x + c evaluated exactly; zero iff x is a root."""
-    return x * x * a + x * b + c
+    return (lo, hi)

@@ -22,7 +22,7 @@ from itertools import count
 from math import gcd
 
 from .exactnum import format_rational, parse_rational
-from .geometry import Point3, TiltedPlane
+from .geometry import TiltedPlane
 from .intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
 
@@ -65,7 +65,7 @@ def dyadic_approach(target: Fraction) -> Iterator[Fraction]:
     skipping values outside [0,1].
     """
     if not (0 <= target <= 1):
-        raise ValueError(f"target must lie in [0,1], got {target}")
+        raise ValueError(f"target must lie in [0,1], got {format_rational(target)}")
     for j in count(2):
         offset = Fraction(1, 2**j)
         for cand in (target + offset, target - offset):
@@ -193,7 +193,7 @@ class SupportAssigner:
 
     def __init__(self, delta: Fraction):
         if not (0 < delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {delta}")
+            raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
         self.delta = delta
         self._walks: dict[int, Iterator[IntervalSet]] = {}
 
@@ -280,7 +280,10 @@ class ConvexBody:
 
     def lower_envelope(self, u: Fraction) -> Fraction:
         if u < self.r_min or u > self.r_max:
-            raise ValueError(f"{u} outside body range [{self.r_min}, {self.r_max}]")
+            raise ValueError(
+                f"{format_rational(u)} outside body range "
+                f"[{format_rational(self.r_min)}, {format_rational(self.r_max)}]"
+            )
         if self.support.contains(u):
             return self.parabola(u)
         a, b = self.support.gap_around(u)
@@ -288,23 +291,6 @@ class ConvexBody:
 
     def y_range(self) -> tuple[Fraction, Fraction]:
         return (self.q + self.eps * self.r_min, self.q + self.eps * self.r_max)
-
-    def slice_point(self, r: Fraction) -> Point3:
-        """Where the constant-x ruling line at r meets the body's plane."""
-        y = self.q + self.eps * r
-        return Point3(r, y, r * y)
-
-    def vertex_points(self) -> list[Point3]:
-        """Slice points at the support's interval endpoints.
-
-        These attain the extreme coordinates of the body in every axis, so
-        box containment of the body reduces to box containment of these.
-        """
-        seen = []
-        for e in self.support.endpoints():
-            if not seen or seen[-1] != e:
-                seen.append(e)
-        return [self.slice_point(e) for e in seen]
 
 
 class FamilyStream:
@@ -316,10 +302,7 @@ class FamilyStream:
     """
 
     def __init__(self, delta: Fraction):
-        if not (0 < delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {delta}")
-        self.delta = delta
-        self._assigner = SupportAssigner(delta)
+        self._assigner = SupportAssigner(delta)  # rejects a delta outside (0,1)
         self._registry: set[Fraction] = set()
         self._approaches: dict[int, Iterator[Fraction]] = {}
         self._bodies: list[ConvexBody] = []
@@ -380,5 +363,7 @@ def body_from_record(record: dict) -> ConvexBody:
     # the body computes it, so the work stays bounded by the record's size
     den = eps.denominator
     if f < 1 or eps.numerator != 1 or den & (den - 1) or den.bit_length() != 2 * f + 5:
-        raise ValueError(f"tilt mismatch in body record: stated {eps} for f = {f}")
+        raise ValueError(
+            f"tilt mismatch in body record: stated {format_rational(eps)} for f = {f}"
+        )
     return ConvexBody(q=q, m=m, f_index=f, support=support)

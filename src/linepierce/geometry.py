@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadExt, RootSet, Scalar, solve_quadratic
+from .exactnum import QuadExt, Scalar, format_rational, parse_rational, solve_quadratic
 
 X_RULING = "x-ruling"  # x = c, z = c*y: pierces a body iff c is in its support
 Y_RULING = "y-ruling"  # y = b, z = b*x: constant-y line on the surface
@@ -108,8 +108,7 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
     c = p.x * p.y - p.z
     if a == 0 and bq == 0 and c == 0:
         return SurfaceIntersection(on_surface=True)
-    roots: RootSet = solve_quadratic(a, bq, c)
-    return SurfaceIntersection(False, tuple(line.at(r) for r in roots.roots))
+    return SurfaceIntersection(False, tuple(line.at(r) for r in solve_quadratic(a, bq, c)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class TiltedPlane:
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
-            raise ValueError(f"tilt must be positive, got {self.eps}")
+            raise ValueError(f"tilt must be positive, got {format_rational(self.eps)}")
 
     def holds(self, pt: Point3) -> bool:
         return pt.y == self.q + pt.x * self.eps
@@ -129,7 +128,10 @@ class TiltedPlane:
     def chart(self, pt: Point3) -> tuple[Scalar, Scalar]:
         """Chart (u, w) = (x, z); only defined on the plane."""
         if not self.holds(pt):
-            raise ValueError(f"point {pt} is not on the plane y = {self.q} + {self.eps}*x")
+            raise ValueError(
+                f"point not on the plane y = {format_rational(self.q)} + "
+                f"{format_rational(self.eps)}*x"
+            )
         return (pt.x, pt.z)
 
     def from_chart(self, u: Fraction, w: Fraction) -> Point3:
@@ -158,14 +160,8 @@ def line_plane_intersection(line: Line3, plane: TiltedPlane) -> PlaneIntersectio
     return PlaneIntersection(PLANE_HIT, line.at(s))
 
 
-def vertical_distance(pt: Point3) -> Scalar:
-    """|z - x*y|: offset from the surface along the z-axis."""
-    return abs(pt.z - pt.x * pt.y)
-
-
 def line_to_record(line: Line3) -> dict:
-    from .exactnum import format_rational as fr
-
+    fr = format_rational
     return {
         "base": [fr(line.base.x), fr(line.base.y), fr(line.base.z)],
         "dir": [fr(d) for d in line.dir],
@@ -173,8 +169,7 @@ def line_to_record(line: Line3) -> dict:
 
 
 def line_from_record(record: dict) -> Line3:
-    from .exactnum import parse_rational as pr
-
+    pr = parse_rational
     try:
         base = record["base"]
         direction = record["dir"]

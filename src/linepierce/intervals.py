@@ -4,8 +4,8 @@ The compact supports used throughout are complements in [0,1] of finitely
 many open grid intervals, so they are exactly finite unions of closed
 intervals (single points included).  This module supplies the deterministic
 open covers, the removal operation that produces the supports, exact
-Lebesgue measure, intersections, a depth profile over the cell partition
-induced by all endpoints, and deep-point witnesses.
+Lebesgue measure, and deep-point witnesses found by a sweep over all
+endpoints.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
+
+from .exactnum import format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,7 +40,10 @@ class IntervalSet:
         for lo, hi in pairs:
             lo, hi = Fraction(lo), Fraction(hi)
             if hi < lo:
-                raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+                raise ValueError(
+                    "interval endpoints out of order: "
+                    f"[{format_rational(lo)}, {format_rational(hi)}]"
+                )
             cleaned.append((lo, hi))
         cleaned.sort()
         merged: list[tuple[Fraction, Fraction]] = []
@@ -49,10 +54,6 @@ class IntervalSet:
             else:
                 merged.append((lo, hi))
         return IntervalSet(tuple(merged))
-
-    @staticmethod
-    def empty() -> IntervalSet:
-        return IntervalSet(())
 
     @staticmethod
     def unit() -> IntervalSet:
@@ -69,14 +70,8 @@ class IntervalSet:
         return [iv[0] for iv in self.intervals]
 
     def contains(self, x: Fraction) -> bool:
-        return self.locate(x) >= 0
-
-    def locate(self, x: Fraction) -> int:
-        """Index of the interval containing x, or -1."""
         j = bisect_right(self._starts, x) - 1
-        if j >= 0 and x <= self.intervals[j][1]:
-            return j
-        return -1
+        return j >= 0 and x <= self.intervals[j][1]
 
     def gap_around(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """Endpoints (hi_j, lo_{j+1}) of the gap strictly containing x."""
@@ -84,7 +79,7 @@ class IntervalSet:
         if j < 0 or j + 1 >= len(self.intervals) or not (
             self.intervals[j][1] < x < self.intervals[j + 1][0]
         ):
-            raise ValueError(f"{x} is not interior to a gap")
+            raise ValueError(f"{format_rational(x)} is not interior to a gap")
         return (self.intervals[j][1], self.intervals[j + 1][0])
 
     def min_point(self) -> Fraction:
@@ -131,30 +126,11 @@ class IntervalSet:
             stubs.append((hi, ivs[k - 1][1]))
         return IntervalSet(ivs[:i] + tuple(stubs) + ivs[k:])
 
-    def intersect(self, other: IntervalSet) -> IntervalSet:
-        out: list[tuple[Fraction, Fraction]] = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
-
     def to_pairs(self) -> list[list[str]]:
-        from .exactnum import format_rational
-
         return [[format_rational(lo), format_rational(hi)] for lo, hi in self.intervals]
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
-        from .exactnum import parse_rational
-
         return IntervalSet.from_pairs(
             (parse_rational(lo), parse_rational(hi)) for lo, hi in pairs
         )
@@ -184,9 +160,6 @@ class CoverSpec:
         half = self.length / 2
         return tuple((c - half, c + half) for c in self.centers)
 
-    def open_interval(self, index: int) -> tuple[Fraction, Fraction]:
-        return self.open_intervals[index]
-
     def covering_indices(self, x: Fraction) -> list[int]:
         """Indices of cover intervals whose open interior contains x.
 
@@ -203,7 +176,7 @@ class CoverSpec:
 def make_cover(delta: Fraction, level: int) -> CoverSpec:
     """Level-i cover: open intervals of length (1-delta)/2^i on the k*l/2 grid."""
     if not (0 < delta < 1):
-        raise ValueError(f"delta must lie in (0,1), got {delta}")
+        raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
     if level < 1:
         raise ValueError(f"level must be a positive integer, got {level}")
     length = (1 - delta) / 2**level
@@ -228,77 +201,9 @@ def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
     for p in picks:
         if not (0 <= p < len(cover.centers)):
             raise ValueError(f"pick index {p} out of range")
-        lo, hi = cover.open_interval(p)
+        lo, hi = cover.open_intervals[p]
         result = result.subtract_open(lo, hi)
     return result
-
-
-def intersect_many(sets: list[IntervalSet]) -> IntervalSet:
-    if not sets:
-        raise ValueError("intersect_many requires at least one set")
-    acc = sets[0]
-    for s in sets[1:]:
-        acc = acc.intersect(s)
-    return acc
-
-
-@dataclass(frozen=True)
-class DepthCell:
-    """One cell of a depth profile; lo == hi denotes a single point."""
-
-    lo: Fraction
-    hi: Fraction
-    closed_lo: bool
-    closed_hi: bool
-    depth: int
-
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def _fine_cells(sets: list[IntervalSet]):
-    """Partition of [0,1] into endpoint singletons and open gaps.
-
-    Yields (lo, hi, depth); lo == hi marks a point cell.  Depths come from a
-    single sweep over interval endpoints.
-    """
-    values = {ZERO, ONE}
-    opens: dict[Fraction, int] = {}
-    closes: dict[Fraction, int] = {}
-    for s in sets:
-        for lo, hi in s.intervals:
-            values.add(lo)
-            values.add(hi)
-            opens[lo] = opens.get(lo, 0) + 1
-            closes[hi] = closes.get(hi, 0) + 1
-    ordered = sorted(values)
-    active = 0
-    for i, v in enumerate(ordered):
-        yield (v, v, active + opens.get(v, 0))
-        active += opens.get(v, 0) - closes.get(v, 0)
-        if i + 1 < len(ordered):
-            yield (v, ordered[i + 1], active)
-
-
-def depth_profile(sets: list[IntervalSet]) -> list[DepthCell]:
-    """Cells of [0,1] labeled with how many sets contain them, merged.
-
-    Adjacent cells of equal depth are merged, so consecutive output cells
-    differ in depth.  Sum of length*depth equals the sum of the measures.
-    An empty family yields the single cell [0,1] at depth 0.
-    """
-    for s in sets:
-        if not s.is_empty() and (s.min_point() < 0 or s.max_point() > 1):
-            raise ValueError("depth_profile expects sets within [0,1]")
-    cells: list[DepthCell] = []
-    for lo, hi, depth in _fine_cells(sets):
-        point = lo == hi
-        if cells and cells[-1].depth == depth:
-            prev = cells[-1]
-            cells[-1] = DepthCell(prev.lo, hi, prev.closed_lo, point, depth)
-        else:
-            cells.append(DepthCell(lo, hi, point, point, depth))
-    return cells
 
 
 def deep_witness(
@@ -306,16 +211,25 @@ def deep_witness(
 ) -> tuple[Fraction, tuple[int, ...]] | None:
     """A point lying in at least t of the sets, or None.
 
-    Scans the fine cell partition left to right and reports the first cell
-    of depth >= t: the point itself for a singleton cell, the midpoint for
-    an open gap cell, together with the first t containing set indices.
-    Never None when all n sets have measure >= delta and n >= ceil((t-1)/delta)+1.
+    Depth rises only at a left endpoint and a gap is never deeper than the
+    endpoint before it, so the leftmost point of depth >= t is an endpoint.
+    One sweep over the endpoints finds it; the first t sets containing it
+    come with it.  Never None when all n sets have measure >= delta and
+    n >= ceil((t-1)/delta)+1.
     """
     if t < 1:
         raise ValueError(f"witness depth must be positive, got {t}")
-    for lo, hi, depth in _fine_cells(sets):
-        if depth >= t:
-            x = lo if lo == hi else (lo + hi) / 2
+    opens: dict[Fraction, int] = {}
+    closes: dict[Fraction, int] = {}
+    for s in sets:
+        for lo, hi in s.intervals:
+            opens[lo] = opens.get(lo, 0) + 1
+            closes[hi] = closes.get(hi, 0) + 1
+    active = 0
+    for x in sorted(opens.keys() | closes.keys()):
+        active += opens.get(x, 0)
+        if active >= t:
             members = tuple(i for i, s in enumerate(sets) if s.contains(x))[:t]
             return (x, members)
+        active -= closes.get(x, 0)
     return None

@@ -80,6 +80,11 @@ def piercing_matrix(bodies: list[ConvexBody], lines: list[Line3]) -> PiercingMat
     )
 
 
+class InternalError(Exception):
+    """Two exact decision paths disagreed: a defect of this package, which
+    no input can cause."""
+
+
 class UncoverableError(Exception):
     """Some bodies are pierced by no candidate line; they refute the pool."""
 
@@ -379,8 +384,9 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> Re
 
     Rulings are decided by the support rule and the other lines by
     ``pierce``.  The first body every line misses is reported with one
-    certificate per line; a certificate that does not hold is an internal
-    error.  Exhaustion only signals that the search budget ran out.
+    certificate per line; a certificate that does not hold raises
+    ``InternalError``.  Exhaustion only signals that the search budget ran
+    out.
     """
     if n_max < 1:
         raise ValueError(f"search budget must be positive, got {n_max}")
@@ -401,6 +407,6 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> Re
             for line, info in zip(lines, infos)
         )
         if not all(cert is not None and cert.holds() for cert in certs):
-            raise AssertionError(f"certificate check failed at emission {body.f_index}")
+            raise InternalError(f"certificate check failed at emission {body.f_index}")
         return RefutationOutcome(body, n_max, infos, certs)
     return RefutationOutcome(None, n_max, infos, ())

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal
 from io import StringIO
 from fractions import Fraction as F
 from pathlib import Path
@@ -16,11 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linepierce
+from linepierce import cli, refutation
 from linepierce.cli import InputError, main, verify_refutation
 from linepierce.family import ConvexBody, FamilyStream, body_to_record
 from linepierce.geometry import Line3, Point3, line_to_record, ruling_line_x, ruling_line_y
 from linepierce.intervals import IntervalSet
-from linepierce.refutation import pierce
+from linepierce.refutation import Certificate, pierce
 
 
 def write_lines(path, lines):
@@ -291,6 +292,13 @@ class TestExportPlot:
         assert hull[0] == "body,seq,u,w"
         assert len(hull) > 3
 
+    # MAX_PREC + 1 is 10^18 on 64-bit builds
+    @pytest.mark.parametrize("precision", ["0", str(MAX_PREC + 1), "99999999999999999999"])
+    def test_precision_outside_decimal_range_is_input_error(self, tmp_path, precision):
+        family = construct(tmp_path, count=1)
+        assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
+                     "--precision", precision]) == 3
+
     def test_deterministic(self, tmp_path):
         family = construct(tmp_path, count=3)
         for name in ("p1", "p2"):
@@ -434,6 +442,36 @@ def test_help_exits_0(argv, capsys):
     assert "usage: linepierce" in capsys.readouterr().out
 
 
+class TestInternalError:
+    """A disagreement between two exact decision paths exits 5 with one line
+    on stderr; the fuzz tests below check that no input gets here."""
+
+    @pytest.mark.parametrize("wrong", [
+        lambda cls, body: None,
+        lambda cls, body: Certificate("support", F(0), "<", F(0)),
+    ], ids=["claims-pierce", "false-inequality"])
+    def test_refute_certificate_disagreement(self, tmp_path, monkeypatch, capsys, wrong):
+        monkeypatch.setattr(refutation, "_ruling_miss", wrong)
+        lines = tmp_path / "lines.jsonl"
+        write_lines(lines, [ruling_line_x(F(1, 2))])
+        assert main(["refute", "--delta", "1/2", "--lines", str(lines),
+                     "--out", str(tmp_path / "r.json")]) == 5
+        self.assert_one_line(capsys.readouterr().err)
+
+    def test_witness_cross_check_disagreement(self, tmp_path, monkeypatch, capsys):
+        family = construct(tmp_path, count=3)
+        monkeypatch.setattr(cli, "pierce", lambda line, body: False)
+        assert main(["witness", "--t", "1", "--family", str(family),
+                     "--out", str(tmp_path / "w.json")]) == 5
+        self.assert_one_line(capsys.readouterr().err)
+
+    @staticmethod
+    def assert_one_line(err):
+        assert err.startswith("internal error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 # --- fuzzing the input boundary -------------------------------------------
 
 LONG_DIGITS = "7" * 5000
@@ -544,3 +582,137 @@ def test_any_input_file_exits_with_a_contract_code(content):
             code, err = _run_quietly([*argv, "--out", out, "--verify"])
             assert code in (0, 2, 3, 4), (argv[0], code)
             assert "verification failed" not in err, (argv[0], err)
+
+
+@pytest.mark.parametrize("record, fault", [
+    ({**GOOD_BODY, "support": [["1/1", "1/" + LONG_DIGITS]]}, "interval endpoints out of order"),
+    ({**GOOD_BODY, "eps": "1/" + LONG_DIGITS}, "tilt mismatch"),
+], ids=["support-out-of-order", "eps-mismatch"])
+def test_error_message_names_the_fault_past_the_int_string_digit_limit(
+    tmp_path, capsys, record, fault
+):
+    family = tmp_path / "family.jsonl"
+    family.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["witness", "--t", "1", "--family", str(family),
+                 "--out", str(tmp_path / "w.json")]) == 3
+    err = capsys.readouterr().err
+    assert fault in err
+    assert LONG_DIGITS in err
+    assert "Exceeds the limit" not in err
+
+
+# --- fuzzing the command line ----------------------------------------------
+
+DIGIT_SCRIPTS = [str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"),
+                 str.maketrans("0123456789", "０１２３４５６７８９")]
+
+
+def mostly(good, odd):
+    """Draw from ``good`` three times in four, so that most command lines
+    get past the input checks and run."""
+    return st.integers(0, 3).flatmap(lambda k: odd if k == 3 else good)
+
+
+def int_texts(values):
+    """Texts that Python's int() reads as the drawn value (plain, signed,
+    with underscores between digits, in other digit scripts, padded), or
+    texts it rejects, or a huge negative number."""
+    def render(n, form):
+        sign, digits = ("-" if n < 0 else ""), str(abs(n))
+        return [
+            sign + digits,
+            (sign or "+") + digits,
+            sign + "_".join(digits),
+            sign + digits.translate(DIGIT_SCRIPTS[0]),
+            sign + digits.translate(DIGIT_SCRIPTS[1]),
+            f" {sign}{digits} ",
+        ][form]
+    return mostly(
+        st.builds(render, values, st.integers(0, 5)),
+        st.sampled_from(["", "1.5", "1e3", "0x10", "_1", "1__0", "abc", "9" * 5000,
+                         "-" + "9" * 5000, "-" + "9" * 40]),
+    )
+
+
+# Values that set how much work a command does are capped: -N, --nmax and
+# --samples, --precision below decimal.MAX_PREC (beyond it the command
+# refuses before any work), and --delta near 1, which makes covers of many
+# short intervals.  --t is not: no depth makes the sweep longer.
+COUNT = int_texts(st.integers(-3, 20))
+NMAX = int_texts(st.integers(-3, 40))
+SAMPLES = int_texts(st.integers(-3, 12))
+PRECISION = int_texts(mostly(st.integers(-3, 30), st.integers(MAX_PREC + 1, 10**40)))
+DEPTH = int_texts(st.integers(-3, 10**40))
+DELTA = mostly(
+    st.fractions(min_value=F(1, 40), max_value=F(9, 10), max_denominator=40).map(
+        lambda x: f"{x.numerator}/{x.denominator}"),
+    st.one_of(
+        st.fractions(min_value=-2, max_value=3, max_denominator=40).map(
+            lambda x: f"{x.numerator}/{x.denominator}").filter(lambda t: t != "0/1"),
+        st.sampled_from(["1", "1/1", "7/5", "1/0", "0", "0.5", "1e-1", "½", "١/٢", " 1/2 ",
+                         "+1/3", "1/" + LONG_DIGITS, "abc", ""]),
+    ),
+)
+# placeholders, replaced by paths in the example's own directory
+PATH = st.sampled_from(["@family", "@lines", "@empty", "@missing", "@dir", "@out", "@nested"])
+FLAGS = {
+    "construct": [("--delta", DELTA), (("--count", "-N"), COUNT),
+                  ("--out", mostly(st.just("@out"), PATH)), ("--verify", None)],
+    "witness": [("--t", DEPTH), ("--family", mostly(st.just("@family"), PATH)),
+                ("--out", mostly(st.just("@out"), PATH)), ("--verify", None)],
+    "refute": [("--delta", DELTA), ("--lines", mostly(st.just("@lines"), PATH)),
+               ("--nmax", NMAX), ("--out", mostly(st.just("@out"), PATH)), ("--verify", None)],
+    "cover": [("--family", mostly(st.just("@family"), PATH)),
+              ("--lines", mostly(st.just("@lines"), PATH)),
+              ("--out", mostly(st.just("@out"), PATH)), ("--verify", None)],
+    "export-plot": [("--family", mostly(st.just("@family"), PATH)),
+                    ("--out", mostly(st.just("@out"), PATH)), ("--samples", SAMPLES),
+                    ("--precision", PRECISION), ("--verify", None)],
+}
+JUNK = ["--bogus", "extra", "-x", "--", "--verify=1", "--help", "--delta"]
+
+
+@st.composite
+def argvs(draw):
+    """A command with each of its flags present seven times in eight, in any
+    order, and now and then a stray token."""
+    command = draw(st.sampled_from([*sorted(FLAGS), "frobnicate"]))
+    groups = []
+    for flag, values in FLAGS.get(command, []):
+        if draw(st.integers(0, 7)) < 7:
+            name = draw(st.sampled_from(flag)) if isinstance(flag, tuple) else flag
+            groups.append([name] if values is None else [name, draw(values)])
+    groups = draw(st.permutations(groups))
+    if draw(st.integers(0, 7)) == 7:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(JUNK))])
+    return [command, *(token for group in groups for token in group)]
+
+
+def _dump_records(path, records):
+    Path(path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+@settings(max_examples=300)
+@given(argv=argvs())
+@example(argv=["export-plot", "--family", "@family", "--out", "@dir",
+               "--precision", "1000000000000000000"])
+@example(argv=["export-plot", "--family", "@family", "--out", "@dir",
+               "--precision", "99999999999999999999"])
+@example(argv=["witness", "--t", "1" + "0" * 40, "--family", "@family", "--out", "@out"])
+@example(argv=["construct", "--delta", "1/" + LONG_DIGITS, "-N", "٣", "--out", "@out",
+               "--verify"])
+def test_any_command_line_exits_with_a_contract_code(argv):
+    """Whatever the command line, every command exits 0, 2, 3 or 4 without
+    raising, and --verify never fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {f"@{name}": os.path.join(tmp, name) for name in
+                 ("family", "lines", "empty", "missing", "dir", "out")}
+        paths["@nested"] = os.path.join(tmp, "missing", "out")
+        _dump_records(paths["@family"], GOOD_BODY_RECORDS)
+        _dump_records(paths["@lines"], GOOD_LINE_RECORDS)
+        Path(paths["@empty"]).write_bytes(b"")
+        os.mkdir(paths["@dir"])
+        code, err = _run_quietly([paths.get(token, token) for token in argv])
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "verification failed" not in err, (argv, err)
+

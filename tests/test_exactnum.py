@@ -8,14 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linepierce.exactnum import (
-    QuadExt,
-    format_rational,
-    parse_quadext,
-    parse_rational,
-    quadratic_residual,
-    solve_quadratic,
-)
+from linepierce.exactnum import QuadExt, format_rational, parse_rational, solve_quadratic
 
 
 def decimal_sign_oracle(a: F, b: F, d: F) -> int:
@@ -150,6 +143,7 @@ class TestQuadExt:
         assert abs(-x) == x
 
     def test_serialization_round_trip(self):
+        # reports render radicals as "a + b*sqrt(d)"; sympy reads that text back
         rng = random.Random(19)
         for _ in range(200):
             x = QuadExt(
@@ -157,32 +151,25 @@ class TestQuadExt:
                 F(rng.randint(-99, 99), rng.randint(1, 99)),
                 F(rng.randint(0, 99), rng.randint(1, 99)),
             )
-            y = parse_quadext(str(x))
-            assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
+            assert sympy.expand(sympy.sympify(str(x)) - sym(x)) == 0
 
 
 class TestSolveQuadratic:
     def test_two_roots(self):
-        roots = solve_quadratic(F(1), F(0), F(-1))
-        assert roots.kind == "two"
-        assert [r.to_fraction() for r in roots.roots] == [F(-1), F(1)]
+        assert solve_quadratic(F(1), F(0), F(-1)) == (F(-1), F(1))
 
     def test_double_root(self):
-        roots = solve_quadratic(F(1), F(-2), F(1))
-        assert roots.kind == "one"
-        assert roots.roots[0].to_fraction() == F(1)
+        assert solve_quadratic(F(1), F(-2), F(1)) == (F(1),)
 
     def test_no_real_roots(self):
-        assert solve_quadratic(F(1), F(0), F(1)).kind == "none"
+        assert solve_quadratic(F(1), F(0), F(1)) == ()
 
     def test_degenerate_rejected_without_flag(self):
         with pytest.raises(ValueError, match="degenerate"):
             solve_quadratic(F(0), F(0), F(0))
 
     def test_linear_case(self):
-        roots = solve_quadratic(F(0), F(2), F(-3))
-        assert roots.kind == "one"
-        assert roots.roots[0].to_fraction() == F(3, 2)
+        assert solve_quadratic(F(0), F(2), F(-3)) == (F(3, 2),)
 
     def test_residuals_exactly_zero(self):
         rng = random.Random(23)
@@ -193,9 +180,8 @@ class TestSolveQuadratic:
             c = F(rng.randint(-9, 9), rng.randint(1, 9))
             if a == b == c == 0:
                 continue
-            roots = solve_quadratic(a, b, c)
-            for r in roots.roots:
-                assert quadratic_residual(a, b, c, r).sign() == 0
+            for r in solve_quadratic(a, b, c):
+                assert (r * r * a + r * b + c).sign() == 0
             checked += 1
 
     def test_roots_sorted(self):
@@ -205,8 +191,8 @@ class TestSolveQuadratic:
             b = F(rng.randint(-9, 9))
             c = F(rng.randint(-9, 9))
             roots = solve_quadratic(a, b, c)
-            if roots.kind == "two":
-                assert roots.roots[0] < roots.roots[1]
+            if len(roots) == 2:
+                assert roots[0] < roots[1]
 
 
 def sym(x) -> sympy.Expr:
@@ -278,8 +264,7 @@ class TestSympyOracle:
         # a polynomial has no denominators to check roots against
         poly = sym(a) * x**2 + sym(b) * x + sym(c)
         want = [r for r in sympy.solve(poly, x, check=False, simplify=False) if r.is_real]
-        roots = solve_quadratic(a, b, c)
-        got = [sym(r) for r in roots.roots]
-        assert roots.kind == ("none", "one", "two")[len(want)]
+        got = [sym(r) for r in solve_quadratic(a, b, c)]
+        assert len(got) == len(want)
         assert {sympy.expand(r) for r in got} == {sympy.expand(r) for r in want}
         assert all(sympy.sign(hi - lo) == 1 for lo, hi in zip(got, got[1:]))

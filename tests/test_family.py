@@ -17,7 +17,8 @@ from linepierce.family import (
     enumerate_Q0,
     eps_of,
 )
-from linepierce.geometry import Line3
+from linepierce.exactnum import QuadExt, format_rational
+from linepierce.geometry import Line3, Point3, TiltedPlane
 from linepierce.intervals import IntervalSet, make_cover, remove_intervals
 from linepierce.refutation import pierce
 
@@ -193,7 +194,7 @@ def valid_multisets_oracle(cover, target, excluded):
     """Every pick multiset of the level in lexicographic order, kept when its
     support holds the target and none of the excluded points: a point of
     [0,1] leaves the support exactly when a picked open interval holds it."""
-    spans = [cover.open_interval(p) for p in range(len(cover.centers))]
+    spans = cover.open_intervals
     hits_target = [lo < target < hi for lo, hi in spans]
     hit_mask = [
         sum(1 << i for i, e in enumerate(excluded) if lo < e < hi) for lo, hi in spans
@@ -242,8 +243,8 @@ class TestBuildBody:
         assert body.eps == F(1, 64)
         assert (body.r_min, body.r_max) == (F(0), F(1))
         # extremes on the constant-x lines at 0 and 1
-        lo = body.slice_point(F(0))
-        hi = body.slice_point(F(1))
+        lo = body.plane.from_chart(F(0), body.parabola(F(0)))
+        hi = body.plane.from_chart(F(1), body.parabola(F(1)))
         assert (lo.x, lo.y, lo.z) == (F(0), F(1, 2), F(0))
         assert (hi.x, hi.y, hi.z) == (F(1), F(33, 64), F(33, 64))
         assert body.top_chord(F(0)) == body.parabola(F(0))
@@ -270,7 +271,7 @@ class TestBuildBody:
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet.empty())
+            ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet(()))
 
     def test_record_round_trip(self):
         body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
@@ -335,7 +336,9 @@ class TestFamilyStream:
     def test_bodies_inside_box(self):
         bodies = FamilyStream(F(1, 2)).truncate(60)
         for body in bodies:
-            for pt in body.vertex_points():
+            # the points over the support's endpoints attain every extreme
+            for u in body.support.endpoints():
+                pt = body.plane.from_chart(u, body.parabola(u))
                 assert 0 <= pt.x <= 2 and 0 <= pt.y <= 2 and 0 <= pt.z <= 2
 
     def test_every_sequence_revisited(self):
@@ -368,3 +371,26 @@ class TestFamilyStream:
             FamilyStream(F(1))
         with pytest.raises(ValueError):
             FamilyStream(F(0))
+
+
+TINY = F(1, 7**6000)  # its denominator has 5,071 digits, past int-to-str's 4,300
+SLAB = ConvexBody(q=F(1, 2), m=1, f_index=1, support=IntervalSet.from_pairs([(F(1, 2), F(1))]))
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: IntervalSet.from_pairs([(F(1), TINY)]), TINY),
+    (lambda: IntervalSet.unit().gap_around(TINY), TINY),
+    (lambda: SLAB.lower_envelope(TINY), TINY),
+    (lambda: TiltedPlane(F(1, 2), -TINY), -TINY),
+    (lambda: TiltedPlane(F(1, 2), TINY).chart(Point3(F(0), F(0), F(0))), TINY),
+    (lambda: make_cover(1 + TINY, 1), 1 + TINY),
+    (lambda: SupportAssigner(1 + TINY), 1 + TINY),
+    (lambda: FamilyStream(-TINY), -TINY),
+    (lambda: next(dyadic_approach(1 + TINY)), 1 + TINY),
+    (lambda: QuadExt(F(0), F(1), 2 + TINY) + QuadExt(F(0), F(1), F(3)), 2 + TINY),
+], ids=["from_pairs", "gap_around", "lower_envelope", "tilt", "chart", "make_cover",
+        "assigner", "stream", "dyadic_approach", "radicands"])
+def test_error_messages_render_long_rationals(call, shown):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert format_rational(shown) in str(info.value)

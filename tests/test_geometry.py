@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from linepierce.exactnum import QuadExt
 from linepierce.geometry import (
@@ -21,8 +22,8 @@ from linepierce.geometry import (
     line_to_record,
     ruling_line_x,
     ruling_line_y,
-    vertical_distance,
 )
+from oracles import vertical_distance
 
 
 def random_line(rng) -> Line3:
@@ -69,7 +70,7 @@ class TestSurfaceIntersection:
         line = Line3(Point3(F(0), F(0), F(1)), (F(1), F(1), F(0)))
         meet = line_surface_intersection(line)
         assert not meet.on_surface
-        got = {(p.x.to_fraction(), p.y.to_fraction(), p.z.to_fraction()) for p in meet.points}
+        got = {(p.x, p.y, p.z) for p in meet.points}
         assert got == {(F(-1), F(-1), F(1)), (F(1), F(1), F(1))}
 
     def test_tangency_single_point(self):
@@ -114,6 +115,81 @@ class TestSurfaceIntersection:
                 assert surface_residual_sign(p) == 0
         # the sample should exercise all three counts
         assert all(counted[k] > 0 for k in counted)
+
+
+def sym(x) -> sympy.Expr:
+    """A Fraction or a QuadExt as an exact sympy number."""
+    if isinstance(x, QuadExt):
+        return sym(x.a) + sym(x.b) * sympy.sqrt(sym(x.d))
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def tangent_line(rng) -> Line3:
+    """A line in the tangent plane z = b*x + a*y - a*b at the surface point
+    (a, b, a*b), through that point."""
+    a, b = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9))
+    dx, dy = F(rng.randint(-4, 4), rng.randint(1, 4)), F(rng.randint(-4, 4), rng.randint(1, 4))
+    if dx == dy == 0:
+        dx = F(1)
+    return Line3(Point3(a, b, a * b), (dx, dy, b * dx + a * dy))
+
+
+def line_through_surface_point(rng) -> Line3:
+    """A line from a surface point, with dx or dy zero two times in three, so
+    the substituted equation is often linear."""
+    a, b = F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9))
+    line = random_line(rng)
+    dx, dy, dz = line.dir
+    kind = rng.randrange(3)
+    direction = (F(0) if kind == 0 else dx, F(0) if kind == 1 else dy, dz)
+    if all(c == 0 for c in direction):
+        direction = (F(0), F(0), F(1))
+    return Line3(Point3(a, b, a * b), direction)
+
+
+def ruling_lines(rng) -> list[Line3]:
+    """Both ruling families, also with the base moved along the line and the
+    direction rescaled, so only the surface equation can tell."""
+    out = []
+    for _ in range(20):
+        c = F(rng.randint(-9, 9), rng.randint(1, 9))
+        s, k = F(rng.randint(-5, 5), rng.randint(1, 5)), F(rng.randint(1, 5), rng.randint(1, 5))
+        for line in (ruling_line_x(c), ruling_line_y(c)):
+            base = line.at(s)
+            out.append(Line3(base, tuple(k * d for d in line.dir)))
+    return out
+
+
+class TestSympyOracle:
+    """line_surface_intersection against sympy.solve of the substituted
+    equation x*y - z = 0 in the line parameter."""
+
+    def test_meets_match_sympy_solve(self):
+        rng = random.Random(83)
+        lines = [random_line(rng) for _ in range(200)]
+        lines += [tangent_line(rng) for _ in range(50)]
+        lines += [line_through_surface_point(rng) for _ in range(60)]
+        lines += ruling_lines(rng)
+        s = sympy.Symbol("s")
+        seen = {0: 0, 1: 0, 2: 0, "on": 0}
+        for line in lines:
+            coords = [sym(b) + s * sym(d) for b, d in zip(
+                (line.base.x, line.base.y, line.base.z), line.dir)]
+            residual = sympy.expand(coords[0] * coords[1] - coords[2])
+            meet = line_surface_intersection(line)
+            assert meet.on_surface == (residual == 0)
+            if meet.on_surface:
+                assert meet.points == ()
+                seen["on"] += 1
+                continue
+            roots = sympy.solve(residual, s, check=False, simplify=False)
+            roots = [r for r in roots if r.is_real]
+            want = {tuple(sympy.expand(c.subs(s, r)) for c in coords) for r in roots}
+            got = {tuple(sympy.expand(sym(c)) for c in (p.x, p.y, p.z)) for p in meet.points}
+            assert len(meet.points) == len(want)
+            assert got == want
+            seen[len(want)] += 1
+        assert all(seen.values()), seen
 
 
 class TestPlaneIntersection:

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepierce.intervals import (
-    IntervalSet,
-    deep_witness,
-    depth_profile,
-    intersect_many,
-    make_cover,
-    remove_intervals,
-)
+from linepierce.intervals import IntervalSet, deep_witness, make_cover, remove_intervals
+from oracles import depth_profile, intersect_many
 
 
 def open_spans_cover_unit(spans) -> bool:
@@ -61,7 +55,7 @@ def subtraction_oracle(cover, picks) -> list[tuple[F, F]]:
     """Direct set subtraction over a common denominator grid refinement."""
     pieces = [(F(0), F(1))]
     for p in picks:
-        pieces = linear_subtract_open(pieces, *cover.open_interval(p))
+        pieces = linear_subtract_open(pieces, *cover.open_intervals[p])
     return sorted(pieces)
 
 
@@ -134,7 +128,7 @@ class TestMakeCover:
         assert c.covering_indices(F(1, 2)) == [4]
         assert c.covering_indices(F(1, 5)) == [1, 2]
         for idx in c.covering_indices(F(1, 5)):
-            lo, hi = c.open_interval(idx)
+            lo, hi = c.open_intervals[idx]
             assert lo < F(1, 5) < hi
 
 
@@ -208,7 +202,7 @@ class TestMeasureAndIntersect:
         assert s.measure() == F(3, 4)
 
     def test_empty(self):
-        assert IntervalSet.empty().measure() == 0
+        assert IntervalSet(()).measure() == 0
 
     def test_merge_touching(self):
         s = IntervalSet.from_pairs([(F(0), F(1, 2)), (F(1, 2), F(1))])
@@ -360,6 +354,26 @@ class TestDeepWitness:
                     assert all(sets[i].contains(x) for i in members)
                 else:
                     assert got is None
+
+    def test_first_cell_of_depth_t_from_depth_profile(self):
+        # the witness lies in the leftmost profile cell of depth >= t, and
+        # there is none exactly when no cell reaches depth t
+        rng = random.Random(59)
+        for _ in range(300):
+            sets = random_family(rng, rng.randint(1, 7), max_level=2)
+            cells = depth_profile(sets)
+            for t in range(1, max(c.depth for c in cells) + 2):
+                got = deep_witness(sets, t)
+                deep = [c for c in cells if c.depth >= t]
+                if not deep:
+                    assert got is None
+                    continue
+                x, members = got
+                cell = deep[0]
+                assert cell.lo <= x <= cell.hi
+                assert x != cell.lo or cell.closed_lo
+                assert x != cell.hi or cell.closed_hi
+                assert members == tuple(i for i, s in enumerate(sets) if s.contains(x))[:t]
 
     def test_witness_iff_common_intersection(self):
         rng = random.Random(53)

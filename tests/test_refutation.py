@@ -14,7 +14,6 @@ from linepierce.geometry import (
     line_plane_intersection,
     ruling_line_x,
     ruling_line_y,
-    vertical_distance,
 )
 from linepierce.intervals import IntervalSet
 from linepierce.refutation import (
@@ -27,6 +26,7 @@ from linepierce.refutation import (
     piercing_matrix,
     refute,
 )
+from oracles import vertical_distance
 
 
 def body_with_gap():

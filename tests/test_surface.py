@@ -1,0 +1,73 @@
+"""The package's public surface stays what the package itself uses.
+
+Every public top-level function or class in ``src/linepierce`` must be
+referenced somewhere in the package other than its own definition and the
+package root's re-export, so a helper kept alive only by its own tests fails
+here.  The allowlist names what the acceptance criteria call although the
+package does not.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import linepierce
+
+SRC = Path(linepierce.__file__).parent
+ALLOWED_UNUSED = {"max_vertical_distance", "ruling_line_y"}
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def public_definitions(trees):
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield module, node
+
+
+def uses(trees, definition) -> int:
+    """Names and attributes spelling the definition's name, outside its own
+    body and outside the package root."""
+    own = {id(node) for node in ast.walk(definition)}
+    count = 0
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.Name) and node.id == definition.name:
+                count += 1
+            elif isinstance(node, ast.Attribute) and node.attr == definition.name:
+                count += 1
+    return count
+
+
+def test_every_public_definition_is_used_by_the_package():
+    trees = parsed_modules()
+    unused = [
+        f"{module}.{node.name}"
+        for module, node in public_definitions(trees)
+        if node.name not in ALLOWED_UNUSED and not uses(trees, node)
+    ]
+    assert unused == []
+
+
+def test_every_root_export_resolves():
+    tree = parsed_modules()["__init__"]
+    exports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exports
+    for module, name in exports:
+        source = importlib.import_module(f"linepierce.{module}")
+        assert getattr(linepierce, name) is getattr(source, name)
