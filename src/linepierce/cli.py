@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import format_rational, parse_integer, parse_rational
 from .family import ConvexBody, FamilyStream, body_from_record, body_to_record
 from .geometry import Line3, line_from_record, line_to_record, ruling_line_x
 from .intervals import deep_witness
@@ -51,6 +51,15 @@ def _parse_delta(text: str) -> Fraction:
     if not (0 < delta < 1):
         raise InputError(f"delta must lie strictly between 0 and 1, got {text}")
     return delta
+
+
+def _integer(text: str) -> int:
+    """Type of the integer flags: ``parse_integer``, whose ValueError
+    argparse reports as a usage error."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _dump_json(obj) -> str:
@@ -241,10 +250,12 @@ def cmd_cover(args) -> int:
     }
     _write(args.out, _dump_json(report))
     if args.verify:
+        # the matrix decides rulings by the support rule; the geometric
+        # pierce cross-checks it
         chosen = [lines[c] for c in sol.columns]
         for i, body in enumerate(bodies):
             if not any(pierce(line, body) for line in chosen):
-                raise InputError(f"verification failed: body {i} uncovered")
+                raise InternalError(f"body {i} is pierced by no line of the cover")
         print("verified cover")
     print(f"cover size {sol.size} (exact={sol.exact}) -> {args.out}")
     return EXIT_OK
@@ -320,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="write a family prefix as JSON lines")
     p.add_argument("--delta", required=True, help="support measure bound in (0,1), e.g. 1/2")
-    p.add_argument("--count", "-N", type=int, required=True, help="number of bodies")
+    p.add_argument("--count", "-N", type=_integer, required=True, help="number of bodies")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("witness", help="find one line piercing t bodies of a family file")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_integer, required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true")
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lines", required=True)
     p.add_argument(
         "--nmax",
-        type=int,
+        type=_integer,
         default=100_000,
         help="stream search budget in bodies (default 100000); the first 40 "
         "base-rational x-rulings are refuted at emission 861 in about 0.4 s, "
@@ -359,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-plot", help="CSV samples of bodies and the surface")
     p.add_argument("--family", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--precision", type=int, default=12, help="significant digits")
+    p.add_argument("--samples", type=_integer, default=64)
+    p.add_argument("--precision", type=_integer, default=12, help="significant digits")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_export_plot)
 

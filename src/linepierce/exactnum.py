@@ -11,6 +11,7 @@ distinct radicals.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +21,8 @@ from typing import Union
 Scalar = Union[Fraction, "QuadExt"]
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
 
 
 def _int_from_digits(digits: str) -> int:
@@ -54,6 +56,24 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(_int_from_digits(num), _int_from_digits(den or "1"))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer in the grammar of a rational's numerator: ASCII
+    digits with an optional sign, surrounding whitespace ignored.
+
+    Unlike ``parse_rational`` this keeps Python's limit on the digits of an
+    integer string (``sys.get_int_max_str_digits()``), so a longer text
+    raises ValueError too.
+    """
+    if not (isinstance(text, str) and re.fullmatch(_INTEGER, text.strip())):
+        raise ValueError(f"expected ASCII digits with an optional sign, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # the grammar holds, so only the limit is left
+        raise ValueError(
+            f"integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def format_rational(x: Fraction) -> str:

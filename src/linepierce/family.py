@@ -263,10 +263,18 @@ class ConvexBody:
         # (parabola(b) - parabola(a)) / (b - a), valid also for a == b
         return self.q + self.eps * (a + b)
 
-    def top_chord(self, u):
-        return self.parabola(self.r_min) + self.chord_slope(self.r_min, self.r_max) * (
-            u - self.r_min
+    @cached_property
+    def _top_chord(self) -> tuple[Fraction, Fraction]:
+        """Slope and intercept of the chord joining the extreme parabola
+        points: w = (q + eps*(r_min + r_max))*u - eps*r_min*r_max."""
+        return (
+            self.chord_slope(self.r_min, self.r_max),
+            -self.eps * self.r_min * self.r_max,
         )
+
+    def top_chord(self, u):
+        slope, intercept = self._top_chord
+        return slope * u + intercept
 
     def envelope_pieces(self) -> list[tuple[str, Fraction, Fraction]]:
         """("arc", a, b) on support intervals, ("chord", a, b) across gaps."""

@@ -150,13 +150,19 @@ class PlaneIntersection:
 
 
 def line_plane_intersection(line: Line3, plane: TiltedPlane) -> PlaneIntersection:
+    """Meet base + s*dir with the plane y = q + eps*x.
+
+    With eps = en/ed cleared, (ed*dy - en*dx)*s = ed*(q - y0) + en*x0:
+    every intermediate is one of the line's rationals scaled by an integer.
+    """
     dx, dy, dz = line.dir
-    denom = dy - plane.eps * dx
+    en, ed = plane.eps.numerator, plane.eps.denominator
+    denom = ed * dy - en * dx
     if denom == 0:
         if plane.holds(line.base):
             return PlaneIntersection(PLANE_CONTAINED)
         return PlaneIntersection(PLANE_PARALLEL)
-    s = (plane.q + plane.eps * line.base.x - line.base.y) / denom
+    s = (ed * (plane.q - line.base.y) + en * line.base.x) / denom
     return PlaneIntersection(PLANE_HIT, line.at(s))
 
 

@@ -15,9 +15,11 @@ inequality as a certificate, or None when the line pierces:
   lies in the support.
 
 ``pierce`` applies the first two decisions to any line; for rulings it is
-the independent geometric cross-check of the support rule.  The refuter
-scans the family stream for the first body missed by every line of a
-finite pool and emits one re-verifiable certificate per line.
+the independent geometric cross-check of the support rule.  ``refute`` and
+``piercing_matrix`` classify each line once and decide rulings by the
+support rule.  The refuter scans the family stream for the first body
+missed by every line of a finite pool and emits one re-verifiable
+certificate per line.
 """
 
 from __future__ import annotations
@@ -75,8 +77,13 @@ class PiercingMatrix:
 
 
 def piercing_matrix(bodies: list[ConvexBody], lines: list[Line3]) -> PiercingMatrix:
+    """Each line is classified once and decided by ``_pierces``."""
+    classed = [(line, classify_line(line)) for line in lines]
     return PiercingMatrix(
-        tuple(tuple(pierce(line, body) for line in lines) for body in bodies)
+        tuple(
+            tuple(_pierces(line, cls, body) for line, cls in classed)
+            for body in bodies
+        )
     )
 
 
@@ -237,6 +244,14 @@ def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
     return body.support.contains(_ruling_abscissa(cls, body))
 
 
+def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
+    """The piercing decision of ``refute`` and ``piercing_matrix``: the
+    support rule for rulings, ``pierce`` for every other line."""
+    if cls.kind == GENERIC:
+        return pierce(line, body)
+    return _ruling_pierces(cls, body)
+
+
 def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
     if _ruling_pierces(cls, body):
         return None
@@ -393,14 +408,15 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> Re
     infos = tuple(
         LineInfo(classify_line(line), line_surface_intersection(line)) for line in lines
     )
-    rulings = [info.cls for info in infos if info.cls.kind != GENERIC]
-    generic = [line for line, info in zip(lines, infos) if info.cls.kind == GENERIC]
+    # rulings first: the support rule is the cheaper decision
+    classed = sorted(
+        ((line, info.cls) for line, info in zip(lines, infos)),
+        key=lambda pair: pair[1].kind == GENERIC,
+    )
 
     for i in range(n_max):
         body = stream.body_at(i)
-        if any(_ruling_pierces(cls, body) for cls in rulings):
-            continue
-        if any(pierce(line, body) for line in generic):
+        if any(_pierces(line, cls, body) for line, cls in classed):
             continue
         certs = tuple(
             non_piercing_certificate(line, body, info.cls)

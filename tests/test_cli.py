@@ -267,6 +267,35 @@ class TestCoverCommand:
         assert data["uncoverable"] and target in data["rows"]
 
 
+class TestPinnedReadReports:
+    """witness and cover --verify reports on a fixed prefix, pinned at the
+    commit before cover decided rulings by the support rule: the x-rulings
+    at j/16 and two generic lines that each pierce one body (3 and 40)."""
+
+    def test_reports_pinned(self, tmp_path):
+        family = construct(tmp_path, count=256)
+        assert hashlib.sha256(family.read_bytes()).hexdigest() == (
+            "1c6a4c89b0ef8426aa2110685b0c88cea98bff778a7b93bdf7406a681ba663bf"
+        )
+        pool = [ruling_line_x(F(j, 16)) for j in range(17)]
+        for b in (F(1, 16), F(35, 48)):
+            a, dy = F(3, 4), F(5, 7)
+            pool.append(Line3(Point3(a, b, a * b), (F(1), dy, a * dy + b + dy / (16 * a))))
+        lines = tmp_path / "lines.jsonl"
+        write_lines(lines, pool)
+        witness, cover = tmp_path / "w.json", tmp_path / "c.json"
+        assert main(["witness", "--t", "64", "--family", str(family),
+                     "--out", str(witness), "--verify"]) == 0
+        assert main(["cover", "--family", str(family), "--lines", str(lines),
+                     "--out", str(cover), "--verify"]) == 0
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+            "7fe559d25d1814dd26819469f7523558b53e95e7dac259e577c8677e07f964cd"
+        )
+        assert hashlib.sha256(cover.read_bytes()).hexdigest() == (
+            "f8adff6ea3dd6b25036a213704e51390af5cebef7b37de1277a8bcc7ed778fe4"
+        )
+
+
 class TestExportPlot:
     def test_row_counts_and_residuals(self, tmp_path):
         family = construct(tmp_path, count=1)
@@ -436,6 +465,46 @@ def test_usage_error_exits_3(argv, capsys):
     assert "Traceback" not in err
 
 
+# each integer flag, last on a command line that otherwise runs, with a
+# value that makes the command exit 0
+INTEGER_FLAGS = {
+    "-N": (["construct", "--delta", "1/2", "--out", "@out", "-N"], "3"),
+    "--t": (["witness", "--family", "@family", "--out", "@out", "--t"], "1"),
+    "--nmax": (["refute", "--delta", "1/2", "--lines", "@lines", "--out", "@out",
+                "--nmax"], "40"),
+    "--samples": (["export-plot", "--family", "@family", "--out", "@dir", "--samples"], "3"),
+    "--precision": (["export-plot", "--family", "@family", "--out", "@dir",
+                     "--precision"], "3"),
+}
+
+
+def _integer_flag_argv(tmp_path, flag, text):
+    family = construct(tmp_path, count=3)
+    lines = tmp_path / "lines.jsonl"
+    write_lines(lines, [ruling_line_x(F(1, 2))])
+    paths = {"@family": str(family), "@lines": str(lines),
+             "@out": str(tmp_path / "out"), "@dir": str(tmp_path / "plots")}
+    return [paths.get(token, token) for token in INTEGER_FLAGS[flag][0]] + [text]
+
+
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+@pytest.mark.parametrize("text", ["٣", "３", " 1_0 ", "1_0", "0x10", "1.0", "1e1", "3/1", "",
+                                  pytest.param("9" * 4301, id="4301-digits")])
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, flag, text):
+    """Integer flags follow the grammar of a rational's numerator: what
+    Python's int() reads beyond it (other digit scripts, underscores) is a
+    usage error, and so is a number past int()'s digit limit."""
+    assert main(_integer_flag_argv(tmp_path, flag, text)) == 3
+    err = capsys.readouterr().err
+    assert "usage: linepierce" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+@pytest.mark.parametrize("form", ["{}", "+{}", " {} ", "0{}"])
+def test_integer_flags_accept_sign_and_padding(tmp_path, flag, form):
+    assert main(_integer_flag_argv(tmp_path, flag, form.format(INTEGER_FLAGS[flag][1]))) == 0
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"]])
 def test_help_exits_0(argv, capsys):
     assert main(argv) == 0
@@ -463,6 +532,16 @@ class TestInternalError:
         monkeypatch.setattr(cli, "pierce", lambda line, body: False)
         assert main(["witness", "--t", "1", "--family", str(family),
                      "--out", str(tmp_path / "w.json")]) == 5
+        self.assert_one_line(capsys.readouterr().err)
+
+    def test_cover_cross_check_disagreement(self, tmp_path, monkeypatch, capsys):
+        family = construct(tmp_path, count=3)
+        lines = tmp_path / "lines.jsonl"
+        # x = 2 lies outside every support, so the geometric pierce misses
+        write_lines(lines, [ruling_line_x(F(2))])
+        monkeypatch.setattr(refutation, "_ruling_pierces", lambda cls, body: True)
+        assert main(["cover", "--family", str(family), "--lines", str(lines),
+                     "--out", str(tmp_path / "c.json"), "--verify"]) == 5
         self.assert_one_line(capsys.readouterr().err)
 
     @staticmethod

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linepierce.exactnum import QuadExt
 from linepierce.geometry import (
@@ -228,6 +230,49 @@ class TestPlaneIntersection:
                     s = num / den
                     break
             assert line.at(s) == p
+
+
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+# tilts whose numerator is not 1 (a meet that drops it leaves the plane),
+# besides the family's 4^-k
+TILTS = st.one_of(
+    st.sampled_from([F(3, 7), F(5, 2), F(7, 1), F(9, 16)]),
+    st.integers(1, 40).map(lambda k: F(1, 4**k)),
+    st.fractions(min_value=F(1, 60), max_value=9, max_denominator=60),
+)
+
+
+@st.composite
+def lines_and_planes(draw):
+    """A plane y = q + eps*x and a line that crosses it, runs parallel to it
+    (dy = eps*dx) or lies in it (also its base on the plane)."""
+    plane = TiltedPlane(draw(SMALL), draw(TILTS))
+    dx, dz = draw(SMALL), draw(SMALL)
+    dy = plane.eps * dx if draw(st.booleans()) else draw(SMALL)
+    if dx == dy == dz == 0:
+        dz = F(1)
+    x0, z0 = draw(SMALL), draw(SMALL)
+    y0 = plane.q + plane.eps * x0 if draw(st.booleans()) else draw(SMALL)
+    return Line3(Point3(x0, y0, z0), (dx, dy, dz)), plane
+
+
+class TestPlaneMeetDifferential:
+    @settings(max_examples=400)
+    @given(case=lines_and_planes())
+    def test_meet_lies_on_line_and_plane(self, case):
+        line, plane = case
+        hit = line_plane_intersection(line, plane)
+        dx, dy, dz = line.dir
+        assert (hit.kind != PLANE_HIT) == (dy - plane.eps * dx == 0)
+        if hit.kind != PLANE_HIT:
+            on_plane = line.base.y == plane.q + plane.eps * line.base.x
+            assert hit.kind == (PLANE_CONTAINED if on_plane else PLANE_PARALLEL)
+            return
+        p, b = hit.point, line.base
+        assert p.y == plane.q + plane.eps * p.x
+        # p - base is parallel to the direction: their cross product vanishes
+        ox, oy, oz = p.x - b.x, p.y - b.y, p.z - b.z
+        assert (oy * dz - oz * dy, oz * dx - ox * dz, ox * dy - oy * dx) == (0, 0, 0)
 
 
 class TestChart:

@@ -8,6 +8,8 @@ from linepierce.family import ConvexBody, FamilyStream
 from linepierce.geometry import (
     PLANE_HIT,
     GENERIC,
+    X_RULING,
+    Y_RULING,
     Line3,
     Point3,
     classify_line,
@@ -234,6 +236,62 @@ class TestPiercingMatrix:
         bodies = FamilyStream(F(1, 2)).truncate(5)
         lines = [ruling_line_x(F(k, 7)) for k in range(8)]
         assert piercing_matrix(bodies, lines) == piercing_matrix(bodies, lines)
+
+
+def _oracle_pool(bodies: list[ConvexBody]) -> list[Line3]:
+    """Lines at the edges of the piercing decision, aimed at a sample of the
+    bodies: rulings at support endpoints and inside gaps, generic lines that
+    just enter a body, tangent lines and lines lying in a body's plane."""
+    lines = []
+    for body in bodies[3::9]:
+        q, eps = body.q, body.eps
+        ends = body.support.endpoints()
+        gaps = [(a + b) / 2 for (_, a), (b, _) in zip(body.support.intervals,
+                                                        body.support.intervals[1:])]
+        for u in [*ends[:2], ends[-1], *gaps[:2]]:
+            lines.append(ruling_line_x(u))
+            lines.append(ruling_line_y(q + eps * u))  # meets the plane at u
+        # through a surface point, slightly steeper than the tangent plane
+        # there, so the line enters the body from below the parabola (c > 0)
+        # or passes under it (c < 0)
+        u = (ends[-2] + ends[-1]) / 2  # inside the last support interval
+        for c in (F(1, 16), F(-1, 16)):
+            dy = F(5, 7)
+            lines.append(Line3(Point3(u, q, u * q), (F(1), dy, u * dy + q + dy * c / u)))
+        # tangent to the surface at a point of the body's parabola arc
+        y = q + eps * u
+        for dx, dy in ((F(1), F(1, 3)), (F(1), eps)):  # crossing / in the plane
+            lines.append(Line3(Point3(u, y, u * y), (dx, dy, y * dx + u * dy)))
+        # in the plane: the top chord, a chord across the first gap, a line
+        # below the envelope, and vertical lines inside and outside the range
+        slope, intercept = body.top_chord(F(1)) - body.top_chord(F(0)), body.top_chord(F(0))
+        lines.append(Line3(Point3(F(0), q, intercept), (F(1), eps, slope)))
+        if gaps:
+            a, b = body.support.gap_around(gaps[0])
+            lines.append(Line3(body.plane.from_chart(a, body.parabola(a)),
+                               (b - a, eps * (b - a), body.parabola(b) - body.parabola(a))))
+        lines.append(Line3(Point3(F(0), q, F(-1)), (F(1), eps, q)))
+        for u in (ends[0], ends[-1] + F(1, 8)):
+            lines.append(Line3(body.plane.from_chart(u, F(0)), (F(0), F(0), F(1))))
+    rng = random.Random(113)
+    for _ in range(6):
+        base = Point3(*(F(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(3)))
+        lines.append(Line3(base, (F(1), F(rng.randint(-8, 8), 7), F(rng.randint(-8, 8), 5))))
+    return lines
+
+
+def test_piercing_matrix_matches_geometric_pierce():
+    """The matrix decides rulings by the support rule; the geometric pierce
+    decides every line on its own, so whole matrices must agree."""
+    bodies = FamilyStream(F(1, 2)).truncate(96)
+    lines = _oracle_pool(bodies)
+    want = tuple(tuple(pierce(line, body) for line in lines) for body in bodies)
+    assert piercing_matrix(bodies, lines).entries == want
+    # every class of line both pierces and misses somewhere
+    for kind in (X_RULING, Y_RULING, GENERIC):
+        cols = [c for c, line in enumerate(lines) if classify_line(line).kind == kind]
+        hits = {row[c] for row in want for c in cols}
+        assert hits == {True, False}, kind
 
 
 def brute_force_cover(matrix: PiercingMatrix) -> int:
