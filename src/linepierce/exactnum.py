@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: rationals and single-radical quadratic extensions.
 
-Every geometric predicate in this package bottoms out in a sign evaluation
-of a value of the form a + b*sqrt(d) with rational a, b and rational d >= 0.
-Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator, canonical).  ``QuadExt`` adds the single radical needed for
-roots of rational quadratics; it deliberately does not support towers of
-distinct radicals.
+Every geometric predicate in this package compares rationals, plain
+``fractions.Fraction`` (always reduced, positive denominator, canonical).
+``QuadExt``, a value a + b*sqrt(d) with rational a, b and rational d >= 0,
+holds the roots of rational quadratics: the line/surface crossing points
+that ``refute`` reports are computed and rendered in it, and no decision
+evaluates its sign.  It deliberately does not support towers of distinct
+radicals.
 """
 
 from __future__ import annotations

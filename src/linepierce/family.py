@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 from .exactnum import format_rational, parse_rational
 from .geometry import TiltedPlane
@@ -56,6 +56,15 @@ def eps_of(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"tilt index must be positive, got {n}")
     return Fraction(1, 4 ** (n + 2))
+
+
+def m_of(n: int) -> int:
+    """Approach sequence of the n-th emitted body: its position in the
+    dovetail 1; 1, 2; 1, 2, 3; ..., whose k-th round starts at n = k(k-1)/2 + 1."""
+    if n < 1:
+        raise ValueError(f"emission index must be positive, got {n}")
+    k = (isqrt(8 * n - 7) - 1) // 2  # rounds completed before n
+    return n - k * (k + 1) // 2
 
 
 def dyadic_approach(target: Fraction) -> Iterator[Fraction]:
@@ -230,15 +239,19 @@ class ConvexBody:
     """
 
     q: Fraction
-    m: int
     f_index: int
     support: IntervalSet
 
     def __post_init__(self) -> None:
-        if self.support.is_empty():
+        points = self.support.points
+        if not points:
             raise ValueError("body support must be nonempty")
-        if self.support.min_point() < 0 or self.support.max_point() > 1:
+        if points[0] < 0 or points[-1] > 1:
             raise ValueError("body support must lie within [0,1]")
+
+    @cached_property
+    def m(self) -> int:
+        return m_of(self.f_index)
 
     @cached_property
     def eps(self) -> Fraction:
@@ -250,11 +263,11 @@ class ConvexBody:
 
     @property
     def r_min(self) -> Fraction:
-        return self.support.min_point()
+        return self.support.points[0]
 
     @property
     def r_max(self) -> Fraction:
-        return self.support.max_point()
+        return self.support.points[-1]
 
     def parabola(self, u):
         return self.q * u + self.eps * u * u
@@ -277,14 +290,13 @@ class ConvexBody:
         return slope * u + intercept
 
     def envelope_pieces(self) -> list[tuple[str, Fraction, Fraction]]:
-        """("arc", a, b) on support intervals, ("chord", a, b) across gaps."""
-        pieces: list[tuple[str, Fraction, Fraction]] = []
-        ivs = self.support.intervals
-        for j, (lo, hi) in enumerate(ivs):
-            pieces.append(("arc", lo, hi))
-            if j + 1 < len(ivs):
-                pieces.append(("chord", hi, ivs[j + 1][0]))
-        return pieces
+        """("arc", a, b) on support intervals, ("chord", a, b) across gaps:
+        consecutive support endpoints, alternately."""
+        points = self.support.points
+        return [
+            ("chord" if j % 2 else "arc", a, b)
+            for j, (a, b) in enumerate(zip(points, points[1:]))
+        ]
 
     def lower_envelope(self, u: Fraction) -> Fraction:
         if u < self.r_min or u > self.r_max:
@@ -314,27 +326,17 @@ class FamilyStream:
         self._registry: set[Fraction] = set()
         self._approaches: dict[int, Iterator[Fraction]] = {}
         self._bodies: list[ConvexBody] = []
-        self._ms = self._dovetail_ms()
-
-    @staticmethod
-    def _dovetail_ms():
-        s = 2
-        while True:
-            for m in range(1, s):
-                yield m
-            s += 1
 
     def _emit(self) -> None:
-        m = next(self._ms)
+        f = len(self._bodies) + 1
+        m = m_of(f)
         approach = self._approaches.get(m)
         if approach is None:
             approach = self._approaches[m] = dyadic_approach(enumerate_Q0(m))
         q = next(v for v in approach if v not in self._registry)
         self._registry.add(q)
         support = self._assigner.assign(m)
-        self._bodies.append(
-            ConvexBody(q=q, m=m, f_index=len(self._bodies) + 1, support=support)
-        )
+        self._bodies.append(ConvexBody(q=q, f_index=f, support=support))
 
     def body_at(self, index: int) -> ConvexBody:
         """0-based; extends the stream as needed."""
@@ -358,14 +360,21 @@ def body_to_record(body: ConvexBody) -> dict:
     }
 
 
+def _integer_field(record: dict, key: str) -> int:
+    value = record[key]
+    if type(value) is not int:  # a bool, float or string is no JSON integer
+        raise ValueError(f"{key} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
 def body_from_record(record: dict) -> ConvexBody:
     try:
         q = parse_rational(record["q"])
-        m = int(record["m"])
-        f = int(record["f"])
+        m = _integer_field(record, "m")
+        f = _integer_field(record, "f")
         eps = parse_rational(record["eps"])
         support = IntervalSet.from_strings(record["support"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed body record: {exc}") from exc
     # eps_of(f) is 2^-(2f+4): check the stated tilt has that shape before
     # the body computes it, so the work stays bounded by the record's size
@@ -374,4 +383,9 @@ def body_from_record(record: dict) -> ConvexBody:
         raise ValueError(
             f"tilt mismatch in body record: stated {format_rational(eps)} for f = {f}"
         )
-    return ConvexBody(q=q, m=m, f_index=f, support=support)
+    if m != m_of(f):
+        raise ValueError(
+            f"approach mismatch in body record: stated m = {m} for f = {f}, "
+            f"whose approach sequence is m = {m_of(f)}"
+        )
+    return ConvexBody(q=q, f_index=f, support=support)

@@ -11,32 +11,34 @@ endpoints.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from .exactnum import format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_start = itemgetter(0)
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical disjoint sorted union of closed intervals [lo, hi].
+    """Disjoint sorted union of closed intervals, as one tuple of endpoints.
 
-    Canonical means hi_j < lo_{j+1} strictly; touching or overlapping input
-    intervals are merged by ``from_pairs``.  Degenerate single points are
-    allowed (lo == hi).
+    ``points`` is ``lo_0, hi_0, lo_1, hi_1, ...``: nondecreasing, with
+    hi_j < lo_{j+1} strictly, and lo == hi for a single point.  So
+    ``bisect_left(points, x)`` is odd exactly when x lies in a piece past
+    its left end, and every query is a bisection plus a parity test.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    points: tuple[Fraction, ...]
 
     @staticmethod
     def from_pairs(pairs) -> IntervalSet:
-        cleaned = []
+        """The set of the given (lo, hi) pieces, which must already be in
+        canonical order: each lo <= hi and above the previous hi."""
+        points: list[Fraction] = []
         for lo, hi in pairs:
             lo, hi = Fraction(lo), Fraction(hi)
             if hi < lo:
@@ -44,90 +46,53 @@ class IntervalSet:
                     "interval endpoints out of order: "
                     f"[{format_rational(lo)}, {format_rational(hi)}]"
                 )
-            cleaned.append((lo, hi))
-        cleaned.sort()
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return IntervalSet(tuple(merged))
+            if points and lo <= points[-1]:
+                raise ValueError(
+                    f"interval [{format_rational(lo)}, {format_rational(hi)}] does not "
+                    f"start above the previous one's end {format_rational(points[-1])}"
+                )
+            points += (lo, hi)
+        return IntervalSet(tuple(points))
 
     @staticmethod
     def unit() -> IntervalSet:
-        return IntervalSet(((ZERO, ONE),))
-
-    def is_empty(self) -> bool:
-        return not self.intervals
+        return IntervalSet((ZERO, ONE))
 
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), ZERO)
-
-    @cached_property
-    def _starts(self) -> list[Fraction]:
-        return [iv[0] for iv in self.intervals]
+        return sum(self.points[1::2], ZERO) - sum(self.points[::2], ZERO)
 
     def contains(self, x: Fraction) -> bool:
-        j = bisect_right(self._starts, x) - 1
-        return j >= 0 and x <= self.intervals[j][1]
+        i = bisect_left(self.points, x)
+        return i % 2 == 1 or (i < len(self.points) and self.points[i] == x)
 
     def gap_around(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """Endpoints (hi_j, lo_{j+1}) of the gap strictly containing x."""
-        j = bisect_right(self._starts, x) - 1
-        if j < 0 or j + 1 >= len(self.intervals) or not (
-            self.intervals[j][1] < x < self.intervals[j + 1][0]
-        ):
+        points = self.points
+        i = bisect_left(points, x)
+        if i % 2 == 1 or not 0 < i < len(points) or points[i] == x:
             raise ValueError(f"{format_rational(x)} is not interior to a gap")
-        return (self.intervals[j][1], self.intervals[j + 1][0])
-
-    def min_point(self) -> Fraction:
-        if self.is_empty():
-            raise ValueError("empty interval set has no minimum")
-        return self.intervals[0][0]
-
-    def max_point(self) -> Fraction:
-        if self.is_empty():
-            raise ValueError("empty interval set has no maximum")
-        return self.intervals[-1][1]
-
-    def endpoints(self) -> list[Fraction]:
-        out = []
-        for lo, hi in self.intervals:
-            out.append(lo)
-            out.append(hi)
-        return out
+        return (points[i - 1], points[i])
 
     def subtract_open(self, lo: Fraction, hi: Fraction) -> IntervalSet:
         """Remove the open interval (lo, hi); the endpoints lo, hi survive.
 
-        Pieces i..k-1 meet (lo, hi); only piece i can keep a left stub
-        [a_i, lo] and only piece k-1 a right stub [hi, b_{k-1}].
+        points[i:k] are the endpoints strictly inside (lo, hi).  An odd i
+        means lo lies in a piece, which keeps [.., lo]; an odd k means hi
+        does, which keeps [hi, ..].
         """
-        if hi <= lo:
+        points = self.points
+        i = bisect_right(points, lo)
+        k = bisect_left(points, hi, i)
+        if hi <= lo or (i == k and i % 2 == 0):
             return self
-        ivs = self.intervals
-        # cuts made left to right, as remove_intervals makes them, mostly
-        # start in the last piece: try it before bisecting
-        if ivs and lo >= ivs[-1][0]:
-            i = len(ivs) - 1
-        else:
-            i = max(bisect_right(ivs, lo, key=_start) - 1, 0)
-        if i < len(ivs) and ivs[i][1] <= lo:
-            i += 1
-        k = bisect_left(ivs, hi, i, key=_start)
-        if i >= k:
-            return self
-        stubs = []
-        if lo >= ivs[i][0]:
-            stubs.append((ivs[i][0], lo))
-        if hi <= ivs[k - 1][1]:
-            stubs.append((hi, ivs[k - 1][1]))
-        return IntervalSet(ivs[:i] + tuple(stubs) + ivs[k:])
+        return IntervalSet(points[:i] + (lo,) * (i % 2) + (hi,) * (k % 2) + points[k:])
 
     def to_pairs(self) -> list[list[str]]:
-        return [[format_rational(lo), format_rational(hi)] for lo, hi in self.intervals]
+        points = self.points
+        return [
+            [format_rational(lo), format_rational(hi)]
+            for lo, hi in zip(points[::2], points[1::2])
+        ]
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
@@ -219,17 +184,16 @@ def deep_witness(
     """
     if t < 1:
         raise ValueError(f"witness depth must be positive, got {t}")
-    opens: dict[Fraction, int] = {}
-    closes: dict[Fraction, int] = {}
+    opens: Counter[Fraction] = Counter()
+    closes: Counter[Fraction] = Counter()
     for s in sets:
-        for lo, hi in s.intervals:
-            opens[lo] = opens.get(lo, 0) + 1
-            closes[hi] = closes.get(hi, 0) + 1
+        opens.update(s.points[::2])
+        closes.update(s.points[1::2])
     active = 0
     for x in sorted(opens.keys() | closes.keys()):
-        active += opens.get(x, 0)
+        active += opens[x]
         if active >= t:
             members = tuple(i for i, s in enumerate(sets) if s.contains(x))[:t]
             return (x, members)
-        active -= closes.get(x, 0)
+        active -= closes[x]
     return None

@@ -325,9 +325,9 @@ def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     # lies at a support endpoint or at the parabola's vertex when the
     # support holds it; the envelope is the parabola at all those points
     vertex = (beta - body.q) / (2 * body.eps)
-    points = body.support.endpoints()
+    points = body.support.points
     if body.support.contains(vertex):
-        points.append(vertex)
+        points += (vertex,)
     env_slack = min(body.parabola(u) - on_line(u) for u in points)
     if env_slack > 0:
         return Certificate("inplane-below-envelope", env_slack, ">", Fraction(0))

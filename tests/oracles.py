@@ -18,11 +18,16 @@ def vertical_distance(pt: Point3) -> Fraction:
     return abs(pt.z - pt.x * pt.y)
 
 
+def pieces(s: IntervalSet) -> list[tuple[Fraction, Fraction]]:
+    """The set's closed pieces as (lo, hi) pairs, in order."""
+    return list(zip(s.points[::2], s.points[1::2]))
+
+
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """Pairwise intersection by a merge of the two sorted piece lists."""
     out: list[tuple[Fraction, Fraction]] = []
     i = j = 0
-    a, b = a.intervals, b.intervals
+    a, b = pieces(a), pieces(b)
     while i < len(a) and j < len(b):
         lo = max(a[i][0], b[j][0])
         hi = min(a[i][1], b[j][1])
@@ -32,7 +37,7 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             i += 1
         else:
             j += 1
-    return IntervalSet(tuple(out))
+    return IntervalSet.from_pairs(out)
 
 
 def intersect_many(sets: list[IntervalSet]) -> IntervalSet:
@@ -69,7 +74,7 @@ def depth_profile(sets: list[IntervalSet]) -> list[DepthCell]:
     """
     values = {Fraction(0), Fraction(1)}
     for s in sets:
-        values.update(s.endpoints())
+        values.update(s.points)
     ordered = sorted(values)
 
     def depth(x: Fraction) -> int:

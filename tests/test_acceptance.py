@@ -31,6 +31,7 @@ from linepierce.refutation import (
     non_piercing_certificate,
     pierce,
 )
+from oracles import pieces
 
 
 def report(n: int, elapsed: float, message: str) -> None:
@@ -67,7 +68,7 @@ def _random_member_sets(rng, delta, count):
 def _brute_best_depth(sets):
     points = {F(0), F(1)}
     for s in sets:
-        points.update(s.endpoints())
+        points.update(s.points)
     ordered = sorted(points)
     candidates = ordered + [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
     return max(sum(1 for s in sets if s.contains(x)) for x in candidates)
@@ -107,7 +108,7 @@ def _probe_values(body, inside_needed=20, outside_needed=20):
     # gap midpoints are the adversarial misses; swap them in at the front
     gaps = [
         (hi + lo2) / 2
-        for (_, hi), (lo2, _) in zip(body.support.intervals, body.support.intervals[1:])
+        for (_, hi), (lo2, _) in zip(pieces(body.support), pieces(body.support)[1:])
     ]
     outside = (gaps + outside)[:outside_needed]
     return inside, outside

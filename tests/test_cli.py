@@ -85,7 +85,7 @@ class TestConstruct:
 class TestWitness:
     def test_body_past_the_int_string_digit_limit(self, tmp_path):
         # eps of emission 7141 has a 4301-digit denominator
-        body = ConvexBody(q=F(1, 4), m=1, f_index=7141,
+        body = ConvexBody(q=F(1, 4), f_index=7141,
                           support=IntervalSet.from_pairs([(F(0), F(1))]))
         family = tmp_path / "family.jsonl"
         family.write_text(json.dumps(body_to_record(body)) + "\n", encoding="utf-8")
@@ -328,6 +328,21 @@ class TestExportPlot:
         assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
                      "--precision", precision]) == 3
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        # 24 bodies: supports with gaps and single points, so the hull walks
+        # arcs, gap chords and degenerate arcs; pinned from a run of the
+        # pair-list IntervalSet
+        family = construct(tmp_path, count=24)
+        plots = tmp_path / "plots"
+        assert main(["export-plot", "--family", str(family), "--out", str(plots),
+                     "--samples", "8"]) == 0
+        assert hashlib.sha256((plots / "arcs.csv").read_bytes()).hexdigest() == (
+            "635aefb5b7ca69af9bf84a0baf54fbe2a3cf2d6ea74ed8883faf0b47ca6461d5"
+        )
+        assert hashlib.sha256((plots / "hull.csv").read_bytes()).hexdigest() == (
+            "8ae338648c5841a24c385d21537833af0f7e17422906decd591ded8dd4fbf03b"
+        )
+
     def test_deterministic(self, tmp_path):
         family = construct(tmp_path, count=3)
         for name in ("p1", "p2"):
@@ -420,6 +435,7 @@ def assert_exits_3_without_traceback(tmp_path, argv):
     )
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
+    return done
 
 
 @pytest.mark.parametrize("content", sorted(BAD_CONTENTS))
@@ -435,6 +451,32 @@ def test_bad_input_exits_3_without_traceback(tmp_path, command, content):
             path.write_bytes(data if isinstance(data, bytes) else (json.dumps(data) + "\n").encode())
             paths[kind] = str(path)
         assert_exits_3_without_traceback(tmp_path, argv(paths))
+
+
+# family records that are well-formed JSON but no body the family emits
+BAD_RECORDS = {
+    "f-float": {**GOOD_BODY, "f": 1.0},
+    "f-bool": {**GOOD_BODY, "f": True},
+    "f-string": {**GOOD_BODY, "f": "1"},
+    "m-float": {**GOOD_BODY, "m": 2.7},
+    "m-mismatch": {**GOOD_BODY, "m": 99},
+    "support-reversed": {**GOOD_BODY, "support": [["1/4", "1/1"], ["0/1", "0/1"]]},
+    "support-overlapping": {**GOOD_BODY, "support": [["0/1", "1/2"], ["1/4", "1/1"]]},
+    "support-touching": {**GOOD_BODY, "support": [["0/1", "1/4"], ["1/4", "1/1"]]},
+}
+
+
+@pytest.mark.parametrize("record", sorted(BAD_RECORDS))
+@pytest.mark.parametrize("command", ["witness", "cover"])
+def test_bad_record_exits_3_naming_its_line(tmp_path, command, record):
+    family, lines = tmp_path / "family.jsonl", tmp_path / "lines.jsonl"
+    family.write_text(json.dumps(GOOD_BODY) + "\n" + json.dumps(BAD_RECORDS[record]) + "\n",
+                      encoding="utf-8")
+    lines.write_text(json.dumps(GOOD_LINE) + "\n", encoding="utf-8")
+    done = assert_exits_3_without_traceback(
+        tmp_path, COMMANDS[command][1]({"family": str(family), "lines": str(lines)})
+    )
+    assert f"{family}:2:" in done.stderr
 
 
 @pytest.mark.parametrize("command", ["witness", "cover"])

@@ -16,11 +16,13 @@ from linepierce.family import (
     dyadic_approach,
     enumerate_Q0,
     eps_of,
+    m_of,
 )
 from linepierce.exactnum import QuadExt, format_rational
 from linepierce.geometry import Line3, Point3, TiltedPlane
 from linepierce.intervals import IntervalSet, make_cover, remove_intervals
 from linepierce.refutation import pierce
+from oracles import pieces
 
 
 def pierced_at(body, u, w):
@@ -161,13 +163,13 @@ class TestSupportAssigner:
         want = first_fit_oracle(delta, 2, 40)
         got = [assigner.assign(2) for _ in range(40)]
         assert got == want
-        levels = {len(s.endpoints()) for s in got}
+        levels = {len(s.points) for s in got}
         assert len(levels) > 1  # sets from both cover levels appear
 
     def test_first_set_for_m1_starts_at_zero(self):
         s = SupportAssigner(F(1, 2)).assign(1)
         assert s.contains(F(0))
-        assert s.intervals[0][0] == F(0)
+        assert s.points[0] == F(0)
 
     def test_m3_membership_constraints(self):
         assigner = SupportAssigner(F(1, 2))
@@ -239,7 +241,7 @@ class TestLevelCursorWalk:
 
 class TestBuildBody:
     def test_full_support_shape(self):
-        body = ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet.unit())
+        body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.unit())
         assert body.eps == F(1, 64)
         assert (body.r_min, body.r_max) == (F(0), F(1))
         # extremes on the constant-x lines at 0 and 1
@@ -253,7 +255,7 @@ class TestBuildBody:
 
     def test_single_point_support_degenerates(self):
         support = IntervalSet.from_pairs([(F(1, 2), F(1, 2))])
-        body = ConvexBody(q=F(1, 3), m=0, f_index=2, support=support)
+        body = ConvexBody(q=F(1, 3), f_index=2, support=support)
         assert body.r_min == body.r_max == F(1, 2)
         w = body.parabola(F(1, 2))
         assert pierced_at(body, F(1, 2), w)
@@ -262,7 +264,7 @@ class TestBuildBody:
 
     def test_gap_chord_strictly_above_parabola(self):
         support = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
-        body = ConvexBody(q=F(1, 2), m=0, f_index=1, support=support)
+        body = ConvexBody(q=F(1, 2), f_index=1, support=support)
         u = F(1, 2)
         assert body.lower_envelope(u) > body.parabola(u)
         # chord endpoints rejoin the parabola
@@ -271,28 +273,43 @@ class TestBuildBody:
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet(()))
+            ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([]))
 
     def test_record_round_trip(self):
-        body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
         again = body_from_record(body_to_record(body))
         assert again == body
 
     @pytest.mark.parametrize("f", [7140, 7141, 20000])
     def test_record_round_trip_at_any_tilt_index(self, f):
         # from f = 7141 on, eps's denominator has more than 4300 digits
-        body = ConvexBody(q=F(1, 4), m=1, f_index=f, support=IntervalSet.from_pairs([(F(0), F(1))]))
+        body = ConvexBody(q=F(1, 4), f_index=f, support=IntervalSet.from_pairs([(F(0), F(1))]))
         record = body_to_record(body)
         assert body_from_record(json.loads(json.dumps(record))) == body
 
     def test_record_tilt_mismatch_rejected(self):
-        body = ConvexBody(q=F(2, 5), m=2, f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
         record = body_to_record(body)
         assert record["eps"] == "1/1024"
         # wrong power of two, wrong numerator, not a power of two, f below 1
         for eps, f in (("1/64", 3), ("3/1024", 3), ("1/1023", 3), ("1/16", 0)):
             with pytest.raises(ValueError, match="tilt"):
                 body_from_record({**record, "eps": eps, "f": f})
+
+    @pytest.mark.parametrize("field, value", [
+        ("f", 3.0), ("f", True), ("f", "3"), ("m", 2.0), ("m", True), ("m", "2"), ("m", None),
+    ])
+    def test_record_fields_f_and_m_must_be_json_integers(self, field, value):
+        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        with pytest.raises(ValueError, match=f"{field} must be a JSON integer"):
+            body_from_record({**body_to_record(body), field: value})
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 99, -2])
+    def test_record_approach_mismatch_rejected(self, m):
+        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        assert body_to_record(body)["m"] == 2
+        with pytest.raises(ValueError, match="approach mismatch"):
+            body_from_record({**body_to_record(body), "m": m})
 
 
 class TestFamilyStream:
@@ -320,6 +337,14 @@ class TestFamilyStream:
         eps = [b.eps for b in bodies]
         assert all(a > b for a, b in zip(eps, eps[1:]))
 
+    def test_approach_index_follows_the_dovetail(self):
+        # the dovetail 1; 1, 2; 1, 2, 3; ... written out round by round
+        dovetail = [m for s in range(2, 80) for m in range(1, s)][:3000]
+        assert [m_of(n) for n in range(1, 3001)] == dovetail
+        assert [b.m for b in FamilyStream(F(1, 2)).truncate(60)] == dovetail[:60]
+        with pytest.raises(ValueError):
+            m_of(0)
+
     def test_membership_constraints_hold(self):
         bodies = FamilyStream(F(1, 2)).truncate(60)
         for body in bodies:
@@ -337,7 +362,7 @@ class TestFamilyStream:
         bodies = FamilyStream(F(1, 2)).truncate(60)
         for body in bodies:
             # the points over the support's endpoints attain every extreme
-            for u in body.support.endpoints():
+            for u in body.support.points:
                 pt = body.plane.from_chart(u, body.parabola(u))
                 assert 0 <= pt.x <= 2 and 0 <= pt.y <= 2 and 0 <= pt.z <= 2
 
@@ -355,13 +380,13 @@ class TestFamilyStream:
 
     def test_extreme_points_leave_hull_when_interval_removed(self):
         bodies = [b for b in FamilyStream(F(1, 2)).truncate(30)
-                  if len(b.support.intervals) >= 2]
+                  if len(pieces(b.support)) >= 2]
         assert bodies
         for body in bodies[:10]:
-            for j, (lo, hi) in enumerate(body.support.intervals):
-                rest = [iv for i, iv in enumerate(body.support.intervals) if i != j]
+            for j, (lo, hi) in enumerate(pieces(body.support)):
+                rest = [iv for i, iv in enumerate(pieces(body.support)) if i != j]
                 reduced = ConvexBody(
-                    q=body.q, m=body.m, f_index=body.f_index, support=IntervalSet.from_pairs(rest)
+                    q=body.q, f_index=body.f_index, support=IntervalSet.from_pairs(rest)
                 )
                 probe = (lo + hi) / 2
                 assert not pierced_at(reduced, probe, body.parabola(probe))
@@ -374,7 +399,7 @@ class TestFamilyStream:
 
 
 TINY = F(1, 7**6000)  # its denominator has 5,071 digits, past int-to-str's 4,300
-SLAB = ConvexBody(q=F(1, 2), m=1, f_index=1, support=IntervalSet.from_pairs([(F(1, 2), F(1))]))
+SLAB = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([(F(1, 2), F(1))]))
 
 
 @pytest.mark.parametrize("call, shown", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linepierce.intervals import IntervalSet, deep_witness, make_cover, remove_intervals
-from oracles import depth_profile, intersect_many
+from oracles import depth_profile, intersect_many, pieces
 
 
 def open_spans_cover_unit(spans) -> bool:
@@ -65,12 +65,12 @@ def canonical_sets(draw) -> IntervalSet:
     points included: sorted distinct grid values taken one (a point) or
     two (an interval) at a time."""
     values = sorted(draw(st.sets(st.integers(0, 12))))
-    pieces = []
+    pairs = []
     while values:
         lo = values.pop(0)
         hi = values.pop(0) if values and draw(st.booleans()) else lo
-        pieces.append((F(lo, 12), F(hi, 12)))
-    return IntervalSet(tuple(pieces))
+        pairs.append((F(lo, 12), F(hi, 12)))
+    return IntervalSet.from_pairs(pairs)
 
 
 # cut ends on the 1/24 grid of [-1/2, 3/2]: beyond [0,1], inside pieces,
@@ -79,9 +79,9 @@ CUT_ENDS = [F(k, 24) for k in range(-12, 37)]
 
 
 def cut_ends(s: IntervalSet):
-    if s.is_empty():
+    if not s.points:
         return st.sampled_from(CUT_ENDS)
-    return st.one_of(st.sampled_from(s.endpoints()), st.sampled_from(CUT_ENDS))
+    return st.one_of(st.sampled_from(s.points), st.sampled_from(CUT_ENDS))
 
 
 class TestMakeCover:
@@ -137,20 +137,20 @@ class TestRemoveIntervals:
         c = make_cover(F(1, 2), 1)
         # centers 1/8 and 3/8 remove (0,1/4) and (1/4,1/2)
         s = remove_intervals(c, [1, 3])
-        assert s.intervals == ((F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1)))
+        assert pieces(s) == [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1))]
         assert s.measure() == F(1, 2)
-        assert [tuple(p) for p in subtraction_oracle(c, [1, 3])] == list(s.intervals)
+        assert subtraction_oracle(c, [1, 3]) == pieces(s)
 
     def test_repeated_pick_idempotent(self):
         c = make_cover(F(1, 2), 1)
         s = remove_intervals(c, [3, 3])
         assert s.measure() >= F(3, 4)
-        assert s.intervals == ((F(0), F(1, 4)), (F(1, 2), F(1)))
+        assert pieces(s) == [(F(0), F(1, 4)), (F(1, 2), F(1))]
 
     def test_endpoint_picks(self):
         c = make_cover(F(1, 2), 1)
         s = remove_intervals(c, [0, 8])
-        assert s.intervals == ((F(1, 8), F(7, 8)),)
+        assert pieces(s) == [(F(1, 8), F(7, 8))]
         assert s.measure() >= F(1, 2)
 
     def test_wrong_pick_count(self):
@@ -167,7 +167,7 @@ class TestRemoveIntervals:
                 picks = [rng.randrange(len(c.centers)) for _ in range(c.picks_per_set)]
                 s = remove_intervals(c, picks)
                 assert s.measure() >= delta
-                assert list(s.intervals) == subtraction_oracle(c, picks)
+                assert pieces(s) == subtraction_oracle(c, picks)
 
 
 class TestSubtractOpen:
@@ -175,22 +175,51 @@ class TestSubtractOpen:
     @given(data=st.data())
     def test_matches_linear_scan(self, data):
         s = data.draw(canonical_sets())
-        assert IntervalSet.from_pairs(s.intervals) == s
+        assert IntervalSet.from_pairs(pieces(s)) == s
         for _ in range(data.draw(st.integers(1, 4))):
             # hi <= lo (an empty cut) is drawn about half the time
             lo, hi = data.draw(cut_ends(s)), data.draw(cut_ends(s))
-            want = linear_subtract_open(s.intervals, lo, hi)
+            want = linear_subtract_open(pieces(s), lo, hi)
             s = s.subtract_open(lo, hi)
-            assert list(s.intervals) == want
+            assert pieces(s) == want
 
     def test_cut_on_endpoints_keeps_them(self):
         s = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))])
         # the cut's ends are endpoints of the pieces around it: only the
         # single point strictly inside goes
-        assert s.subtract_open(F(1, 4), F(3, 4)).intervals == ((F(0), F(1, 4)), (F(3, 4), F(1)))
+        assert pieces(s.subtract_open(F(1, 4), F(3, 4))) == [(F(0), F(1, 4)), (F(3, 4), F(1))]
         assert s.subtract_open(F(1, 4), F(1, 2)) is s
         assert s.subtract_open(F(2), F(3)) is s
         assert s.subtract_open(F(1, 2), F(0)) is s
+
+
+def linear_contains(pairs, x) -> bool:
+    return any(lo <= x <= hi for lo, hi in pairs)
+
+
+def linear_gap_around(pairs, x):
+    """(hi_j, lo_{j+1}) of the gap strictly containing x, or None."""
+    for (_, a), (b, _) in zip(pairs, pairs[1:]):
+        if a < x < b:
+            return (a, b)
+    return None
+
+
+class TestMembership:
+    @settings(max_examples=300)
+    @given(s=canonical_sets())
+    def test_matches_linear_scan(self, s):
+        # every endpoint (single points included) and the 1/24 grid of
+        # [-1/2, 3/2], which reaches past both ends of [0,1]
+        pairs = pieces(s)
+        for x in sorted(set(s.points) | set(CUT_ENDS)):
+            assert s.contains(x) == linear_contains(pairs, x)
+            want = linear_gap_around(pairs, x)
+            if want is None:
+                with pytest.raises(ValueError, match="not interior to a gap"):
+                    s.gap_around(x)
+            else:
+                assert s.gap_around(x) == want
 
 
 class TestMeasureAndIntersect:
@@ -202,26 +231,33 @@ class TestMeasureAndIntersect:
         assert s.measure() == F(3, 4)
 
     def test_empty(self):
-        assert IntervalSet(()).measure() == 0
+        assert IntervalSet.from_pairs([]).measure() == 0
 
-    def test_merge_touching(self):
-        s = IntervalSet.from_pairs([(F(0), F(1, 2)), (F(1, 2), F(1))])
-        assert s.intervals == ((F(0), F(1)),)
+    @pytest.mark.parametrize("pairs", [
+        [(F(1, 2), F(1)), (F(0), F(1, 4))],
+        [(F(0), F(1, 2)), (F(1, 4), F(1))],
+        [(F(0), F(1, 2)), (F(1, 2), F(1))],
+        [(F(1, 3), F(1, 3)), (F(1, 3), F(1, 3))],
+        [(F(1, 2), F(1, 4))],
+    ], ids=["unsorted", "overlapping", "touching", "repeated-point", "reversed"])
+    def test_from_pairs_rejects_noncanonical(self, pairs):
+        with pytest.raises(ValueError):
+            IntervalSet.from_pairs(pairs)
 
     def test_intersect_two(self):
         a = IntervalSet.from_pairs([(F(0), F(1, 2))])
         b = IntervalSet.from_pairs([(F(1, 4), F(3, 4))])
-        assert intersect_many([a, b]).intervals == ((F(1, 4), F(1, 2)),)
+        assert pieces(intersect_many([a, b])) == [(F(1, 4), F(1, 2))]
 
     def test_intersect_touching_gives_point(self):
         a = IntervalSet.from_pairs([(F(0), F(1, 2))])
         b = IntervalSet.from_pairs([(F(1, 2), F(1))])
-        assert intersect_many([a, b]).intervals == ((F(1, 2), F(1, 2)),)
+        assert pieces(intersect_many([a, b])) == [(F(1, 2), F(1, 2))]
 
     def test_intersect_disjoint_empty(self):
         a = IntervalSet.from_pairs([(F(0), F(1, 4))])
         b = IntervalSet.from_pairs([(F(1, 2), F(1))])
-        assert intersect_many([a, b]).is_empty()
+        assert not intersect_many([a, b]).points
 
     def test_intersect_requires_input(self):
         with pytest.raises(ValueError):
@@ -252,7 +288,7 @@ def brute_max_depth(sets):
     """Depth maximum over all endpoints and midpoints of adjacent endpoints."""
     points = {F(0), F(1)}
     for s in sets:
-        points.update(s.endpoints())
+        points.update(s.points)
     ordered = sorted(points)
     candidates = list(ordered)
     candidates += [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
@@ -379,5 +415,5 @@ class TestDeepWitness:
         rng = random.Random(53)
         for _ in range(200):
             sets = random_family(rng, rng.randint(1, 5), max_level=2)
-            has_common = not intersect_many(sets).is_empty()
+            has_common = bool(intersect_many(sets).points)
             assert (deep_witness(sets, len(sets)) is not None) == has_common

@@ -28,12 +28,12 @@ from linepierce.refutation import (
     piercing_matrix,
     refute,
 )
-from oracles import vertical_distance
+from oracles import pieces, vertical_distance
 
 
 def body_with_gap():
     support = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
-    return ConvexBody(q=F(1, 2), m=0, f_index=1, support=support)
+    return ConvexBody(q=F(1, 2), f_index=1, support=support)
 
 
 class TestPierce:
@@ -184,10 +184,10 @@ class TestPierce:
     def test_characterization_on_truncation(self):
         bodies = FamilyStream(F(1, 2)).truncate(25)
         for body in bodies:
-            probes = set(body.support.endpoints())
-            for lo, hi in body.support.intervals:
+            probes = set(body.support.points)
+            for lo, hi in pieces(body.support):
                 probes.add((lo + hi) / 2)
-            for (_, hi), (lo2, _) in zip(body.support.intervals, body.support.intervals[1:]):
+            for (_, hi), (lo2, _) in zip(pieces(body.support), pieces(body.support)[1:]):
                 probes.add((hi + lo2) / 2)
             probes.update({F(-1, 7), F(0), F(1), F(8, 7)})
             for r in probes:
@@ -196,12 +196,12 @@ class TestPierce:
 
 class TestMaxVerticalDistance:
     def test_full_span(self):
-        body = ConvexBody(q=F(1, 2), m=0, f_index=1, support=IntervalSet.unit())
+        body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.unit())
         assert max_vertical_distance(body) == F(1, 256)
 
     def test_point_body(self):
         body = ConvexBody(
-            q=F(1, 2), m=0, f_index=1, support=IntervalSet.from_pairs([(F(1, 3), F(1, 3))])
+            q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([(F(1, 3), F(1, 3))])
         )
         assert max_vertical_distance(body) == 0
 
@@ -223,7 +223,7 @@ class TestMaxVerticalDistance:
 class TestPiercingMatrix:
     def test_support_rows_all_true(self):
         bodies = FamilyStream(F(1, 2)).truncate(4)
-        lines = [ruling_line_x(r) for r in bodies[2].support.endpoints()]
+        lines = [ruling_line_x(r) for r in bodies[2].support.points]
         matrix = piercing_matrix(bodies, lines)
         assert all(matrix.entries[2])
 
@@ -245,9 +245,9 @@ def _oracle_pool(bodies: list[ConvexBody]) -> list[Line3]:
     lines = []
     for body in bodies[3::9]:
         q, eps = body.q, body.eps
-        ends = body.support.endpoints()
-        gaps = [(a + b) / 2 for (_, a), (b, _) in zip(body.support.intervals,
-                                                        body.support.intervals[1:])]
+        ends = body.support.points
+        gaps = [(a + b) / 2 for (_, a), (b, _) in zip(pieces(body.support),
+                                                        pieces(body.support)[1:])]
         for u in [*ends[:2], ends[-1], *gaps[:2]]:
             lines.append(ruling_line_x(u))
             lines.append(ruling_line_y(q + eps * u))  # meets the plane at u
@@ -486,15 +486,15 @@ def mixed_pool(rng, early):
     """A few early x-rulings, y-rulings aimed at support gaps of early
     bodies, in-plane lines of early bodies and generic lines."""
     pool = [ruling_line_x(r) for r in rng.sample([F(0), F(1), F(1, 2), F(1, 3)], rng.randint(0, 3))]
-    gapped = [b for b in early if len(b.support.intervals) > 1]
+    gapped = [b for b in early if len(pieces(b.support)) > 1]
     for _ in range(rng.randint(1, 3)):
         body = rng.choice(gapped)
-        (_, lo), (hi, _) = rng.choice(list(zip(body.support.intervals, body.support.intervals[1:])))
+        (_, lo), (hi, _) = rng.choice(list(zip(pieces(body.support), pieces(body.support)[1:])))
         u = lo + (hi - lo) * F(rng.randint(1, 7), 8)
         pool.append(ruling_line_y(body.q + body.eps * u))
     for _ in range(rng.randint(0, 2)):
         body = rng.choice(early)
-        u0 = rng.choice(body.support.endpoints())
+        u0 = rng.choice(body.support.points)
         slope = body.q + 2 * body.eps * u0
         lift = rng.choice([F(0), F(1, 10**9), -F(1, 10**9), body.eps])
         anchor = body.plane.from_chart(u0, body.parabola(u0) + lift)
@@ -540,7 +540,7 @@ def _sympy_pierces_in_plane(body, alpha, beta):
     slope = body.chord_slope(body.r_min, body.r_max)
     under_top = nonpositive(line - sym(body.parabola(body.r_min)) - sym(slope) * (u - sym(body.r_min)))
     above_arcs = nonpositive(sym(body.q) * u + sym(body.eps) * u**2 - line)
-    ivs = body.support.intervals
+    ivs = pieces(body.support)
     hits = [above_arcs.intersect(Interval(sym(lo), sym(hi))) for lo, hi in ivs]
     for (_, a), (b, _) in zip(ivs, ivs[1:]):
         chord = sym(body.parabola(a)) + sym(body.chord_slope(a, b)) * (u - sym(a))
@@ -558,9 +558,9 @@ def test_in_plane_pierce_matches_sympy():
         if len(cuts) % 2:
             cuts.append(cuts[-1])
         support = IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2]))
-        body = ConvexBody(q=F(rng.randint(0, 6), 6), m=0, f_index=rng.randint(1, 3), support=support)
+        body = ConvexBody(q=F(rng.randint(0, 6), 6), f_index=rng.randint(1, 3), support=support)
         charts = []
-        for u0 in body.support.endpoints() + [F(rng.randint(0, 8), 8) for _ in range(2)]:
+        for u0 in [*body.support.points, *(F(rng.randint(0, 8), 8) for _ in range(2))]:
             slope = body.q + 2 * body.eps * u0  # tangent to the parabola at u0
             charts += [(body.parabola(u0) - slope * u0 + h, slope) for h in nudges]
         top = body.chord_slope(body.r_min, body.r_max)
