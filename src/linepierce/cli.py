@@ -5,7 +5,8 @@ command writes deterministic artifacts (fixed key order, no timestamps), so
 re-running with the same flags reproduces files byte for byte.  Exit codes:
 0 success or witness found, 2 search/prefix exhausted, 3 input error
 (a command-line usage error included), 4 uncoverable pool, 5 internal error
-(two exact decision paths disagreed: a defect, never the input's fault).
+(two exact decision paths disagreed, or a --verify re-check failed on what
+the command just wrote: a defect, never the input's fault).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -97,6 +99,21 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[object], object]) -> list
     return records
 
 
+@contextmanager
+def _reading_back(path: str):
+    """Around the parse of an artifact the command just wrote, for --verify:
+    an artifact that does not parse back is a failed re-check."""
+    try:
+        yield
+    except (InputError, ValueError, LookupError, TypeError, ArithmeticError) as exc:
+        first = str(exc).partition("\n")[0]
+        raise InternalError(f"verification failed: {path} does not read back: {first}") from exc
+
+
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def load_family(path: str) -> list[ConvexBody]:
     bodies = _read_jsonl(path, "family", body_from_record)
     if not bodies:
@@ -108,12 +125,6 @@ def load_lines(path: str) -> list[Line3]:
     return _read_jsonl(path, "line", line_from_record)
 
 
-def render_decimal(x: Fraction, precision: int) -> str:
-    with localcontext() as ctx:
-        ctx.prec = precision
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
-
-
 def cmd_construct(args) -> int:
     delta = _parse_delta(args.delta)
     if args.count < 1:
@@ -122,12 +133,12 @@ def cmd_construct(args) -> int:
     text = _dump_jsonl(body_to_record(b) for b in bodies)
     _write(args.out, text)
     if args.verify:
-        reloaded = load_family(args.out)
-        again = _dump_jsonl(body_to_record(b) for b in reloaded)
-        if again != text:
-            raise InputError("verification failed: reloaded family differs")
+        with _reading_back(args.out):
+            reloaded = load_family(args.out)
+        if _dump_jsonl(body_to_record(b) for b in reloaded) != text:
+            raise InternalError("verification failed: reloaded family differs")
         if any(b.support.measure() < delta for b in reloaded):
-            raise InputError("verification failed: support below delta")
+            raise InternalError("verification failed: support below delta")
         print(f"verified {len(reloaded)} bodies")
     print(f"wrote {len(bodies)} bodies to {args.out}")
     return EXIT_OK
@@ -145,38 +156,29 @@ def cmd_witness(args) -> int:
         return EXIT_EXHAUSTED
     r, members = found
     line = ruling_line_x(r)
-    pierced = []
-    # the geometric pierce cross-checks the x-rulings' support rule
+    # the geometric pierce cross-checks the x-rulings' support rule, once per member
     for i in members:
         if not pierce(line, bodies[i]):
             raise InternalError(
                 f"body {i} contains r={format_rational(r)} but is not pierced there"
             )
-        pierced.append({"index": i, "q": format_rational(bodies[i].q)})
     report = {
         "found": True,
         "t": args.t,
         "r": format_rational(r),
         "line": line_to_record(line),
-        "pierced": pierced,
+        "pierced": [{"index": i, "q": format_rational(bodies[i].q)} for i in members],
         "bodies_searched": len(bodies),
     }
-    text = _dump_json(report)
-    _write(args.out, text)
+    _write(args.out, _dump_json(report))
     if args.verify:
-        data = json.loads(Path(args.out).read_text(encoding="utf-8"))
-        again = load_family(args.family)
-        rr = parse_rational(data["r"])
-        for entry in data["pierced"]:
-            body = again[entry["index"]]
-            if not body.support.contains(rr):
-                raise InputError("verification failed: r outside a reported support")
-            if not pierce(ruling_line_x(rr), body):
-                raise InputError("verification failed: reported body not pierced")
-        print(f"verified {len(data['pierced'])} pierced bodies")
-    print(
-        f"witness r={format_rational(r)} piercing {len(members)} bodies -> {args.out}"
-    )
+        with _reading_back(args.out):
+            data = _read_json(args.out)
+            stated = parse_rational(data["r"]), tuple(e["index"] for e in data["pierced"])
+        if stated != (r, members):
+            raise InternalError("verification failed: the report does not state the witness")
+        print(f"verified {len(members)} pierced bodies")
+    print(f"witness r={format_rational(r)} piercing {len(members)} bodies -> {args.out}")
     return EXIT_OK
 
 
@@ -191,33 +193,30 @@ def cmd_refute(args) -> int:
         print(f"exhausted after {outcome.checked} bodies")
         return EXIT_EXHAUSTED
     if args.verify:
-        verify_refutation(args.out, args.lines)
+        verify_refutation(args.out, lines)
         print("verified refutation report")
-    print(
-        f"witness q={outcome.witness.q} at emission {outcome.witness.f_index} "
-        f"-> {args.out}"
-    )
+    witness = outcome.witness
+    print(f"witness q={witness.q} at emission {witness.f_index} -> {args.out}")
     return EXIT_OK
 
 
-def verify_refutation(report_path: str, lines_path: str) -> None:
-    data = json.loads(Path(report_path).read_text(encoding="utf-8"))
-    if not data.get("found"):
-        raise InputError("verification failed: report holds no witness")
-    lines = load_lines(lines_path)
-    body = body_from_record(data["witness"])
+def verify_refutation(report_path: str, lines: list[Line3]) -> None:
+    """Re-check a refutation report against the pool it refutes."""
+    with _reading_back(report_path):
+        data = _read_json(report_path)
+        body = body_from_record(data["witness"])
     # the geometric pierce cross-checks the support rule behind the rulings'
     # certificates
     for line in lines:
         if pierce(line, body):
-            raise InputError("verification failed: a pool line pierces the witness")
+            raise InternalError("verification failed: a pool line pierces the witness")
     fresh = [non_piercing_certificate(line, body) for line in lines]
     if any(cert is None for cert in fresh):
-        raise InputError("verification failed: certificate line pierces")
+        raise InternalError("verification failed: certificate line pierces")
     if not all(cert.holds() for cert in fresh):
-        raise InputError("verification failed: certificate inequality false")
-    if data["certificates"] != [cert.to_record(i) for i, cert in enumerate(fresh)]:
-        raise InputError(
+        raise InternalError("verification failed: certificate inequality false")
+    if data.get("certificates") != [cert.to_record(i) for i, cert in enumerate(fresh)]:
+        raise InternalError(
             "verification failed: the certificates are not one certificate per line, "
             "in line order, as rebuilt"
         )
@@ -251,11 +250,14 @@ def cmd_cover(args) -> int:
     _write(args.out, _dump_json(report))
     if args.verify:
         # the matrix decides rulings by the support rule; the geometric
-        # pierce cross-checks it
-        chosen = [lines[c] for c in sol.columns]
+        # pierce cross-checks it on the columns the report states
+        with _reading_back(args.out):
+            chosen = [lines[c] for c in _read_json(args.out)["columns"]]
         for i, body in enumerate(bodies):
             if not any(pierce(line, body) for line in chosen):
-                raise InternalError(f"body {i} is pierced by no line of the cover")
+                raise InternalError(
+                    f"verification failed: body {i} is pierced by no line of the cover"
+                )
         print("verified cover")
     print(f"cover size {sol.size} (exact={sol.exact}) -> {args.out}")
     return EXIT_OK
@@ -271,23 +273,19 @@ def cmd_export_plot(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def dec(x: Fraction) -> str:
-        return render_decimal(x, args.precision)
+        with localcontext() as ctx:
+            ctx.prec = args.precision
+            return str(Decimal(x.numerator) / Decimal(x.denominator))
 
     arc_rows = ["body,seq,u,w,x,y,z"]
     hull_rows = ["body,seq,u,w"]
     for bi, body in enumerate(bodies):
-        span = body.r_max - body.r_min
+        step = (body.r_max - body.r_min) / max(args.samples - 1, 1)
         for k in range(args.samples):
-            u = (
-                body.r_min
-                if args.samples == 1
-                else body.r_min + span * k / (args.samples - 1)
-            )
+            u = body.r_min + step * k
             w = body.parabola(u)
             pt = body.plane.from_chart(u, w)
-            arc_rows.append(
-                f"{bi},{k},{dec(u)},{dec(w)},{dec(pt.x)},{dec(pt.y)},{dec(pt.z)}"
-            )
+            arc_rows.append(f"{bi},{k},{dec(u)},{dec(w)},{dec(pt.x)},{dec(pt.y)},{dec(pt.z)}")
         seq = 0
         for kind, a, b in body.envelope_pieces():
             steps = 8 if kind == "arc" and a != b else 1
@@ -306,17 +304,20 @@ def cmd_export_plot(args) -> int:
         for y in grid:
             surface_rows.append(f"{dec(x)},{dec(y)},{dec(x * y)}")
 
-    (outdir / "arcs.csv").write_text("\n".join(arc_rows) + "\n", encoding="utf-8")
-    (outdir / "hull.csv").write_text("\n".join(hull_rows) + "\n", encoding="utf-8")
-    (outdir / "surface.csv").write_text("\n".join(surface_rows) + "\n", encoding="utf-8")
+    for name, rows in (("arcs", arc_rows), ("hull", hull_rows), ("surface", surface_rows)):
+        _write(str(outdir / f"{name}.csv"), "\n".join(rows) + "\n")
     if args.verify:
-        tolerance = Decimal(10) ** (3 - args.precision)
-        for row in arc_rows[1:]:
-            _, _, _, _, xs, ys, zs = row.split(",")
-            gap = abs(Decimal(zs) - Decimal(xs) * Decimal(ys))
-            if gap > tolerance:
-                raise InputError("verification failed: arc sample off the surface")
-        print(f"verified {len(arc_rows) - 1} arc samples")
+        arcs = str(outdir / "arcs.csv")
+        with _reading_back(arcs):
+            rows = Path(arcs).read_text(encoding="utf-8").splitlines()[1:]
+            # exact, so no digit the export rendered is lost to rounding
+            gaps = [abs(Fraction(z) - Fraction(x) * Fraction(y))
+                    for _, _, _, _, x, y, z in (row.split(",") for row in rows)]
+        if len(gaps) != len(bodies) * args.samples:
+            raise InternalError("verification failed: arcs.csv does not hold every sample")
+        if max(gaps) > Fraction(10) ** (3 - args.precision):
+            raise InternalError("verification failed: arc sample off the surface")
+        print(f"verified {len(gaps)} arc samples")
     print(f"wrote plot data for {len(bodies)} bodies to {outdir}")
     return EXIT_OK
 
@@ -387,10 +388,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

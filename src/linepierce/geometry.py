@@ -179,8 +179,8 @@ def line_from_record(record: dict) -> Line3:
     try:
         base = record["base"]
         direction = record["dir"]
-        if len(base) != 3 or len(direction) != 3:
-            raise ValueError("base and dir must each have three entries")
+        if not all(type(v) is list and len(v) == 3 for v in (base, direction)):
+            raise ValueError("base and dir must each be a JSON array of three rationals")
         return Line3(
             Point3(pr(base[0]), pr(base[1]), pr(base[2])),
             (pr(direction[0]), pr(direction[1]), pr(direction[2])),

@@ -96,6 +96,8 @@ class IntervalSet:
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
+        if type(pairs) is not list or any(type(p) is not list or len(p) != 2 for p in pairs):
+            raise ValueError("a support must be a JSON array of [lo, hi] arrays")
         return IntervalSet.from_pairs(
             (parse_rational(lo), parse_rational(hi)) for lo, hi in pairs
         )

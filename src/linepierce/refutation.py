@@ -88,8 +88,8 @@ def piercing_matrix(bodies: list[ConvexBody], lines: list[Line3]) -> PiercingMat
 
 
 class InternalError(Exception):
-    """Two exact decision paths disagreed: a defect of this package, which
-    no input can cause."""
+    """Two exact decision paths disagreed, or a re-check of a written
+    artifact failed: a defect of this package, which no input file can cause."""
 
 
 class UncoverableError(Exception):

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import linepierce
 from linepierce import cli, refutation
-from linepierce.cli import InputError, main, verify_refutation
+from linepierce.cli import load_lines, main, verify_refutation
 from linepierce.family import ConvexBody, FamilyStream, body_to_record
 from linepierce.geometry import Line3, Point3, line_to_record, ruling_line_x, ruling_line_y
 from linepierce.intervals import IntervalSet
-from linepierce.refutation import Certificate, pierce
+from linepierce.refutation import Certificate, InternalError, pierce
 
 
 def write_lines(path, lines):
@@ -296,6 +296,35 @@ class TestPinnedReadReports:
         )
 
 
+class TestPinnedRefuteReport:
+    """refute --verify on a small mixed pool, report and stdout pinned at
+    the commit before --verify took the pool the command had parsed: two
+    x-rulings, a y-ruling, a line crossing the surface at x = y = -sqrt(2)
+    and x = y = sqrt(2), and a line tangent to it at (1/2, 1/2, 1/4)."""
+
+    def test_report_and_stdout_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # relative paths, so stdout is the same anywhere
+        pool = [
+            ruling_line_x(F(1, 3)),
+            ruling_line_x(F(2, 3)),
+            ruling_line_y(F(3, 7)),
+            Line3(Point3(F(0), F(0), F(2)), (F(1), F(1), F(0))),
+            Line3(Point3(F(1, 2), F(1, 2), F(1, 4)), (F(1), F(1), F(1))),
+        ]
+        write_lines(Path("lines.jsonl"), pool)
+        assert main(["refute", "--delta", "1/2", "--lines", "lines.jsonl",
+                     "--out", "r.json", "--verify"]) == 0
+        report = Path("r.json").read_bytes()
+        assert b"sqrt(8/1)" in report
+        assert [len(e["surface_points"]) for e in json.loads(report)["lines"][3:]] == [2, 1]
+        assert hashlib.sha256(report).hexdigest() == (
+            "5662d425240d61f60f4b3121558d95a96f5b84ff01b8c43d21cb89f823ecd6b8"
+        )
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "382c6826ba2fd56411a9e3f697e546cd47c8cf871c93375bf7901bca62052d73"
+        )
+
+
 class TestExportPlot:
     def test_row_counts_and_residuals(self, tmp_path):
         family = construct(tmp_path, count=1)
@@ -327,6 +356,14 @@ class TestExportPlot:
         family = construct(tmp_path, count=1)
         assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
                      "--precision", precision]) == 3
+
+    @pytest.mark.parametrize("precision", ["40", "120"])
+    def test_verify_past_the_default_decimal_precision(self, tmp_path, precision):
+        """The surface gap is checked exactly, not in Decimal's default
+        28-digit context, so rendering more digits cannot fail --verify."""
+        family = construct(tmp_path, count=24)
+        assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
+                     "--samples", "8", "--precision", precision, "--verify"]) == 0
 
     def test_csv_bytes_pinned(self, tmp_path):
         # 24 bodies: supports with gaps and single points, so the hull walks
@@ -383,7 +420,7 @@ class TestVerifyRefutation:
         lines, out = tmp_path / "lines.jsonl", tmp_path / "r.json"
         write_lines(lines, pool)
         assert main(["refute", "--delta", "1/2", "--lines", str(lines), "--out", str(out)]) == 0
-        return lines, out, json.loads(out.read_text())
+        return load_lines(str(lines)), out, json.loads(out.read_text())
 
     @pytest.mark.parametrize("tamper", [
         lambda certs: certs.clear(),
@@ -398,8 +435,8 @@ class TestVerifyRefutation:
         lines, out, data = self.refuted(tmp_path)
         tamper(data["certificates"])
         out.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(InputError, match="one certificate per line"):
-            verify_refutation(str(out), str(lines))
+        with pytest.raises(InternalError, match="one certificate per line"):
+            verify_refutation(str(out), lines)
 
 
 GOOD_LINE = {"base": ["1/2", "0/1", "0/1"], "dir": ["0/1", "1/1", "1/2"]}
@@ -463,6 +500,10 @@ BAD_RECORDS = {
     "support-reversed": {**GOOD_BODY, "support": [["1/4", "1/1"], ["0/1", "0/1"]]},
     "support-overlapping": {**GOOD_BODY, "support": [["0/1", "1/2"], ["1/4", "1/1"]]},
     "support-touching": {**GOOD_BODY, "support": [["0/1", "1/4"], ["1/4", "1/1"]]},
+    # a support is a JSON array of [lo, hi] arrays, not any iterable of pairs
+    "support-string-pair": {**GOOD_BODY, "support": ["01"]},
+    "support-object-pair": {**GOOD_BODY, "support": [{"0/1": 0, "1/2": 0}]},
+    "support-object": {**GOOD_BODY, "support": {"01": 0}},
 }
 
 
@@ -477,6 +518,26 @@ def test_bad_record_exits_3_naming_its_line(tmp_path, command, record):
         tmp_path, COMMANDS[command][1]({"family": str(family), "lines": str(lines)})
     )
     assert f"{family}:2:" in done.stderr
+
+
+# line records that are well-formed JSON but no line
+BAD_LINE_RECORDS = {
+    "base-dir-strings": {"base": "000", "dir": "011"},
+    "base-string": {**GOOD_LINE, "base": "123"},
+}
+
+
+@pytest.mark.parametrize("record", sorted(BAD_LINE_RECORDS))
+@pytest.mark.parametrize("command", ["refute", "cover"])
+def test_bad_line_record_exits_3_naming_its_line(tmp_path, command, record):
+    family, lines = tmp_path / "family.jsonl", tmp_path / "lines.jsonl"
+    family.write_text(json.dumps(GOOD_BODY) + "\n", encoding="utf-8")
+    lines.write_text(json.dumps(GOOD_LINE) + "\n" + json.dumps(BAD_LINE_RECORDS[record]) + "\n",
+                     encoding="utf-8")
+    done = assert_exits_3_without_traceback(
+        tmp_path, COMMANDS[command][1]({"family": str(family), "lines": str(lines)})
+    )
+    assert f"{lines}:2:" in done.stderr
 
 
 @pytest.mark.parametrize("command", ["witness", "cover"])
@@ -553,6 +614,59 @@ def test_help_exits_0(argv, capsys):
     assert "usage: linepierce" in capsys.readouterr().out
 
 
+def _edit_json(edit):
+    def corrupt(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    return corrupt
+
+
+# a command, the artifact its --verify reads back, and a corruption of it:
+# one that still parses for each command, and two that do not
+CORRUPTIONS = {
+    "construct": ("construct", "out.jsonl", lambda text: "".join(text.splitlines(True)[:-1])),
+    "witness": ("witness", "w.json", _edit_json(lambda data: data.update(r="2"))),
+    "refute": ("refute", "r.json",
+               _edit_json(lambda data: data["certificates"][0].update(lhs="-7/3"))),
+    "cover": ("cover", "c.json", _edit_json(lambda data: data.update(columns=[0]))),
+    "export-plot": ("export-plot", "arcs.csv", lambda text: text.rsplit(",", 1)[0] + ",5\n"),
+    "construct-unreadable": ("construct", "out.jsonl", lambda text: text + "not json\n"),
+    "refute-unreadable": ("refute", "r.json", lambda text: text[:-2]),
+}
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call to ``cli.<name>``."""
+    calls, real = [], getattr(cli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_witness_verify_parses_the_family_once(tmp_path, monkeypatch):
+    """--verify re-reads the report, not the family, and the geometric
+    pierce runs once per member, before the report is written."""
+    family = construct(tmp_path, count=8)
+    loads, pierces = counting(monkeypatch, "load_family"), counting(monkeypatch, "pierce")
+    assert main(["witness", "--t", "3", "--family", str(family),
+                 "--out", str(tmp_path / "w.json"), "--verify"]) == 0
+    assert loads == [(str(family),)]
+    assert len(pierces) == 3
+
+
+def test_refute_verify_reads_the_pool_once(tmp_path, monkeypatch):
+    lines = tmp_path / "lines.jsonl"
+    write_lines(lines, [ruling_line_x(F(1, 2)), ruling_line_y(F(1, 3))])
+    loads = counting(monkeypatch, "load_lines")
+    assert main(["refute", "--delta", "1/2", "--lines", str(lines),
+                 "--out", str(tmp_path / "r.json"), "--verify"]) == 0
+    assert loads == [(str(lines),)]
+
+
 class TestInternalError:
     """A disagreement between two exact decision paths exits 5 with one line
     on stderr; the fuzz tests below check that no input gets here."""
@@ -584,6 +698,29 @@ class TestInternalError:
         monkeypatch.setattr(refutation, "_ruling_pierces", lambda cls, body: True)
         assert main(["cover", "--family", str(family), "--lines", str(lines),
                      "--out", str(tmp_path / "c.json"), "--verify"]) == 5
+        self.assert_one_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_failed_verify_exits_5(self, tmp_path, monkeypatch, capsys, case):
+        """--verify reads back what the command wrote: a corrupted artifact
+        is a failed re-check, a defect (exit 5), never an input error."""
+        family = construct(tmp_path, count=3)
+        lines = tmp_path / "lines.jsonl"
+        # x = 2 lies outside every support; some x = j/16 meets each body
+        write_lines(lines, [ruling_line_x(F(2))] + [ruling_line_x(F(j, 16)) for j in range(17)])
+        command, name, corrupt = CORRUPTIONS[case]
+        write = cli._write
+        monkeypatch.setattr(cli, "_write", lambda path, text: write(
+            path, corrupt(text) if Path(path).name == name else text))
+        argv = {
+            "construct": ["construct", "--delta", "1/2", "-N", "3"],
+            "witness": ["witness", "--t", "1", "--family", str(family)],
+            "refute": ["refute", "--delta", "1/2", "--lines", str(lines)],
+            "cover": ["cover", "--family", str(family), "--lines", str(lines)],
+            "export-plot": ["export-plot", "--family", str(family), "--samples", "2"],
+        }[command]
+        out = tmp_path / ("plots" if command == "export-plot" else name)
+        assert main([*argv, "--out", str(out), "--verify"]) == 5
         self.assert_one_line(capsys.readouterr().err)
 
     @staticmethod
