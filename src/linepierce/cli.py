@@ -114,6 +114,16 @@ def _read_json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _verify_report(path: str, report: dict, what: str) -> None:
+    """--verify of a JSON report: it must read back as the record the
+    command computed."""
+    with _reading_back(path):
+        data = _read_json(path)
+    if data != report:
+        raise InternalError(f"verification failed: {path} does not state the computed report")
+    print(f"verified {what}")
+
+
 def load_family(path: str) -> list[ConvexBody]:
     bodies = _read_jsonl(path, "family", body_from_record)
     if not bodies:
@@ -130,12 +140,11 @@ def cmd_construct(args) -> int:
     if args.count < 1:
         raise InputError(f"count must be positive, got {args.count}")
     bodies = FamilyStream(delta).truncate(args.count)
-    text = _dump_jsonl(body_to_record(b) for b in bodies)
-    _write(args.out, text)
+    _write(args.out, _dump_jsonl(body_to_record(b) for b in bodies))
     if args.verify:
         with _reading_back(args.out):
             reloaded = load_family(args.out)
-        if _dump_jsonl(body_to_record(b) for b in reloaded) != text:
+        if reloaded != bodies:
             raise InternalError("verification failed: reloaded family differs")
         if any(b.support.measure() < delta for b in reloaded):
             raise InternalError("verification failed: support below delta")
@@ -152,6 +161,8 @@ def cmd_witness(args) -> int:
     if found is None:
         report = {"found": False, "t": args.t, "bodies_searched": len(bodies)}
         _write(args.out, _dump_json(report))
+        if args.verify:
+            _verify_report(args.out, report, "exhausted report")
         print(f"no witness in prefix of {len(bodies)} bodies for t={args.t}")
         return EXIT_EXHAUSTED
     r, members = found
@@ -172,12 +183,7 @@ def cmd_witness(args) -> int:
     }
     _write(args.out, _dump_json(report))
     if args.verify:
-        with _reading_back(args.out):
-            data = _read_json(args.out)
-            stated = parse_rational(data["r"]), tuple(e["index"] for e in data["pierced"])
-        if stated != (r, members):
-            raise InternalError("verification failed: the report does not state the witness")
-        print(f"verified {len(members)} pierced bodies")
+        _verify_report(args.out, report, f"{len(members)} pierced bodies")
     print(f"witness r={format_rational(r)} piercing {len(members)} bodies -> {args.out}")
     return EXIT_OK
 
@@ -188,8 +194,11 @@ def cmd_refute(args) -> int:
         raise InputError(f"nmax must be positive, got {args.nmax}")
     lines = load_lines(args.lines)
     outcome = refute(lines, FamilyStream(delta), args.nmax)
-    _write(args.out, _dump_json(outcome.to_record()))
+    report = outcome.to_record()
+    _write(args.out, _dump_json(report))
     if not outcome.found:
+        if args.verify:
+            _verify_report(args.out, report, "exhausted report")
         print(f"exhausted after {outcome.checked} bodies")
         return EXIT_EXHAUSTED
     if args.verify:
@@ -225,17 +234,19 @@ def verify_refutation(report_path: str, lines: list[Line3]) -> None:
 def cmd_cover(args) -> int:
     bodies = load_family(args.family)
     lines = load_lines(args.lines)
-    matrix = piercing_matrix(bodies, lines)
+    shape = {"n_bodies": len(bodies), "n_lines": len(lines)}
     try:
-        sol = min_line_cover(matrix)
+        sol = min_line_cover(piercing_matrix(bodies, lines))
     except UncoverableError as exc:
-        report = {
-            "uncoverable": True,
-            "rows": list(exc.rows),
-            "n_bodies": len(bodies),
-            "n_lines": len(lines),
-        }
+        report = {"uncoverable": True, "rows": list(exc.rows), **shape}
         _write(args.out, _dump_json(report))
+        if args.verify:
+            # the matrix decides rulings by the support rule; the geometric
+            # pierce cross-checks that every pool line misses each listed body
+            for i in exc.rows:
+                if any(pierce(line, bodies[i]) for line in lines):
+                    raise InternalError(f"verification failed: a pool line pierces body {i}")
+            _verify_report(args.out, report, f"{len(exc.rows)} uncoverable rows")
         print(f"uncoverable rows: {list(exc.rows)}")
         return EXIT_UNCOVERABLE
     report = {
@@ -244,21 +255,19 @@ def cmd_cover(args) -> int:
         "columns": list(sol.columns),
         "exact": sol.exact,
         "lower_bound": sol.lower_bound,
-        "n_bodies": len(bodies),
-        "n_lines": len(lines),
+        **shape,
     }
     _write(args.out, _dump_json(report))
     if args.verify:
         # the matrix decides rulings by the support rule; the geometric
-        # pierce cross-checks it on the columns the report states
-        with _reading_back(args.out):
-            chosen = [lines[c] for c in _read_json(args.out)["columns"]]
+        # pierce cross-checks it on the columns of the cover
+        chosen = [lines[c] for c in sol.columns]
         for i, body in enumerate(bodies):
             if not any(pierce(line, body) for line in chosen):
                 raise InternalError(
                     f"verification failed: body {i} is pierced by no line of the cover"
                 )
-        print("verified cover")
+        _verify_report(args.out, report, "cover")
     print(f"cover size {sol.size} (exact={sol.exact}) -> {args.out}")
     return EXIT_OK
 

@@ -122,18 +122,6 @@ class TiltedPlane:
         if self.eps <= 0:
             raise ValueError(f"tilt must be positive, got {format_rational(self.eps)}")
 
-    def holds(self, pt: Point3) -> bool:
-        return pt.y == self.q + pt.x * self.eps
-
-    def chart(self, pt: Point3) -> tuple[Scalar, Scalar]:
-        """Chart (u, w) = (x, z); only defined on the plane."""
-        if not self.holds(pt):
-            raise ValueError(
-                f"point not on the plane y = {format_rational(self.q)} + "
-                f"{format_rational(self.eps)}*x"
-            )
-        return (pt.x, pt.z)
-
     def from_chart(self, u: Fraction, w: Fraction) -> Point3:
         return Point3(u, self.q + self.eps * u, w)
 
@@ -146,24 +134,26 @@ PLANE_PARALLEL = "parallel"
 @dataclass(frozen=True)
 class PlaneIntersection:
     kind: str  # PLANE_HIT | PLANE_CONTAINED | PLANE_PARALLEL
-    point: Point3 | None = None
+    chart: tuple[Fraction, Fraction] | None = None  # (u, w) of a PLANE_HIT
 
 
 def line_plane_intersection(line: Line3, plane: TiltedPlane) -> PlaneIntersection:
-    """Meet base + s*dir with the plane y = q + eps*x.
+    """Meet base + s*dir with the plane y = q + eps*x, in the plane's chart.
 
-    With eps = en/ed cleared, (ed*dy - en*dx)*s = ed*(q - y0) + en*x0:
-    every intermediate is one of the line's rationals scaled by an integer.
+    With eps = en/ed cleared, den*s = num for num = ed*(q - y0) + en*x0 and
+    den = ed*dy - en*dx.  den == 0: the line is parallel, and contained iff
+    num == 0.  Otherwise the hit is (u, w) = (x0 + s*dx, z0 + s*dz); its
+    y = y0 + s*dy is on the plane by the choice of s, so it is not formed.
     """
     dx, dy, dz = line.dir
+    base = line.base
     en, ed = plane.eps.numerator, plane.eps.denominator
-    denom = ed * dy - en * dx
-    if denom == 0:
-        if plane.holds(line.base):
-            return PlaneIntersection(PLANE_CONTAINED)
-        return PlaneIntersection(PLANE_PARALLEL)
-    s = (ed * (plane.q - line.base.y) + en * line.base.x) / denom
-    return PlaneIntersection(PLANE_HIT, line.at(s))
+    num = ed * (plane.q - base.y) + en * base.x
+    den = ed * dy - en * dx
+    if den == 0:
+        return PlaneIntersection(PLANE_CONTAINED if num == 0 else PLANE_PARALLEL)
+    s = num / den
+    return PlaneIntersection(PLANE_HIT, (base.x + s * dx, base.z + s * dz))
 
 
 def line_to_record(line: Line3) -> dict:

@@ -282,7 +282,7 @@ def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
         return Certificate("plane-parallel", residual, "!=", Fraction(0))
     if hit.kind == PLANE_CONTAINED:
         return _in_plane_miss(line, body)
-    u, w = body.plane.chart(hit.point)
+    u, w = hit.chart
     if u < body.r_min:
         return Certificate("point-below-range", u, "<", body.r_min)
     if u > body.r_max:

@@ -75,6 +75,22 @@ class TestConstruct:
         assert main(["construct", "--delta", "1/2", "-N", "5",
                      "--out", str(family), "--verify"]) == 0
 
+    def test_verify_compares_the_reloaded_bodies(self, tmp_path, monkeypatch, capsys):
+        """A writer that drops a support's single-point pieces keeps every
+        measure, and the family it writes re-renders to the same text; only
+        the comparison with the built bodies catches it."""
+        assert FamilyStream(F(1, 2)).truncate(1)[0].support.points[:2] == (0, 0)
+        record_of = cli.body_to_record
+
+        def without_points(body):
+            record = record_of(body)
+            record["support"] = [piece for piece in record["support"] if piece[0] != piece[1]]
+            return record
+        monkeypatch.setattr(cli, "body_to_record", without_points)
+        assert main(["construct", "--delta", "1/2", "-N", "12",
+                     "--out", str(tmp_path / "f.jsonl"), "--verify"]) == 5
+        assert "reloaded family differs" in capsys.readouterr().err
+
     def test_bad_delta_is_input_error(self, tmp_path):
         out = tmp_path / "x.jsonl"
         assert main(["construct", "--delta", "0", "-N", "3", "--out", str(out)]) == 3
@@ -698,6 +714,43 @@ class TestInternalError:
         monkeypatch.setattr(refutation, "_ruling_pierces", lambda cls, body: True)
         assert main(["cover", "--family", str(family), "--lines", str(lines),
                      "--out", str(tmp_path / "c.json"), "--verify"]) == 5
+        self.assert_one_line(capsys.readouterr().err)
+
+    def test_uncoverable_cross_check_disagreement(self, tmp_path, monkeypatch, capsys):
+        """A support rule that misses every body lists them all as
+        uncoverable; the geometric pierce finds the x = j/16 meeting each."""
+        family = construct(tmp_path, count=3)
+        lines = tmp_path / "lines.jsonl"
+        write_lines(lines, [ruling_line_x(F(j, 16)) for j in range(17)])
+        monkeypatch.setattr(refutation, "_ruling_pierces", lambda cls, body: False)
+        assert main(["cover", "--family", str(family), "--lines", str(lines),
+                     "--out", str(tmp_path / "c.json"), "--verify"]) == 5
+        err = capsys.readouterr().err
+        self.assert_one_line(err)
+        assert "a pool line pierces body 0" in err
+
+    @pytest.mark.parametrize("command, code", [("witness", 2), ("refute", 2), ("cover", 4)])
+    def test_verify_reads_back_exhausted_and_uncoverable_reports(
+        self, tmp_path, capsys, command, code
+    ):
+        """--verify reads back the report of an exhausted search or an
+        uncoverable pool too, so one that is not kept fails the re-check."""
+        family = construct(tmp_path, count=2)
+        lines = tmp_path / "lines.jsonl"
+        # x = 2 lies outside every support; the x = j/16 leave no body unpierced
+        pool = [ruling_line_x(F(2))] if command == "cover" else [
+            ruling_line_x(F(j, 16)) for j in range(17)]
+        write_lines(lines, pool)
+        argv = {
+            # the first two bodies share only the point 0
+            "witness": ["witness", "--t", "3", "--family", str(family)],
+            "refute": ["refute", "--delta", "1/2", "--lines", str(lines), "--nmax", "5"],
+            "cover": ["cover", "--family", str(family), "--lines", str(lines)],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "report.json"), "--verify"]) == code
+        assert capsys.readouterr().out.startswith("verified ")
+        assert main([*argv, "--out", os.devnull, "--verify"]) == 5
         self.assert_one_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))

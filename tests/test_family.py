@@ -19,7 +19,7 @@ from linepierce.family import (
     m_of,
 )
 from linepierce.exactnum import QuadExt, format_rational
-from linepierce.geometry import Line3, Point3, TiltedPlane
+from linepierce.geometry import Line3, TiltedPlane
 from linepierce.intervals import IntervalSet, make_cover, remove_intervals
 from linepierce.refutation import pierce
 from oracles import pieces
@@ -407,13 +407,12 @@ SLAB = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([(F(1, 2)
     (lambda: IntervalSet.unit().gap_around(TINY), TINY),
     (lambda: SLAB.lower_envelope(TINY), TINY),
     (lambda: TiltedPlane(F(1, 2), -TINY), -TINY),
-    (lambda: TiltedPlane(F(1, 2), TINY).chart(Point3(F(0), F(0), F(0))), TINY),
     (lambda: make_cover(1 + TINY, 1), 1 + TINY),
     (lambda: SupportAssigner(1 + TINY), 1 + TINY),
     (lambda: FamilyStream(-TINY), -TINY),
     (lambda: next(dyadic_approach(1 + TINY)), 1 + TINY),
     (lambda: QuadExt(F(0), F(1), 2 + TINY) + QuadExt(F(0), F(1), F(3)), 2 + TINY),
-], ids=["from_pairs", "gap_around", "lower_envelope", "tilt", "chart", "make_cover",
+], ids=["from_pairs", "gap_around", "lower_envelope", "tilt", "make_cover",
         "assigner", "stream", "dyadic_approach", "radicands"])
 def test_error_messages_render_long_rationals(call, shown):
     with pytest.raises(ValueError) as info:

@@ -199,7 +199,8 @@ class TestPlaneIntersection:
         plane = TiltedPlane(F(1, 2), F(1, 16))
         hit = line_plane_intersection(ruling_line_x(F(1, 4)), plane)
         assert hit.kind == PLANE_HIT
-        assert (hit.point.x, hit.point.y, hit.point.z) == (F(1, 4), F(33, 64), F(33, 256))
+        assert hit.chart == (F(1, 4), F(33, 256))
+        assert plane.from_chart(*hit.chart) == Point3(F(1, 4), F(33, 64), F(33, 256))
 
     def test_parallel(self):
         plane = TiltedPlane(F(1, 2), F(1, 16))
@@ -220,10 +221,10 @@ class TestPlaneIntersection:
             hit = line_plane_intersection(line, plane)
             if hit.kind != PLANE_HIT:
                 continue
-            p = hit.point
-            assert p.y == plane.q + plane.eps * p.x
+            p = plane.from_chart(*hit.chart)
             dx, dy, dz = line.dir
-            # some rational s reproduces the point on each coordinate
+            # some rational s reproduces the point on each coordinate, y
+            # included: the chart point lifted to the plane is on the line
             for num, den in ((p.x - line.base.x, dx), (p.y - line.base.y, dy),
                              (p.z - line.base.z, dz)):
                 if den != 0:
@@ -268,36 +269,11 @@ class TestPlaneMeetDifferential:
             on_plane = line.base.y == plane.q + plane.eps * line.base.x
             assert hit.kind == (PLANE_CONTAINED if on_plane else PLANE_PARALLEL)
             return
-        p, b = hit.point, line.base
-        assert p.y == plane.q + plane.eps * p.x
-        # p - base is parallel to the direction: their cross product vanishes
+        # the chart point lifted to the plane is on the line: p - base is
+        # parallel to the direction, so their cross product vanishes
+        p, b = plane.from_chart(*hit.chart), line.base
         ox, oy, oz = p.x - b.x, p.y - b.y, p.z - b.z
         assert (oy * dz - oz * dy, oz * dx - ox * dz, ox * dy - oy * dx) == (0, 0, 0)
-
-
-class TestChart:
-    def test_projection(self):
-        plane = TiltedPlane(F(1, 2), F(1, 16))
-        pt = Point3(F(1, 4), F(33, 64), F(33, 256))
-        assert plane.chart(pt) == (F(1, 4), F(33, 256))
-
-    def test_plane_origin(self):
-        plane = TiltedPlane(F(1, 2), F(1, 16))
-        assert plane.chart(Point3(F(0), F(1, 2), F(0))) == (F(0), F(0))
-
-    def test_off_plane_rejected(self):
-        plane = TiltedPlane(F(1, 2), F(1, 16))
-        with pytest.raises(ValueError):
-            plane.chart(Point3(F(0), F(1, 3), F(0)))
-
-    def test_round_trip(self):
-        rng = random.Random(73)
-        plane = TiltedPlane(F(3, 7), F(1, 64))
-        for _ in range(100):
-            u = F(rng.randint(-20, 20), rng.randint(1, 20))
-            w = F(rng.randint(-20, 20), rng.randint(1, 20))
-            pt = plane.from_chart(u, w)
-            assert plane.chart(pt) == (u, w)
 
 
 class TestVerticalDistance:

@@ -44,7 +44,8 @@ class TestPierce:
         hit = line_plane_intersection(line, body.plane)
         r = F(1, 8)
         y = body.q + body.eps * r
-        assert (hit.point.x, hit.point.y, hit.point.z) == (r, y, r * y)
+        p = body.plane.from_chart(*hit.chart)
+        assert (p.x, p.y, p.z) == (r, y, r * y)
 
     def test_ruling_in_gap_misses(self):
         body = body_with_gap()
@@ -471,8 +472,8 @@ class TestVerticalClearance:
                 hit = line_plane_intersection(line, body.plane)
                 if hit.kind != PLANE_HIT:
                     continue
-                u, _ = body.plane.chart(hit.point)
-                offset = vertical_distance(hit.point)
+                u, _ = hit.chart
+                offset = vertical_distance(body.plane.from_chart(*hit.chart))
                 if pierce(line, body):
                     assert body.r_min <= u <= body.r_max
                     assert offset <= max_vertical_distance(body)

@@ -1,9 +1,10 @@
 """The package's public surface stays what the package itself uses.
 
-Every public top-level function or class in ``src/linepierce`` must be
-referenced somewhere in the package other than its own definition and the
-package root's re-export, so a helper kept alive only by its own tests fails
-here.  The allowlist names what the acceptance criteria call although the
+Every public top-level function or class in ``src/linepierce``, and every
+public method or property of a public class, must be referenced somewhere in
+the package other than its own definition and the package root's re-export,
+so a helper kept alive only by its own tests fails here.  References match
+by name.  The allowlist names what the acceptance criteria call although the
 package does not.
 """
 
@@ -31,6 +32,14 @@ def public_definitions(trees):
                 yield module, node
 
 
+def public_methods(trees):
+    for module, node in public_definitions(trees):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{module}.{node.name}", member
+
+
 def uses(trees, definition) -> int:
     """Names and attributes spelling the definition's name, outside its own
     body and outside the package root."""
@@ -55,6 +64,16 @@ def test_every_public_definition_is_used_by_the_package():
         f"{module}.{node.name}"
         for module, node in public_definitions(trees)
         if node.name not in ALLOWED_UNUSED and not uses(trees, node)
+    ]
+    assert unused == []
+
+
+def test_every_public_method_is_used_by_the_package():
+    trees = parsed_modules()
+    unused = [
+        f"{owner}.{node.name}"
+        for owner, node in public_methods(trees)
+        if not uses(trees, node)
     ]
     assert unused == []
 
