@@ -28,7 +28,6 @@ from .refutation import (
     InternalError,
     UncoverableError,
     min_line_cover,
-    non_piercing_certificate,
     pierce,
     piercing_matrix,
     refute,
@@ -114,14 +113,14 @@ def _read_json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _verify_report(path: str, report: dict, what: str) -> None:
+def _verify_report(path: str, report: dict) -> dict:
     """--verify of a JSON report: it must read back as the record the
-    command computed."""
+    command computed.  Returns the data read back."""
     with _reading_back(path):
         data = _read_json(path)
     if data != report:
         raise InternalError(f"verification failed: {path} does not state the computed report")
-    print(f"verified {what}")
+    return data
 
 
 def load_family(path: str) -> list[ConvexBody]:
@@ -162,7 +161,8 @@ def cmd_witness(args) -> int:
         report = {"found": False, "t": args.t, "bodies_searched": len(bodies)}
         _write(args.out, _dump_json(report))
         if args.verify:
-            _verify_report(args.out, report, "exhausted report")
+            _verify_report(args.out, report)
+            print("verified exhausted report")
         print(f"no witness in prefix of {len(bodies)} bodies for t={args.t}")
         return EXIT_EXHAUSTED
     r, members = found
@@ -183,7 +183,8 @@ def cmd_witness(args) -> int:
     }
     _write(args.out, _dump_json(report))
     if args.verify:
-        _verify_report(args.out, report, f"{len(members)} pierced bodies")
+        _verify_report(args.out, report)
+        print(f"verified {len(members)} pierced bodies")
     print(f"witness r={format_rational(r)} piercing {len(members)} bodies -> {args.out}")
     return EXIT_OK
 
@@ -196,39 +197,28 @@ def cmd_refute(args) -> int:
     outcome = refute(lines, FamilyStream(delta), args.nmax)
     report = outcome.to_record()
     _write(args.out, _dump_json(report))
+    if args.verify:
+        verify_refutation(args.out, report, lines)
     if not outcome.found:
-        if args.verify:
-            _verify_report(args.out, report, "exhausted report")
         print(f"exhausted after {outcome.checked} bodies")
         return EXIT_EXHAUSTED
-    if args.verify:
-        verify_refutation(args.out, lines)
-        print("verified refutation report")
     witness = outcome.witness
     print(f"witness q={witness.q} at emission {witness.f_index} -> {args.out}")
     return EXIT_OK
 
 
-def verify_refutation(report_path: str, lines: list[Line3]) -> None:
-    """Re-check a refutation report against the pool it refutes."""
-    with _reading_back(report_path):
-        data = _read_json(report_path)
-        body = body_from_record(data["witness"])
-    # the geometric pierce cross-checks the support rule behind the rulings'
-    # certificates
-    for line in lines:
-        if pierce(line, body):
+def verify_refutation(report_path: str, report: dict, lines: list[Line3]) -> None:
+    """--verify of a refute report: it must read back as the record refute
+    computed, and every pool line must miss the witness it states."""
+    data = _verify_report(report_path, report)
+    if data["found"]:
+        with _reading_back(report_path):
+            body = body_from_record(data["witness"])
+        # the geometric pierce cross-checks the support rule behind the
+        # rulings' certificates, which refute checked when it built them
+        if any(pierce(line, body) for line in lines):
             raise InternalError("verification failed: a pool line pierces the witness")
-    fresh = [non_piercing_certificate(line, body) for line in lines]
-    if any(cert is None for cert in fresh):
-        raise InternalError("verification failed: certificate line pierces")
-    if not all(cert.holds() for cert in fresh):
-        raise InternalError("verification failed: certificate inequality false")
-    if data.get("certificates") != [cert.to_record(i) for i, cert in enumerate(fresh)]:
-        raise InternalError(
-            "verification failed: the certificates are not one certificate per line, "
-            "in line order, as rebuilt"
-        )
+    print(f"verified {'refutation' if data['found'] else 'exhausted'} report")
 
 
 def cmd_cover(args) -> int:
@@ -246,7 +236,8 @@ def cmd_cover(args) -> int:
             for i in exc.rows:
                 if any(pierce(line, bodies[i]) for line in lines):
                     raise InternalError(f"verification failed: a pool line pierces body {i}")
-            _verify_report(args.out, report, f"{len(exc.rows)} uncoverable rows")
+            _verify_report(args.out, report)
+            print(f"verified {len(exc.rows)} uncoverable rows")
         print(f"uncoverable rows: {list(exc.rows)}")
         return EXIT_UNCOVERABLE
     report = {
@@ -267,7 +258,8 @@ def cmd_cover(args) -> int:
                 raise InternalError(
                     f"verification failed: body {i} is pierced by no line of the cover"
                 )
-        _verify_report(args.out, report, "cover")
+        _verify_report(args.out, report)
+        print("verified cover")
     print(f"cover size {sol.size} (exact={sol.exact}) -> {args.out}")
     return EXIT_OK
 

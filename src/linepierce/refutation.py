@@ -394,7 +394,7 @@ class RefutationOutcome:
         }
 
 
-def refute(lines: list[Line3], stream: FamilyStream, n_max: int = 100_000) -> RefutationOutcome:
+def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOutcome:
     """First family member missed by every line in the pool.
 
     Rulings are decided by the support rule and the other lines by

@@ -212,7 +212,7 @@ def refutation_fixtures():
     return pools
 
 
-def _run_refute_cli(tmp_path, tag, pool, nmax=100_000):
+def _run_refute_cli(tmp_path, tag, pool):
     lines = tmp_path / f"{tag}-lines.jsonl"
     out = tmp_path / f"{tag}-report.json"
     lines.write_text(
@@ -220,7 +220,7 @@ def _run_refute_cli(tmp_path, tag, pool, nmax=100_000):
         encoding="utf-8",
     )
     code = main(["refute", "--delta", "1/2", "--lines", str(lines),
-                 "--nmax", str(nmax), "--out", str(out), "--verify"])
+                 "--out", str(out), "--verify"])
     return code, out
 
 

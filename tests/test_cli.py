@@ -312,22 +312,24 @@ class TestPinnedReadReports:
         )
 
 
+# two x-rulings, a y-ruling, a line crossing the surface at x = y = -sqrt(2)
+# and x = y = sqrt(2), and a line tangent to it at (1/2, 1/2, 1/4)
+MIXED_POOL = [
+    ruling_line_x(F(1, 3)),
+    ruling_line_x(F(2, 3)),
+    ruling_line_y(F(3, 7)),
+    Line3(Point3(F(0), F(0), F(2)), (F(1), F(1), F(0))),
+    Line3(Point3(F(1, 2), F(1, 2), F(1, 4)), (F(1), F(1), F(1))),
+]
+
+
 class TestPinnedRefuteReport:
-    """refute --verify on a small mixed pool, report and stdout pinned at
-    the commit before --verify took the pool the command had parsed: two
-    x-rulings, a y-ruling, a line crossing the surface at x = y = -sqrt(2)
-    and x = y = sqrt(2), and a line tangent to it at (1/2, 1/2, 1/4)."""
+    """refute --verify on MIXED_POOL, report and stdout pinned at the commit
+    before --verify took the pool the command had parsed."""
 
     def test_report_and_stdout_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # relative paths, so stdout is the same anywhere
-        pool = [
-            ruling_line_x(F(1, 3)),
-            ruling_line_x(F(2, 3)),
-            ruling_line_y(F(3, 7)),
-            Line3(Point3(F(0), F(0), F(2)), (F(1), F(1), F(0))),
-            Line3(Point3(F(1, 2), F(1, 2), F(1, 4)), (F(1), F(1), F(1))),
-        ]
-        write_lines(Path("lines.jsonl"), pool)
+        write_lines(Path("lines.jsonl"), MIXED_POOL)
         assert main(["refute", "--delta", "1/2", "--lines", "lines.jsonl",
                      "--out", "r.json", "--verify"]) == 0
         report = Path("r.json").read_bytes()
@@ -448,11 +450,23 @@ class TestVerifyRefutation:
     ], ids=["empty", "line-out-of-range", "out-of-order", "one-missing", "lhs-changed",
             "case-changed"])
     def test_certificates_must_match_lines_one_to_one(self, tmp_path, tamper):
-        lines, out, data = self.refuted(tmp_path)
+        lines, out, report = self.refuted(tmp_path)
+        data = copy.deepcopy(report)
         tamper(data["certificates"])
         out.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(InternalError, match="one certificate per line"):
-            verify_refutation(str(out), lines)
+        with pytest.raises(InternalError, match="does not state the computed report"):
+            verify_refutation(str(out), report, lines)
+
+    def test_certificates_are_checked_once(self, tmp_path, monkeypatch):
+        """refute checks each certificate as it builds it; --verify compares
+        the report whole and does not rebuild or re-evaluate them."""
+        lines = tmp_path / "lines.jsonl"
+        write_lines(lines, MIXED_POOL)
+        calls, holds = [], Certificate.holds
+        monkeypatch.setattr(Certificate, "holds", lambda cert: calls.append(cert) or holds(cert))
+        assert main(["refute", "--delta", "1/2", "--lines", str(lines),
+                     "--out", str(tmp_path / "r.json"), "--verify"]) == 0
+        assert len(calls) == len(MIXED_POOL)
 
 
 GOOD_LINE = {"base": ["1/2", "0/1", "0/1"], "dir": ["0/1", "1/1", "1/2"]}
@@ -645,6 +659,15 @@ CORRUPTIONS = {
     "witness": ("witness", "w.json", _edit_json(lambda data: data.update(r="2"))),
     "refute": ("refute", "r.json",
                _edit_json(lambda data: data["certificates"][0].update(lhs="-7/3"))),
+    "refute-emission-index": ("refute", "r.json",
+                              _edit_json(lambda data: data.update(emission_index=999))),
+    "refute-checked": ("refute", "r.json",
+                       _edit_json(lambda data: data.update(checked=data["checked"] + 1))),
+    "refute-line-class": ("refute", "r.json",
+                          _edit_json(lambda data: data["lines"][0].update({"class": "generic"}))),
+    "refute-surface-point": ("refute", "r.json",
+                             _edit_json(lambda data: data["lines"][3]["surface_points"][0]
+                                        .update(x="0/1"))),
     "cover": ("cover", "c.json", _edit_json(lambda data: data.update(columns=[0]))),
     "export-plot": ("export-plot", "arcs.csv", lambda text: text.rsplit(",", 1)[0] + ",5\n"),
     "construct-unreadable": ("construct", "out.jsonl", lambda text: text + "not json\n"),
@@ -761,6 +784,8 @@ class TestInternalError:
         lines = tmp_path / "lines.jsonl"
         # x = 2 lies outside every support; some x = j/16 meets each body
         write_lines(lines, [ruling_line_x(F(2))] + [ruling_line_x(F(j, 16)) for j in range(17)])
+        pool = tmp_path / "pool.jsonl"
+        write_lines(pool, MIXED_POOL)
         command, name, corrupt = CORRUPTIONS[case]
         write = cli._write
         monkeypatch.setattr(cli, "_write", lambda path, text: write(
@@ -768,7 +793,7 @@ class TestInternalError:
         argv = {
             "construct": ["construct", "--delta", "1/2", "-N", "3"],
             "witness": ["witness", "--t", "1", "--family", str(family)],
-            "refute": ["refute", "--delta", "1/2", "--lines", str(lines)],
+            "refute": ["refute", "--delta", "1/2", "--lines", str(pool)],
             "cover": ["cover", "--family", str(family), "--lines", str(lines)],
             "export-plot": ["export-plot", "--family", str(family), "--samples", "2"],
         }[command]
