@@ -85,7 +85,8 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[object], object]) -> list
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     records, problems = [], []
-    for ln, line in enumerate(raw.splitlines(), start=1):
+    # "\n" only: splitlines also breaks at U+2028, which a JSON string may hold
+    for ln, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

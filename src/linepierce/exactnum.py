@@ -3,10 +3,10 @@
 Every geometric predicate in this package compares rationals, plain
 ``fractions.Fraction`` (always reduced, positive denominator, canonical).
 ``QuadExt``, a value a + b*sqrt(d) with rational a, b and rational d >= 0,
-holds the roots of rational quadratics: the line/surface crossing points
-that ``refute`` reports are computed and rendered in it, and no decision
-evaluates its sign.  It deliberately does not support towers of distinct
-radicals.
+holds the roots of rational quadratics and the line/surface crossings that
+``refute`` reports, each built from its root's rational parts: the package
+renders it but runs none of its arithmetic or signs, which stay for the
+tests' oracles.  It deliberately does not support towers of distinct radicals.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ class QuadExt:
         return self._diff_sign(other) >= 0
 
     def __str__(self) -> str:
+        if self.is_rational:
+            return format_rational(self.a)
         return (
             f"{format_rational(self.a)} + "
             f"{format_rational(self.b)}*sqrt({format_rational(self.d)})"

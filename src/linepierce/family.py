@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import gcd, isqrt
+from numbers import Rational
 
 from .exactnum import format_rational, parse_rational
 from .geometry import TiltedPlane
@@ -243,6 +244,8 @@ class ConvexBody:
     support: IntervalSet
 
     def __post_init__(self) -> None:
+        if not isinstance(self.q, Rational):
+            raise ValueError("body offset q must be rational")
         points = self.support.points
         if not points:
             raise ValueError("body support must be nonempty")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .exactnum import QuadExt, Scalar, format_rational, parse_rational, solve_quadratic
 
@@ -29,28 +30,20 @@ class Point3:
     y: Scalar
     z: Scalar
 
-    def is_rational(self) -> bool:
-        return all(not isinstance(c, QuadExt) for c in (self.x, self.y, self.z))
-
 
 @dataclass(frozen=True)
 class Line3:
-    """Parametric rational line base + s*dir."""
+    """Parametric line base + s*dir; all six coordinates must be rationals."""
 
     base: Point3
     dir: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        if not self.base.is_rational():
-            raise ValueError("line base must have rational coordinates")
-        if any(isinstance(c, QuadExt) for c in self.dir):
-            raise ValueError("line direction must have rational coordinates")
+        coords = (self.base.x, self.base.y, self.base.z, *self.dir)
+        if not all(isinstance(c, Rational) for c in coords):
+            raise ValueError("line coordinates must be rational")
         if all(c == 0 for c in self.dir):
             raise ValueError("line direction must be nonzero")
-
-    def at(self, s: Scalar) -> Point3:
-        dx, dy, dz = self.dir
-        return Point3(self.base.x + s * dx, self.base.y + s * dy, self.base.z + s * dz)
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,8 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
     Substituting base + s*dir gives A s^2 + B s + C with A = dx*dy,
     B = px*dy + py*dx - dz, C = px*py - pz.  Identically zero means the
     whole line lies on the surface; otherwise 0, 1 or 2 parameter roots,
-    a tangency reported as a single point.
+    a tangency reported as a single point.  At a root r = ra + rb*sqrt(d)
+    each coordinate p + r*dp is formed as (p + ra*dp) + (rb*dp)*sqrt(d).
     """
     dx, dy, dz = line.dir
     p = line.base
@@ -108,7 +102,11 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
     c = p.x * p.y - p.z
     if a == 0 and bq == 0 and c == 0:
         return SurfaceIntersection(on_surface=True)
-    return SurfaceIntersection(False, tuple(line.at(r) for r in solve_quadratic(a, bq, c)))
+    coords = (p.x, p.y, p.z)
+    return SurfaceIntersection(False, tuple(
+        Point3(*(QuadExt(pc + r.a * dc, r.b * dc, r.d) for pc, dc in zip(coords, line.dir)))
+        for r in solve_quadratic(a, bq, c)
+    ))
 
 
 @dataclass(frozen=True)

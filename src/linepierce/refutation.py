@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadExt, Scalar, format_rational
+from .exactnum import format_rational
 from .family import ConvexBody, FamilyStream, body_to_record
 from .geometry import (
     GENERIC,
@@ -36,7 +36,6 @@ from .geometry import (
     X_RULING,
     Line3,
     LineClass,
-    Point3,
     SurfaceIntersection,
     classify_line,
     line_plane_intersection,
@@ -257,22 +256,22 @@ def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
         return None
     u = _ruling_abscissa(cls, body)
     if cls.kind == X_RULING:
-        tag = "support"
+        if u < body.r_min:
+            return Certificate("support-below-range", u, "<", body.r_min)
+        if u > body.r_max:
+            return Certificate("support-above-range", u, ">", body.r_max)
+        gap = "support-gap"
     else:
-        # out of range reads as b outside the body's y-slab
+        # eps > 0, so u < r_min iff b < y_lo and u > r_max iff b > y_hi
         b = cls.param
         y_lo, y_hi = body.y_range()
         if b < y_lo:
             return Certificate("plane-slab-below", b, "<", y_lo)
         if b > y_hi:
             return Certificate("plane-slab-above", b, ">", y_hi)
-        tag = "slab"
-    if u < body.r_min:
-        return Certificate(f"{tag}-below-range", u, "<", body.r_min)
-    if u > body.r_max:
-        return Certificate(f"{tag}-above-range", u, ">", body.r_max)
+        gap = "slab-gap"
     # on-parabola point strictly under the gap chord
-    return Certificate(f"{tag}-gap", body.parabola(u), "<", body.lower_envelope(u))
+    return Certificate(gap, body.parabola(u), "<", body.lower_envelope(u))
 
 
 def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
@@ -334,16 +333,6 @@ def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     return None
 
 
-def _scalar_str(x: Scalar) -> str:
-    if isinstance(x, QuadExt):
-        return format_rational(x.a) if x.is_rational else str(x)
-    return format_rational(x)
-
-
-def _point_record(pt: Point3) -> dict:
-    return {"x": _scalar_str(pt.x), "y": _scalar_str(pt.y), "z": _scalar_str(pt.z)}
-
-
 @dataclass(frozen=True)
 class LineInfo:
     cls: LineClass
@@ -355,7 +344,9 @@ class LineInfo:
             "class": self.cls.kind,
             "param": None if self.cls.param is None else format_rational(self.cls.param),
             "on_surface": self.meet.on_surface,
-            "surface_points": [_point_record(p) for p in self.meet.points],
+            "surface_points": [
+                {"x": str(p.x), "y": str(p.y), "z": str(p.z)} for p in self.meet.points
+            ],
         }
 
 

@@ -9,8 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from linepierce.geometry import Point3
+from linepierce.geometry import Line3, Point3
 from linepierce.intervals import IntervalSet
+
+
+def point_at(line: Line3, s: Fraction) -> Point3:
+    """The point base + s*dir of a line, for a rational s."""
+    (dx, dy, dz), b = line.dir, line.base
+    return Point3(b.x + s * dx, b.y + s * dy, b.z + s * dz)
 
 
 def vertical_distance(pt: Point3) -> Fraction:

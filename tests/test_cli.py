@@ -18,8 +18,16 @@ from hypothesis import strategies as st
 import linepierce
 from linepierce import cli, refutation
 from linepierce.cli import load_lines, main, verify_refutation
+from linepierce.exactnum import QuadExt
 from linepierce.family import ConvexBody, FamilyStream, body_to_record
-from linepierce.geometry import Line3, Point3, line_to_record, ruling_line_x, ruling_line_y
+from linepierce.geometry import (
+    Line3,
+    Point3,
+    line_surface_intersection,
+    line_to_record,
+    ruling_line_x,
+    ruling_line_y,
+)
 from linepierce.intervals import IntervalSet
 from linepierce.refutation import Certificate, InternalError, pierce
 
@@ -328,6 +336,25 @@ class TestPinnedRefuteReport:
     before --verify took the pool the command had parsed."""
 
     def test_report_and_stdout_pinned(self, tmp_path, monkeypatch, capsys):
+        self.check_pinned(tmp_path, monkeypatch, capsys)
+
+    def test_crossings_need_no_radical_arithmetic(self, tmp_path, monkeypatch, capsys):
+        """Each crossing is formed from its root's rational parts, so the
+        pinned report comes out with QuadExt's arithmetic and sign disabled."""
+        def refuse(*args):
+            raise AssertionError("QuadExt arithmetic ran")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__neg__", "sign"):
+            monkeypatch.setattr(QuadExt, name, refuse)
+        meet = line_surface_intersection(MIXED_POOL[3])
+        assert [(str(p.x), str(p.y), str(p.z)) for p in meet.points] == [
+            ("0/1 + -1/2*sqrt(8/1)", "0/1 + -1/2*sqrt(8/1)", "2/1"),
+            ("0/1 + 1/2*sqrt(8/1)", "0/1 + 1/2*sqrt(8/1)", "2/1"),
+        ]
+        self.check_pinned(tmp_path, monkeypatch, capsys)
+
+    def check_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # relative paths, so stdout is the same anywhere
         write_lines(Path("lines.jsonl"), MIXED_POOL)
         assert main(["refute", "--delta", "1/2", "--lines", "lines.jsonl",
@@ -341,6 +368,17 @@ class TestPinnedRefuteReport:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "382c6826ba2fd56411a9e3f697e546cd47c8cf871c93375bf7901bca62052d73"
         )
+
+
+def test_a_raw_line_separator_in_a_string_ends_no_record(tmp_path):
+    """JSON allows U+2028, U+2029 and U+0085 raw inside a string; only a
+    newline ends a JSON-lines record."""
+    lines = tmp_path / "lines.jsonl"
+    record = {**line_to_record(MIXED_POOL[0]), "note": "a\u2028b\u2029c\x85d"}
+    lines.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert load_lines(str(lines)) == [MIXED_POOL[0]]
+    assert main(["refute", "--delta", "1/2", "--lines", str(lines),
+                 "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestExportPlot:

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -274,6 +275,12 @@ class TestBuildBody:
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
             ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([]))
+
+    @pytest.mark.parametrize("q", [0.3, Decimal("0.3")], ids=["float", "decimal"])
+    def test_offset_that_is_not_rational_rejected(self, q):
+        # a float q would carry into every certificate of the body
+        with pytest.raises(ValueError, match="rational"):
+            ConvexBody(q=q, f_index=1, support=IntervalSet.unit())
 
     def test_record_round_trip(self):
         body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +26,7 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
-from oracles import vertical_distance
+from oracles import point_at, vertical_distance
 
 
 def random_line(rng) -> Line3:
@@ -40,6 +41,17 @@ def random_line(rng) -> Line3:
 
 def surface_residual_sign(pt: Point3) -> int:
     return QuadExt.of(pt.z - pt.x * pt.y).sign()
+
+
+class TestRationalLine:
+    @pytest.mark.parametrize("odd", [0.5, Decimal("0.5"), QuadExt(F(0), F(1), F(2))],
+                             ids=["float", "decimal", "quadext"])
+    @pytest.mark.parametrize("at", range(6))
+    def test_rejects_a_coordinate_that_is_not_rational(self, odd, at):
+        coords = [F(1, 2), F(0), F(0), F(0), F(1), F(1, 2)]
+        coords[at] = odd
+        with pytest.raises(ValueError, match="rational"):
+            Line3(Point3(*coords[:3]), tuple(coords[3:]))
 
 
 class TestClassify:
@@ -157,7 +169,7 @@ def ruling_lines(rng) -> list[Line3]:
         c = F(rng.randint(-9, 9), rng.randint(1, 9))
         s, k = F(rng.randint(-5, 5), rng.randint(1, 5)), F(rng.randint(1, 5), rng.randint(1, 5))
         for line in (ruling_line_x(c), ruling_line_y(c)):
-            base = line.at(s)
+            base = point_at(line, s)
             out.append(Line3(base, tuple(k * d for d in line.dir)))
     return out
 
@@ -230,7 +242,7 @@ class TestPlaneIntersection:
                 if den != 0:
                     s = num / den
                     break
-            assert line.at(s) == p
+            assert point_at(line, s) == p
 
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)

@@ -195,6 +195,29 @@ class TestPierce:
                 assert pierce(ruling_line_x(r), body) == body.support.contains(r)
 
 
+def test_ruling_certificate_cases():
+    """Each ruling class has its own three miss cases.  A y-ruling never
+    reaches a range case: b leaves the y-slab exactly when its abscissa
+    (b - q)/eps leaves [r_min, r_max]."""
+    cases = {X_RULING: set(), Y_RULING: set()}
+    for body in FamilyStream(F(1, 2)).truncate(200):
+        gaps = list(zip(pieces(body.support), pieces(body.support)[1:]))[:3]
+        probes = [F(-1, 7), F(8, 7), body.r_min, body.r_max]
+        probes += [(hi + lo2) / 2 for (_, hi), (lo2, _) in gaps]
+        for u in probes:
+            for cls, line in ((X_RULING, ruling_line_x(u)),
+                              (Y_RULING, ruling_line_y(body.q + body.eps * u))):
+                cert = non_piercing_certificate(line, body)
+                assert (cert is None) == pierce(line, body)
+                if cert is not None:
+                    assert cert.holds()
+                    cases[cls].add(cert.case)
+    assert cases == {
+        X_RULING: {"support-below-range", "support-above-range", "support-gap"},
+        Y_RULING: {"plane-slab-below", "plane-slab-above", "slab-gap"},
+    }
+
+
 class TestMaxVerticalDistance:
     def test_full_span(self):
         body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.unit())
