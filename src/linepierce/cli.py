@@ -2,7 +2,9 @@
 
 All core computation is exact; decimals appear only in plot exports.  Every
 command writes deterministic artifacts (fixed key order, no timestamps), so
-re-running with the same flags reproduces files byte for byte.  Exit codes:
+re-running with the same flags reproduces files byte for byte.  Each flag's
+rule lives in its argparse type alone, so a bad value is a usage error that
+names the flag before any work starts.  Exit codes:
 0 success or witness found, 2 search/prefix exhausted, 3 input error
 (a command-line usage error included), 4 uncoverable pool, 5 internal error
 (two exact decision paths disagreed, or a --verify re-check failed on what
@@ -15,7 +17,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from decimal import MAX_PREC, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -44,23 +46,27 @@ class InputError(Exception):
     pass
 
 
-def _parse_delta(text: str) -> Fraction:
-    try:
-        delta = parse_rational(text)
-    except ValueError as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from exc
-    if not (0 < delta < 1):
-        raise InputError(f"delta must lie strictly between 0 and 1, got {text}")
-    return delta
+def _flag(parse: Callable[[str], object], holds: Callable[[object], bool], rule: str):
+    """An argparse type that parses the text and requires the value to hold;
+    either failure is a usage error naming the flag."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
+        return value
+    return convert
 
 
-def _integer(text: str) -> int:
-    """Type of the integer flags: ``parse_integer``, whose ValueError
-    argparse reports as a usage error."""
-    try:
-        return parse_integer(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+# exact rendering and its --verify read-back grow about quadratically in the digits
+MAX_PRECISION = 10_000
+
+_delta = _flag(parse_rational, lambda d: 0 < d < 1, "lie strictly between 0 and 1")
+_positive = _flag(parse_integer, lambda n: n >= 1, "be positive")
+_precision = _flag(parse_integer, lambda n: 1 <= n <= MAX_PRECISION,
+                   f"lie in [1, {MAX_PRECISION}]")
 
 
 def _dump_json(obj) -> str:
@@ -136,17 +142,14 @@ def load_lines(path: str) -> list[Line3]:
 
 
 def cmd_construct(args) -> int:
-    delta = _parse_delta(args.delta)
-    if args.count < 1:
-        raise InputError(f"count must be positive, got {args.count}")
-    bodies = FamilyStream(delta).truncate(args.count)
+    bodies = FamilyStream(args.delta).truncate(args.count)
     _write(args.out, _dump_jsonl(body_to_record(b) for b in bodies))
     if args.verify:
         with _reading_back(args.out):
             reloaded = load_family(args.out)
         if reloaded != bodies:
             raise InternalError("verification failed: reloaded family differs")
-        if any(b.support.measure() < delta for b in reloaded):
+        if any(b.support.measure() < args.delta for b in reloaded):
             raise InternalError("verification failed: support below delta")
         print(f"verified {len(reloaded)} bodies")
     print(f"wrote {len(bodies)} bodies to {args.out}")
@@ -154,8 +157,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.t < 1:
-        raise InputError(f"t must be positive, got {args.t}")
     bodies = load_family(args.family)
     found = deep_witness([b.support for b in bodies], args.t)
     if found is None:
@@ -191,11 +192,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    delta = _parse_delta(args.delta)
-    if args.nmax < 1:
-        raise InputError(f"nmax must be positive, got {args.nmax}")
     lines = load_lines(args.lines)
-    outcome = refute(lines, FamilyStream(delta), args.nmax)
+    outcome = refute(lines, FamilyStream(args.delta), args.nmax)
     report = outcome.to_record()
     _write(args.out, _dump_json(report))
     if args.verify:
@@ -266,10 +264,6 @@ def cmd_cover(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    if args.samples < 1:
-        raise InputError(f"samples must be positive, got {args.samples}")
-    if not (1 <= args.precision <= MAX_PREC):
-        raise InputError(f"precision must lie in [1, {MAX_PREC}], got {args.precision}")
     bodies = load_family(args.family)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -311,10 +305,11 @@ def cmd_export_plot(args) -> int:
     if args.verify:
         arcs = str(outdir / "arcs.csv")
         with _reading_back(arcs):
-            rows = Path(arcs).read_text(encoding="utf-8").splitlines()[1:]
-            # exact, so no digit the export rendered is lost to rounding
-            gaps = [abs(Fraction(z) - Fraction(x) * Fraction(y))
-                    for _, _, _, _, x, y, z in (row.split(",") for row in rows)]
+            lines = Path(arcs).read_text(encoding="utf-8").splitlines()[1:]
+            # exact, so no digit the export rendered is lost to rounding, and
+            # through Decimal, which reads a string of any length
+            rows = [[Fraction(Decimal(v)) for v in line.split(",")[4:]] for line in lines]
+            gaps = [abs(z - x * y) for x, y, z in rows]
         if len(gaps) != len(bodies) * args.samples:
             raise InternalError("verification failed: arcs.csv does not hold every sample")
         if max(gaps) > Fraction(10) ** (3 - args.precision):
@@ -331,27 +326,32 @@ def build_parser() -> argparse.ArgumentParser:
         "of families of thin convex bodies on the surface z = x*y.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command writes one artifact and can re-check it
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", required=True,
+                        help="output file (export-plot: output directory)")
+    shared.add_argument("--verify", action="store_true",
+                        help="read back what was written and re-check it")
 
-    p = sub.add_parser("construct", help="write a family prefix as JSON lines")
-    p.add_argument("--delta", required=True, help="support measure bound in (0,1), e.g. 1/2")
-    p.add_argument("--count", "-N", type=_integer, required=True, help="number of bodies")
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true")
+    p = sub.add_parser("construct", parents=[shared], help="write a family prefix as JSON lines")
+    p.add_argument("--delta", type=_delta, required=True,
+                   help="support measure bound in (0,1), e.g. 1/2")
+    p.add_argument("--count", "-N", type=_positive, required=True, help="number of bodies")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("witness", help="find one line piercing t bodies of a family file")
-    p.add_argument("--t", type=_integer, required=True)
+    p = sub.add_parser("witness", parents=[shared],
+                       help="find one line piercing t bodies of a family file")
+    p.add_argument("--t", type=_positive, required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("refute", help="find a family member missed by every pool line")
-    p.add_argument("--delta", required=True)
+    p = sub.add_parser("refute", parents=[shared],
+                       help="find a family member missed by every pool line")
+    p.add_argument("--delta", type=_delta, required=True)
     p.add_argument("--lines", required=True)
     p.add_argument(
         "--nmax",
-        type=_integer,
+        type=_positive,
         default=100_000,
         help="stream search budget in bodies (default 100000); the first 40 "
         "base-rational x-rulings are refuted at emission 861 in about 0.4 s, "
@@ -359,23 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
         "cost per body grows along the stream, so the whole default budget "
         "is far beyond any run measured",
     )
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_refute)
 
-    p = sub.add_parser("cover", help="minimum piercing line cover over a candidate pool")
+    p = sub.add_parser("cover", parents=[shared],
+                       help="minimum piercing line cover over a candidate pool")
     p.add_argument("--family", required=True)
     p.add_argument("--lines", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("export-plot", help="CSV samples of bodies and the surface")
+    p = sub.add_parser("export-plot", parents=[shared],
+                       help="CSV samples of bodies and the surface")
     p.add_argument("--family", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--samples", type=_integer, default=64)
-    p.add_argument("--precision", type=_integer, default=12, help="significant digits")
-    p.add_argument("--verify", action="store_true")
+    p.add_argument("--samples", type=_positive, default=64)
+    p.add_argument("--precision", type=_precision, default=12, help="significant digits")
     p.set_defaults(func=cmd_export_plot)
 
     return parser

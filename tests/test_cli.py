@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import linepierce
 from linepierce import cli, refutation
-from linepierce.cli import load_lines, main, verify_refutation
+from linepierce.cli import MAX_PRECISION, load_lines, main, verify_refutation
 from linepierce.exactnum import QuadExt
 from linepierce.family import ConvexBody, FamilyStream, body_to_record
 from linepierce.geometry import (
@@ -413,13 +413,25 @@ class TestExportPlot:
         assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
                      "--precision", precision]) == 3
 
-    @pytest.mark.parametrize("precision", ["40", "120"])
+    # 4298 renders values of more than 4,300 digits, Python's limit for int(str)
+    @pytest.mark.parametrize("precision", ["40", "120", "4298", str(MAX_PRECISION)])
     def test_verify_past_the_default_decimal_precision(self, tmp_path, precision):
         """The surface gap is checked exactly, not in Decimal's default
-        28-digit context, so rendering more digits cannot fail --verify."""
+        28-digit context, and read back through Decimal, which has no digit
+        limit, so rendering more digits cannot fail --verify."""
         family = construct(tmp_path, count=24)
         assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
                      "--samples", "8", "--precision", precision, "--verify"]) == 0
+
+    def test_precision_past_the_cap_is_refused_before_any_work(self, tmp_path, capsys):
+        # body 10 has q = 7/12, whose decimal expansion does not end, so
+        # rendering it to decimal.MAX_PREC digits runs out of memory
+        family = construct(tmp_path, count=10)
+        plots = tmp_path / "p"
+        assert main(["export-plot", "--family", str(family), "--out", str(plots),
+                     "--samples", "2", "--precision", str(MAX_PREC)]) == 3
+        assert "argument --precision" in capsys.readouterr().err
+        assert not plots.exists()
 
     def test_csv_bytes_pinned(self, tmp_path):
         # 24 bodies: supports with gaps and single points, so the hull walks
@@ -649,13 +661,18 @@ INTEGER_FLAGS = {
 }
 
 
-def _integer_flag_argv(tmp_path, flag, text):
+# every flag whose value has a rule, in the same form
+RULED_FLAGS = {**INTEGER_FLAGS,
+               "--delta": (["construct", "-N", "3", "--out", "@out", "--delta"], "1/2")}
+
+
+def _flag_argv(tmp_path, flag, text):
     family = construct(tmp_path, count=3)
     lines = tmp_path / "lines.jsonl"
     write_lines(lines, [ruling_line_x(F(1, 2))])
     paths = {"@family": str(family), "@lines": str(lines),
              "@out": str(tmp_path / "out"), "@dir": str(tmp_path / "plots")}
-    return [paths.get(token, token) for token in INTEGER_FLAGS[flag][0]] + [text]
+    return [paths.get(token, token) for token in RULED_FLAGS[flag][0]] + [text]
 
 
 @pytest.mark.parametrize("flag", INTEGER_FLAGS)
@@ -665,7 +682,7 @@ def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, flag, text):
     """Integer flags follow the grammar of a rational's numerator: what
     Python's int() reads beyond it (other digit scripts, underscores) is a
     usage error, and so is a number past int()'s digit limit."""
-    assert main(_integer_flag_argv(tmp_path, flag, text)) == 3
+    assert main(_flag_argv(tmp_path, flag, text)) == 3
     err = capsys.readouterr().err
     assert "usage: linepierce" in err and "Traceback" not in err
 
@@ -673,7 +690,30 @@ def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, flag, text):
 @pytest.mark.parametrize("flag", INTEGER_FLAGS)
 @pytest.mark.parametrize("form", ["{}", "+{}", " {} ", "0{}"])
 def test_integer_flags_accept_sign_and_padding(tmp_path, flag, form):
-    assert main(_integer_flag_argv(tmp_path, flag, form.format(INTEGER_FLAGS[flag][1]))) == 0
+    assert main(_flag_argv(tmp_path, flag, form.format(INTEGER_FLAGS[flag][1]))) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, text, name",
+    [("-N", "0", "--count/-N"), ("--t", "0", "--t"), ("--nmax", "0", "--nmax"),
+     ("--samples", "0", "--samples"), ("--precision", "0", "--precision"),
+     ("--precision", str(MAX_PRECISION + 1), "--precision"),
+     ("--delta", "1", "--delta"), ("--delta", "0", "--delta")],
+)
+def test_flag_rule_is_a_usage_error_naming_the_flag(tmp_path, capsys, flag, text, name):
+    """Each flag's rule is checked once, by its argparse type, before the
+    command writes anything."""
+    assert main(_flag_argv(tmp_path, flag, text)) == 3
+    err = capsys.readouterr().err
+    assert f"error: argument {name}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "witness", "refute", "cover", "export-plot"])
+def test_every_command_takes_the_shared_flags(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--out OUT" in out and "--verify" in out
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"]])
@@ -1009,13 +1049,13 @@ def int_texts(values):
 
 
 # Values that set how much work a command does are capped: -N, --nmax and
-# --samples, --precision below decimal.MAX_PREC (beyond it the command
+# --samples, --precision below its cap MAX_PRECISION (beyond it the command
 # refuses before any work), and --delta near 1, which makes covers of many
 # short intervals.  --t is not: no depth makes the sweep longer.
 COUNT = int_texts(st.integers(-3, 20))
 NMAX = int_texts(st.integers(-3, 40))
 SAMPLES = int_texts(st.integers(-3, 12))
-PRECISION = int_texts(mostly(st.integers(-3, 30), st.integers(MAX_PREC + 1, 10**40)))
+PRECISION = int_texts(mostly(st.integers(-3, 30), st.integers(MAX_PRECISION + 1, 10**40)))
 DEPTH = int_texts(st.integers(-3, 10**40))
 DELTA = mostly(
     st.fractions(min_value=F(1, 40), max_value=F(9, 10), max_denominator=40).map(
