@@ -280,19 +280,17 @@ def cmd_export_plot(args) -> int:
         for k in range(args.samples):
             u = body.r_min + step * k
             w = body.parabola(u)
-            pt = body.plane.from_chart(u, w)
+            pt = body.from_chart(u, w)
             arc_rows.append(f"{bi},{k},{dec(u)},{dec(w)},{dec(pt.x)},{dec(pt.y)},{dec(pt.z)}")
-        seq = 0
-        for kind, a, b in body.envelope_pieces():
-            steps = 8 if kind == "arc" and a != b else 1
-            for k in range(steps + 1):
-                u = a + (b - a) * k / steps
-                w = body.parabola(u) if kind == "arc" else body.lower_envelope(u)
-                hull_rows.append(f"{bi},{seq},{dec(u)},{dec(w)}")
-                seq += 1
-        for u in (body.r_max, body.r_min):
-            hull_rows.append(f"{bi},{seq},{dec(u)},{dec(body.top_chord(u))}")
-            seq += 1
+        # the lower walk samples each support interval and crosses each gap
+        # by its chord; the top chord closes the hull.  Every vertex lies
+        # over the closed support, where the hull meets the parabola.
+        points, walk = body.support.points, []
+        for j, (a, b) in enumerate(zip(points, points[1:])):
+            steps = 8 if j % 2 == 0 and a != b else 1
+            walk += (a + (b - a) * k / steps for k in range(steps + 1))
+        for seq, u in enumerate(walk + [body.r_max, body.r_min]):
+            hull_rows.append(f"{bi},{seq},{dec(u)},{dec(body.parabola(u))}")
 
     surface_rows = ["x,y,z"]
     grid = [Fraction(k, 8) for k in range(17)]  # [0,2] in steps of 1/8
@@ -300,21 +298,28 @@ def cmd_export_plot(args) -> int:
         for y in grid:
             surface_rows.append(f"{dec(x)},{dec(y)},{dec(x * y)}")
 
-    for name, rows in (("arcs", arc_rows), ("hull", hull_rows), ("surface", surface_rows)):
+    # each file's rows, and a row's offset from the curve it samples
+    tables = {
+        "arcs": (arc_rows, lambda row: row[6] - row[4] * row[5]),
+        "hull": (hull_rows, lambda row: row[3] - bodies[int(row[0])].parabola(row[2])),
+        "surface": (surface_rows, lambda row: row[2] - row[0] * row[1]),
+    }
+    for name, (rows, _) in tables.items():
         _write(str(outdir / f"{name}.csv"), "\n".join(rows) + "\n")
     if args.verify:
-        arcs = str(outdir / "arcs.csv")
-        with _reading_back(arcs):
-            lines = Path(arcs).read_text(encoding="utf-8").splitlines()[1:]
-            # exact, so no digit the export rendered is lost to rounding, and
-            # through Decimal, which reads a string of any length
-            rows = [[Fraction(Decimal(v)) for v in line.split(",")[4:]] for line in lines]
-            gaps = [abs(z - x * y) for x, y, z in rows]
-        if len(gaps) != len(bodies) * args.samples:
-            raise InternalError("verification failed: arcs.csv does not hold every sample")
-        if max(gaps) > Fraction(10) ** (3 - args.precision):
-            raise InternalError("verification failed: arc sample off the surface")
-        print(f"verified {len(gaps)} arc samples")
+        for name, (rows, offset) in tables.items():
+            path = str(outdir / f"{name}.csv")
+            with _reading_back(path):
+                lines = Path(path).read_text(encoding="utf-8").splitlines()[1:]
+                # exact, so no digit the export rendered is lost to rounding,
+                # and through Decimal, which reads a string of any length
+                gaps = [abs(offset([Fraction(Decimal(v)) for v in line.split(",")]))
+                        for line in lines]
+            if len(gaps) != len(rows) - 1:
+                raise InternalError(f"verification failed: {name}.csv does not hold every row")
+            if max(gaps) > Fraction(10) ** (3 - args.precision):
+                raise InternalError(f"verification failed: a row of {name}.csv is off its curve")
+        print(f"verified {len(arc_rows) - 1} arc samples")
     print(f"wrote plot data for {len(bodies)} bodies to {outdir}")
     return EXIT_OK
 

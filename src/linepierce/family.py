@@ -23,7 +23,7 @@ from math import gcd, isqrt
 from numbers import Rational
 
 from .exactnum import format_rational, parse_rational
-from .geometry import TiltedPlane
+from .geometry import Point3
 from .intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
 
@@ -260,10 +260,6 @@ class ConvexBody:
     def eps(self) -> Fraction:
         return eps_of(self.f_index)
 
-    @cached_property
-    def plane(self) -> TiltedPlane:
-        return TiltedPlane(self.q, self.eps)
-
     @property
     def r_min(self) -> Fraction:
         return self.support.points[0]
@@ -271,6 +267,10 @@ class ConvexBody:
     @property
     def r_max(self) -> Fraction:
         return self.support.points[-1]
+
+    def from_chart(self, u: Fraction, w: Fraction) -> Point3:
+        """The point of the body's plane y = q + eps*x at chart (u, w)."""
+        return Point3(u, self.q + self.eps * u, w)
 
     def parabola(self, u):
         return self.q * u + self.eps * u * u
@@ -291,15 +291,6 @@ class ConvexBody:
     def top_chord(self, u):
         slope, intercept = self._top_chord
         return slope * u + intercept
-
-    def envelope_pieces(self) -> list[tuple[str, Fraction, Fraction]]:
-        """("arc", a, b) on support intervals, ("chord", a, b) across gaps:
-        consecutive support endpoints, alternately."""
-        points = self.support.points
-        return [
-            ("chord" if j % 2 else "arc", a, b)
-            for j, (a, b) in enumerate(zip(points, points[1:]))
-        ]
 
     def lower_envelope(self, u: Fraction) -> Fraction:
         if u < self.r_min or u > self.r_max:

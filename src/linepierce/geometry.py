@@ -6,9 +6,11 @@ y = b, z = b*x (direction (1,0,b)); these are the only lines contained in
 the surface.  Any other line meets it in at most two points, whose
 coordinates live in a quadratic extension of the rationals.
 
-Bodies are sliced out of nearly-y-perpendicular planes y = q + eps*x; the
-chart (u, w) = (x, z) identifies such a plane with R^2 and turns the
-surface trace into the parabola w = q*u + eps*u^2.
+Bodies are sliced out of nearly-y-perpendicular planes y = q + eps*x, and
+the pair (q, eps) is the whole description of such a plane.  The chart
+(u, w) = (x, z) identifies it with R^2 and turns the surface trace into the
+parabola w = q*u + eps*u^2; a line crossing the plane meets it at one chart
+point, and a line parallel to it or lying in it has no chart point.
 """
 
 from __future__ import annotations
@@ -109,49 +111,25 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
     ))
 
 
-@dataclass(frozen=True)
-class TiltedPlane:
-    """The plane y = q + eps*x with a small positive tilt eps."""
-
-    q: Fraction
-    eps: Fraction
-
-    def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError(f"tilt must be positive, got {format_rational(self.eps)}")
-
-    def from_chart(self, u: Fraction, w: Fraction) -> Point3:
-        return Point3(u, self.q + self.eps * u, w)
-
-
-PLANE_HIT = "point"
-PLANE_CONTAINED = "contained"
-PLANE_PARALLEL = "parallel"
-
-
-@dataclass(frozen=True)
-class PlaneIntersection:
-    kind: str  # PLANE_HIT | PLANE_CONTAINED | PLANE_PARALLEL
-    chart: tuple[Fraction, Fraction] | None = None  # (u, w) of a PLANE_HIT
-
-
-def line_plane_intersection(line: Line3, plane: TiltedPlane) -> PlaneIntersection:
+def line_plane_intersection(
+    line: Line3, q: Fraction, eps: Fraction
+) -> tuple[Fraction, Fraction] | None:
     """Meet base + s*dir with the plane y = q + eps*x, in the plane's chart.
 
     With eps = en/ed cleared, den*s = num for num = ed*(q - y0) + en*x0 and
-    den = ed*dy - en*dx.  den == 0: the line is parallel, and contained iff
-    num == 0.  Otherwise the hit is (u, w) = (x0 + s*dx, z0 + s*dz); its
-    y = y0 + s*dy is on the plane by the choice of s, so it is not formed.
+    den = ed*dy - en*dx.  den == 0: the line is parallel to the plane, or
+    lies in it, and the meet is None.  Otherwise the hit is the chart point
+    (u, w) = (x0 + s*dx, z0 + s*dz); its y = y0 + s*dy is on the plane by
+    the choice of s, so it is not formed.
     """
     dx, dy, dz = line.dir
     base = line.base
-    en, ed = plane.eps.numerator, plane.eps.denominator
-    num = ed * (plane.q - base.y) + en * base.x
+    en, ed = eps.numerator, eps.denominator
     den = ed * dy - en * dx
     if den == 0:
-        return PlaneIntersection(PLANE_CONTAINED if num == 0 else PLANE_PARALLEL)
-    s = num / den
-    return PlaneIntersection(PLANE_HIT, (base.x + s * dx, base.z + s * dz))
+        return None
+    s = (ed * (q - base.y) + en * base.x) / den
+    return base.x + s * dx, base.z + s * dz
 
 
 def line_to_record(line: Line3) -> dict:

@@ -6,6 +6,9 @@ inequality as a certificate, or None when the line pierces:
 
 - a line crossing the plane misses iff its chart point lies outside the
   hull;
+- a line parallel to the plane has no chart point; the residual
+  y0 - q - eps*x0 of its base tells a line off the plane, which misses
+  and whose certificate states that residual, from a line inside it;
 - a line inside the plane misses iff it is above the top chord at both ends
   of the range or below the convex lower envelope on the whole range; each
   minimum lies at an endpoint or at a rational parabola vertex, so no
@@ -31,8 +34,6 @@ from .exactnum import format_rational
 from .family import ConvexBody, FamilyStream, body_to_record
 from .geometry import (
     GENERIC,
-    PLANE_CONTAINED,
-    PLANE_PARALLEL,
     X_RULING,
     Line3,
     LineClass,
@@ -275,13 +276,14 @@ def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
 
 
 def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
-    hit = line_plane_intersection(line, body.plane)
-    if hit.kind == PLANE_PARALLEL:
+    hit = line_plane_intersection(line, body.q, body.eps)
+    if hit is None:
+        # parallel to the plane: off it by the base's residual, or in it
         residual = line.base.y - body.q - body.eps * line.base.x
-        return Certificate("plane-parallel", residual, "!=", Fraction(0))
-    if hit.kind == PLANE_CONTAINED:
+        if residual:
+            return Certificate("plane-parallel", residual, "!=", Fraction(0))
         return _in_plane_miss(line, body)
-    u, w = hit.chart
+    u, w = hit
     if u < body.r_min:
         return Certificate("point-below-range", u, "<", body.r_min)
     if u > body.r_max:

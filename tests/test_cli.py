@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -370,6 +371,39 @@ class TestPinnedRefuteReport:
         )
 
 
+def _benchmark_pools(monkeypatch):
+    """``perfbench/pools.py``, imported from its file, which is left as it
+    is: no bytecode is written next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_pools", Path(__file__).resolve().parent.parent / "perfbench" / "pools.py")
+    pools = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pools)
+    return pools
+
+
+class TestPinnedBenchmarkRefutes:
+    """The refute reports of the benchmark's 26 pools (seeds 0 and 1), at its
+    search budget, pinned as one sha256 over the reports in pool order.  A
+    refactor of the predicates must leave every report byte-identical; a
+    change to the benchmark that changes the pools re-pins this hash."""
+
+    def test_reports_pinned(self, tmp_path, monkeypatch, capsys):
+        pools = _benchmark_pools(monkeypatch)
+        digest = hashlib.sha256()
+        for seed in (0, 1):
+            for i, pool in enumerate(pools.refute_pools(seed)):
+                lines, out = tmp_path / f"pool{seed}-{i}.jsonl", tmp_path / f"r{seed}-{i}.json"
+                lines.write_text("".join(json.dumps(rec) + "\n" for rec, _ in pool))
+                assert main(["refute", "--delta", "1/2", "--lines", str(lines),
+                             "--nmax", "2000", "--out", str(out), "--verify"]) == 0
+                digest.update(out.read_bytes())
+        capsys.readouterr()
+        assert digest.hexdigest() == (
+            "6cf9cd1123560f11fd5211e012069b6b527536cc2c0fdcbeb39855f4a7275593"
+        )
+
+
 def test_a_raw_line_separator_in_a_string_ends_no_record(tmp_path):
     """JSON allows U+2028, U+2029 and U+0085 raw inside a string; only a
     newline ends a JSON-lines record."""
@@ -446,6 +480,9 @@ class TestExportPlot:
         )
         assert hashlib.sha256((plots / "hull.csv").read_bytes()).hexdigest() == (
             "8ae338648c5841a24c385d21537833af0f7e17422906decd591ded8dd4fbf03b"
+        )
+        assert hashlib.sha256((plots / "surface.csv").read_bytes()).hexdigest() == (
+            "09c1bdcfa346c7164018b02685c4368f61c1ef28425411a9d35f0d7d51f3d52a"
         )
 
     def test_deterministic(self, tmp_path):
@@ -748,6 +785,10 @@ CORRUPTIONS = {
                                         .update(x="0/1"))),
     "cover": ("cover", "c.json", _edit_json(lambda data: data.update(columns=[0]))),
     "export-plot": ("export-plot", "arcs.csv", lambda text: text.rsplit(",", 1)[0] + ",5\n"),
+    "export-plot-hull": ("export-plot", "hull.csv",
+                         lambda text: "".join(text.splitlines(True)[:-1])),
+    "export-plot-surface": ("export-plot", "surface.csv",
+                            lambda text: text.rsplit(",", 1)[0] + ",5\n"),
     "construct-unreadable": ("construct", "out.jsonl", lambda text: text + "not json\n"),
     "refute-unreadable": ("refute", "r.json", lambda text: text[:-2]),
 }

@@ -20,7 +20,7 @@ from linepierce.family import (
     m_of,
 )
 from linepierce.exactnum import QuadExt, format_rational
-from linepierce.geometry import Line3, TiltedPlane
+from linepierce.geometry import Line3
 from linepierce.intervals import IntervalSet, make_cover, remove_intervals
 from linepierce.refutation import pierce
 from oracles import pieces
@@ -29,7 +29,7 @@ from oracles import pieces
 def pierced_at(body, u, w):
     """Is the chart point (u, w) in the body?  Asked of the line through it
     along (0, 1, 0), which crosses the body's plane there."""
-    return pierce(Line3(body.plane.from_chart(u, w), (F(0), F(1), F(0))), body)
+    return pierce(Line3(body.from_chart(u, w), (F(0), F(1), F(0))), body)
 
 
 class TestBaseEnumeration:
@@ -246,8 +246,8 @@ class TestBuildBody:
         assert body.eps == F(1, 64)
         assert (body.r_min, body.r_max) == (F(0), F(1))
         # extremes on the constant-x lines at 0 and 1
-        lo = body.plane.from_chart(F(0), body.parabola(F(0)))
-        hi = body.plane.from_chart(F(1), body.parabola(F(1)))
+        lo = body.from_chart(F(0), body.parabola(F(0)))
+        hi = body.from_chart(F(1), body.parabola(F(1)))
         assert (lo.x, lo.y, lo.z) == (F(0), F(1, 2), F(0))
         assert (hi.x, hi.y, hi.z) == (F(1), F(33, 64), F(33, 64))
         assert body.top_chord(F(0)) == body.parabola(F(0))
@@ -370,7 +370,7 @@ class TestFamilyStream:
         for body in bodies:
             # the points over the support's endpoints attain every extreme
             for u in body.support.points:
-                pt = body.plane.from_chart(u, body.parabola(u))
+                pt = body.from_chart(u, body.parabola(u))
                 assert 0 <= pt.x <= 2 and 0 <= pt.y <= 2 and 0 <= pt.z <= 2
 
     def test_every_sequence_revisited(self):
@@ -413,14 +413,13 @@ SLAB = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([(F(1, 2)
     (lambda: IntervalSet.from_pairs([(F(1), TINY)]), TINY),
     (lambda: IntervalSet.unit().gap_around(TINY), TINY),
     (lambda: SLAB.lower_envelope(TINY), TINY),
-    (lambda: TiltedPlane(F(1, 2), -TINY), -TINY),
     (lambda: make_cover(1 + TINY, 1), 1 + TINY),
     (lambda: SupportAssigner(1 + TINY), 1 + TINY),
     (lambda: FamilyStream(-TINY), -TINY),
     (lambda: next(dyadic_approach(1 + TINY)), 1 + TINY),
     (lambda: QuadExt(F(0), F(1), 2 + TINY) + QuadExt(F(0), F(1), F(3)), 2 + TINY),
-], ids=["from_pairs", "gap_around", "lower_envelope", "tilt", "make_cover",
-        "assigner", "stream", "dyadic_approach", "radicands"])
+], ids=["from_pairs", "gap_around", "lower_envelope", "make_cover", "assigner",
+        "stream", "dyadic_approach", "radicands"])
 def test_error_messages_render_long_rationals(call, shown):
     with pytest.raises(ValueError) as info:
         call()

@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 from linepierce.exactnum import QuadExt
 from linepierce.geometry import (
     GENERIC,
-    PLANE_CONTAINED,
-    PLANE_HIT,
-    PLANE_PARALLEL,
     X_RULING,
     Y_RULING,
     Line3,
     Point3,
-    TiltedPlane,
     classify_line,
     line_from_record,
     line_plane_intersection,
@@ -206,34 +202,36 @@ class TestSympyOracle:
         assert all(seen.values()), seen
 
 
+def lift(q, eps, u, w) -> Point3:
+    """The chart point (u, w) on the plane y = q + eps*x."""
+    return Point3(u, q + eps * u, w)
+
+
 class TestPlaneIntersection:
     def test_ruling_crossing_example(self):
-        plane = TiltedPlane(F(1, 2), F(1, 16))
-        hit = line_plane_intersection(ruling_line_x(F(1, 4)), plane)
-        assert hit.kind == PLANE_HIT
-        assert hit.chart == (F(1, 4), F(33, 256))
-        assert plane.from_chart(*hit.chart) == Point3(F(1, 4), F(33, 64), F(33, 256))
+        q, eps = F(1, 2), F(1, 16)
+        hit = line_plane_intersection(ruling_line_x(F(1, 4)), q, eps)
+        assert hit == (F(1, 4), F(33, 256))
+        assert lift(q, eps, *hit) == Point3(F(1, 4), F(33, 64), F(33, 256))
 
     def test_parallel(self):
-        plane = TiltedPlane(F(1, 2), F(1, 16))
         line = Line3(Point3(F(0), F(0), F(0)), (F(1), F(1, 16), F(0)))
-        assert line_plane_intersection(line, plane).kind == PLANE_PARALLEL
+        assert line_plane_intersection(line, F(1, 2), F(1, 16)) is None
 
     def test_contained(self):
-        plane = TiltedPlane(F(1, 2), F(1, 16))
         base = Point3(F(0), F(1, 2), F(7))
         line = Line3(base, (F(1), F(1, 16), F(5)))
-        assert line_plane_intersection(line, plane).kind == PLANE_CONTAINED
+        assert line_plane_intersection(line, F(1, 2), F(1, 16)) is None
 
     def test_hit_point_on_line_and_plane(self):
         rng = random.Random(71)
         for _ in range(300):
-            plane = TiltedPlane(F(rng.randint(0, 9), 10), F(1, rng.randint(2, 64)))
+            q, eps = F(rng.randint(0, 9), 10), F(1, rng.randint(2, 64))
             line = random_line(rng)
-            hit = line_plane_intersection(line, plane)
-            if hit.kind != PLANE_HIT:
+            hit = line_plane_intersection(line, q, eps)
+            if hit is None:
                 continue
-            p = plane.from_chart(*hit.chart)
+            p = lift(q, eps, *hit)
             dx, dy, dz = line.dir
             # some rational s reproduces the point on each coordinate, y
             # included: the chart point lifted to the plane is on the line
@@ -259,31 +257,32 @@ TILTS = st.one_of(
 def lines_and_planes(draw):
     """A plane y = q + eps*x and a line that crosses it, runs parallel to it
     (dy = eps*dx) or lies in it (also its base on the plane)."""
-    plane = TiltedPlane(draw(SMALL), draw(TILTS))
+    q, eps = draw(SMALL), draw(TILTS)
     dx, dz = draw(SMALL), draw(SMALL)
-    dy = plane.eps * dx if draw(st.booleans()) else draw(SMALL)
+    dy = eps * dx if draw(st.booleans()) else draw(SMALL)
     if dx == dy == dz == 0:
         dz = F(1)
     x0, z0 = draw(SMALL), draw(SMALL)
-    y0 = plane.q + plane.eps * x0 if draw(st.booleans()) else draw(SMALL)
-    return Line3(Point3(x0, y0, z0), (dx, dy, dz)), plane
+    y0 = q + eps * x0 if draw(st.booleans()) else draw(SMALL)
+    return Line3(Point3(x0, y0, z0), (dx, dy, dz)), q, eps
 
 
 class TestPlaneMeetDifferential:
+    """The meet alone; which parallel lines are certified off the plane is
+    ``tests/test_refutation.py::TestParallelCertificate``."""
+
     @settings(max_examples=400)
     @given(case=lines_and_planes())
     def test_meet_lies_on_line_and_plane(self, case):
-        line, plane = case
-        hit = line_plane_intersection(line, plane)
+        line, q, eps = case
+        hit = line_plane_intersection(line, q, eps)
         dx, dy, dz = line.dir
-        assert (hit.kind != PLANE_HIT) == (dy - plane.eps * dx == 0)
-        if hit.kind != PLANE_HIT:
-            on_plane = line.base.y == plane.q + plane.eps * line.base.x
-            assert hit.kind == (PLANE_CONTAINED if on_plane else PLANE_PARALLEL)
+        assert (hit is None) == (dy - eps * dx == 0)
+        if hit is None:
             return
         # the chart point lifted to the plane is on the line: p - base is
         # parallel to the direction, so their cross product vanishes
-        p, b = plane.from_chart(*hit.chart), line.base
+        p, b = lift(q, eps, *hit), line.base
         ox, oy, oz = p.x - b.x, p.y - b.y, p.z - b.z
         assert (oy * dz - oz * dy, oz * dx - ox * dz, ox * dy - oy * dx) == (0, 0, 0)
 

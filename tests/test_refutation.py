@@ -3,10 +3,11 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linepierce.family import ConvexBody, FamilyStream
 from linepierce.geometry import (
-    PLANE_HIT,
     GENERIC,
     X_RULING,
     Y_RULING,
@@ -41,10 +42,10 @@ class TestPierce:
         body = body_with_gap()
         line = ruling_line_x(F(1, 8))
         assert pierce(line, body)
-        hit = line_plane_intersection(line, body.plane)
+        hit = line_plane_intersection(line, body.q, body.eps)
         r = F(1, 8)
         y = body.q + body.eps * r
-        p = body.plane.from_chart(*hit.chart)
+        p = body.from_chart(*hit)
         assert (p.x, p.y, p.z) == (r, y, r * y)
 
     def test_ruling_in_gap_misses(self):
@@ -80,7 +81,7 @@ class TestPierce:
         body = body_with_gap()
         u = F(1, 8)
         w = (body.parabola(u) + body.top_chord(u)) / 2
-        inside = body.plane.from_chart(u, w)
+        inside = body.from_chart(u, w)
         line = Line3(inside, (F(1), F(0), F(0)))
         assert pierce(line, body)
 
@@ -91,30 +92,30 @@ class TestPierce:
 
     def test_in_plane_vertical_line(self):
         body = body_with_gap()
-        on_plane = body.plane.from_chart(F(1, 2), F(5))
+        on_plane = body.from_chart(F(1, 2), F(5))
         line = Line3(on_plane, (F(0), F(0), F(1)))
         assert pierce(line, body)  # vertical chart line crosses the gap slab
-        off_range = body.plane.from_chart(F(3, 2), F(0))
+        off_range = body.from_chart(F(3, 2), F(0))
         assert not pierce(Line3(off_range, (F(0), F(0), F(1))), body)
 
     def test_in_plane_chord_line_pierces(self):
         body = body_with_gap()
         # secant through two parabola points inside the support
         a, b = F(1, 8), F(7, 8)
-        pa = body.plane.from_chart(a, body.parabola(a))
-        pb = body.plane.from_chart(b, body.parabola(b))
+        pa = body.from_chart(a, body.parabola(a))
+        pb = body.from_chart(b, body.parabola(b))
         line = Line3(pa, (pb.x - pa.x, pb.y - pa.y, pb.z - pa.z))
         assert pierce(line, body)
 
     def test_in_plane_line_below_envelope_misses(self):
         body = body_with_gap()
-        low = body.plane.from_chart(F(0), F(-1))
+        low = body.from_chart(F(0), F(-1))
         line = Line3(low, (F(1), body.eps, F(0)))  # w constant -1 in the chart
         assert not pierce(line, body)
 
     def test_in_plane_line_above_top_misses(self):
         body = body_with_gap()
-        high = body.plane.from_chart(F(0), F(1))
+        high = body.from_chart(F(0), F(1))
         line = Line3(high, (F(1), body.eps, F(1)))  # w = 1 + u stays above
         assert not pierce(line, body)
 
@@ -122,23 +123,23 @@ class TestPierce:
         body = body_with_gap()
         u0 = F(1, 8)
         slope = body.q + 2 * body.eps * u0  # parabola slope at u0
-        touch = body.plane.from_chart(u0, body.parabola(u0))
+        touch = body.from_chart(u0, body.parabola(u0))
         line = Line3(touch, (F(1), body.eps, slope))
         assert pierce(line, body)
         # nudging the tangent down clears the hull entirely
-        below = body.plane.from_chart(u0, body.parabola(u0) - F(1, 10**12))
+        below = body.from_chart(u0, body.parabola(u0) - F(1, 10**12))
         assert not pierce(Line3(below, (F(1), body.eps, slope)), body)
 
     def test_in_plane_steep_line_through_gap(self):
         body = body_with_gap()
         mid = F(1, 2)
         w = (body.lower_envelope(mid) + body.top_chord(mid)) / 2
-        anchor = body.plane.from_chart(mid, w)
+        anchor = body.from_chart(mid, w)
         steep = Line3(anchor, (F(1), body.eps, F(1000)))
         assert pierce(steep, body)
         # even anchored in the pocket below the gap chord, a steep line
         # exits upward through the chord while still over the gap
-        pocket = body.plane.from_chart(mid, body.parabola(mid))
+        pocket = body.from_chart(mid, body.parabola(mid))
         assert pierce(Line3(pocket, (F(1), body.eps, F(10**6))), body)
 
     def test_in_plane_pocket_tangent_misses(self):
@@ -149,7 +150,7 @@ class TestPierce:
         mid = F(1, 2)
         h = F(1, 4096)
         slope = body.q + 2 * body.eps * mid
-        anchor = body.plane.from_chart(mid, body.parabola(mid) + h)
+        anchor = body.from_chart(mid, body.parabola(mid) + h)
         line = Line3(anchor, (F(1), body.eps, slope))
         assert not pierce(line, body)
         cert = non_piercing_certificate(line, body)
@@ -157,17 +158,17 @@ class TestPierce:
 
     def test_in_plane_certificates(self):
         body = body_with_gap()
-        low = body.plane.from_chart(F(0), F(-1))
+        low = body.from_chart(F(0), F(-1))
         below = Line3(low, (F(1), body.eps, F(0)))
         cert = non_piercing_certificate(below, body)
         assert cert.case == "inplane-below-envelope" and cert.holds()
 
-        high = body.plane.from_chart(F(0), F(1))
+        high = body.from_chart(F(0), F(1))
         above = Line3(high, (F(1), body.eps, F(1)))
         cert = non_piercing_certificate(above, body)
         assert cert.case == "inplane-above-top-chord" and cert.holds()
 
-        off = body.plane.from_chart(F(3, 2), F(0))
+        off = body.from_chart(F(3, 2), F(0))
         vert = Line3(off, (F(0), F(0), F(1)))
         cert = non_piercing_certificate(vert, body)
         assert cert.case == "inplane-above-range" and cert.holds()
@@ -218,6 +219,45 @@ def test_ruling_certificate_cases():
     }
 
 
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+PREFIX = FamilyStream(F(1, 2)).truncate(40)
+
+
+@st.composite
+def parallel_lines(draw):
+    """A family body and a line parallel to its plane (dy = eps*dx), with
+    its base on the plane or off it by an offset of either sign, some far
+    below eps; returns the body, the line and the offset."""
+    body = draw(st.sampled_from(PREFIX))
+    dx, dz = draw(SMALL), draw(SMALL)
+    if dx == dz == 0:
+        dz = F(1)
+    x0, z0 = draw(SMALL), draw(SMALL)
+    offset = F(0)
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([F(1), body.eps, body.eps**2]))
+        offset = draw(SMALL.filter(bool)) * scale
+    base = Point3(x0, body.q + body.eps * x0 + offset, z0)
+    return body, Line3(base, (dx, body.eps * dx, dz)), offset
+
+
+class TestParallelCertificate:
+    """A line parallel to a body's plane has no chart point; only its base's
+    residual y0 - q - eps*x0 tells a line off the plane, certified
+    ``plane-parallel``, from one in it, decided in the chart."""
+
+    @settings(max_examples=300)
+    @given(case=parallel_lines())
+    def test_plane_parallel_iff_base_off_the_plane(self, case):
+        body, line, offset = case
+        cert = non_piercing_certificate(line, body)
+        assert (cert is not None and cert.case == "plane-parallel") == (offset != 0)
+        if offset:
+            assert (cert.lhs, cert.rel, cert.rhs) == (offset, "!=", 0)
+        elif cert is not None:
+            assert cert.case.startswith("inplane-") and cert.holds()
+
+
 class TestMaxVerticalDistance:
     def test_full_span(self):
         body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.unit())
@@ -238,10 +278,10 @@ class TestMaxVerticalDistance:
             best = F(0)
             for k in range(101):
                 u = body.r_min + span * k / 100
-                v = vertical_distance(body.plane.from_chart(u, body.top_chord(u)))
+                v = vertical_distance(body.from_chart(u, body.top_chord(u)))
                 assert v <= closed
                 best = max(best, v)
-            assert vertical_distance(body.plane.from_chart(mid, body.top_chord(mid))) == closed
+            assert vertical_distance(body.from_chart(mid, body.top_chord(mid))) == closed
 
 
 class TestPiercingMatrix:
@@ -292,11 +332,11 @@ def _oracle_pool(bodies: list[ConvexBody]) -> list[Line3]:
         lines.append(Line3(Point3(F(0), q, intercept), (F(1), eps, slope)))
         if gaps:
             a, b = body.support.gap_around(gaps[0])
-            lines.append(Line3(body.plane.from_chart(a, body.parabola(a)),
+            lines.append(Line3(body.from_chart(a, body.parabola(a)),
                                (b - a, eps * (b - a), body.parabola(b) - body.parabola(a))))
         lines.append(Line3(Point3(F(0), q, F(-1)), (F(1), eps, q)))
         for u in (ends[0], ends[-1] + F(1, 8)):
-            lines.append(Line3(body.plane.from_chart(u, F(0)), (F(0), F(0), F(1))))
+            lines.append(Line3(body.from_chart(u, F(0)), (F(0), F(0), F(1))))
     rng = random.Random(113)
     for _ in range(6):
         base = Point3(*(F(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(3)))
@@ -492,11 +532,11 @@ class TestVerticalClearance:
             if classify_line(line).kind != GENERIC:
                 continue
             for body in bodies:
-                hit = line_plane_intersection(line, body.plane)
-                if hit.kind != PLANE_HIT:
+                hit = line_plane_intersection(line, body.q, body.eps)
+                if hit is None:
                     continue
-                u, _ = hit.chart
-                offset = vertical_distance(body.plane.from_chart(*hit.chart))
+                u, _ = hit
+                offset = vertical_distance(body.from_chart(*hit))
                 if pierce(line, body):
                     assert body.r_min <= u <= body.r_max
                     assert offset <= max_vertical_distance(body)
@@ -521,7 +561,7 @@ def mixed_pool(rng, early):
         u0 = rng.choice(body.support.points)
         slope = body.q + 2 * body.eps * u0
         lift = rng.choice([F(0), F(1, 10**9), -F(1, 10**9), body.eps])
-        anchor = body.plane.from_chart(u0, body.parabola(u0) + lift)
+        anchor = body.from_chart(u0, body.parabola(u0) + lift)
         pool.append(Line3(anchor, (F(1), body.eps, slope)))
     for _ in range(rng.randint(0, 2)):
         a, b = F(rng.randint(0, 8), 8), F(rng.randint(0, 8), 8)
@@ -593,7 +633,7 @@ def test_in_plane_pierce_matches_sympy():
             beta = body.q + body.eps * F(rng.randint(-4, 8), 4)
             charts.append((body.eps * F(rng.randint(-8, 8), 16), beta))
         for alpha, beta in charts:
-            line = Line3(body.plane.from_chart(F(0), alpha), (F(1), body.eps, beta))
+            line = Line3(body.from_chart(F(0), alpha), (F(1), body.eps, beta))
             assert pierce(line, body) == _sympy_pierces_in_plane(body, alpha, beta)
             cert = non_piercing_certificate(line, body)
             assert cert is None or cert.holds()
