@@ -241,7 +241,7 @@ def cmd_cover(args) -> int:
         return EXIT_UNCOVERABLE
     report = {
         "uncoverable": False,
-        "size": sol.size,
+        "size": len(sol.columns),
         "columns": list(sol.columns),
         "exact": sol.exact,
         "lower_bound": sol.lower_bound,
@@ -259,7 +259,7 @@ def cmd_cover(args) -> int:
                 )
         _verify_report(args.out, report)
         print("verified cover")
-    print(f"cover size {sol.size} (exact={sol.exact}) -> {args.out}")
+    print(f"cover size {len(sol.columns)} (exact={sol.exact}) -> {args.out}")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 from .exactnum import format_rational, parse_rational
 
@@ -110,10 +111,9 @@ class CoverSpec:
     Centers sit on the uniform grid k*length/2, so consecutive intervals
     overlap by half their length and the union covers [0,1] with both
     endpoints interior.  Removing any ``picks_per_set`` of them from [0,1]
-    leaves measure at least delta.
+    leaves measure at least the ``delta`` given to ``make_cover``.
     """
 
-    delta: Fraction
     level: int
     length: Fraction
     centers: tuple[Fraction, ...]
@@ -150,7 +150,7 @@ def make_cover(delta: Fraction, level: int) -> CoverSpec:
     step = length / 2
     k_max = -(-step.denominator // step.numerator)  # ceil(1/step) = ceil(2/length)
     centers = tuple(k * step for k in range(k_max + 1))
-    return CoverSpec(delta=delta, level=level, length=length, centers=centers)
+    return CoverSpec(level=level, length=length, centers=centers)
 
 
 def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
@@ -195,7 +195,7 @@ def deep_witness(
     for x in sorted(opens.keys() | closes.keys()):
         active += opens[x]
         if active >= t:
-            members = tuple(i for i, s in enumerate(sets) if s.contains(x))[:t]
-            return (x, members)
+            holding = (i for i, s in enumerate(sets) if s.contains(x))
+            return (x, tuple(islice(holding, t)))
         active -= closes[x]
     return None

@@ -61,29 +61,14 @@ def pierce(line: Line3, body: ConvexBody) -> bool:
     return _geometric_miss(line, body) is None
 
 
-@dataclass(frozen=True)
-class PiercingMatrix:
-    """Row = body (family order), column = line (input order)."""
-
-    entries: tuple[tuple[bool, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def piercing_matrix(bodies: list[ConvexBody], lines: list[Line3]) -> PiercingMatrix:
-    """Each line is classified once and decided by ``_pierces``."""
+def piercing_matrix(
+    bodies: list[ConvexBody], lines: list[Line3]
+) -> tuple[tuple[bool, ...], ...]:
+    """Row = body (family order), column = line (input order).  Each line is
+    classified once and decided by ``_pierces``."""
     classed = [(line, classify_line(line)) for line in lines]
-    return PiercingMatrix(
-        tuple(
-            tuple(_pierces(line, cls, body) for line, cls in classed)
-            for body in bodies
-        )
+    return tuple(
+        tuple(_pierces(line, cls, body) for line, cls in classed) for body in bodies
     )
 
 
@@ -102,7 +87,6 @@ class UncoverableError(Exception):
 
 @dataclass(frozen=True)
 class CoverSolution:
-    size: int
     columns: tuple[int, ...]
     exact: bool
     lower_bound: int
@@ -111,33 +95,29 @@ class CoverSolution:
 EXACT_COVER_LIMIT = 25
 
 
-def min_line_cover(matrix: PiercingMatrix) -> CoverSolution:
-    """Minimum set of columns covering every row.
+def min_line_cover(matrix: tuple[tuple[bool, ...], ...]) -> CoverSolution:
+    """Minimum set of columns covering every row, in ascending order.
 
     Exact branch and bound up to EXACT_COVER_LIMIT columns (branching on the
     lowest uncovered row, candidate columns in ascending order, first
     optimum kept); greedy with a reported lower bound beyond that.
     """
-    rows, cols = matrix.n_rows, matrix.n_cols
+    uncoverable = tuple(r for r, row in enumerate(matrix) if not any(row))
+    if uncoverable:
+        raise UncoverableError(uncoverable)
+    if not matrix:
+        return CoverSolution((), True, 0)
+    cols = len(matrix[0])
     col_masks = [0] * cols
-    for r, row in enumerate(matrix.entries):
+    for r, row in enumerate(matrix):
         for c, hit in enumerate(row):
             if hit:
                 col_masks[c] |= 1 << r
-    uncoverable = tuple(
-        r for r, row in enumerate(matrix.entries) if not any(row)
-    )
-    if uncoverable:
-        raise UncoverableError(uncoverable)
-    universe = (1 << rows) - 1
-    if rows == 0:
-        return CoverSolution(0, (), True, 0)
+    universe = (1 << len(matrix)) - 1
 
     greedy = _greedy_cover(col_masks, universe)
     if cols > EXACT_COVER_LIMIT:
-        return CoverSolution(
-            len(greedy), tuple(greedy), False, _disjoint_rows_bound(matrix)
-        )
+        return CoverSolution(tuple(sorted(greedy)), False, _disjoint_rows_bound(matrix))
 
     best = list(greedy)
     max_cover = max(mask.bit_count() for mask in col_masks)
@@ -161,7 +141,7 @@ def min_line_cover(matrix: PiercingMatrix) -> CoverSolution:
                 chosen.pop()
 
     dfs(0, [])
-    return CoverSolution(len(best), tuple(sorted(best)), True, len(best))
+    return CoverSolution(tuple(sorted(best)), True, len(best))
 
 
 def _greedy_cover(col_masks: list[int], universe: int) -> list[int]:
@@ -178,13 +158,13 @@ def _greedy_cover(col_masks: list[int], universe: int) -> list[int]:
     return chosen
 
 
-def _disjoint_rows_bound(matrix: PiercingMatrix) -> int:
+def _disjoint_rows_bound(matrix: tuple[tuple[bool, ...], ...]) -> int:
     """Rows with pairwise disjoint column sets each need their own line."""
     used: set[int] = set()
     count = 0
-    for row in matrix.entries:
+    for row in matrix:
         cols = {c for c, hit in enumerate(row) if hit}
-        if cols and not (cols & used):
+        if not (cols & used):
             used |= cols
             count += 1
     return count

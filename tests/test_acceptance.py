@@ -25,7 +25,6 @@ from linepierce.geometry import (
 )
 from linepierce.intervals import deep_witness, make_cover, remove_intervals
 from linepierce.refutation import (
-    PiercingMatrix,
     max_vertical_distance,
     min_line_cover,
     non_piercing_certificate,
@@ -264,10 +263,10 @@ def test_criterion_7_monotone_evasion_in_pool_size(tmp_path):
     report(7, elapsed, f"nested pools of 2/4/6 lines: witness emissions {indices}")
 
 
-def _brute_cover_size(matrix: PiercingMatrix) -> int:
-    for size in range(matrix.n_cols + 1):
-        for chosen in combinations(range(matrix.n_cols), size):
-            if all(any(row[c] for c in chosen) for row in matrix.entries):
+def _brute_cover_size(matrix: tuple[tuple[bool, ...], ...]) -> int:
+    for size in range(len(matrix[0]) + 1):
+        for chosen in combinations(range(len(matrix[0])), size):
+            if all(any(row[c] for c in chosen) for row in matrix):
                 return size
     raise AssertionError("unreachable for coverable matrices")
 
@@ -282,8 +281,8 @@ def test_criterion_8_cover_solver_matches_enumeration():
         for row in entries:
             if not any(row):
                 row[rng.randrange(cols)] = True
-        matrix = PiercingMatrix(tuple(tuple(r) for r in entries))
-        assert min_line_cover(matrix).size == _brute_cover_size(matrix)
+        matrix = tuple(tuple(r) for r in entries)
+        assert len(min_line_cover(matrix).columns) == _brute_cover_size(matrix)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     report(8, elapsed, "100 random matrices: branch-and-bound equals subset enumeration")

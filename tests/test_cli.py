@@ -291,6 +291,21 @@ class TestCoverCommand:
         data = json.loads(out.read_text())
         assert data["uncoverable"] and target in data["rows"]
 
+    def test_greedy_columns_ascend(self, tmp_path):
+        """Past the exact limit of 25 lines the cover is greedy, and its
+        columns are written in ascending order, as the exact cover's are."""
+        family = construct(tmp_path, count=40)
+        lines = tmp_path / "lines.jsonl"
+        write_lines(lines, [ruling_line_x(F(j, 29)) for j in range(30)])
+        out = tmp_path / "c.json"
+        assert main(["cover", "--family", str(family), "--lines", str(lines),
+                     "--out", str(out), "--verify"]) == 0
+        data = json.loads(out.read_text())
+        assert data["exact"] is False and data["columns"] == [8, 17]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f03bfbc364a3ef20f7e217cec6441aa164b7a18b94e5d865cf9c8be5ce46cf06"
+        )
+
 
 class TestPinnedReadReports:
     """witness and cover --verify reports on a fixed prefix, pinned at the

@@ -20,7 +20,7 @@ from linepierce.geometry import (
 )
 from linepierce.intervals import IntervalSet
 from linepierce.refutation import (
-    PiercingMatrix,
+    CoverSolution,
     UncoverableError,
     max_vertical_distance,
     min_line_cover,
@@ -289,12 +289,12 @@ class TestPiercingMatrix:
         bodies = FamilyStream(F(1, 2)).truncate(4)
         lines = [ruling_line_x(r) for r in bodies[2].support.points]
         matrix = piercing_matrix(bodies, lines)
-        assert all(matrix.entries[2])
+        assert all(matrix[2])
 
     def test_empty_pool(self):
         bodies = FamilyStream(F(1, 2)).truncate(3)
         matrix = piercing_matrix(bodies, [])
-        assert matrix.n_rows == 3 and matrix.n_cols == 0
+        assert matrix == ((), (), ())
 
     def test_recomputation_idempotent(self):
         bodies = FamilyStream(F(1, 2)).truncate(5)
@@ -350,7 +350,7 @@ def test_piercing_matrix_matches_geometric_pierce():
     bodies = FamilyStream(F(1, 2)).truncate(96)
     lines = _oracle_pool(bodies)
     want = tuple(tuple(pierce(line, body) for line in lines) for body in bodies)
-    assert piercing_matrix(bodies, lines).entries == want
+    assert piercing_matrix(bodies, lines) == want
     # every class of line both pierces and misses somewhere
     for kind in (X_RULING, Y_RULING, GENERIC):
         cols = [c for c, line in enumerate(lines) if classify_line(line).kind == kind]
@@ -358,39 +358,45 @@ def test_piercing_matrix_matches_geometric_pierce():
         assert hits == {True, False}, kind
 
 
-def brute_force_cover(matrix: PiercingMatrix) -> int:
-    cols = range(matrix.n_cols)
-    for size in range(matrix.n_cols + 1):
+def brute_force_cover(matrix: tuple[tuple[bool, ...], ...]) -> int:
+    cols = range(len(matrix[0]))
+    for size in range(len(matrix[0]) + 1):
         for chosen in combinations(cols, size):
-            if all(any(row[c] for c in chosen) for row in matrix.entries):
+            if all(any(row[c] for c in chosen) for row in matrix):
                 return size
     raise AssertionError("uncoverable matrix reached brute force")
 
 
 class TestMinLineCover:
     def test_identity_matrix(self):
-        m = PiercingMatrix(tuple(tuple(i == j for j in range(3)) for i in range(3)))
+        m = tuple(tuple(i == j for j in range(3)) for i in range(3))
         sol = min_line_cover(m)
-        assert sol.size == 3 and sol.exact
+        assert len(sol.columns) == 3 and sol.exact
+        # no bodies: the empty cover, exact
+        assert min_line_cover(()) == CoverSolution((), True, 0)
 
     def test_single_full_column(self):
-        m = PiercingMatrix(((True, False), (True, True), (True, False)))
+        m = ((True, False), (True, True), (True, False))
         sol = min_line_cover(m)
-        assert sol.size == 1 and sol.columns == (0,)
+        assert sol.columns == (0,)
 
     def test_pairs_pattern(self):
         # body i pierced by the listed column pairs: {0,1},{0,2},{1,3},{2,3}
         rows = [(True, True, False, False), (True, False, True, False),
                 (False, True, False, True), (False, False, True, True)]
-        m = PiercingMatrix(tuple(rows))
+        m = tuple(rows)
         sol = min_line_cover(m)
-        assert sol.size == 2 == brute_force_cover(m)
+        assert len(sol.columns) == 2 == brute_force_cover(m)
 
     def test_uncoverable_rows_reported(self):
-        m = PiercingMatrix(((True, False), (False, False), (False, False)))
+        m = ((True, False), (False, False), (False, False))
         with pytest.raises(UncoverableError) as err:
             min_line_cover(m)
         assert err.value.rows == (1, 2)
+        # no lines: the one body is uncoverable
+        with pytest.raises(UncoverableError) as err:
+            min_line_cover(((),))
+        assert err.value.rows == (0,)
 
     def test_matches_brute_force_random(self):
         rng = random.Random(83)
@@ -401,18 +407,18 @@ class TestMinLineCover:
             for row in entries:
                 if not any(row):
                     row[rng.randrange(cols)] = True
-            m = PiercingMatrix(tuple(tuple(r) for r in entries))
-            assert min_line_cover(m).size == brute_force_cover(m)
+            m = tuple(tuple(r) for r in entries)
+            assert len(min_line_cover(m).columns) == brute_force_cover(m)
 
     def test_greedy_fallback_above_exact_limit(self):
         cols = 30
         entries = tuple(
             tuple(c == r or c == cols - 1 for c in range(cols)) for r in range(6)
         )
-        sol = min_line_cover(PiercingMatrix(entries))
+        sol = min_line_cover(entries)
         assert not sol.exact
-        assert sol.size >= 1
-        assert sol.lower_bound <= sol.size
+        assert len(sol.columns) >= 1
+        assert sol.lower_bound <= len(sol.columns)
 
 
 def replay_first_avoiding(delta: F, predicate, n_max=2000):
