@@ -93,100 +93,85 @@ class _LevelCursor:
     enumeration, via a greedy feasibility oracle (the lexicographic multiset
     walk of Knuth, TAOCP Vol. 4A, 7.2.1.3).
 
-    Point sets are integer masks: bit i stands for the i-th smallest excluded
-    point, and ``hits[p]`` is the mask of the points interior to allowed
-    interval p.  After ``__init__`` the walk does no rational arithmetic.
+    ``excluded`` comes sorted.  A feasible pick either covers the lowest
+    uncovered point e, and with it every uncovered point below its right
+    end, or covers no uncovered point.  For a pick that covers a later point
+    but not e lies wholly above e, and so does every later pick, as picks
+    are nondecreasing: e could never be covered.  So the points a feasible
+    prefix of picks covers are always a prefix of the sorted points, and the
+    walk's state is the index of the lowest uncovered one.
+
+    ``cands[i]`` lists the (at most two) allowed intervals over point i in
+    increasing order; ``reach[p]`` counts the points below the right end of
+    an interval p over some point, one past the last point p holds.  After
+    ``__init__`` the walk does no rational arithmetic.
     """
 
     def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[Fraction]):
         self.size = cover.picks_per_set
-        self.everything = (1 << len(excluded)) - 1
         forbidden = set(cover.covering_indices(target))
         self.allowed = [p for p in range(len(cover.centers)) if p not in forbidden]
-        # each point is interior to at most two grid intervals, in increasing order
         self.cands = [
-            [p for p in cover.covering_indices(e) if p not in forbidden]
-            for e in sorted(excluded)
+            [p for p in cover.covering_indices(e) if p not in forbidden] for e in excluded
         ]
-        self.hits = [0] * len(cover.centers)
+        self.reach = [0] * len(cover.centers)
         for i, ps in enumerate(self.cands):
             for p in ps:
-                self.hits[p] |= 1 << i
+                self.reach[p] = i + 1
 
-    def _need(self, uncovered: int, p_min: int, cap: int) -> int | None:
-        """Greedy minimum number of allowed picks >= p_min covering all
-        points, or None when impossible or above cap.
+    def _coverable(self, low: int, floor: int, slots: int) -> bool:
+        """Can at most ``slots`` picks >= floor cover the points from index
+        ``low`` on?  Greedily, the lowest uncovered point takes its rightmost
+        candidate, which covers every point below its right end."""
+        while low < len(self.cands):
+            options = self.cands[low]
+            if not options or options[-1] < floor or slots == 0:
+                return False
+            slots -= 1
+            low = self.reach[options[-1]]
+        return True
 
-        The lowest uncovered point takes its rightmost candidate.  Every
-        other uncovered point lies above that interval's left end, so the
-        interval covers exactly those of them below its right end.
-        """
-        used = 0
-        while uncovered:
-            options = self.cands[(uncovered & -uncovered).bit_length() - 1]
-            if not options or options[-1] < p_min:
-                return None
-            used += 1
-            if used > cap:
-                return None
-            uncovered &= ~self.hits[options[-1]]
-        return used
-
-    def _trials(self, uncovered: int, floor: int) -> list[int]:
-        """Candidate indices >= floor: the smallest allowed filler plus every
-        interval that covers a still-uncovered point.  Any other index is
-        dominated: a larger filler only shrinks the available index range."""
-        out = set()
+    def _least_pick(self, low: int, floor: int, slots_after: int) -> tuple[int, int] | None:
+        """Least pick >= floor after which the later slots can still cover
+        every point, with the index of the lowest point it leaves uncovered;
+        None when there is none.  It is the smallest allowed index >= floor
+        or a candidate of the lowest uncovered point: any other feasible pick
+        covers no uncovered point and leaves the later slots fewer indices."""
         j = bisect_left(self.allowed, floor)
-        if j < len(self.allowed):
-            out.add(self.allowed[j])
-        while uncovered:
-            low = uncovered & -uncovered
-            out.update(p for p in self.cands[low.bit_length() - 1] if p >= floor)
-            uncovered ^= low
-        return sorted(out)
-
-    def _least_pick(
-        self, uncovered: int, floor: int, slots_after: int
-    ) -> tuple[int, int] | None:
-        """Least pick >= floor whose remainder the later slots can still
-        cover, with that remainder; None when there is none."""
-        for p in self._trials(uncovered, floor):
-            rest = uncovered & ~self.hits[p]
-            if self._need(rest, p, slots_after) is not None:
+        over = self.cands[low] if low < len(self.cands) else []
+        for p in sorted({*self.allowed[j : j + 1], *(p for p in over if p >= floor)}):
+            rest = self.reach[p] if p in over else low
+            if self._coverable(rest, p, slots_after):
                 return p, rest
         return None
 
     def walk(self) -> Iterator[tuple[int, ...]]:
         """Valid pick multisets as tuples, in lexicographic order.
 
-        ``uncovered[j]`` is the mask of the points left uncovered by
-        ``combo[:j]``.
-        Each position takes its least feasible pick >= ``floor``; after a
-        yield, or when a position has no such pick, the walk pops the last
-        pick and resumes just above it.  So a successor re-examines only the
-        positions it changes, and the walk never recurses: 2^level picks
+        ``low[j]`` is the index of the lowest point ``combo[:j]`` leaves
+        uncovered.  Each position takes its least feasible pick >= ``floor``;
+        after a yield, or when a position has no such pick, the walk pops the
+        last pick and resumes just above it.  So a successor re-examines only
+        the positions it changes, and the walk never recurses: 2^level picks
         cost no stack depth.
         """
-        if self._need(self.everything, 0, self.size) is None:
-            return
         combo: list[int] = []
-        uncovered = [self.everything]
+        low = [0]
         floor = 0
         while True:
             step = None
             if len(combo) < self.size:
-                step = self._least_pick(uncovered[-1], floor, self.size - len(combo) - 1)
+                step = self._least_pick(low[-1], floor, self.size - len(combo) - 1)
             else:
                 yield tuple(combo)
             if step is not None:
                 p, rest = step
                 combo.append(p)
-                uncovered.append(rest)
+                low.append(rest)
                 floor = p
             elif combo:
                 floor = combo.pop() + 1
-                uncovered.pop()
+                low.pop()
             else:
                 return
 
@@ -209,7 +194,7 @@ class SupportAssigner:
 
     def _supports(self, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
-        excluded = [enumerate_Q0(k) for k in range(1, m)]
+        excluded = sorted(enumerate_Q0(k) for k in range(1, m))
         seen: set[IntervalSet] = set()
         for level in count(1):
             cover = make_cover(self.delta, level)

@@ -37,11 +37,10 @@ class IntervalSet:
 
     @staticmethod
     def from_pairs(pairs) -> IntervalSet:
-        """The set of the given (lo, hi) pieces, which must already be in
-        canonical order: each lo <= hi and above the previous hi."""
+        """The set of the given (lo, hi) ``Fraction`` pieces, which must
+        already be in canonical order: each lo <= hi and above the previous hi."""
         points: list[Fraction] = []
         for lo, hi in pairs:
-            lo, hi = Fraction(lo), Fraction(hi)
             if hi < lo:
                 raise ValueError(
                     "interval endpoints out of order: "

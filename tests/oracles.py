@@ -100,3 +100,102 @@ def depth_profile(sets: list[IntervalSet]) -> list[DepthCell]:
         else:
             cells.append(DepthCell(lo, hi, point, point, d))
     return cells
+
+
+def expected_certificate(line_record: dict, witness_record: dict):
+    """The certificate a refute report should state for a pool line that
+    misses the report's witness body, as (case, lhs, rel, rhs) with rational
+    sides; None when the line pierces the body.
+
+    Both records are read as strings: the line as the pool file gives it,
+    the witness as the report does.  The line's class is whether three of
+    its points lie on z = x*y, and its meet with the plane y = q + eps*x is
+    solved for the line parameter.  Envelope and top-chord values are
+    interpolated between the surface points over the ends of a gap or of
+    the range, and a y-ruling's slab is q + eps*u at the range ends.  An
+    in-plane line's envelope slack is the least over the support pieces of
+    the convex gap between parabola and line, at the parabola-minus-line
+    vertex clamped into each piece.
+    """
+    x0, y0, z0 = (Fraction(v) for v in line_record["base"])
+    dx, dy, dz = (Fraction(v) for v in line_record["dir"])
+    q, eps = Fraction(witness_record["q"]), Fraction(witness_record["eps"])
+    support = [(Fraction(lo), Fraction(hi)) for lo, hi in witness_record["support"]]
+    r_min, r_max = support[0][0], support[-1][1]
+
+    def surface_w(u: Fraction) -> Fraction:
+        """z of the plane's surface point over x = u."""
+        return u * (q + eps * u)
+
+    def in_support(u: Fraction) -> bool:
+        return any(lo <= u <= hi for lo, hi in support)
+
+    def chord(a: Fraction, b: Fraction, u: Fraction) -> Fraction:
+        """The chord between the surface points over a and b, at u."""
+        if a == b:
+            return surface_w(a)
+        return surface_w(a) + (surface_w(b) - surface_w(a)) * (u - a) / (b - a)
+
+    def envelope(u: Fraction) -> Fraction:
+        """The hull's lower boundary over u in [r_min, r_max]."""
+        if in_support(u):
+            return surface_w(u)
+        a = max(hi for _, hi in support if hi < u)
+        b = min(lo for lo, _ in support if lo > u)
+        return chord(a, b, u)
+
+    on_surface = all(z0 + s * dz == (x0 + s * dx) * (y0 + s * dy) for s in (0, 1, 2))
+    if on_surface and dx == 0:  # the x-ruling x = x0 meets the plane over u = x0
+        u = x0
+        if u < r_min:
+            return "support-below-range", u, "<", r_min
+        if u > r_max:
+            return "support-above-range", u, ">", r_max
+        return None if in_support(u) else ("support-gap", surface_w(u), "<", envelope(u))
+    if on_surface:  # the y-ruling y = y0: dy == 0 for a line on the surface
+        y_lo, y_hi = q + eps * r_min, q + eps * r_max
+        if y0 < y_lo:
+            return "plane-slab-below", y0, "<", y_lo
+        if y0 > y_hi:
+            return "plane-slab-above", y0, ">", y_hi
+        u = (y0 - q) / eps
+        return None if in_support(u) else ("slab-gap", surface_w(u), "<", envelope(u))
+
+    # y0 + s*dy = q + eps*(x0 + s*dx), solved for s
+    slope, offset = dy - eps * dx, q + eps * x0 - y0
+    if slope:
+        s = offset / slope
+        u, w = x0 + s * dx, z0 + s * dz
+        if u < r_min:
+            return "point-below-range", u, "<", r_min
+        if u > r_max:
+            return "point-above-range", u, ">", r_max
+        if w > chord(r_min, r_max, u):
+            return "point-above-top-chord", w, ">", chord(r_min, r_max, u)
+        if w < envelope(u):
+            return "point-below-envelope", w, "<", envelope(u)
+        return None
+    if offset:
+        return "plane-parallel", -offset, "!=", Fraction(0)
+
+    # the line lies in the plane
+    if dx == 0:
+        if x0 < r_min:
+            return "inplane-below-range", x0, "<", r_min
+        if x0 > r_max:
+            return "inplane-above-range", x0, ">", r_max
+        return None
+
+    def line_w(u: Fraction) -> Fraction:
+        return z0 + (u - x0) * dz / dx
+
+    top_slack = min(line_w(r) - surface_w(r) for r in (r_min, r_max))
+    if top_slack > 0:
+        return "inplane-above-top-chord", top_slack, ">", Fraction(0)
+    vertex = (dz / dx - q) / (2 * eps)
+    env_slack = min(
+        surface_w(u) - line_w(u) for u in (min(max(vertex, lo), hi) for lo, hi in support)
+    )
+    if env_slack > 0:
+        return "inplane-below-envelope", env_slack, ">", Fraction(0)
+    return None

@@ -24,13 +24,15 @@ from linepierce.family import ConvexBody, FamilyStream, body_to_record
 from linepierce.geometry import (
     Line3,
     Point3,
+    line_from_record,
     line_surface_intersection,
     line_to_record,
     ruling_line_x,
     ruling_line_y,
 )
 from linepierce.intervals import IntervalSet
-from linepierce.refutation import Certificate, InternalError, pierce
+from linepierce.refutation import Certificate, InternalError, pierce, refute
+from oracles import expected_certificate
 
 
 def write_lines(path, lines):
@@ -417,6 +419,45 @@ class TestPinnedBenchmarkRefutes:
         assert digest.hexdigest() == (
             "6cf9cd1123560f11fd5211e012069b6b527536cc2c0fdcbeb39855f4a7275593"
         )
+
+
+def stated_cases(report, line_records):
+    """The cases of a found refute report's certificates, after checking
+    that each states the case, sides and relation that
+    ``expected_certificate`` derives from its pool line and the witness."""
+    assert report["found"]
+    certs = report["certificates"]
+    assert [cert["line"] for cert in certs] == list(range(len(line_records)))
+    for cert, record in zip(certs, line_records):
+        stated = (cert["case"], F(cert["lhs"]), cert["rel"], F(cert["rhs"]))
+        assert stated == expected_certificate(record, report["witness"])
+    return {cert["case"] for cert in certs}
+
+
+class TestCertificatesStateWhatTheyProve:
+    """The certificates of the pinned refute reports, each derived again by
+    an oracle that shares no code with ``refutation.py``: a wrong value that
+    still satisfies its relation fails here, not only the sha256 pins.  The
+    reports are ``refute(...).to_record()``, the record the CLI writes."""
+
+    def test_benchmark_pools(self, monkeypatch):
+        pools = _benchmark_pools(monkeypatch)
+        stream = FamilyStream(F(1, 2))
+        cases = set()
+        for seed in (0, 1):
+            for pool in pools.refute_pools(seed):
+                records = [record for record, _ in pool]
+                lines = [line_from_record(record) for record in records]
+                cases |= stated_cases(refute(lines, stream, 2000).to_record(), records)
+        assert cases == {
+            "support-below-range", "support-above-range", "support-gap",
+            "plane-slab-below", "plane-slab-above", "point-below-range",
+            "point-above-range", "point-above-top-chord", "point-below-envelope",
+        }
+
+    def test_mixed_pool(self):
+        report = refute(MIXED_POOL, FamilyStream(F(1, 2)), 100_000).to_record()
+        stated_cases(report, [line_to_record(line) for line in MIXED_POOL])
 
 
 def test_a_raw_line_separator_in_a_string_ends_no_record(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.family import (
@@ -226,9 +226,17 @@ class TestLevelCursorWalk:
         target=unit_rationals,
         excluded=st.lists(unit_rationals, max_size=6),
     )
+    # filler 3 covers 5/16 but not 0, and every pick after it lies above 0:
+    # the walk yields (0, 3) alone
+    @example(delta=F(1, 2), level=1, target=F(3, 16), excluded=[F(0), F(5, 16)])
+    # repeated points, and a repeated grid node (1/4) that one interval holds
+    @example(delta=F(1, 2), level=2, target=F(0), excluded=[F(1, 3), F(1, 3), F(1, 2), F(1, 2)])
+    @example(delta=F(1, 2), level=1, target=F(1), excluded=[F(1, 4), F(1, 4), F(3, 5)])
+    # the target is an excluded point: the walk yields nothing
+    @example(delta=F(1, 3), level=1, target=F(1, 2), excluded=[F(1, 4), F(1, 2)])
     def test_walk_matches_full_enumeration(self, delta, level, target, excluded):
         cover = make_cover(delta, level)
-        got = list(_LevelCursor(cover, target, excluded).walk())
+        got = list(_LevelCursor(cover, target, sorted(excluded)).walk())
         assert got == list(valid_multisets_oracle(cover, target, excluded))
 
     def test_deep_level_does_not_recurse(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepierce.family import ConvexBody, FamilyStream
+from linepierce.family import ConvexBody, FamilyStream, body_to_record
 from linepierce.geometry import (
     GENERIC,
     X_RULING,
@@ -15,6 +15,7 @@ from linepierce.geometry import (
     Point3,
     classify_line,
     line_plane_intersection,
+    line_to_record,
     ruling_line_x,
     ruling_line_y,
 )
@@ -29,7 +30,7 @@ from linepierce.refutation import (
     piercing_matrix,
     refute,
 )
-from oracles import pieces, vertical_distance
+from oracles import expected_certificate, pieces, vertical_distance
 
 
 def body_with_gap():
@@ -217,6 +218,41 @@ def test_ruling_certificate_cases():
         X_RULING: {"support-below-range", "support-above-range", "support-gap"},
         Y_RULING: {"plane-slab-below", "plane-slab-above", "slab-gap"},
     }
+
+
+def test_certificate_oracle_on_cases_no_pinned_report_reaches():
+    """``expected_certificate`` against ``non_piercing_certificate`` for
+    lines inside or parallel to the plane and a y-ruling over a gap, and
+    None from both for lines that pierce."""
+    body = body_with_gap()
+    mid = F(1, 2)
+    tangent = body.q + 2 * body.eps * mid
+    vertical = (F(0), F(0), F(1))
+    misses = {
+        "inplane-below-envelope": Line3(
+            body.from_chart(mid, body.parabola(mid) + F(1, 4096)), (F(1), body.eps, tangent)
+        ),
+        "inplane-above-top-chord": Line3(body.from_chart(F(0), F(1)), (F(1), body.eps, F(1))),
+        "inplane-below-range": Line3(body.from_chart(F(-1, 2), F(0)), vertical),
+        "inplane-above-range": Line3(body.from_chart(F(3, 2), F(0)), vertical),
+        "plane-parallel": Line3(Point3(F(0), F(0), F(0)), (F(1), body.eps, F(0))),
+        "slab-gap": ruling_line_y(body.q + body.eps * mid),
+    }
+    witness = body_to_record(body)
+    for case, line in misses.items():
+        cert = non_piercing_certificate(line, body)
+        assert cert.case == case
+        stated = (cert.case, cert.lhs, cert.rel, cert.rhs)
+        assert expected_certificate(line_to_record(line), witness) == stated
+    hits = [
+        ruling_line_x(F(1, 8)),
+        ruling_line_y(body.q + body.eps * F(7, 8)),
+        Line3(body.from_chart(F(1, 8), F(0)), vertical),
+        Line3(body.from_chart(F(1, 8), body.parabola(F(1, 8))), (F(1), F(1), F(1))),
+    ]
+    for line in hits:
+        assert non_piercing_certificate(line, body) is None
+        assert expected_certificate(line_to_record(line), witness) is None
 
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
