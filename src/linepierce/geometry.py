@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from numbers import Rational
 
 from .exactnum import QuadExt, Scalar, format_rational, parse_rational, solve_quadratic
@@ -46,6 +48,25 @@ class Line3:
             raise ValueError("line coordinates must be rational")
         if all(c == 0 for c in self.dir):
             raise ValueError("line direction must be nonzero")
+
+    @cached_property
+    def over_y(self) -> tuple[int, int, int, int, int, int] | None:
+        """The line as a function of y, in integers over one denominator.
+
+        With dy != 0 the line is x(y) = (x1*y + x0)/den, and its height over
+        the surface is z(y) - x(y)*y = (a*y^2 + b*y + c)/den, for integers
+        a, b, c, x1, x0 and den > 0; returned as (a, b, c, x1, x0, den).
+        None when dy == 0.
+        """
+        dx, dy, dz = (Fraction(d) for d in self.dir)
+        if dy == 0:
+            return None
+        slope_x, slope_z = dx / dy, dz / dy
+        x0 = self.base.x - self.base.y * slope_x
+        z0 = self.base.z - self.base.y * slope_z
+        coeffs = (-slope_x, slope_z - x0, z0, slope_x, x0)
+        den = lcm(*(c.denominator for c in coeffs))
+        return (*(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 @dataclass(frozen=True)

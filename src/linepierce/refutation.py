@@ -18,11 +18,16 @@ inequality as a certificate, or None when the line pierces:
   lies in the support.
 
 ``pierce`` applies the first two decisions to any line; for rulings it is
-the independent geometric cross-check of the support rule.  ``refute`` and
-``piercing_matrix`` classify each line once and decide rulings by the
-support rule.  The refuter scans the family stream for the first body
-missed by every line of a finite pool and emits one re-verifiable
-certificate per line.
+the independent geometric cross-check of the support rule.  Ahead of them
+it runs a sound filter, the paper's own argument in small integers: a line
+off the surface meets z = x*y in at most two points, every body lies within
+eps/4 above the surface in a slab of y-width eps, so most lines miss a
+thin body by more than the slab allows.  The filter only ever answers
+"miss"; anything else falls through to the plane meet, and certificates
+come from the plane meet alone.  ``refute`` and ``piercing_matrix``
+classify each line once and decide rulings by the support rule.  The
+refuter scans the family stream for the first body missed by every line of
+a finite pool and emits one re-verifiable certificate per line.
 """
 
 from __future__ import annotations
@@ -57,8 +62,47 @@ def max_vertical_distance(body: ConvexBody) -> Fraction:
 
 def pierce(line: Line3, body: ConvexBody) -> bool:
     """Does the line meet the body?  Decided by where the line meets the
-    body's plane, for every line class alike."""
+    body's plane, for every line class alike, after ``_surely_misses`` has
+    had the chance to answer "miss" in small integers.  The filter is sound,
+    so the answer is the plane meet's; certificates come from the plane meet
+    alone."""
+    if _surely_misses(line, body):
+        return False
     return _geometric_miss(line, body) is None
+
+
+def _surely_misses(line: Line3, body: ConvexBody) -> bool:
+    """A sound filter: True only if the line misses the body; False decides
+    nothing.
+
+    Lemma.  Every body lies in the box 0 <= x <= 1, q <= y <= q + eps,
+    0 <= z - x*y <= eps/4: its support lies in [0, 1], the hull lies on or
+    above the parabola w = u*y because the chords bridge a convex arc, and
+    the top chord is at most ``max_vertical_distance`` <= eps/4 above it.
+    Parametrise a line with dy != 0 by y.  Its height over the surface is
+    g(y) = z(y) - x(y)*y = A*y^2 + B*y + C, and for y = q + t, 0 <= t <= eps,
+    g(y) - g(q) = t*(2*A*q + B + A*t), so |g(y) - g(q)| <= eps*M with
+    M = |2*A*q + B| + 2*|A|/64, as eps <= 1/64.  So the line misses the
+    body when g(q) > eps*(M + 1/4) or g(q) < -eps*M, and when x(q) lies
+    outside [0, 1] by more than eps*|dx/dy|.
+
+    With q = n/d and eps = 2^-k, k = 2f + 4, the tests below are these
+    inequalities multiplied through by 32*den*d^2*2^k (height) and by
+    den*d*2^k (x), so each is a small-integer polynomial, one shift and one
+    comparison.  Lines with dy == 0 are left to the plane meet.
+    """
+    form = line.over_y
+    if form is None:
+        return False
+    a, b, c, x1, x0, den = form
+    n, d = body.q.numerator, body.q.denominator
+    k = body.eps.denominator.bit_length() - 1  # eps = 4^-(f+2) = 2^-k
+    height = ((a * n + b * d) * n + c * d * d) << (k + 5)
+    spread = 32 * d * abs(2 * a * n + b * d) + abs(a) * d * d
+    if height > spread + 8 * den * d * d or height < -spread:
+        return True
+    x, widen = x1 * n + x0 * d, abs(x1) * d
+    return (x << k) < -widen or ((x - den * d) << k) > widen
 
 
 def piercing_matrix(
@@ -226,7 +270,8 @@ def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
 
 def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
     """The piercing decision of ``refute`` and ``piercing_matrix``: the
-    support rule for rulings, ``pierce`` for every other line."""
+    support rule for rulings, ``pierce`` (its filter, then the plane meet)
+    for every other line."""
     if cls.kind == GENERIC:
         return pierce(line, body)
     return _ruling_pierces(cls, body)

@@ -30,7 +30,7 @@ from linepierce.refutation import (
     non_piercing_certificate,
     pierce,
 )
-from oracles import pieces
+from oracles import expected_certificate, pieces
 
 
 def report(n: int, elapsed: float, message: str) -> None:
@@ -239,10 +239,13 @@ def test_criterion_6_refutation_soundness(tmp_path):
         body = body_from_record(data["witness"])
         for line in pool:  # independent of the CLI's own --verify pass
             assert not pierce(line, body)
-        assert len(data["certificates"]) == len(pool)
-        for cert in data["certificates"]:
-            fresh = non_piercing_certificate(pool[cert["line"]], body)
+        assert [cert["line"] for cert in data["certificates"]] == list(range(len(pool)))
+        for cert, line in zip(data["certificates"], pool):
+            fresh = non_piercing_certificate(line, body)
             assert fresh is not None and fresh.holds()
+            # what the certificate states, derived by an oracle of its own
+            stated = (cert["case"], F(cert["lhs"]), cert["rel"], F(cert["rhs"]))
+            assert stated == expected_certificate(line_to_record(line), data["witness"])
         worst = max(worst, took)
         deepest = max(deepest, data["emission_index"])
     elapsed = time.monotonic() - start

@@ -298,6 +298,32 @@ class TestVerticalDistance:
         assert vertical_distance(Point3(F(1, 2), F(1, 2), F(0))) == F(1, 4)
 
 
+class TestOverY:
+    """``Line3.over_y`` against the line's own points, found by its parameter."""
+
+    def test_x_ruling_has_zero_height(self):
+        assert Line3(Point3(1, 0, 0), (0, 1, 1)).over_y == (0, 0, 0, 0, 1, 1)
+        assert ruling_line_y(F(1, 3)).over_y is None
+
+    @settings(max_examples=300)
+    @given(base=st.tuples(SMALL, SMALL, SMALL), direction=st.tuples(SMALL, SMALL, SMALL),
+           y=SMALL)
+    def test_integer_form_is_the_line_over_y(self, base, direction, y):
+        if direction == (0, 0, 0):
+            direction = (F(0), F(1), F(0))
+        line = Line3(Point3(*base), direction)
+        form = line.over_y
+        assert (form is None) == (direction[1] == 0)
+        if form is None:
+            return
+        a, b, c, x1, x0, den = form
+        assert all(type(v) is int for v in form) and den > 0
+        p = point_at(line, (y - base[1]) / direction[1])
+        assert p.y == y
+        assert (x1 * y + x0) / den == p.x
+        assert (a * y * y + b * y + c) / den == p.z - p.x * p.y
+
+
 class TestLineRecords:
     def test_round_trip(self):
         rng = random.Random(79)

@@ -23,6 +23,8 @@ from linepierce.intervals import IntervalSet
 from linepierce.refutation import (
     CoverSolution,
     UncoverableError,
+    _geometric_miss,
+    _surely_misses,
     max_vertical_distance,
     min_line_cover,
     non_piercing_certificate,
@@ -381,17 +383,84 @@ def _oracle_pool(bodies: list[ConvexBody]) -> list[Line3]:
 
 
 def test_piercing_matrix_matches_geometric_pierce():
-    """The matrix decides rulings by the support rule; the geometric pierce
-    decides every line on its own, so whole matrices must agree."""
+    """The matrix decides rulings by the support rule and generic lines
+    through the slab filter; the plane meet alone decides every line on its
+    own, so whole matrices must agree."""
     bodies = FamilyStream(F(1, 2)).truncate(96)
     lines = _oracle_pool(bodies)
-    want = tuple(tuple(pierce(line, body) for line in lines) for body in bodies)
+    want = tuple(
+        tuple(_geometric_miss(line, body) is None for line in lines) for body in bodies
+    )
     assert piercing_matrix(bodies, lines) == want
     # every class of line both pierces and misses somewhere
     for kind in (X_RULING, Y_RULING, GENERIC):
         cols = [c for c, line in enumerate(lines) if classify_line(line).kind == kind]
         hits = {row[c] for row in want for c in cols}
         assert hits == {True, False}, kind
+
+
+@st.composite
+def lines_through_early_bodies(draw):
+    """A point of body 1, 2 or 3, where eps is largest, and lines through
+    it.  The point's u is in the range, sometimes a support end, and its w
+    lies between the lower envelope and the top chord.  The lines are a
+    lifted near-ruling (0, 1, u + nudge); lines of slope dx/dy up to 4000
+    in size whose height z - x*y over the surface has its vertex at the
+    point (a near-tangent), at y = q or at y = q + eps; and one of any dz."""
+    body = draw(st.sampled_from(PREFIX[:3]))
+    ends = body.support.points
+    u = draw(st.sampled_from(ends) | st.fractions(ends[0], ends[-1], max_denominator=64))
+    low, top = body.lower_envelope(u), body.top_chord(u)
+    share = draw(st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=16))
+    point = body.from_chart(u, low + (top - low) * share)
+    slope = draw(st.integers(-4000, 4000).map(F) | SMALL)
+    nudge = body.eps * draw(st.just(F(0)) | st.fractions(-1, 1, max_denominator=8))
+    dy = draw(st.sampled_from([F(1), F(-1), F(1, 3), F(7)]))
+    # a line (slope, 1, dz) through the point has g'(v) = dz - u - slope*(2*v - y),
+    # so each dz below puts g' = nudge at its v
+    directions = [(F(0), F(1), u + nudge)] + [
+        (slope, F(1), u + slope * (2 * v - point.y) + nudge)
+        for v in (point.y, body.q, body.q + body.eps)
+    ] + [(slope, F(1), draw(SMALL))]
+    return body, [Line3(point, tuple(dy * c for c in d)) for d in directions]
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+class TestSurelyMisses:
+    """The slab filter in ``pierce`` only ever answers "miss", and only
+    for lines the plane meet misses."""
+
+    @settings(max_examples=400)
+    @given(case=lines_through_early_bodies())
+    def test_never_misses_a_line_through_the_body(self, case):
+        body, lines = case
+        for line in lines:
+            assert _geometric_miss(line, body) is None  # the line meets the body
+            assert not _surely_misses(line, body)
+
+    @settings(max_examples=200)
+    @given(base=st.tuples(UNIT, UNIT, SMALL), direction=st.tuples(SMALL, SMALL, SMALL))
+    def test_agrees_with_the_plane_meet_on_random_lines(self, base, direction):
+        if direction == (0, 0, 0):
+            direction = (F(1), F(1), F(0))
+        line = Line3(Point3(*base), direction)
+        for body in PREFIX:
+            if _surely_misses(line, body):
+                assert _geometric_miss(line, body) is not None
+
+    def test_decides_the_generic_misses_of_thin_bodies(self):
+        """Past the first bodies, almost every miss by a generic line with
+        dy != 0 is decided in the filter, so ``pierce`` rarely reaches the
+        plane meet; lines with dy == 0 always go on to it."""
+        bodies = FamilyStream(F(1, 2)).truncate(96)[20:]
+        lines = [line for line in _oracle_pool(bodies)
+                 if classify_line(line).kind == GENERIC and line.dir[1] != 0]
+        misses = [(line, body) for line in lines for body in bodies
+                  if _geometric_miss(line, body) is not None]
+        decided = sum(_surely_misses(line, body) for line, body in misses)
+        assert decided >= 0.95 * len(misses) > 0
 
 
 def brute_force_cover(matrix: tuple[tuple[bool, ...], ...]) -> int:
@@ -619,9 +688,11 @@ def test_refute_returns_the_brute_force_first_witness():
     for _ in range(40):
         pool = mixed_pool(rng, early)
         outcome = refute(pool, FamilyStream(F(1, 2)), 400)
-        # brute force: the geometric pierce on every line/body pair
+        # brute force: the unfiltered plane meet on every line/body pair
         want, _ = replay_first_avoiding(
-            F(1, 2), lambda body: not any(pierce(line, body) for line in pool), 400
+            F(1, 2),
+            lambda body: all(_geometric_miss(line, body) is not None for line in pool),
+            400,
         )
         assert outcome.found and outcome.witness.f_index == want
         assert all(cert.holds() for cert in outcome.certificates)
