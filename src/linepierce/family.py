@@ -191,13 +191,20 @@ class SupportAssigner:
             raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
         self.delta = delta
         self._walks: dict[int, Iterator[IntervalSet]] = {}
+        self._covers: dict[int, CoverSpec] = {}  # by level, shared by every m
+
+    def _cover(self, level: int) -> CoverSpec:
+        cover = self._covers.get(level)
+        if cover is None:
+            cover = self._covers[level] = make_cover(self.delta, level)
+        return cover
 
     def _supports(self, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
         excluded = sorted(enumerate_Q0(k) for k in range(1, m))
         seen: set[IntervalSet] = set()
         for level in count(1):
-            cover = make_cover(self.delta, level)
+            cover = self._cover(level)
             for combo in _LevelCursor(cover, target, excluded).walk():
                 support = remove_intervals(cover, combo)
                 # one hash per support: a set grows only by a new member

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
+from math import lcm
 
 from .exactnum import format_rational, parse_rational
 
@@ -59,7 +60,13 @@ class IntervalSet:
         return IntervalSet((ZERO, ONE))
 
     def measure(self) -> Fraction:
-        return sum(self.points[1::2], ZERO) - sum(self.points[::2], ZERO)
+        """Sum of hi - lo over the pieces, over one common denominator, so
+        only the total is reduced."""
+        points = self.points
+        den = lcm(*(x.denominator for x in points))
+        length = sum(hi.numerator * (den // hi.denominator) for hi in points[1::2])
+        length -= sum(lo.numerator * (den // lo.denominator) for lo in points[::2])
+        return Fraction(length, den)
 
     def contains(self, x: Fraction) -> bool:
         i = bisect_left(self.points, x)
@@ -122,19 +129,24 @@ class CoverSpec:
         return 2**self.level
 
     @cached_property
+    def step(self) -> Fraction:
+        """Half the length: the spacing of the centers."""
+        return self.length / 2
+
+    @cached_property
     def open_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        half = self.length / 2
+        half = self.step
         return tuple((c - half, c + half) for c in self.centers)
 
     def covering_indices(self, x: Fraction) -> list[int]:
         """Indices of cover intervals whose open interior contains x.
 
-        In half-length steps interval k is (k-1, k+1), so a grid point
+        In units of step interval k is (k-1, k+1), so a grid point
         x = k*step is interior to interval k alone and any other x to
-        floor(x/step) and the next one.
+        floor(x/step) and the next one, found by one integer divmod.
         """
-        ratio = x / (self.length / 2)
-        k, rem = divmod(ratio.numerator, ratio.denominator)
+        step = self.step
+        k, rem = divmod(x.numerator * step.denominator, x.denominator * step.numerator)
         around = (k,) if rem == 0 else (k, k + 1)
         return [idx for idx in around if 0 <= idx < len(self.centers)]
 
@@ -155,7 +167,11 @@ def make_cover(delta: Fraction, level: int) -> CoverSpec:
 def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
     """[0,1] minus the union of the picked open cover intervals.
 
-    Exactly 2^level picks are required; repeats are allowed and harmless.
+    Exactly 2^level picks are required, in any order; repeats are allowed
+    and harmless.  In units of step interval p is (p-1, p+1), so sorted
+    picks at most 1 apart overlap, and each maximal run start..end of them
+    removes the one open interval (start-1, end+1), cut once.  A run ending
+    at e and the next starting at e+2 leave the point e+1 between them.
     """
     picks = list(picks)
     if len(picks) != cover.picks_per_set:
@@ -163,13 +179,19 @@ def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
             f"expected {cover.picks_per_set} picks at level {cover.level}, "
             f"got {len(picks)}"
         )
-    result = IntervalSet.unit()
     for p in picks:
         if not (0 <= p < len(cover.centers)):
             raise ValueError(f"pick index {p} out of range")
-        lo, hi = cover.open_intervals[p]
-        result = result.subtract_open(lo, hi)
-    return result
+    spans = cover.open_intervals
+    result = IntervalSet.unit()
+    runs = iter(sorted(picks))  # 2^level >= 1 picks
+    start = end = next(runs)
+    for p in runs:
+        if p > end + 1:
+            result = result.subtract_open(spans[start][0], spans[end][1])
+            start = p
+        end = p
+    return result.subtract_open(spans[start][0], spans[end][1])
 
 
 def deep_witness(

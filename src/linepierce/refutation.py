@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import format_rational
-from .family import ConvexBody, FamilyStream, body_to_record
+from .family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0
 from .geometry import (
     GENERIC,
     X_RULING,
@@ -431,9 +431,17 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOu
         ((line, info.cls) for line, info in zip(lines, infos)),
         key=lambda pair: pair[1].kind == GENERIC,
     )
+    # a body's support holds the base rational its approach sequence
+    # targets, so the pool's x-ruling through that rational, if any,
+    # pierces it: testing that line first decides most bodies of a pool of
+    # base x-rulings with one support-rule call.  Only the order changes.
+    own_ruling = {info.cls.param: info.cls for info in infos if info.cls.kind == X_RULING}
 
     for i in range(n_max):
         body = stream.body_at(i)
+        own = own_ruling.get(enumerate_Q0(body.m))
+        if own is not None and _ruling_pierces(own, body):
+            continue
         if any(_pierces(line, cls, body) for line, cls in classed):
             continue
         certs = tuple(

@@ -185,6 +185,18 @@ class TestSupportAssigner:
         sets = [assigner.assign(2) for _ in range(29)]
         assert len(set(sets)) == len(sets)
 
+    def test_each_cover_level_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting_make_cover(delta, level):
+            built.append(level)
+            return make_cover(delta, level)
+
+        monkeypatch.setattr("linepierce.family.make_cover", counting_make_cover)
+        FamilyStream(F(1, 2)).truncate(300)
+        assert len(set(built)) >= 2  # the walks reach past level 1
+        assert sorted(built) == sorted(set(built))
+
     def test_measure_bound(self):
         assigner = SupportAssigner(F(3, 4))
         for m in (1, 2, 3, 5, 8):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.intervals import IntervalSet, deep_witness, make_cover, remove_intervals
@@ -73,6 +73,39 @@ def canonical_sets(draw) -> IntervalSet:
     return IntervalSet.from_pairs(pairs)
 
 
+@st.composite
+def mixed_denominator_sets(draw) -> IntervalSet:
+    """Canonical sets whose endpoints have unrelated denominators, single
+    points included, paired up as ``canonical_sets`` pairs its grid values."""
+    values = sorted(draw(st.sets(st.fractions(0, 1, max_denominator=10**4), max_size=12)))
+    pairs = []
+    while values:
+        lo = values.pop(0)
+        hi = values.pop(0) if values and draw(st.booleans()) else lo
+        pairs.append((lo, hi))
+    return IntervalSet.from_pairs(pairs)
+
+
+# with delta = 2/5, k_max*step > 1 at every level, so the last two cover
+# intervals both hold 1
+COVER_DELTAS = [F(1, 2), F(3, 4), F(2, 5)]
+
+
+@st.composite
+def pick_cases(draw):
+    """A cover and its 2^level picks, unsorted and repeated, built around
+    one of the shapes that decide how the picks merge into runs: adjacent
+    picks (p, p+1), picks one apart (p, p+2), which keep the point between
+    them, and the two end picks."""
+    cover = make_cover(draw(st.sampled_from(COVER_DELTAS)), draw(st.integers(1, 4)))
+    last = len(cover.centers) - 1
+    p = draw(st.integers(0, last - 2))
+    shape = draw(st.sampled_from([(p, p + 1), (p, p + 2), (0, last), ()]))
+    size = cover.picks_per_set - len(shape)
+    rest = draw(st.lists(st.integers(0, last), min_size=size, max_size=size))
+    return cover, draw(st.permutations([*shape, *rest]))
+
+
 # cut ends on the 1/24 grid of [-1/2, 3/2]: beyond [0,1], inside pieces,
 # and (every other value) on the grid of the set's endpoints
 CUT_ENDS = [F(k, 24) for k in range(-12, 37)]
@@ -121,6 +154,32 @@ class TestMakeCover:
         assert not open_spans_cover_unit([(F(-1), F(1))])  # 1 not interior
         assert open_spans_cover_unit([(F(-1), F(1, 2)), (F(1, 4), F(2))])
 
+    @pytest.mark.parametrize("delta", COVER_DELTAS)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_covering_indices_on_and_between_grid_points(self, delta, level):
+        # every half step from two steps below 0 to two steps past the last
+        # center: grid points, and the midpoints between them
+        c = make_cover(delta, level)
+        half_step = c.length / 4
+        for j in range(-4, 2 * len(c.centers) + 3):
+            x = j * half_step
+            want = [p for p, (lo, hi) in enumerate(c.open_intervals) if lo < x < hi]
+            assert c.covering_indices(x) == want
+
+    @settings(max_examples=300)
+    @given(
+        delta=st.sampled_from(COVER_DELTAS),
+        level=st.integers(1, 5),
+        x=st.fractions(F(-1, 4), F(5, 4), max_denominator=10**4),
+    )
+    @example(delta=F(2, 5), level=1, x=F(1))  # interior to the last two intervals
+    @example(delta=F(2, 5), level=1, x=F(21, 20))  # the last center, past 1
+    @example(delta=F(1, 2), level=5, x=F(-1, 256))  # left of 0, inside interval 0
+    def test_covering_indices_match_brute_force(self, delta, level, x):
+        c = make_cover(delta, level)
+        want = [p for p, (lo, hi) in enumerate(c.open_intervals) if lo < x < hi]
+        assert c.covering_indices(x) == want
+
     def test_covering_indices(self):
         c = make_cover(F(1, 2), 1)
         # grid point: a single interval; off grid: two
@@ -152,6 +211,37 @@ class TestRemoveIntervals:
         s = remove_intervals(c, [0, 8])
         assert pieces(s) == [(F(1, 8), F(7, 8))]
         assert s.measure() >= F(1, 2)
+
+    @settings(max_examples=300)
+    @given(case=pick_cases())
+    @example(case=(make_cover(F(1, 2), 1), [4, 3]))  # adjacent, unsorted
+    @example(case=(make_cover(F(1, 2), 1), [5, 3]))  # one apart: 1/2 survives
+    @example(case=(make_cover(F(1, 2), 2), [3, 3, 5, 4]))  # a run with a repeat
+    @example(case=(make_cover(F(3, 4), 2), [9, 0, 2, 16]))  # both ends, a lone point
+    @example(case=(make_cover(F(2, 5), 1), [7, 0]))  # both end picks
+    @example(case=(make_cover(F(2, 5), 1), [6, 7]))  # the two intervals holding 1
+    @example(case=(make_cover(F(2, 5), 2), [13, 11, 0, 11]))  # one apart below 1
+    def test_matches_subtraction_oracle(self, case):
+        cover, picks = case
+        assert pieces(remove_intervals(cover, picks)) == subtraction_oracle(cover, picks)
+
+    def test_cuts_each_run_once(self, monkeypatch):
+        cuts = []
+        subtract_open = IntervalSet.subtract_open
+
+        def counting(self, lo, hi):
+            cuts.append((lo, hi))
+            return subtract_open(self, lo, hi)
+
+        monkeypatch.setattr(IntervalSet, "subtract_open", counting)
+        c = make_cover(F(1, 2), 3)
+        s = remove_intervals(c, [5, 3, 4, 3, 9, 11, 0, 1])
+        # runs 0..1, 3..5, 9 and 11, each cut once as (start-1, end+1) steps;
+        # the points 2 and 10 between runs survive
+        step = c.length / 2
+        runs = [(-1, 2), (2, 6), (8, 10), (10, 12)]
+        assert cuts == [(lo * step, hi * step) for lo, hi in runs]
+        assert s.contains(2 * step) and s.contains(10 * step)
 
     def test_wrong_pick_count(self):
         c = make_cover(F(1, 2), 2)
@@ -232,6 +322,17 @@ class TestMeasureAndIntersect:
 
     def test_empty(self):
         assert IntervalSet.from_pairs([]).measure() == 0
+
+    @settings(max_examples=300)
+    @given(s=mixed_denominator_sets())
+    @example(s=IntervalSet(()))
+    @example(s=IntervalSet((F(1, 3), F(1, 3))))  # a single point
+    @example(s=IntervalSet((F(0), F(1, 3), F(3, 7), F(3, 7), F(1, 2) + F(1, 2**200), F(1))))
+    @example(s=IntervalSet((F(1, 3), F(2, 5), F(3, 7), F(1, 2), F(7, 9), F(1))))
+    def test_measure_matches_fraction_sum(self, s):
+        want = sum((hi - lo for lo, hi in pieces(s)), F(0))
+        got = s.measure()
+        assert type(got) is F and got == want
 
     @pytest.mark.parametrize("pairs", [
         [(F(1, 2), F(1)), (F(0), F(1, 4))],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linepierce.family import ConvexBody, FamilyStream, body_to_record
+from linepierce.family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0
 from linepierce.geometry import (
     GENERIC,
     X_RULING,
@@ -24,6 +24,7 @@ from linepierce.refutation import (
     CoverSolution,
     UncoverableError,
     _geometric_miss,
+    _ruling_pierces,
     _surely_misses,
     max_vertical_distance,
     min_line_cover,
@@ -622,6 +623,24 @@ class TestRefute:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             refute([], FamilyStream(F(1, 2)), 0)
+
+    def test_one_support_rule_call_per_body_before_the_witness(self, monkeypatch):
+        # each body's support holds its own target rational, so the pool's
+        # x-ruling through it, tested first, decides the body alone; the
+        # pool is reversed so that list order alone would not find it first
+        k = 12
+        pool = [ruling_line_x(enumerate_Q0(m)) for m in range(k, 0, -1)]
+        asked = []
+
+        def counting(cls, body):
+            asked.append(body.f_index)
+            return _ruling_pierces(cls, body)
+
+        monkeypatch.setattr("linepierce.refutation._ruling_pierces", counting)
+        outcome = refute(pool, FamilyStream(F(1, 2)), 10_000)
+        witness = outcome.witness.f_index
+        assert witness == (k + 1) * (k + 2) // 2  # the first body of m = k + 1
+        assert [f for f in asked if f < witness] == list(range(1, witness))
 
 
 class TestVerticalClearance:
