@@ -6,6 +6,12 @@ intervals (single points included).  This module supplies the deterministic
 open covers, the removal operation that produces the supports, exact
 Lebesgue measure, and deep-point witnesses found by a sweep over all
 endpoints.
+
+A family file repeats a few grid endpoints many times, so reading supports
+parses each distinct endpoint string once per process, through a bounded
+cache, and checks the pieces' order by integer cross-multiplication.  Both
+are exact; the grammar and every message are those of ``parse_rational``
+and ``IntervalSet.from_pairs``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import lcm
 
@@ -39,20 +45,29 @@ class IntervalSet:
     @staticmethod
     def from_pairs(pairs) -> IntervalSet:
         """The set of the given (lo, hi) ``Fraction`` pieces, which must
-        already be in canonical order: each lo <= hi and above the previous hi."""
+        already be in canonical order: each lo <= hi and above the previous hi.
+
+        Order is decided in integers: denominators are positive, so
+        a/b < c/d exactly when a*d < c*b, and the previous hi is kept as its
+        (numerator, denominator) pair.  No ``Fraction`` comparison is made.
+        """
         points: list[Fraction] = []
+        prev_num = prev_den = 0
         for lo, hi in pairs:
-            if hi < lo:
+            lo_num, lo_den = lo.numerator, lo.denominator
+            hi_num, hi_den = hi.numerator, hi.denominator
+            if hi_num * lo_den < lo_num * hi_den:
                 raise ValueError(
                     "interval endpoints out of order: "
                     f"[{format_rational(lo)}, {format_rational(hi)}]"
                 )
-            if points and lo <= points[-1]:
+            if points and lo_num * prev_den <= prev_num * lo_den:
                 raise ValueError(
                     f"interval [{format_rational(lo)}, {format_rational(hi)}] does not "
                     f"start above the previous one's end {format_rational(points[-1])}"
                 )
             points += (lo, hi)
+            prev_num, prev_den = hi_num, hi_den
         return IntervalSet(tuple(points))
 
     @staticmethod
@@ -103,11 +118,33 @@ class IntervalSet:
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
-        if type(pairs) is not list or any(type(p) is not list or len(p) != 2 for p in pairs):
-            raise ValueError("a support must be a JSON array of [lo, hi] arrays")
+        """The set of a support as a family record states it: a JSON array
+        of [lo, hi] arrays of rational strings, in canonical order.
+
+        Each endpoint is parsed by ``parse_endpoint``, so once per distinct
+        string per process; order is checked by ``from_pairs``.
+        """
+        if type(pairs) is not list or any(
+            type(p) is not list or len(p) != 2 or type(p[0]) is not str or type(p[1]) is not str
+            for p in pairs
+        ):
+            raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
         return IntervalSet.from_pairs(
-            (parse_rational(lo), parse_rational(hi)) for lo, hi in pairs
+            (parse_endpoint(lo), parse_endpoint(hi)) for lo, hi in pairs
         )
+
+
+@lru_cache(maxsize=4096)
+def parse_endpoint(text: str) -> Fraction:
+    """``parse_rational``, memoised for support endpoints.
+
+    A family file holds tens of thousands of endpoint strings but only a few
+    hundred distinct ones.  The cache is bounded, and ``lru_cache`` stores
+    no raised exception, so a bad string fails the same way on every call.
+    ``parse_rational`` is looked up by its module-level name at each miss,
+    so a wrapper rebound to that name sees every string actually parsed.
+    """
+    return parse_rational(text)
 
 
 @dataclass(frozen=True)

@@ -677,6 +677,10 @@ BAD_RECORDS = {
     "support-string-pair": {**GOOD_BODY, "support": ["01"]},
     "support-object-pair": {**GOOD_BODY, "support": [{"0/1": 0, "1/2": 0}]},
     "support-object": {**GOOD_BODY, "support": {"01": 0}},
+    # endpoints are strings: a number, null or array never reaches the parser
+    "support-number-endpoint": {**GOOD_BODY, "support": [[0, "1/1"]]},
+    "support-null-endpoint": {**GOOD_BODY, "support": [[None, "1/1"]]},
+    "support-array-endpoint": {**GOOD_BODY, "support": [[["0/1"], "1/1"]]},
 }
 
 
@@ -691,6 +695,7 @@ def test_bad_record_exits_3_naming_its_line(tmp_path, command, record):
         tmp_path, COMMANDS[command][1]({"family": str(family), "lines": str(lines)})
     )
     assert f"{family}:2:" in done.stderr
+    assert "unhashable" not in done.stderr
 
 
 # line records that are well-formed JSON but no line

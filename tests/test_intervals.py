@@ -1,11 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linepierce.intervals import IntervalSet, deep_witness, make_cover, remove_intervals
+from linepierce import intervals
+from linepierce.exactnum import format_rational, parse_rational
+from linepierce.intervals import (
+    IntervalSet,
+    deep_witness,
+    make_cover,
+    parse_endpoint,
+    remove_intervals,
+)
 from oracles import depth_profile, intersect_many, pieces
 
 
@@ -367,6 +376,133 @@ class TestMeasureAndIntersect:
     def test_serialization_round_trip(self):
         s = IntervalSet.from_pairs([(F(0), F(0)), (F(1, 3), F(2, 3))])
         assert IntervalSet.from_strings(s.to_pairs()) == s
+
+
+def fraction_from_pairs(pairs) -> tuple[F, ...]:
+    """``IntervalSet.from_pairs``' canonical-order check by plain ``Fraction``
+    comparison: the oracle for its integer cross-multiplication."""
+    points: list[F] = []
+    for lo, hi in pairs:
+        if hi < lo:
+            raise ValueError(
+                f"interval endpoints out of order: [{format_rational(lo)}, {format_rational(hi)}]"
+            )
+        if points and lo <= points[-1]:
+            raise ValueError(
+                f"interval [{format_rational(lo)}, {format_rational(hi)}] does not "
+                f"start above the previous one's end {format_rational(points[-1])}"
+            )
+        points += (lo, hi)
+    return tuple(points)
+
+
+def points_or_message(build, pairs):
+    try:
+        return build(pairs)
+    except ValueError as exc:
+        return str(exc)
+
+
+# small mixed denominators, and 130-bit numerators and denominators; both signed
+ENDPOINTS = st.one_of(
+    st.fractions(-2, 2, max_denominator=10**4),
+    st.builds(F, st.integers(-(2**130), 2**130), st.integers(1, 2**130)),
+)
+
+
+@st.composite
+def piece_lists(draw):
+    """(lo, hi) lists that are canonical, or canonical but for one piece
+    made a single point, touching or overlapping the previous piece, or
+    reversed; or pieces drawn freely from a few values, so equal ends meet."""
+    values = sorted(draw(st.sets(ENDPOINTS, min_size=1, max_size=10)))
+    shape = draw(st.sampled_from(
+        ["canonical", "point", "touching", "overlapping", "reversed", "free"]
+    ))
+    if shape == "free":
+        value = st.sampled_from(values)
+        return draw(st.lists(st.tuples(value, value), max_size=6))
+    pairs = []
+    while values:
+        lo = values.pop(0)
+        hi = values.pop(0) if values and draw(st.booleans()) else lo
+        pairs.append((lo, hi))
+    j = draw(st.integers(0, len(pairs) - 1))
+    lo, hi = pairs[j]
+    if shape == "point":
+        pairs[j] = (lo, lo)
+    elif shape == "reversed":
+        pairs[j] = (hi, lo)
+    elif j and shape == "touching":
+        pairs[j] = (pairs[j - 1][1], hi)
+    elif j and shape == "overlapping":
+        pairs[j] = (pairs[j - 1][0], hi)
+    return pairs
+
+
+TINY = F(1, 2**200)
+
+
+class TestFromPairsOrder:
+    @settings(max_examples=250)
+    @given(pairs=piece_lists())
+    @example(pairs=[(F(1, 3), F(1, 3) + TINY), (F(1, 3) + TINY, F(1))])  # touching
+    @example(pairs=[(F(1, 3), F(1, 3) + 2 * TINY), (F(1, 3) + TINY, F(1))])  # overlapping
+    @example(pairs=[(F(1, 3), F(1, 3) + TINY), (F(1, 3) + 2 * TINY, F(1))])  # canonical
+    @example(pairs=[(F(-1, 3), F(-1, 3) - TINY)])  # reversed by a hair
+    @example(pairs=[(F(-2), F(-2)), (F(-1, 7), F(-1, 7)), (F(0), F(0))])  # points
+    def test_matches_fraction_comparison(self, pairs):
+        got = points_or_message(lambda p: IntervalSet.from_pairs(p).points, pairs)
+        assert got == points_or_message(fraction_from_pairs, pairs)
+
+    def test_makes_no_fraction_comparison(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("a Fraction comparison")
+
+        for attr in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(F, attr, refuse)
+        pairs = [(F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(1, 2), F(1))]
+        assert len(IntervalSet.from_pairs(pairs).points) == 6
+
+
+# three supports over five distinct endpoint strings
+REPEATING_SUPPORTS = [
+    [["0/1", "1/4"], ["1/2", "1/1"]],
+    [["0/1", "1/4"], ["3/4", "1/1"]],
+    [["1/4", "1/2"], ["3/4", "3/4"]],
+]
+
+
+class TestEndpointCache:
+    def test_each_distinct_endpoint_is_parsed_once(self, monkeypatch):
+        parse_endpoint.cache_clear()
+        parsed = Counter()
+
+        def counting(text):
+            parsed[text] += 1
+            return parse_rational(text)
+
+        monkeypatch.setattr(intervals, "parse_rational", counting)
+        sets = [IntervalSet.from_strings(s) for s in REPEATING_SUPPORTS * 2]
+        assert parsed == Counter({"0/1": 1, "1/4": 1, "1/2": 1, "3/4": 1, "1/1": 1})
+        assert [s.to_pairs() for s in sets] == REPEATING_SUPPORTS * 2
+
+    @pytest.mark.parametrize("bad", ["1/0", "0.5", "1e5"])
+    def test_bad_endpoint_fails_the_same_way_every_time(self, bad):
+        parse_endpoint.cache_clear()
+        with pytest.raises(ValueError) as direct:
+            parse_rational(bad)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError) as info:
+                IntervalSet.from_strings([["0/1", "1/4"], ["1/2", bad]])
+            messages.add(str(info.value))
+        assert messages == {str(direct.value)}
+        assert parse_endpoint.cache_info().currsize == 3  # the good strings only
+
+    def test_cache_is_bounded(self):
+        parse_endpoint.cache_clear()
+        assert parse_endpoint.cache_info().maxsize is not None
 
 
 def random_family(rng, count, max_level=3):

@@ -2,7 +2,7 @@
 
 ``perfbench/tracer.py`` rebinds functions and methods of the package by
 name, and the benchmark's must-hit counters read what those wrappers count.
-Three small traced commands here call every hook below, so a refactor that
+Four small traced commands here call every hook below, so a refactor that
 renames or bypasses a traced name fails in seconds instead of only in the
 benchmark's own self-test.
 """
@@ -27,6 +27,14 @@ MUST_HIT = [
     "geometry.classify_line",
     "refutation.pierce",
     "cli.verify_refutation",
+    # the load path and the read commands, which the benchmark's read and
+    # construct must-hit counters read
+    "exactnum.parse_rational",
+    "family.body_from_record",
+    "cli.load_family",
+    "intervals.deep_witness",
+    "refutation.piercing_matrix",
+    "refutation.min_line_cover",
 ]
 GENERIC_LINE = Line3(Point3(F(0), F(0), F(1)), (F(1), F(1), F(0)))
 
@@ -54,6 +62,7 @@ def test_traced_commands_hit_every_hook(tmp_path):
     runs = {
         "construct": ["construct", "--delta", "1/2", "-N", "12", "--out", "family.jsonl"],
         "refute": ["refute", "--delta", "1/2", "--lines", refute_pool.name, "--out", "r.json"],
+        "witness": ["witness", "--family", "family.jsonl", "--t", "2", "--out", "w.json"],
         "cover": ["cover", "--family", "family.jsonl", "--lines", cover_pool.name,
                   "--out", "c.json"],
     }
