@@ -225,7 +225,8 @@ def cmd_cover(args) -> int:
     lines = load_lines(args.lines)
     shape = {"n_bodies": len(bodies), "n_lines": len(lines)}
     try:
-        sol = min_line_cover(piercing_matrix(bodies, lines))
+        matrix = piercing_matrix(bodies, lines)
+        sol = min_line_cover(matrix)
     except UncoverableError as exc:
         report = {"uncoverable": True, "rows": list(exc.rows), **shape}
         _write(args.out, _dump_json(report))
@@ -250,12 +251,18 @@ def cmd_cover(args) -> int:
     _write(args.out, _dump_json(report))
     if args.verify:
         # the matrix decides rulings by the support rule; the geometric
-        # pierce cross-checks it on the columns of the cover
-        chosen = [lines[c] for c in sol.columns]
-        for i, body in enumerate(bodies):
-            if not any(pierce(line, body) for line in chosen):
+        # pierce cross-checks it once per body, on the first cover column
+        # the body's row marks
+        for i, (body, row) in enumerate(zip(bodies, matrix)):
+            c = next((c for c in sol.columns if row[c]), None)
+            if c is None:
                 raise InternalError(
-                    f"verification failed: body {i} is pierced by no line of the cover"
+                    f"verification failed: body {i} is marked by no line of the cover"
+                )
+            if not pierce(lines[c], body):
+                raise InternalError(
+                    f"verification failed: body {i} is not pierced by cover line {c}, "
+                    "which its row marks"
                 )
         _verify_report(args.out, report)
         print("verified cover")

@@ -50,6 +50,14 @@ class Line3:
             raise ValueError("line direction must be nonzero")
 
     @cached_property
+    def integer_coords(self) -> tuple[int, int, int, int, int, int, int]:
+        """The six coordinates over one common denominator: the integers
+        (x0, y0, z0, dx, dy, dz) and den > 0, with base.x = x0/den and so on."""
+        coords = (self.base.x, self.base.y, self.base.z, *self.dir)
+        den = lcm(*(c.denominator for c in coords))
+        return (*(c.numerator * (den // c.denominator) for c in coords), den)
+
+    @cached_property
     def over_y(self) -> tuple[int, int, int, int, int, int] | None:
         """The line as a function of y, in integers over one denominator.
 
@@ -137,20 +145,25 @@ def line_plane_intersection(
 ) -> tuple[Fraction, Fraction] | None:
     """Meet base + s*dir with the plane y = q + eps*x, in the plane's chart.
 
-    With eps = en/ed cleared, den*s = num for num = ed*(q - y0) + en*x0 and
-    den = ed*dy - en*dx.  den == 0: the line is parallel to the plane, or
+    In integers: the line is (x0, y0, z0) + s*(dx, dy, dz) over its common
+    denominator L (``Line3.integer_coords``), and q = qn/qd, eps = en/ed.  Then
+    s = sn/sd for sn = ed*(qn*L - qd*y0) + qd*en*x0 and
+    sd = qd*(ed*dy - en*dx).  sd == 0: the line is parallel to the plane, or
     lies in it, and the meet is None.  Otherwise the hit is the chart point
-    (u, w) = (x0 + s*dx, z0 + s*dz); its y = y0 + s*dy is on the plane by
-    the choice of s, so it is not formed.
+    (u, w) = ((x0*sd + sn*dx)/(L*sd), (z0*sd + sn*dz)/(L*sd)), each reduced
+    once; its y = (y0 + s*dy)/L is on the plane by the choice of s, so it is
+    not formed.
     """
-    dx, dy, dz = line.dir
-    base = line.base
+    x0, y0, z0, dx, dy, dz, den = line.integer_coords
     en, ed = eps.numerator, eps.denominator
-    den = ed * dy - en * dx
-    if den == 0:
+    qn, qd = q.numerator, q.denominator
+    sd = ed * dy - en * dx
+    if sd == 0:
         return None
-    s = (ed * (q - base.y) + en * base.x) / den
-    return base.x + s * dx, base.z + s * dz
+    sd *= qd
+    sn = ed * (qn * den - qd * y0) + qd * en * x0
+    chart_den = den * sd
+    return Fraction(x0 * sd + sn * dx, chart_den), Fraction(z0 * sd + sn * dz, chart_den)
 
 
 def line_to_record(line: Line3) -> dict:

@@ -7,6 +7,10 @@ open covers, the removal operation that produces the supports, exact
 Lebesgue measure, and deep-point witnesses found by a sweep over all
 endpoints.
 
+Every query of a set is one bisection of its endpoints plus a parity test,
+and the bisection decides each probe by integer cross-multiplication, so a
+query makes no ``Fraction`` comparison.
+
 A family file repeats a few grid endpoints many times, so reading supports
 parses each distinct endpoint string once per process, through a bounded
 cache, and checks the pieces' order by integer cross-multiplication.  Both
@@ -16,7 +20,6 @@ and ``IntervalSet.from_pairs``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +40,8 @@ class IntervalSet:
     ``points`` is ``lo_0, hi_0, lo_1, hi_1, ...``: nondecreasing, with
     hi_j < lo_{j+1} strictly, and lo == hi for a single point.  So
     ``bisect_left(points, x)`` is odd exactly when x lies in a piece past
-    its left end, and every query is a bisection plus a parity test.
+    its left end, and every query is one integer bisection, ``_rank``, plus
+    a parity test.
     """
 
     points: tuple[Fraction, ...]
@@ -83,14 +87,34 @@ class IntervalSet:
         length -= sum(lo.numerator * (den // lo.denominator) for lo in points[::2])
         return Fraction(length, den)
 
+    def _rank(self, x: Fraction, right: bool = False) -> int:
+        """``bisect_left(points, x)``, or ``bisect_right`` when ``right`` is
+        set, decided in integers.
+
+        Denominators are positive, so with x = a/b a point n/d lies below x
+        exactly when n*b - a*d < 0, and at or below it when n*b - a*d < 1:
+        the probe compares the integer difference with ``right``.
+        """
+        a, b = x.numerator, x.denominator
+        points = self.points
+        lo, hi = 0, len(points)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            p = points[mid]
+            if p.numerator * b - a * p.denominator < right:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     def contains(self, x: Fraction) -> bool:
-        i = bisect_left(self.points, x)
+        i = self._rank(x)
         return i % 2 == 1 or (i < len(self.points) and self.points[i] == x)
 
     def gap_around(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """Endpoints (hi_j, lo_{j+1}) of the gap strictly containing x."""
         points = self.points
-        i = bisect_left(points, x)
+        i = self._rank(x)
         if i % 2 == 1 or not 0 < i < len(points) or points[i] == x:
             raise ValueError(f"{format_rational(x)} is not interior to a gap")
         return (points[i - 1], points[i])
@@ -102,10 +126,12 @@ class IntervalSet:
         means lo lies in a piece, which keeps [.., lo]; an odd k means hi
         does, which keeps [hi, ..].
         """
+        if hi.numerator * lo.denominator <= lo.numerator * hi.denominator:
+            return self  # hi <= lo: the cut is empty
         points = self.points
-        i = bisect_right(points, lo)
-        k = bisect_left(points, hi, i)
-        if hi <= lo or (i == k and i % 2 == 0):
+        i = self._rank(lo, right=True)
+        k = self._rank(hi)
+        if i == k and i % 2 == 0:
             return self
         return IntervalSet(points[:i] + (lo,) * (i % 2) + (hi,) * (k % 2) + points[k:])
 
@@ -244,16 +270,20 @@ def deep_witness(
     """
     if t < 1:
         raise ValueError(f"witness depth must be positive, got {t}")
-    opens: Counter[Fraction] = Counter()
-    closes: Counter[Fraction] = Counter()
+    # endpoints are counted by their (numerator, denominator) pair, which
+    # hashes in C, and only the distinct ones are ordered by value
+    opens: Counter[tuple[int, int]] = Counter()
+    closes: Counter[tuple[int, int]] = Counter()
     for s in sets:
-        opens.update(s.points[::2])
-        closes.update(s.points[1::2])
+        points = s.points
+        opens.update((p.numerator, p.denominator) for p in points[::2])
+        closes.update((p.numerator, p.denominator) for p in points[1::2])
     active = 0
-    for x in sorted(opens.keys() | closes.keys()):
-        active += opens[x]
+    for key in sorted(opens.keys() | closes.keys(), key=lambda key: Fraction(*key)):
+        active += opens[key]
         if active >= t:
+            x = Fraction(*key)
             holding = (i for i, s in enumerate(sets) if s.contains(x))
             return (x, tuple(islice(holding, t)))
-        active -= closes[x]
+        active -= closes[key]
     return None

@@ -5,7 +5,9 @@ Each line class has one exact miss decision, which returns the failed
 inequality as a certificate, or None when the line pierces:
 
 - a line crossing the plane misses iff its chart point lies outside the
-  hull;
+  hull; each hull side is the sign of the point's height over a chord of
+  the parabola (``_chord_side``), one comparison of integers, and the
+  certificate's ``Fraction`` values are built only on a miss;
 - a line parallel to the plane has no chart point; the residual
   y0 - q - eps*x0 of its base tells a line off the plane, which misses
   and whose certificate states that residual, from a line inside it;
@@ -313,13 +315,36 @@ def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
         return Certificate("point-below-range", u, "<", body.r_min)
     if u > body.r_max:
         return Certificate("point-above-range", u, ">", body.r_max)
-    top = body.top_chord(u)
-    if w > top:
-        return Certificate("point-above-top-chord", w, ">", top)
-    low = body.lower_envelope(u)
-    if w < low:
-        return Certificate("point-below-envelope", w, "<", low)
+    if _chord_side(body, u, w, body.r_min, body.r_max) > 0:
+        return Certificate("point-above-top-chord", w, ">", body.top_chord(u))
+    # the lower envelope at u is the chord over the gap around u, or over
+    # (u, u), the parabola itself, when the support holds u
+    support = body.support
+    ends = (u, u) if support.contains(u) else support.gap_around(u)
+    if _chord_side(body, u, w, *ends) < 0:
+        return Certificate("point-below-envelope", w, "<", body.lower_envelope(u))
     return None
+
+
+def _chord_side(body: ConvexBody, u: Fraction, w: Fraction, s: Fraction, t: Fraction) -> int:
+    """Sign of w - chord(u), where chord(u) = (q + eps*(s + t))*u - eps*s*t
+    is the chord of the body's parabola over s and t.
+
+    A body's eps is 4^-(f+2) = 2^-k.  Write each fraction as wn/wd and so on,
+    over a positive denominator, and multiply w - chord(u) by the positive
+    wd*qd*ud*sd*td*2^k: the sign is that of the integer difference
+    (wn*qd*ud - qn*un*wd)*sd*td*2^k minus ((sn*td + tn*sd)*un - sn*tn*ud)*wd*qd,
+    so one comparison decides it.
+    """
+    wn, wd = w.numerator, w.denominator
+    qn, qd = body.q.numerator, body.q.denominator
+    un, ud = u.numerator, u.denominator
+    sn, sd = s.numerator, s.denominator
+    tn, td = t.numerator, t.denominator
+    k = body.eps.denominator.bit_length() - 1
+    above = ((wn * qd * ud - qn * un * wd) * sd * td) << k
+    chord = ((sn * td + tn * sd) * un - sn * tn * ud) * wd * qd
+    return (above > chord) - (above < chord)
 
 
 def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:

@@ -877,6 +877,19 @@ def test_witness_verify_parses_the_family_once(tmp_path, monkeypatch):
     assert len(pierces) == 3
 
 
+def test_cover_verify_pierces_once_per_body(tmp_path, monkeypatch):
+    """--verify cross-checks each body on one cover line, the first cover
+    column its row marks, not on every line of the cover."""
+    family = construct(tmp_path, count=40)
+    lines = tmp_path / "lines.jsonl"
+    write_lines(lines, [ruling_line_x(F(j, 16)) for j in range(17)] + [MIXED_POOL[4]])
+    pierces = counting(monkeypatch, "pierce")
+    assert main(["cover", "--family", str(family), "--lines", str(lines),
+                 "--out", str(tmp_path / "c.json"), "--verify"]) == 0
+    bodies = FamilyStream(F(1, 2)).truncate(40)
+    assert [body for _, body in pierces] == bodies
+
+
 def test_refute_verify_reads_the_pool_once(tmp_path, monkeypatch):
     lines = tmp_path / "lines.jsonl"
     write_lines(lines, [ruling_line_x(F(1, 2)), ruling_line_y(F(1, 3))])
@@ -918,6 +931,28 @@ class TestInternalError:
         assert main(["cover", "--family", str(family), "--lines", str(lines),
                      "--out", str(tmp_path / "c.json"), "--verify"]) == 5
         self.assert_one_line(capsys.readouterr().err)
+
+    def test_cover_cross_check_on_the_first_marked_column(self, tmp_path, monkeypatch, capsys):
+        """A support rule that marks x = 2 for body 0 alone puts it in the
+        cover beside x = 3/4, which meets every body.  Some cover line
+        pierces body 0, but the column its row marks first does not."""
+        family = construct(tmp_path, count=4)
+        lines = tmp_path / "lines.jsonl"
+        outside, shared = ruling_line_x(F(2)), ruling_line_x(F(3, 4))
+        write_lines(lines, [outside, shared])
+        real = refutation._ruling_pierces
+        monkeypatch.setattr(
+            refutation, "_ruling_pierces",
+            lambda cls, body: cls.param == 2 if body.f_index == 1 else real(cls, body),
+        )
+        out = tmp_path / "c.json"
+        assert main(["cover", "--family", str(family), "--lines", str(lines),
+                     "--out", str(out), "--verify"]) == 5
+        err = capsys.readouterr().err
+        self.assert_one_line(err)
+        assert "body 0 is not pierced by cover line 0" in err
+        assert json.loads(out.read_text())["columns"] == [0, 1]
+        assert pierce(shared, FamilyStream(F(1, 2)).body_at(0))
 
     def test_uncoverable_cross_check_disagreement(self, tmp_path, monkeypatch, capsys):
         """A support rule that misses every body lists them all as

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linepierce.exactnum import QuadExt
+from linepierce.family import FamilyStream
 from linepierce.geometry import (
     GENERIC,
     X_RULING,
@@ -285,6 +286,52 @@ class TestPlaneMeetDifferential:
         p, b = lift(q, eps, *hit), line.base
         ox, oy, oz = p.x - b.x, p.y - b.y, p.z - b.z
         assert (oy * dz - oz * dy, oz * dx - ox * dz, ox * dy - oy * dx) == (0, 0, 0)
+
+
+def fraction_plane_meet(line: Line3, q: F, eps: F) -> tuple[F, F] | None:
+    """The plane meet in ``Fraction`` arithmetic: s = (q - y0 + eps*x0) /
+    (dy - eps*dx), then the chart point (x0 + s*dx, z0 + s*dz); None when
+    the line runs parallel to the plane or lies in it."""
+    (dx, dy, dz), b = line.dir, line.base
+    den = dy - eps * dx
+    if den == 0:
+        return None
+    s = (q - b.y + eps * b.x) / den
+    return b.x + s * dx, b.z + s * dz
+
+
+class TestPlaneMeetInIntegers:
+    """``line_plane_intersection`` over the line's common denominator
+    against the same meet in ``Fraction`` arithmetic."""
+
+    @settings(max_examples=400)
+    @given(case=lines_and_planes())
+    def test_matches_the_fraction_formula(self, case):
+        line, q, eps = case
+        assert line_plane_intersection(line, q, eps) == fraction_plane_meet(line, q, eps)
+
+    def test_random_lines_on_the_family_planes(self):
+        rng = random.Random(20)
+        bodies = FamilyStream(F(1, 2)).truncate(21)
+        lines = [random_line(rng) for _ in range(200)] + [ruling_line_x(F(9, 16))]
+        for body in bodies:
+            for line in lines:
+                got = line_plane_intersection(line, body.q, body.eps)
+                assert got == fraction_plane_meet(line, body.q, body.eps)
+
+    def test_parallel_and_in_plane_lines_have_no_meet(self):
+        q, eps = F(2, 3), F(1, 64)
+        for x0 in (F(0), F(5, 7)):
+            on_plane = Point3(x0, q + eps * x0, F(3))
+            off_plane = Point3(x0, q + eps * x0 + F(1, 2**80), F(3))
+            for direction in ((F(1), eps, F(0)), (F(-7, 3), -7 * eps / 3, F(2)),
+                              (F(0), F(0), F(1))):
+                for base in (on_plane, off_plane):
+                    assert line_plane_intersection(Line3(base, direction), q, eps) is None
+
+    def test_integer_coords(self):
+        line = Line3(Point3(F(1, 2), F(-1, 3), F(0)), (F(5), F(1, 6), F(-3, 4)))
+        assert line.integer_coords == (6, -4, 0, 60, 2, -9, 12)
 
 
 class TestVerticalDistance:

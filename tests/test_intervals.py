@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
 
@@ -83,10 +84,12 @@ def canonical_sets(draw) -> IntervalSet:
 
 
 @st.composite
-def mixed_denominator_sets(draw) -> IntervalSet:
+def mixed_denominator_sets(
+    draw, endpoints=st.fractions(0, 1, max_denominator=10**4)
+) -> IntervalSet:
     """Canonical sets whose endpoints have unrelated denominators, single
     points included, paired up as ``canonical_sets`` pairs its grid values."""
-    values = sorted(draw(st.sets(st.fractions(0, 1, max_denominator=10**4), max_size=12)))
+    values = sorted(draw(st.sets(endpoints, max_size=12)))
     pairs = []
     while values:
         lo = values.pop(0)
@@ -463,6 +466,47 @@ class TestFromPairsOrder:
             monkeypatch.setattr(F, attr, refuse)
         pairs = [(F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(1, 2), F(1))]
         assert len(IntervalSet.from_pairs(pairs).points) == 6
+
+
+# pieces [0, 1/4] and [3/4, 1] around the gap (1/4, 3/4), and a single point
+GAPPED = IntervalSet.from_pairs([(F(-1, 3), F(-1, 3)), (F(0), F(1, 4)), (F(3, 4), F(1))])
+
+
+class TestRank:
+    """``IntervalSet._rank`` is ``bisect_left``, or ``bisect_right``, over
+    the ``Fraction`` tuple, decided by integer cross-multiplication."""
+
+    @settings(max_examples=400)
+    @given(s=mixed_denominator_sets(ENDPOINTS), x=ENDPOINTS)
+    @example(s=IntervalSet(()), x=F(1, 2))  # the empty set
+    @example(s=GAPPED, x=F(1, 2))  # inside a gap
+    @example(s=GAPPED, x=F(-1))  # below both ends
+    @example(s=GAPPED, x=F(2))  # above both ends
+    @example(s=GAPPED, x=F(-1, 3) + TINY)  # just past the single point
+    def test_matches_bisect(self, s, x):
+        # every endpoint too: a query equal to an endpoint tells left from right
+        for query in (x, *s.points):
+            assert s._rank(query) == bisect_left(s.points, query)
+            assert s._rank(query, right=True) == bisect_right(s.points, query)
+
+    def test_queries_make_no_fraction_ordering_comparison(self, monkeypatch):
+        s = IntervalSet.from_pairs([(F(2 * j, 41), F(2 * j + 1, 41)) for j in range(20)])
+        compared = []
+        for attr in ("__lt__", "__le__", "__gt__", "__ge__"):
+            real = getattr(F, attr)
+            monkeypatch.setattr(
+                F, attr, lambda a, b, real=real: compared.append((a, b)) or real(a, b)
+            )
+        queries = [F(k, 82) for k in range(-2, 85)]  # endpoints, gaps and beyond
+        assert [s.contains(x) for x in queries] == [
+            0 <= k <= 78 and k % 4 in (0, 1, 2) for k in range(-2, 85)
+        ]
+        assert s.gap_around(F(3, 82)) == (F(1, 41), F(2, 41))
+        cut = s.subtract_open(F(1, 82), F(5, 82))
+        assert cut.points[:4] == (F(0), F(1, 82), F(5, 82), F(3, 41))
+        assert s.subtract_open(F(5, 82), F(1, 82)) is s
+        assert compared == []
+        assert F(0) < F(1) and len(compared) == 1  # the count does see a comparison
 
 
 # three supports over five distinct endpoint strings

@@ -23,6 +23,7 @@ from linepierce.intervals import IntervalSet
 from linepierce.refutation import (
     CoverSolution,
     UncoverableError,
+    _chord_side,
     _geometric_miss,
     _ruling_pierces,
     _surely_misses,
@@ -295,6 +296,66 @@ class TestParallelCertificate:
             assert (cert.lhs, cert.rel, cert.rhs) == (offset, "!=", 0)
         elif cert is not None:
             assert cert.case.startswith("inplane-") and cert.holds()
+
+
+BOUNDARY_BODIES = FamilyStream(F(1, 2)).truncate(96)
+# lines of three shapes through a chart point lifted to the plane: constant
+# x, and two that cross it obliquely; none is parallel to a body's plane
+THROUGH = [(F(0), F(1), F(0)), (F(1), F(3), F(-2)), (F(-2), F(1), F(5))]
+
+
+def hull_boundary_points(body: ConvexBody):
+    """Chart points (u, w) exactly on the hull's boundary, each with the
+    certificate case and the sign of the nudge that takes it outside: on the
+    top chord at mid-range; on the parabola at the middle and at the left end
+    of the widest support piece; on the chord over the first gap, at its
+    middle."""
+    points = body.support.points
+    mid = (body.r_min + body.r_max) / 2
+    yield mid, body.top_chord(mid), "point-above-top-chord", 1
+    lo, hi = max(zip(points[::2], points[1::2]), key=lambda piece: piece[1] - piece[0])
+    for u in ((lo + hi) / 2, lo):
+        yield u, body.parabola(u), "point-below-envelope", -1
+    if len(points) > 2:
+        u = (points[1] + points[2]) / 2
+        yield u, body.lower_envelope(u), "point-below-envelope", -1
+
+
+class TestHullSide:
+    """``_geometric_miss`` decides the hull side by ``_chord_side``'s
+    integer sign; a point on the boundary belongs to the body, and a nudge
+    far below eps takes it out."""
+
+    def test_boundary_points_pierce_and_nudged_points_miss(self):
+        gap_chords = 0
+        for body in BOUNDARY_BODIES:
+            k = body.eps.denominator.bit_length() - 1  # eps = 2^-k
+            nudge = F(1, 2 ** (k + 8))
+            for u, w, case, outward in hull_boundary_points(body):
+                gap_chords += not body.support.contains(u)
+                for direction in THROUGH:
+                    on = Line3(body.from_chart(u, w), direction)
+                    assert _geometric_miss(on, body) is None
+                    assert pierce(on, body)
+                    off = Line3(body.from_chart(u, w + outward * nudge), direction)
+                    cert = _geometric_miss(off, body)
+                    assert cert is not None and cert.case == case and cert.holds()
+                    assert not pierce(off, body)
+        assert gap_chords > 0
+
+    @settings(max_examples=300)
+    @given(body=st.sampled_from(BOUNDARY_BODIES), data=st.data())
+    def test_sign_matches_the_fraction_difference(self, body, data):
+        ends = body.support.points
+        u = data.draw(st.sampled_from(ends) | st.fractions(ends[0], ends[-1]))
+        low, top = body.lower_envelope(u), body.top_chord(u)
+        # between, on and just beyond the boundary, at the scale of eps and far below it
+        scale = data.draw(st.sampled_from([F(0), body.eps, body.eps**2]))
+        w = data.draw(st.sampled_from([low, top])) + scale * data.draw(SMALL)
+        sign = lambda x: (x > 0) - (x < 0)
+        assert _chord_side(body, u, w, body.r_min, body.r_max) == sign(w - top)
+        gap = (u, u) if body.support.contains(u) else body.support.gap_around(u)
+        assert _chord_side(body, u, w, *gap) == sign(w - low)
 
 
 class TestMaxVerticalDistance:

@@ -35,6 +35,14 @@ MUST_HIT = [
     "intervals.deep_witness",
     "refutation.piercing_matrix",
     "refutation.min_line_cover",
+    # the refute and read must-hit counters of the support queries, the
+    # surface meet and the certificates
+    "intervals.contains",
+    "intervals.remove_intervals",
+    "geometry.line_surface_intersection",
+    "exactnum.solve_quadratic",
+    "refutation.non_piercing_certificate",
+    "cli.load_lines",
 ]
 GENERIC_LINE = Line3(Point3(F(0), F(0), F(1)), (F(1), F(1), F(0)))
 
