@@ -207,10 +207,8 @@ class SupportAssigner:
             cover = self._cover(level)
             for combo in _LevelCursor(cover, target, excluded).walk():
                 support = remove_intervals(cover, combo)
-                # one hash per support: a set grows only by a new member
-                before = len(seen)
-                seen.add(support)
-                if len(seen) > before:
+                if support not in seen:  # hashed as ints
+                    seen.add(support)
                     yield support
 
     def assign(self, m: int) -> IntervalSet:
@@ -238,10 +236,10 @@ class ConvexBody:
     def __post_init__(self) -> None:
         if not isinstance(self.q, Rational):
             raise ValueError("body offset q must be rational")
-        points = self.support.points
-        if not points:
+        ends = self.support.ends
+        if not ends:
             raise ValueError("body support must be nonempty")
-        if points[0] < 0 or points[-1] > 1:
+        if ends[0] < 0 or ends[-1] > self.support.den:
             raise ValueError("body support must lie within [0,1]")
 
     @cached_property
@@ -252,13 +250,13 @@ class ConvexBody:
     def eps(self) -> Fraction:
         return eps_of(self.f_index)
 
-    @property
+    @cached_property
     def r_min(self) -> Fraction:
-        return self.support.points[0]
+        return Fraction(self.support.ends[0], self.support.den)
 
-    @property
+    @cached_property
     def r_max(self) -> Fraction:
-        return self.support.points[-1]
+        return Fraction(self.support.ends[-1], self.support.den)
 
     def from_chart(self, u: Fraction, w: Fraction) -> Point3:
         """The point of the body's plane y = q + eps*x at chart (u, w)."""

@@ -7,140 +7,137 @@ open covers, the removal operation that produces the supports, exact
 Lebesgue measure, and deep-point witnesses found by a sweep over all
 endpoints.
 
-Every query of a set is one bisection of its endpoints plus a parity test,
-and the bisection decides each probe by integer cross-multiplication, so a
-query makes no ``Fraction`` comparison.
-
-A family file repeats a few grid endpoints many times, so reading supports
-parses each distinct endpoint string once per process, through a bounded
-cache, and checks the pieces' order by integer cross-multiplication.  Both
-are exact; the grammar and every message are those of ``parse_rational``
-and ``IntervalSet.from_pairs``.
+A set is one denominator and its endpoints' ints over it, so a query is
+one ``divmod`` and one ``bisect``.  Reading supports parses each distinct
+endpoint string once per process, through a bounded cache.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
-from math import lcm
+from itertools import islice, repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import _digits_of, format_rational, parse_rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+LIFT_FACTOR = 4  # the bounds of ``IntervalSet.from_pairs`` on a lift
+LIFT_FLOOR = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
-    """Disjoint sorted union of closed intervals, as one tuple of endpoints.
+    """Disjoint sorted union of closed intervals, in units of ``1/den``.
 
-    ``points`` is ``lo_0, hi_0, lo_1, hi_1, ...``: nondecreasing, with
-    hi_j < lo_{j+1} strictly, and lo == hi for a single point.  So
-    ``bisect_left(points, x)`` is odd exactly when x lies in a piece past
-    its left end, and every query is one integer bisection, ``_rank``, plus
-    a parity test.
+    ``ends`` is ``lo_0, hi_0, lo_1, hi_1, ...``: nondecreasing ints, with
+    hi_j < lo_{j+1} strictly, and lo == hi for a single point.  ``den > 0``
+    and ``gcd(den, *ends) == 1``, so equal sets are equal int tuples.  An x
+    past an odd number of endpoints lies in a piece past its left end.
     """
 
-    points: tuple[Fraction, ...]
+    den: int
+    ends: tuple[int, ...]
 
     @staticmethod
     def from_pairs(pairs) -> IntervalSet:
         """The set of the given (lo, hi) ``Fraction`` pieces, which must
         already be in canonical order: each lo <= hi and above the previous hi.
 
-        Order is decided in integers: denominators are positive, so
-        a/b < c/d exactly when a*d < c*b, and the previous hi is kept as its
-        (numerator, denominator) pair.  No ``Fraction`` comparison is made.
+        The endpoints are lifted to their least common denominator, which
+        leaves gcd 1, and ordered as ints.  The lift is quadratic over
+        unrelated denominators, so it is refused, step by step and at linear
+        cost, once the endpoint count times the denominator's bits exceeds
+        both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints' own bits.
         """
-        points: list[Fraction] = []
-        prev_num = prev_den = 0
-        for lo, hi in pairs:
-            lo_num, lo_den = lo.numerator, lo.denominator
-            hi_num, hi_den = hi.numerator, hi.denominator
-            if hi_num * lo_den < lo_num * hi_den:
+        ratios = [x.as_integer_ratio() for pair in pairs for x in pair]
+        nums, dens = [n for n, _ in ratios], [d for _, d in ratios]
+        own = sum(map(int.bit_length, nums)) + sum(map(int.bit_length, dens))
+        limit = max(LIFT_FACTOR * own, LIFT_FLOOR)
+        den = 1
+        for d in set(dens):
+            den = lcm(den, d)
+            if len(ratios) * den.bit_length() > limit:
                 raise ValueError(
-                    "interval endpoints out of order: "
-                    f"[{format_rational(lo)}, {format_rational(hi)}]"
+                    f"support of {len(ratios)} endpoints of {own} bits does not "
+                    f"lift to one denominator within {limit} bits"
                 )
-            if points and lo_num * prev_den <= prev_num * lo_den:
+        ends = tuple(map(mul, nums, map(floordiv, repeat(den), dens)))
+        for j in range(0, len(ends), 2):
+            if ends[j + 1] < ends[j] or j and ends[j] <= ends[j - 1]:
+                lo, hi, prev = (format_rational(Fraction(*ratios[i])) for i in (j, j + 1, j - 1))
                 raise ValueError(
-                    f"interval [{format_rational(lo)}, {format_rational(hi)}] does not "
-                    f"start above the previous one's end {format_rational(points[-1])}"
+                    f"interval endpoints out of order: [{lo}, {hi}]" if ends[j + 1] < ends[j]
+                    else f"interval [{lo}, {hi}] does not start above the previous one's end {prev}"
                 )
-            points += (lo, hi)
-            prev_num, prev_den = hi_num, hi_den
-        return IntervalSet(tuple(points))
+        return IntervalSet(den, ends)
 
     @staticmethod
     def unit() -> IntervalSet:
-        return IntervalSet((ZERO, ONE))
+        return IntervalSet(1, (0, 1))
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(e, self.den) for e in self.ends)
 
     def measure(self) -> Fraction:
-        """Sum of hi - lo over the pieces, over one common denominator, so
-        only the total is reduced."""
-        points = self.points
-        den = lcm(*(x.denominator for x in points))
-        length = sum(hi.numerator * (den // hi.denominator) for hi in points[1::2])
-        length -= sum(lo.numerator * (den // lo.denominator) for lo in points[::2])
-        return Fraction(length, den)
+        return Fraction(sum(self.ends[1::2]) - sum(self.ends[::2]), self.den)
 
-    def _rank(self, x: Fraction, right: bool = False) -> int:
-        """``bisect_left(points, x)``, or ``bisect_right`` when ``right`` is
-        set, decided in integers.
-
-        Denominators are positive, so with x = a/b a point n/d lies below x
-        exactly when n*b - a*d < 0, and at or below it when n*b - a*d < 1:
-        the probe compares the integer difference with ``right``.
-        """
-        a, b = x.numerator, x.denominator
-        points = self.points
-        lo, hi = 0, len(points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = points[mid]
-            if p.numerator * b - a * p.denominator < right:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def contains(self, x: Fraction) -> bool:
-        i = self._rank(x)
-        return i % 2 == 1 or (i < len(self.points) and self.points[i] == x)
+    def contains(self, x: Fraction | int, per: int = 1) -> bool:
+        """Does the set hold x/per?  A positive int ``per`` lets a caller ask
+        about a ratio of ints without reducing it to a ``Fraction``.  Off
+        the grid x/per is k + r/b units up, 0 < r < b, and the endpoints
+        below it are those <= k; on it, x/per is k."""
+        k, r = divmod(x.numerator * self.den, x.denominator * per)
+        if r:
+            return bisect_right(self.ends, k) % 2 == 1
+        i = bisect_left(self.ends, k)
+        return i % 2 == 1 or self.ends[i : i + 1] == (k,)
 
     def gap_around(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        """Endpoints (hi_j, lo_{j+1}) of the gap strictly containing x."""
-        points = self.points
-        i = self._rank(x)
-        if i % 2 == 1 or not 0 < i < len(points) or points[i] == x:
+        """Endpoints (hi_j, lo_{j+1}) of the gap strictly containing x: x lies
+        past an even number of endpoints, those <= k = floor(x*den), and is
+        none of them."""
+        k, r = divmod(x.numerator * self.den, x.denominator)
+        ends, i = self.ends, bisect_right(self.ends, k)
+        if i % 2 or not 0 < i < len(ends) or not r and ends[i - 1] == k:
             raise ValueError(f"{format_rational(x)} is not interior to a gap")
-        return (points[i - 1], points[i])
+        return (Fraction(ends[i - 1], self.den), Fraction(ends[i], self.den))
 
     def subtract_open(self, lo: Fraction, hi: Fraction) -> IntervalSet:
         """Remove the open interval (lo, hi); the endpoints lo, hi survive.
 
-        points[i:k] are the endpoints strictly inside (lo, hi).  An odd i
-        means lo lies in a piece, which keeps [.., lo]; an odd k means hi
-        does, which keeps [hi, ..].
+        The set is lifted only if lo's or hi's denominator does not divide
+        its own.  ends[i:k] are the endpoints strictly inside (lo, hi).  An
+        odd i means lo lies in a piece, which keeps [.., lo]; an odd k means
+        hi does, which keeps [hi, ..].
         """
-        if hi.numerator * lo.denominator <= lo.numerator * hi.denominator:
-            return self  # hi <= lo: the cut is empty
-        points = self.points
-        i = self._rank(lo, right=True)
-        k = self._rank(hi)
+        den, ends = self.den, self.ends
+        (a, lo_den), (b, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if den % lo_den or den % hi_den:
+            scale = lcm(den, lo_den, hi_den) // den
+            den, ends = den * scale, tuple(map(mul, ends, repeat(scale)))
+        a, b = a * (den // lo_den), b * (den // hi_den)
+        if b <= a:
+            return self  # the cut is empty
+        i, k = bisect_right(ends, a), bisect_left(ends, b)
         if i == k and i % 2 == 0:
             return self
-        return IntervalSet(points[:i] + (lo,) * (i % 2) + (hi,) * (k % 2) + points[k:])
+        ends = ends[:i] + (a,) * (i % 2) + (b,) * (k % 2) + ends[k:]
+        g = gcd(den, *ends)
+        if g > 1:
+            den, ends = den // g, tuple(map(floordiv, ends, repeat(g)))
+        return IntervalSet(den, ends)
 
     def to_pairs(self) -> list[list[str]]:
-        points = self.points
-        return [
-            [format_rational(lo), format_rational(hi)]
-            for lo, hi in zip(points[::2], points[1::2])
-        ]
+        """Each piece as [lo, hi], reduced and rendered as ``format_rational``."""
+        den, ends = self.den, self.ends
+        texts = [f"{_digits_of(e // g)}/{_digits_of(den // g)}"
+                 for e, g in zip(ends, map(gcd, ends, repeat(den)))]
+        return [texts[j : j + 2] for j in range(0, len(texts), 2)]
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
@@ -270,20 +267,23 @@ def deep_witness(
     """
     if t < 1:
         raise ValueError(f"witness depth must be positive, got {t}")
-    # endpoints are counted by their (numerator, denominator) pair, which
-    # hashes in C, and only the distinct ones are ordered by value
+    # endpoints are counted as (int, denominator) pairs, which hash in C;
+    # each distinct pair then gets its value, merging equal values
     opens: Counter[tuple[int, int]] = Counter()
     closes: Counter[tuple[int, int]] = Counter()
     for s in sets:
-        points = s.points
-        opens.update((p.numerator, p.denominator) for p in points[::2])
-        closes.update((p.numerator, p.denominator) for p in points[1::2])
+        opens.update(zip(s.ends[::2], repeat(s.den)))
+        closes.update(zip(s.ends[1::2], repeat(s.den)))
+    events: dict[Fraction, list[int]] = {}
+    for counts, side in ((opens, 0), (closes, 1)):
+        for key, n in counts.items():
+            events.setdefault(Fraction(*key), [0, 0])[side] += n
     active = 0
-    for key in sorted(opens.keys() | closes.keys(), key=lambda key: Fraction(*key)):
-        active += opens[key]
+    for x in sorted(events):
+        rises, falls = events[x]
+        active += rises
         if active >= t:
-            x = Fraction(*key)
             holding = (i for i, s in enumerate(sets) if s.contains(x))
             return (x, tuple(islice(holding, t)))
-        active -= closes[key]
+        active -= falls
     return None

@@ -255,19 +255,20 @@ def non_piercing_certificate(
     return _ruling_miss(cls, body)
 
 
-def _ruling_abscissa(cls: LineClass, body: ConvexBody) -> Fraction:
-    """Where a ruling meets the body's plane: on the parabola, at chart
-    abscissa c (x-ruling x = c) or (b - q)/eps (y-ruling y = b)."""
-    return cls.param if cls.kind == X_RULING else (cls.param - body.q) / body.eps
-
-
 def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
     """The support rule: a ruling pierces iff its abscissa is in the support.
 
-    ``pierce`` decides rulings by an independent geometric path; the
-    verifier and the witness command use it to cross-check this rule.
+    A y-ruling's abscissa (b - q)/eps, with eps = 2^-k, is asked as the
+    ratio of (bn*qd - qn*bd) << k to bd*qd, so it is never reduced to a
+    ``Fraction``.  ``pierce`` decides rulings by an independent geometric
+    path; the verifier and the witness command use it to cross-check this.
     """
-    return body.support.contains(_ruling_abscissa(cls, body))
+    b, q = cls.param, body.q
+    if cls.kind == X_RULING:
+        return body.support.contains(b)
+    k = body.eps.denominator.bit_length() - 1
+    offset = b.numerator * q.denominator - q.numerator * b.denominator
+    return body.support.contains(offset << k, b.denominator * q.denominator)
 
 
 def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
@@ -282,8 +283,8 @@ def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
 def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
     if _ruling_pierces(cls, body):
         return None
-    u = _ruling_abscissa(cls, body)
     if cls.kind == X_RULING:
+        u = cls.param
         if u < body.r_min:
             return Certificate("support-below-range", u, "<", body.r_min)
         if u > body.r_max:
@@ -297,7 +298,7 @@ def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
             return Certificate("plane-slab-below", b, "<", y_lo)
         if b > y_hi:
             return Certificate("plane-slab-above", b, ">", y_hi)
-        gap = "slab-gap"
+        u, gap = (b - body.q) / body.eps, "slab-gap"
     # on-parabola point strictly under the gap chord
     return Certificate(gap, body.parabola(u), "<", body.lower_envelope(u))
 

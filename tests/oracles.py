@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from linepierce.exactnum import format_rational
 from linepierce.geometry import Line3, Point3
 from linepierce.intervals import IntervalSet
 
@@ -24,9 +26,81 @@ def vertical_distance(pt: Point3) -> Fraction:
     return abs(pt.z - pt.x * pt.y)
 
 
-def pieces(s: IntervalSet) -> list[tuple[Fraction, Fraction]]:
-    """The set's closed pieces as (lo, hi) pairs, in order."""
+def pieces(s) -> list[tuple[Fraction, Fraction]]:
+    """The closed pieces of an ``IntervalSet`` or a ``FractionSet`` as
+    (lo, hi) pairs, in order."""
     return list(zip(s.points[::2], s.points[1::2]))
+
+
+@dataclass(frozen=True)
+class FractionSet:
+    """The reference for ``IntervalSet``: the endpoints as one tuple of
+    ``Fraction``s, and each operation a scan of the pieces by plain
+    ``Fraction`` arithmetic and comparison."""
+
+    points: tuple[Fraction, ...]
+
+    @staticmethod
+    def from_pairs(pairs) -> FractionSet:
+        """The documented reading of (lo, hi) pieces.  A support whose
+        endpoint count times the bits of their least common denominator
+        exceeds both 4 times the endpoints' own bits and 2^16 is refused
+        first; then each piece must have lo <= hi and start above the
+        previous piece's end."""
+        pairs = list(pairs)
+        flat = [x for pair in pairs for x in pair]
+        own = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in flat)
+        limit = max(4 * own, 2**16)
+        if len(flat) * lcm(*(x.denominator for x in flat)).bit_length() > limit:
+            raise ValueError(
+                f"support of {len(flat)} endpoints of {own} bits does not "
+                f"lift to one denominator within {limit} bits"
+            )
+        points: list[Fraction] = []
+        for lo, hi in pairs:
+            if hi < lo:
+                raise ValueError(
+                    "interval endpoints out of order: "
+                    f"[{format_rational(lo)}, {format_rational(hi)}]"
+                )
+            if points and lo <= points[-1]:
+                raise ValueError(
+                    f"interval [{format_rational(lo)}, {format_rational(hi)}] does not "
+                    f"start above the previous one's end {format_rational(points[-1])}"
+                )
+            points += (lo, hi)
+        return FractionSet(tuple(points))
+
+    def contains(self, x: Fraction) -> bool:
+        return any(lo <= x <= hi for lo, hi in pieces(self))
+
+    def gap_around(self, x: Fraction) -> tuple[Fraction, Fraction]:
+        """(hi_j, lo_{j+1}) of the gap strictly containing x."""
+        for (_, a), (b, _) in zip(pieces(self), pieces(self)[1:]):
+            if a < x < b:
+                return (a, b)
+        raise ValueError(f"{format_rational(x)} is not interior to a gap")
+
+    def subtract_open(self, lo: Fraction, hi: Fraction) -> FractionSet:
+        """Remove (lo, hi) by testing every piece against the cut."""
+        if hi <= lo:
+            return self
+        out: list[Fraction] = []
+        for a, b in pieces(self):
+            if hi <= a or lo >= b:
+                out += (a, b)
+                continue
+            if lo >= a:
+                out += (a, lo)
+            if hi <= b:
+                out += (hi, b)
+        return FractionSet(tuple(out))
+
+    def measure(self) -> Fraction:
+        return sum((hi - lo for lo, hi in pieces(self)), Fraction(0))
+
+    def to_pairs(self) -> list[list[str]]:
+        return [[format_rational(lo), format_rational(hi)] for lo, hi in pieces(self)]
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:

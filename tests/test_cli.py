@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import MAX_PREC, Decimal
 from io import StringIO
@@ -30,7 +31,7 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
-from linepierce.intervals import IntervalSet
+from linepierce.intervals import IntervalSet, parse_endpoint
 from linepierce.refutation import Certificate, InternalError, pierce, refute
 from oracles import expected_certificate
 
@@ -696,6 +697,59 @@ def test_bad_record_exits_3_naming_its_line(tmp_path, command, record):
     )
     assert f"{family}:2:" in done.stderr
     assert "unhashable" not in done.stderr
+
+
+def hostile_support(pieces=1500):
+    """A support of 2*pieces increasing endpoints in (0, 1), each over its
+    own 64-bit prime: about 135 KB as a record, whose endpoints share no
+    denominator of fewer than 2*pieces*64 bits."""
+    from sympy import nextprime
+
+    primes = [nextprime(2**63)]
+    while len(primes) < 2 * pieces:
+        primes.append(nextprime(primes[-1]))
+    ends = [f"{(j + 1) * p // (2 * pieces + 1)}/{p}" for j, p in enumerate(primes)]
+    return [ends[j : j + 2] for j in range(0, len(ends), 2)]
+
+
+class TestSupportLiftBound:
+    """A support whose endpoints would lift to one denominator only at a
+    cost quadratic in its size is an input error, refused at linear cost."""
+
+    def test_witness_refuses_it_naming_its_line(self, tmp_path):
+        family = tmp_path / "family.jsonl"
+        hostile = {**GOOD_BODY, "support": hostile_support()}
+        family.write_text(json.dumps(GOOD_BODY) + "\n" + json.dumps(hostile) + "\n",
+                          encoding="utf-8")
+        done = assert_exits_3_without_traceback(
+            tmp_path, ["witness", "--family", str(family), "--t", "1"]
+        )
+        assert f"{family}:2: malformed body record: support of 3000 endpoints" in done.stderr
+        assert "does not lift to one denominator" in done.stderr
+        assert not (tmp_path / "out.json").exists()
+
+    def test_refusal_stays_small(self):
+        support = hostile_support()
+        parse_endpoint.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not lift to one denominator"):
+                IntervalSet.from_strings(support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            parse_endpoint.cache_clear()
+        # the parsed endpoints and their cache; lifting them all would take
+        # about 3000 ints of 192,000 bits, some 70 MB
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("delta", ["1/3", "2/7"])
+    def test_constructed_families_still_load(self, tmp_path, delta):
+        family = tmp_path / "family.jsonl"
+        assert main(["construct", "--delta", delta, "-N", "600", "--out", str(family),
+                     "--verify"]) == 0
+        assert main(["witness", "--family", str(family), "--t", "3",
+                     "--out", str(tmp_path / "w.json")]) == 0
 
 
 # line records that are well-formed JSON but no line

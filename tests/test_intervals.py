@@ -1,7 +1,8 @@
 import random
-from bisect import bisect_left, bisect_right
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from linepierce import intervals
 from linepierce.exactnum import format_rational, parse_rational
+from linepierce.family import SupportAssigner, m_of
 from linepierce.intervals import (
     IntervalSet,
     deep_witness,
@@ -16,7 +18,7 @@ from linepierce.intervals import (
     parse_endpoint,
     remove_intervals,
 )
-from oracles import depth_profile, intersect_many, pieces
+from oracles import FractionSet, depth_profile, intersect_many, pieces
 
 
 def open_spans_cover_unit(spans) -> bool:
@@ -44,29 +46,12 @@ def covers_unit_interval(cover) -> bool:
     return open_spans_cover_unit([(c - half, c + half) for c in cover.centers])
 
 
-def linear_subtract_open(pieces, lo, hi) -> list[tuple[F, F]]:
-    """Remove (lo, hi) by testing every piece against the cut: the linear
-    scan that ``IntervalSet.subtract_open`` replaced with bisection."""
-    if hi <= lo:
-        return list(pieces)
-    out = []
-    for a, b in pieces:
-        if hi <= a or lo >= b:
-            out.append((a, b))
-            continue
-        if lo >= a:
-            out.append((a, lo))
-        if hi <= b:
-            out.append((hi, b))
-    return out
-
-
 def subtraction_oracle(cover, picks) -> list[tuple[F, F]]:
-    """Direct set subtraction over a common denominator grid refinement."""
-    pieces = [(F(0), F(1))]
+    """[0,1] minus each picked interval in turn, by the ``Fraction`` scan."""
+    s = FractionSet((F(0), F(1)))
     for p in picks:
-        pieces = linear_subtract_open(pieces, *cover.open_intervals[p])
-    return sorted(pieces)
+        s = s.subtract_open(*cover.open_intervals[p])
+    return pieces(s)
 
 
 @st.composite
@@ -281,9 +266,9 @@ class TestSubtractOpen:
         for _ in range(data.draw(st.integers(1, 4))):
             # hi <= lo (an empty cut) is drawn about half the time
             lo, hi = data.draw(cut_ends(s)), data.draw(cut_ends(s))
-            want = linear_subtract_open(pieces(s), lo, hi)
+            want = FractionSet(s.points).subtract_open(lo, hi)
             s = s.subtract_open(lo, hi)
-            assert pieces(s) == want
+            assert s.points == want.points
 
     def test_cut_on_endpoints_keeps_them(self):
         s = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))])
@@ -295,16 +280,12 @@ class TestSubtractOpen:
         assert s.subtract_open(F(1, 2), F(0)) is s
 
 
-def linear_contains(pairs, x) -> bool:
-    return any(lo <= x <= hi for lo, hi in pairs)
-
-
-def linear_gap_around(pairs, x):
-    """(hi_j, lo_{j+1}) of the gap strictly containing x, or None."""
-    for (_, a), (b, _) in zip(pairs, pairs[1:]):
-        if a < x < b:
-            return (a, b)
-    return None
+def outcome(call, *args):
+    """What a call returns, or the message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestMembership:
@@ -313,15 +294,10 @@ class TestMembership:
     def test_matches_linear_scan(self, s):
         # every endpoint (single points included) and the 1/24 grid of
         # [-1/2, 3/2], which reaches past both ends of [0,1]
-        pairs = pieces(s)
+        ref = FractionSet(s.points)
         for x in sorted(set(s.points) | set(CUT_ENDS)):
-            assert s.contains(x) == linear_contains(pairs, x)
-            want = linear_gap_around(pairs, x)
-            if want is None:
-                with pytest.raises(ValueError, match="not interior to a gap"):
-                    s.gap_around(x)
-            else:
-                assert s.gap_around(x) == want
+            assert s.contains(x) == ref.contains(x)
+            assert outcome(s.gap_around, x) == outcome(ref.gap_around, x)
 
 
 class TestMeasureAndIntersect:
@@ -337,10 +313,12 @@ class TestMeasureAndIntersect:
 
     @settings(max_examples=300)
     @given(s=mixed_denominator_sets())
-    @example(s=IntervalSet(()))
-    @example(s=IntervalSet((F(1, 3), F(1, 3))))  # a single point
-    @example(s=IntervalSet((F(0), F(1, 3), F(3, 7), F(3, 7), F(1, 2) + F(1, 2**200), F(1))))
-    @example(s=IntervalSet((F(1, 3), F(2, 5), F(3, 7), F(1, 2), F(7, 9), F(1))))
+    @example(s=IntervalSet(1, ()))
+    @example(s=IntervalSet(3, (1, 1)))  # a single point
+    @example(s=IntervalSet.from_pairs(
+        [(F(0), F(1, 3)), (F(3, 7), F(3, 7)), (F(1, 2) + F(1, 2**200), F(1))]
+    ))
+    @example(s=IntervalSet(630, (210, 252, 270, 315, 490, 630)))  # 1/3, 2/5, ... 7/9, 1
     def test_measure_matches_fraction_sum(self, s):
         want = sum((hi - lo for lo, hi in pieces(s)), F(0))
         got = s.measure()
@@ -381,35 +359,14 @@ class TestMeasureAndIntersect:
         assert IntervalSet.from_strings(s.to_pairs()) == s
 
 
-def fraction_from_pairs(pairs) -> tuple[F, ...]:
-    """``IntervalSet.from_pairs``' canonical-order check by plain ``Fraction``
-    comparison: the oracle for its integer cross-multiplication."""
-    points: list[F] = []
-    for lo, hi in pairs:
-        if hi < lo:
-            raise ValueError(
-                f"interval endpoints out of order: [{format_rational(lo)}, {format_rational(hi)}]"
-            )
-        if points and lo <= points[-1]:
-            raise ValueError(
-                f"interval [{format_rational(lo)}, {format_rational(hi)}] does not "
-                f"start above the previous one's end {format_rational(points[-1])}"
-            )
-        points += (lo, hi)
-    return tuple(points)
-
-
-def points_or_message(build, pairs):
-    try:
-        return build(pairs)
-    except ValueError as exc:
-        return str(exc)
-
-
-# small mixed denominators, and 130-bit numerators and denominators; both signed
+# small mixed denominators; 130-bit numerators and denominators drawn
+# freely, a few of which already pass the lift bound; and 130-bit
+# denominators sharing one large factor, which lift cheaply; all signed
+BIG = 2**130 - 5
 ENDPOINTS = st.one_of(
     st.fractions(-2, 2, max_denominator=10**4),
     st.builds(F, st.integers(-(2**130), 2**130), st.integers(1, 2**130)),
+    st.builds(lambda n, k: F(n, k * BIG), st.integers(-(2**131), 2**131), st.integers(1, 12)),
 )
 
 
@@ -444,6 +401,20 @@ def piece_lists(draw):
 
 
 TINY = F(1, 2**200)
+# pairwise coprime denominators of 33 to 64 bits, powers of the first 64
+# primes: the least common denominator of n of them has about 64*n bits
+PRIMES = [p for p in range(2, 312) if all(p % d for d in range(2, p))]
+COPRIME = [p ** (64 // p.bit_length()) for p in PRIMES]
+
+
+def single_points(dens, num_bits=0):
+    """Single points (2^num_bits + j)/d over the given denominators, in order."""
+    values = sorted(F(2**num_bits + j, d) for j, d in enumerate(dens))
+    return [(v, v) for v in values]
+
+
+def points_of(build, pairs):
+    return outcome(lambda p: build(p).points, pairs)
 
 
 class TestFromPairsOrder:
@@ -454,9 +425,25 @@ class TestFromPairsOrder:
     @example(pairs=[(F(1, 3), F(1, 3) + TINY), (F(1, 3) + 2 * TINY, F(1))])  # canonical
     @example(pairs=[(F(-1, 3), F(-1, 3) - TINY)])  # reversed by a hair
     @example(pairs=[(F(-2), F(-2)), (F(-1, 7), F(-1, 7)), (F(0), F(0))])  # points
+    @example(pairs=[(F(1, d), F(1, d)) for d in COPRIME])  # refused, before its order
+    @example(pairs=[(F(1, d), F(1, d)) for d in reversed(COPRIME[:24])])  # lifted
+    @example(pairs=[(F(j, 7), F(j, 7)) for j in range(4096)])  # one grid: lifted
+    # either side of each bound: 2^16 bits, and 4 times the endpoints' own bits
+    @example(pairs=single_points(COPRIME[:24]))
+    @example(pairs=single_points(COPRIME[:25]))
+    @example(pairs=single_points(COPRIME, 840))
+    @example(pairs=single_points(COPRIME, 860))
     def test_matches_fraction_comparison(self, pairs):
-        got = points_or_message(lambda p: IntervalSet.from_pairs(p).points, pairs)
-        assert got == points_or_message(fraction_from_pairs, pairs)
+        assert points_of(IntervalSet.from_pairs, pairs) == points_of(FractionSet.from_pairs, pairs)
+
+    def test_refuses_a_lift_past_the_bound(self):
+        pairs = [(F(1, d), F(1, d)) for d in reversed(COPRIME)]
+        with pytest.raises(ValueError, match="does not lift to one denominator"):
+            IntervalSet.from_pairs(pairs)
+        # unit fractions over the first eight primes lift, though their ints
+        # take more than 4 times their own bits: the bound has a floor
+        small = [(F(1, p), F(1, p)) for p in reversed(PRIMES[:8])]
+        assert IntervalSet.from_pairs(small).den == 9699690
 
     def test_makes_no_fraction_comparison(self, monkeypatch):
         def refuse(a, b):
@@ -465,29 +452,67 @@ class TestFromPairsOrder:
         for attr in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
             monkeypatch.setattr(F, attr, refuse)
         pairs = [(F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(1, 2), F(1))]
-        assert len(IntervalSet.from_pairs(pairs).points) == 6
+        assert IntervalSet.from_pairs(pairs).ends == (0, 3, 4, 4, 6, 12)
 
 
 # pieces [0, 1/4] and [3/4, 1] around the gap (1/4, 3/4), and a single point
-GAPPED = IntervalSet.from_pairs([(F(-1, 3), F(-1, 3)), (F(0), F(1, 4)), (F(3, 4), F(1))])
+GAPPED = [(F(-1, 3), F(-1, 3)), (F(0), F(1, 4)), (F(3, 4), F(1))]
 
 
-class TestRank:
-    """``IntervalSet._rank`` is ``bisect_left``, or ``bisect_right``, over
-    the ``Fraction`` tuple, decided by integer cross-multiplication."""
+class TestIntegerQueries:
+    """Every operation of the integer set against ``FractionSet``."""
 
     @settings(max_examples=400)
-    @given(s=mixed_denominator_sets(ENDPOINTS), x=ENDPOINTS)
-    @example(s=IntervalSet(()), x=F(1, 2))  # the empty set
-    @example(s=GAPPED, x=F(1, 2))  # inside a gap
-    @example(s=GAPPED, x=F(-1))  # below both ends
-    @example(s=GAPPED, x=F(2))  # above both ends
-    @example(s=GAPPED, x=F(-1, 3) + TINY)  # just past the single point
-    def test_matches_bisect(self, s, x):
-        # every endpoint too: a query equal to an endpoint tells left from right
-        for query in (x, *s.points):
-            assert s._rank(query) == bisect_left(s.points, query)
-            assert s._rank(query, right=True) == bisect_right(s.points, query)
+    @given(
+        pairs=piece_lists(),
+        xs=st.lists(ENDPOINTS, max_size=3),
+        cuts=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3),
+    )
+    @example(pairs=[], xs=[F(1, 2)], cuts=[(0, 0)])  # the empty set
+    @example(pairs=GAPPED, xs=[F(1, 2), F(-1), F(2)], cuts=[])  # a gap, below, above
+    @example(pairs=GAPPED, xs=[F(-1, 3) + TINY], cuts=[(0, 3)])  # past the single point
+    @example(pairs=GAPPED, xs=[], cuts=[(4, 6), (2, 12)])  # cuts at endpoints
+    def test_matches_fraction_reference(self, pairs, xs, cuts):
+        got, want = outcome(IntervalSet.from_pairs, pairs), outcome(FractionSet.from_pairs, pairs)
+        if isinstance(want, str):
+            assert got == want
+            return
+        s, ref = got, want
+        # each endpoint, a hair to each side of it, and values drawn freely
+        queries = [*xs, *s.points, *(p + d for p in s.points for d in (TINY, -TINY))]
+        cut_ends = [(queries[i % len(queries)], queries[j % len(queries)])
+                    for i, j in (cuts if queries else [])]
+        for lo, hi in [(None, None), *cut_ends]:
+            if lo is not None:
+                s, ref = s.subtract_open(lo, hi), ref.subtract_open(lo, hi)
+            assert s.points == ref.points
+            assert s.den > 0 and gcd(s.den, *s.ends) == 1
+            assert s.measure() == ref.measure() and type(s.measure()) is F
+            assert s.to_pairs() == ref.to_pairs()
+            for x in queries:
+                assert s.contains(x) == ref.contains(x)
+                # a ratio of ints, unreduced, as the y-ruling rule asks it
+                assert s.contains(3 * x.numerator, 3 * x.denominator) == ref.contains(x)
+                assert outcome(s.gap_around, x) == outcome(ref.gap_around, x)
+
+    @settings(max_examples=200)
+    @given(case=pick_cases(), rng=st.randoms(use_true_random=False))
+    def test_cut_orders_build_one_representation(self, case, rng):
+        cover, picks = case
+        merged = remove_intervals(cover, picks)
+        spans = [cover.open_intervals[p] for p in picks]
+        rng.shuffle(spans)
+        one_by_one = IntervalSet.unit()
+        for lo, hi in spans:
+            one_by_one = one_by_one.subtract_open(lo, hi)
+            assert gcd(one_by_one.den, *one_by_one.ends) == 1
+        assert (one_by_one.den, one_by_one.ends) == (merged.den, merged.ends)
+        assert one_by_one == merged and hash(one_by_one) == hash(merged)
+
+    def test_to_pairs_renders_past_the_digit_limit(self):
+        huge = 10**5000 + 1  # past Python's 4,300-digit int-to-string limit
+        s = IntervalSet.from_pairs([(F(1, huge), F(1, 2))])
+        assert s.to_pairs() == [[format_rational(F(1, huge)), "1/2"]]
 
     def test_queries_make_no_fraction_ordering_comparison(self, monkeypatch):
         s = IntervalSet.from_pairs([(F(2 * j, 41), F(2 * j + 1, 41)) for j in range(20)])
@@ -507,6 +532,16 @@ class TestRank:
         assert s.subtract_open(F(5, 82), F(1, 82)) is s
         assert compared == []
         assert F(0) < F(1) and len(compared) == 1  # the count does see a comparison
+
+
+def test_support_walk_hashes_no_fraction(monkeypatch):
+    hashed = []
+    real = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda x: hashed.append(x) or real(x))
+    assigner = SupportAssigner(F(1, 2))
+    supports = [assigner.assign(m_of(f)) for f in range(1, 301)]
+    assert len(set(supports)) == 300 and hashed == []
+    assert hash(F(1, 3)) and hashed == [F(1, 3)]  # the count does see a hash
 
 
 # three supports over five distinct endpoint strings

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0
@@ -832,3 +832,96 @@ def test_in_plane_pierce_matches_sympy():
             assert cert is None or cert.holds()
             checked += 1
     assert checked >= 500
+
+
+def assert_certificates_match_the_oracle(outcome, pool):
+    """Each certificate states what ``expected_certificate`` derives from its
+    pool line and the witness record alone."""
+    report = outcome.to_record()
+    for line, cert in zip(pool, report["certificates"], strict=True):
+        stated = (cert["case"], F(cert["lhs"]), cert["rel"], F(cert["rhs"]))
+        assert stated == expected_certificate(line_to_record(line), report["witness"])
+
+
+def base_x_rulings(k):
+    return [ruling_line_x(enumerate_Q0(m)) for m in range(1, k + 1)]
+
+
+class TestFarWitness:
+    """A pool of the first K base-rational x-rulings pierces every body of
+    approaches 1..K, each holding its own base rational, and misses the
+    first body of approach K + 1, emission (K+1)(K+2)/2, which holds none
+    of them.  Other lines added to the pool can only move the witness later."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10, 20, 40])
+    def test_first_k_base_x_rulings(self, k):
+        pool = base_x_rulings(k)
+        outcome = refute(pool, FamilyStream(F(1, 2)), 10_000)
+        assert outcome.witness.f_index == (k + 1) * (k + 2) // 2
+        assert outcome.witness.m == k + 1
+        assert_certificates_match_the_oracle(outcome, pool)
+
+    @settings(max_examples=40)
+    @given(
+        k=st.integers(1, 12),
+        aims=st.lists(st.tuples(st.integers(0, 5), st.fractions(0, 1, max_denominator=16)),
+                      max_size=3),
+        generic=st.lists(
+            st.tuples(*[st.fractions(-1, 2, max_denominator=8)] * 4), max_size=2
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(k=3, aims=[(0, F(1, 2)), (1, F(0))], generic=[], seed=0)
+    def test_added_lines_never_bring_the_witness_earlier(self, k, aims, generic, seed):
+        first = (k + 1) * (k + 2) // 2
+        # y-rulings aimed into the slabs of the predicted witness and the
+        # bodies after it, which some of them pierce, and lines through
+        # surface points
+        pool = [ruling_line_y(EARLY[first - 1 + i].q + EARLY[first - 1 + i].eps * u)
+                for i, u in aims]
+        for a, b, dy, dz in generic:
+            line = Line3(Point3(a, b, a * b), (F(1), dy, dz))
+            if classify_line(line).kind == GENERIC:
+                pool.append(line)
+        pool += base_x_rulings(k)
+        random.Random(seed).shuffle(pool)
+        outcome = refute(pool, FamilyStream(F(1, 2)), 2000)
+        if outcome.found:
+            assert outcome.witness.f_index >= first
+            assert_certificates_match_the_oracle(outcome, pool)
+
+
+EARLY = FamilyStream(F(1, 2)).truncate(96)
+
+
+@st.composite
+def y_ruling_cases(draw):
+    """A body among the first 96 and a y-ruling y = b whose abscissa
+    (b - q)/eps is one of its support's endpoints, a point between two
+    consecutive endpoints (in a piece or in a gap), or outside the slab."""
+    body = draw(st.sampled_from(EARLY))
+    points = body.support.points
+    where = draw(st.sampled_from(["endpoint", "between", "below", "above"]))
+    step = draw(st.fractions(0, 1, max_denominator=2**20).filter(lambda t: 0 < t < 1))
+    if where == "endpoint":
+        u = draw(st.sampled_from(points))
+    elif where == "between" and len(points) > 1:
+        j = draw(st.integers(0, len(points) - 2))
+        u = points[j] + (points[j + 1] - points[j]) * step
+    elif where == "below":
+        u = body.r_min - step
+    else:
+        u = body.r_max + step
+    return body, body.q + body.eps * u
+
+
+@settings(max_examples=200)
+@given(case=y_ruling_cases())
+@example(case=(EARLY[0], EARLY[0].q + EARLY[0].eps / 8))  # over a gap of body 1
+@example(case=(EARLY[95], EARLY[95].q + EARLY[95].eps * EARLY[95].r_max))  # the right end
+def test_y_ruling_rule_matches_the_fraction_abscissa(case):
+    body, b = case
+    cls = classify_line(ruling_line_y(b))
+    want = body.support.contains((b - body.q) / body.eps)
+    assert _ruling_pierces(cls, body) == want
+    assert pierce(ruling_line_y(b), body) == want
