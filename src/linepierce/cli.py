@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive,
         default=100_000,
         help="stream search budget in bodies (default 100000); the first 40 "
-        "base-rational x-rulings are refuted at emission 861 in about 0.12 s, "
-        "scans of 2000 and 8000 bodies take about 0.35 s and 2.7 s, and the "
+        "base-rational x-rulings are refuted at emission 861 in about 0.08 s, "
+        "scans of 2000 and 8000 bodies take about 0.2 s and 1 s, and the "
         "cost per body grows along the stream, so the whole default budget "
         "is far beyond any run measured",
     )

@@ -8,8 +8,10 @@ Lebesgue measure, and deep-point witnesses found by a sweep over all
 endpoints.
 
 A set is one denominator and its endpoints' ints over it, so a query is
-one ``divmod`` and one ``bisect``.  Reading supports parses each distinct
-endpoint string once per process, through a bounded cache.
+one ``divmod`` and one ``bisect``.  A support is built by one
+``subtract_open`` pass that cuts every run of picked cover intervals from
+[0,1].  Writing and reading supports renders and parses each distinct
+endpoint once per process, through bounded caches.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import islice, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
 
-from .exactnum import _digits_of, format_rational, parse_rational
+from .exactnum import format_rational, parse_rational
 
 LIFT_FACTOR = 4  # the bounds of ``IntervalSet.from_pairs`` on a lift
 LIFT_FLOOR = 2**16
@@ -44,8 +46,10 @@ class IntervalSet:
 
     @staticmethod
     def from_pairs(pairs) -> IntervalSet:
-        """The set of the given (lo, hi) ``Fraction`` pieces, which must
-        already be in canonical order: each lo <= hi and above the previous hi.
+        """The set of the given (lo, hi) pieces of reduced ``(numerator,
+        denominator)`` int pairs, as ``parse_endpoint`` gives them, which
+        must already be in canonical order: each lo <= hi and above the
+        previous hi.
 
         The endpoints are lifted to their least common denominator, which
         leaves gcd 1, and ordered as ints.  The lift is quadratic over
@@ -53,7 +57,7 @@ class IntervalSet:
         cost, once the endpoint count times the denominator's bits exceeds
         both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints' own bits.
         """
-        ratios = [x.as_integer_ratio() for pair in pairs for x in pair]
+        ratios = [x for pair in pairs for x in pair]
         nums, dens = [n for n, _ in ratios], [d for _, d in ratios]
         own = sum(map(int.bit_length, nums)) + sum(map(int.bit_length, dens))
         limit = max(LIFT_FACTOR * own, LIFT_FLOOR)
@@ -107,36 +111,38 @@ class IntervalSet:
             raise ValueError(f"{format_rational(x)} is not interior to a gap")
         return (Fraction(ends[i - 1], self.den), Fraction(ends[i], self.den))
 
-    def subtract_open(self, lo: Fraction, hi: Fraction) -> IntervalSet:
-        """Remove the open interval (lo, hi); the endpoints lo, hi survive.
+    def subtract_open(self, per: int, cuts) -> IntervalSet:
+        """Remove the open intervals (a_j/per, b_j/per); every a_j and b_j
+        survives.  ``cuts`` is the flat int sequence a_0, b_0, a_1, ... with
+        a_j < b_j <= a_{j+1}, and ``per`` is positive.
 
-        The set is lifted only if lo's or hi's denominator does not divide
-        its own.  ends[i:k] are the endpoints strictly inside (lo, hi).  An
-        odd i means lo lies in a piece, which keeps [.., lo]; an odd k means
-        hi does, which keeps [hi, ..].
+        The set is lifted to ``lcm(den, per)`` only when per is not den.  The
+        cuts are disjoint, so each is placed against the set's own ends,
+        left to right from where the last one stopped: ends[i:k] lie
+        strictly inside (a, b).  An odd i means a lies in a piece, which
+        keeps [.., a]; an odd k means b does, which keeps [b, ..].  The
+        result is written in one list and the gcd divided out.
         """
         den, ends = self.den, self.ends
-        (a, lo_den), (b, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
-        if den % lo_den or den % hi_den:
-            scale = lcm(den, lo_den, hi_den) // den
-            den, ends = den * scale, tuple(map(mul, ends, repeat(scale)))
-        a, b = a * (den // lo_den), b * (den // hi_den)
-        if b <= a:
-            return self  # the cut is empty
-        i, k = bisect_right(ends, a), bisect_left(ends, b)
-        if i == k and i % 2 == 0:
-            return self
-        ends = ends[:i] + (a,) * (i % 2) + (b,) * (k % 2) + ends[k:]
-        g = gcd(den, *ends)
+        if per != den:
+            den = lcm(den, per)
+            ends = tuple(map(mul, ends, repeat(den // self.den)))
+            cuts = list(map(mul, cuts, repeat(den // per)))
+        out, pos = [], 0
+        for a, b in zip(cuts[::2], cuts[1::2]):
+            i = bisect_right(ends, a, pos)
+            k = bisect_left(ends, b, i)
+            out += ends[pos:i] + (a,) * (i % 2) + (b,) * (k % 2)
+            pos = k
+        out += ends[pos:]
+        g = gcd(den, *out)
         if g > 1:
-            den, ends = den // g, tuple(map(floordiv, ends, repeat(g)))
-        return IntervalSet(den, ends)
+            den, out = den // g, list(map(floordiv, out, repeat(g)))
+        return IntervalSet(den, tuple(out))
 
     def to_pairs(self) -> list[list[str]]:
-        """Each piece as [lo, hi], reduced and rendered as ``format_rational``."""
-        den, ends = self.den, self.ends
-        texts = [f"{_digits_of(e // g)}/{_digits_of(den // g)}"
-                 for e, g in zip(ends, map(gcd, ends, repeat(den)))]
+        """Each piece as [lo, hi], rendered as ``format_rational``."""
+        texts = list(map(_ratio_text, self.ends, repeat(self.den)))
         return [texts[j : j + 2] for j in range(0, len(texts), 2)]
 
     @staticmethod
@@ -158,8 +164,9 @@ class IntervalSet:
 
 
 @lru_cache(maxsize=4096)
-def parse_endpoint(text: str) -> Fraction:
-    """``parse_rational``, memoised for support endpoints.
+def parse_endpoint(text: str) -> tuple[int, int]:
+    """``parse_rational``'s value as its reduced (numerator, denominator)
+    pair, memoised for support endpoints.
 
     A family file holds tens of thousands of endpoint strings but only a few
     hundred distinct ones.  The cache is bounded, and ``lru_cache`` stores
@@ -167,7 +174,13 @@ def parse_endpoint(text: str) -> Fraction:
     ``parse_rational`` is looked up by its module-level name at each miss,
     so a wrapper rebound to that name sees every string actually parsed.
     """
-    return parse_rational(text)
+    return parse_rational(text).as_integer_ratio()
+
+
+@lru_cache(maxsize=4096)
+def _ratio_text(e: int, den: int) -> str:
+    """``format_rational`` of e/den, memoised as ``parse_endpoint`` is."""
+    return format_rational(Fraction(e, den))
 
 
 @dataclass(frozen=True)
@@ -192,11 +205,6 @@ class CoverSpec:
     def step(self) -> Fraction:
         """Half the length: the spacing of the centers."""
         return self.length / 2
-
-    @cached_property
-    def open_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        half = self.step
-        return tuple((c - half, c + half) for c in self.centers)
 
     def covering_indices(self, x: Fraction) -> list[int]:
         """Indices of cover intervals whose open interior contains x.
@@ -228,30 +236,31 @@ def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
     """[0,1] minus the union of the picked open cover intervals.
 
     Exactly 2^level picks are required, in any order; repeats are allowed
-    and harmless.  In units of step interval p is (p-1, p+1), so sorted
-    picks at most 1 apart overlap, and each maximal run start..end of them
-    removes the one open interval (start-1, end+1), cut once.  A run ending
-    at e and the next starting at e+2 leave the point e+1 between them.
+    and harmless.  With step = sn/sd, interval p is (p-1, p+1) in units of
+    step, so sorted picks at most 1 apart overlap, and each maximal run
+    start..end of them is the one cut ((start-1)*sn, (end+1)*sn) in units
+    of 1/sd.  A run ending at e and the next starting at e+2 touch at e+1,
+    which survives.  All runs are cut from [0,1] by one ``subtract_open``.
     """
-    picks = list(picks)
+    picks = sorted(picks)
     if len(picks) != cover.picks_per_set:
         raise ValueError(
             f"expected {cover.picks_per_set} picks at level {cover.level}, "
             f"got {len(picks)}"
         )
-    for p in picks:
+    for p in (picks[0], picks[-1]):  # 2^level >= 1 picks: the least and the greatest
         if not (0 <= p < len(cover.centers)):
             raise ValueError(f"pick index {p} out of range")
-    spans = cover.open_intervals
-    result = IntervalSet.unit()
-    runs = iter(sorted(picks))  # 2^level >= 1 picks
-    start = end = next(runs)
-    for p in runs:
+    sn, sd = cover.step.as_integer_ratio()
+    cuts: list[int] = []
+    start = end = picks[0]
+    for p in picks:
         if p > end + 1:
-            result = result.subtract_open(spans[start][0], spans[end][1])
+            cuts += ((start - 1) * sn, (end + 1) * sn)
             start = p
         end = p
-    return result.subtract_open(spans[start][0], spans[end][1])
+    cuts += ((start - 1) * sn, (end + 1) * sn)
+    return IntervalSet.unit().subtract_open(sd, cuts)
 
 
 def deep_witness(

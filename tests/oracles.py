@@ -26,6 +26,20 @@ def vertical_distance(pt: Point3) -> Fraction:
     return abs(pt.z - pt.x * pt.y)
 
 
+def interval_set(pairs) -> IntervalSet:
+    """``IntervalSet.from_pairs`` of (lo, hi) ``Fraction`` pieces, each
+    endpoint given as its reduced (numerator, denominator) pair."""
+    return IntervalSet.from_pairs(
+        [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in pairs]
+    )
+
+
+def open_span(cover, p: int) -> tuple[Fraction, Fraction]:
+    """The p-th open cover interval, from its center and length alone."""
+    half = cover.length / 2
+    return (cover.centers[p] - half, cover.centers[p] + half)
+
+
 def pieces(s) -> list[tuple[Fraction, Fraction]]:
     """The closed pieces of an ``IntervalSet`` or a ``FractionSet`` as
     (lo, hi) pairs, in order."""
@@ -117,7 +131,7 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             i += 1
         else:
             j += 1
-    return IntervalSet.from_pairs(out)
+    return interval_set(out)
 
 
 def intersect_many(sets: list[IntervalSet]) -> IntervalSet:

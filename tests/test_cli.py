@@ -33,7 +33,7 @@ from linepierce.geometry import (
 )
 from linepierce.intervals import IntervalSet, parse_endpoint
 from linepierce.refutation import Certificate, InternalError, pierce, refute
-from oracles import expected_certificate
+from oracles import expected_certificate, interval_set
 
 
 def write_lines(path, lines):
@@ -114,7 +114,7 @@ class TestWitness:
     def test_body_past_the_int_string_digit_limit(self, tmp_path):
         # eps of emission 7141 has a 4301-digit denominator
         body = ConvexBody(q=F(1, 4), f_index=7141,
-                          support=IntervalSet.from_pairs([(F(0), F(1))]))
+                          support=interval_set([(F(0), F(1))]))
         family = tmp_path / "family.jsonl"
         family.write_text(json.dumps(body_to_record(body)) + "\n", encoding="utf-8")
         out = tmp_path / "w.json"

@@ -21,9 +21,9 @@ from linepierce.family import (
 )
 from linepierce.exactnum import QuadExt, format_rational
 from linepierce.geometry import Line3
-from linepierce.intervals import IntervalSet, make_cover, remove_intervals
+from linepierce.intervals import IntervalSet, make_cover
 from linepierce.refutation import pierce
-from oracles import pieces
+from oracles import FractionSet, interval_set, open_span, pieces
 
 
 def pierced_at(body, u, w):
@@ -119,30 +119,28 @@ class TestDyadicApproacher:
         assert dist < F(1, 1000)
 
 
-def first_fit_oracle(delta: F, m: int, count: int) -> list[IntervalSet]:
+def first_fit_oracle(delta: F, m: int, count: int) -> list[list[tuple[F, F]]]:
     """Independent re-enumeration: full lexicographic scan per level.
 
-    Materializes every pick multiset of levels 1 and 2; validity is judged
-    on the resulting point sets, not on pick indices.
+    Materializes every pick multiset of levels 1 and 2 and cuts each picked
+    span from [0,1] in turn, on ``FractionSet``s; validity is judged on the
+    resulting point sets, not on pick indices.  Returns the sets' pieces.
     """
     target = enumerate_Q0(m)
     excluded = [enumerate_Q0(k) for k in range(1, m)]
-    out: list[IntervalSet] = []
-    seen: set[IntervalSet] = set()
+    out: list[list[tuple[F, F]]] = []
+    seen: set[FractionSet] = set()
     for level in (1, 2):
         cover = make_cover(delta, level)
-        for combo in combinations_with_replacement(
-            range(len(cover.centers)), cover.picks_per_set
-        ):
-            s = remove_intervals(cover, list(combo))
-            if not s.contains(target):
-                continue
-            if any(s.contains(e) for e in excluded):
-                continue
-            if s in seen:
+        spans = [open_span(cover, p) for p in range(len(cover.centers))]
+        for combo in combinations_with_replacement(range(len(spans)), cover.picks_per_set):
+            s = FractionSet((F(0), F(1)))
+            for p in combo:
+                s = s.subtract_open(*spans[p])
+            if not s.contains(target) or any(s.contains(e) for e in excluded) or s in seen:
                 continue
             seen.add(s)
-            out.append(s)
+            out.append(pieces(s))
             if len(out) == count:
                 return out
     return out
@@ -154,7 +152,7 @@ class TestSupportAssigner:
         delta = F(1, 2)
         assigner = SupportAssigner(delta)
         want = first_fit_oracle(delta, m, 8)
-        got = [assigner.assign(m) for _ in range(8)]
+        got = [pieces(assigner.assign(m)) for _ in range(8)]
         assert got == want
 
     def test_matches_brute_force_across_level_bump(self):
@@ -162,9 +160,9 @@ class TestSupportAssigner:
         delta = F(1, 2)
         assigner = SupportAssigner(delta)
         want = first_fit_oracle(delta, 2, 40)
-        got = [assigner.assign(2) for _ in range(40)]
+        got = [pieces(assigner.assign(2)) for _ in range(40)]
         assert got == want
-        levels = {len(s.points) for s in got}
+        levels = {len(s) for s in got}
         assert len(levels) > 1  # sets from both cover levels appear
 
     def test_first_set_for_m1_starts_at_zero(self):
@@ -209,7 +207,7 @@ def valid_multisets_oracle(cover, target, excluded):
     """Every pick multiset of the level in lexicographic order, kept when its
     support holds the target and none of the excluded points: a point of
     [0,1] leaves the support exactly when a picked open interval holds it."""
-    spans = cover.open_intervals
+    spans = [open_span(cover, p) for p in range(len(cover.centers))]
     hits_target = [lo < target < hi for lo, hi in spans]
     hit_mask = [
         sum(1 << i for i, e in enumerate(excluded) if lo < e < hi) for lo, hi in spans
@@ -275,7 +273,7 @@ class TestBuildBody:
         assert body.top_chord(F(1, 2)) > body.parabola(F(1, 2))
 
     def test_single_point_support_degenerates(self):
-        support = IntervalSet.from_pairs([(F(1, 2), F(1, 2))])
+        support = interval_set([(F(1, 2), F(1, 2))])
         body = ConvexBody(q=F(1, 3), f_index=2, support=support)
         assert body.r_min == body.r_max == F(1, 2)
         w = body.parabola(F(1, 2))
@@ -284,7 +282,7 @@ class TestBuildBody:
         assert not pierced_at(body, F(1, 4), w)
 
     def test_gap_chord_strictly_above_parabola(self):
-        support = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
+        support = interval_set([(F(0), F(1, 4)), (F(3, 4), F(1))])
         body = ConvexBody(q=F(1, 2), f_index=1, support=support)
         u = F(1, 2)
         assert body.lower_envelope(u) > body.parabola(u)
@@ -294,7 +292,7 @@ class TestBuildBody:
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([]))
+            ConvexBody(q=F(1, 2), f_index=1, support=interval_set([]))
 
     @pytest.mark.parametrize("q", [0.3, Decimal("0.3")], ids=["float", "decimal"])
     def test_offset_that_is_not_rational_rejected(self, q):
@@ -303,19 +301,19 @@ class TestBuildBody:
             ConvexBody(q=q, f_index=1, support=IntervalSet.unit())
 
     def test_record_round_trip(self):
-        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        body = ConvexBody(q=F(2, 5), f_index=3, support=interval_set([(F(0), F(1, 3))]))
         again = body_from_record(body_to_record(body))
         assert again == body
 
     @pytest.mark.parametrize("f", [7140, 7141, 20000])
     def test_record_round_trip_at_any_tilt_index(self, f):
         # from f = 7141 on, eps's denominator has more than 4300 digits
-        body = ConvexBody(q=F(1, 4), f_index=f, support=IntervalSet.from_pairs([(F(0), F(1))]))
+        body = ConvexBody(q=F(1, 4), f_index=f, support=interval_set([(F(0), F(1))]))
         record = body_to_record(body)
         assert body_from_record(json.loads(json.dumps(record))) == body
 
     def test_record_tilt_mismatch_rejected(self):
-        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        body = ConvexBody(q=F(2, 5), f_index=3, support=interval_set([(F(0), F(1, 3))]))
         record = body_to_record(body)
         assert record["eps"] == "1/1024"
         # wrong power of two, wrong numerator, not a power of two, f below 1
@@ -327,16 +325,27 @@ class TestBuildBody:
         ("f", 3.0), ("f", True), ("f", "3"), ("m", 2.0), ("m", True), ("m", "2"), ("m", None),
     ])
     def test_record_fields_f_and_m_must_be_json_integers(self, field, value):
-        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        body = ConvexBody(q=F(2, 5), f_index=3, support=interval_set([(F(0), F(1, 3))]))
         with pytest.raises(ValueError, match=f"{field} must be a JSON integer"):
             body_from_record({**body_to_record(body), field: value})
 
     @pytest.mark.parametrize("m", [0, 1, 3, 99, -2])
     def test_record_approach_mismatch_rejected(self, m):
-        body = ConvexBody(q=F(2, 5), f_index=3, support=IntervalSet.from_pairs([(F(0), F(1, 3))]))
+        body = ConvexBody(q=F(2, 5), f_index=3, support=interval_set([(F(0), F(1, 3))]))
         assert body_to_record(body)["m"] == 2
         with pytest.raises(ValueError, match="approach mismatch"):
             body_from_record({**body_to_record(body), "m": m})
+
+
+def held_points(xs: list[F], support: list[tuple[F, F]]) -> list[F]:
+    """The sorted points xs that lie in the sorted closed pieces, by one merge."""
+    held, j = [], 0
+    for x in xs:
+        while j < len(support) and support[j][1] < x:
+            j += 1
+        if j < len(support) and support[j][0] <= x:
+            held.append(x)
+    return held
 
 
 class TestFamilyStream:
@@ -372,13 +381,17 @@ class TestFamilyStream:
         with pytest.raises(ValueError):
             m_of(0)
 
-    def test_membership_constraints_hold(self):
-        bodies = FamilyStream(F(1, 2)).truncate(60)
-        for body in bodies:
-            target = enumerate_Q0(body.m)
-            assert body.support.contains(target)
-            for k in range(1, body.m):
-                assert not body.support.contains(enumerate_Q0(k))
+    def test_membership_constraints_hold(self, pinned_family):
+        # each support, read as Fraction pieces so that no IntervalSet query
+        # decides, holds its base rational r_m and none of r_1 ... r_(m-1),
+        # and has measure at least delta
+        bases = [enumerate_Q0(k) for k in range(1, max(b.m for b in pinned_family) + 1)]
+        by_value = sorted(range(len(bases)), key=bases.__getitem__)
+        for body in pinned_family:
+            support = pieces(body.support)
+            assert sum(hi - lo for lo, hi in support) >= F(1, 2)
+            held = held_points([bases[k] for k in by_value if k < body.m], support)
+            assert held == [bases[body.m - 1]]
 
     def test_supports_meet_measure_bound(self):
         for delta in (F(1, 2), F(3, 4)):
@@ -413,7 +426,7 @@ class TestFamilyStream:
             for j, (lo, hi) in enumerate(pieces(body.support)):
                 rest = [iv for i, iv in enumerate(pieces(body.support)) if i != j]
                 reduced = ConvexBody(
-                    q=body.q, f_index=body.f_index, support=IntervalSet.from_pairs(rest)
+                    q=body.q, f_index=body.f_index, support=interval_set(rest)
                 )
                 probe = (lo + hi) / 2
                 assert not pierced_at(reduced, probe, body.parabola(probe))
@@ -426,11 +439,11 @@ class TestFamilyStream:
 
 
 TINY = F(1, 7**6000)  # its denominator has 5,071 digits, past int-to-str's 4,300
-SLAB = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([(F(1, 2), F(1))]))
+SLAB = ConvexBody(q=F(1, 2), f_index=1, support=interval_set([(F(1, 2), F(1))]))
 
 
 @pytest.mark.parametrize("call, shown", [
-    (lambda: IntervalSet.from_pairs([(F(1), TINY)]), TINY),
+    (lambda: interval_set([(F(1), TINY)]), TINY),
     (lambda: IntervalSet.unit().gap_around(TINY), TINY),
     (lambda: SLAB.lower_envelope(TINY), TINY),
     (lambda: make_cover(1 + TINY, 1), 1 + TINY),

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,7 @@ from linepierce.intervals import (
     parse_endpoint,
     remove_intervals,
 )
-from oracles import FractionSet, depth_profile, intersect_many, pieces
+from oracles import FractionSet, depth_profile, interval_set, intersect_many, open_span, pieces
 
 
 def open_spans_cover_unit(spans) -> bool:
@@ -50,8 +50,17 @@ def subtraction_oracle(cover, picks) -> list[tuple[F, F]]:
     """[0,1] minus each picked interval in turn, by the ``Fraction`` scan."""
     s = FractionSet((F(0), F(1)))
     for p in picks:
-        s = s.subtract_open(*cover.open_intervals[p])
+        s = s.subtract_open(*open_span(cover, p))
     return pieces(s)
+
+
+def cut(s: IntervalSet, lo: F, hi: F) -> IntervalSet:
+    """s minus the open interval (lo, hi), as one ``subtract_open`` cut; an
+    empty cut (hi <= lo) leaves s, as it leaves a ``FractionSet``."""
+    if hi <= lo:
+        return s
+    per = lcm(lo.denominator, hi.denominator)
+    return s.subtract_open(per, (int(lo * per), int(hi * per)))
 
 
 @st.composite
@@ -65,7 +74,7 @@ def canonical_sets(draw) -> IntervalSet:
         lo = values.pop(0)
         hi = values.pop(0) if values and draw(st.booleans()) else lo
         pairs.append((F(lo, 12), F(hi, 12)))
-    return IntervalSet.from_pairs(pairs)
+    return interval_set(pairs)
 
 
 @st.composite
@@ -80,7 +89,7 @@ def mixed_denominator_sets(
         lo = values.pop(0)
         hi = values.pop(0) if values and draw(st.booleans()) else lo
         pairs.append((lo, hi))
-    return IntervalSet.from_pairs(pairs)
+    return interval_set(pairs)
 
 
 # with delta = 2/5, k_max*step > 1 at every level, so the last two cover
@@ -108,10 +117,10 @@ def pick_cases(draw):
 CUT_ENDS = [F(k, 24) for k in range(-12, 37)]
 
 
-def cut_ends(s: IntervalSet):
-    if not s.points:
-        return st.sampled_from(CUT_ENDS)
-    return st.one_of(st.sampled_from(s.points), st.sampled_from(CUT_ENDS))
+def within(span, x) -> bool:
+    """Does the open interval span hold x?"""
+    lo, hi = span
+    return lo < x < hi
 
 
 class TestMakeCover:
@@ -160,7 +169,7 @@ class TestMakeCover:
         half_step = c.length / 4
         for j in range(-4, 2 * len(c.centers) + 3):
             x = j * half_step
-            want = [p for p, (lo, hi) in enumerate(c.open_intervals) if lo < x < hi]
+            want = [p for p in range(len(c.centers)) if within(open_span(c, p), x)]
             assert c.covering_indices(x) == want
 
     @settings(max_examples=300)
@@ -174,7 +183,7 @@ class TestMakeCover:
     @example(delta=F(1, 2), level=5, x=F(-1, 256))  # left of 0, inside interval 0
     def test_covering_indices_match_brute_force(self, delta, level, x):
         c = make_cover(delta, level)
-        want = [p for p, (lo, hi) in enumerate(c.open_intervals) if lo < x < hi]
+        want = [p for p in range(len(c.centers)) if within(open_span(c, p), x)]
         assert c.covering_indices(x) == want
 
     def test_covering_indices(self):
@@ -184,8 +193,7 @@ class TestMakeCover:
         assert c.covering_indices(F(1, 2)) == [4]
         assert c.covering_indices(F(1, 5)) == [1, 2]
         for idx in c.covering_indices(F(1, 5)):
-            lo, hi = c.open_intervals[idx]
-            assert lo < F(1, 5) < hi
+            assert within(open_span(c, idx), F(1, 5))
 
 
 class TestRemoveIntervals:
@@ -223,27 +231,32 @@ class TestRemoveIntervals:
         assert pieces(remove_intervals(cover, picks)) == subtraction_oracle(cover, picks)
 
     def test_cuts_each_run_once(self, monkeypatch):
-        cuts = []
+        calls = []
         subtract_open = IntervalSet.subtract_open
 
-        def counting(self, lo, hi):
-            cuts.append((lo, hi))
-            return subtract_open(self, lo, hi)
+        def counting(self, per, cuts):
+            calls.append((self, per, list(cuts)))
+            return subtract_open(self, per, cuts)
 
         monkeypatch.setattr(IntervalSet, "subtract_open", counting)
         c = make_cover(F(1, 2), 3)
+        assert c.step == F(1, 32)
         s = remove_intervals(c, [5, 3, 4, 3, 9, 11, 0, 1])
-        # runs 0..1, 3..5, 9 and 11, each cut once as (start-1, end+1) steps;
-        # the points 2 and 10 between runs survive
-        step = c.length / 2
-        runs = [(-1, 2), (2, 6), (8, 10), (10, 12)]
-        assert cuts == [(lo * step, hi * step) for lo, hi in runs]
-        assert s.contains(2 * step) and s.contains(10 * step)
+        # one call: runs 0..1, 3..5, 9 and 11, each one cut (start-1, end+1)
+        # in units of the step; the points 2 and 10 between runs survive
+        assert calls == [(IntervalSet.unit(), 32, [-1, 2, 2, 6, 8, 10, 10, 12])]
+        assert s.contains(F(2, 32)) and s.contains(F(10, 32))
 
     def test_wrong_pick_count(self):
         c = make_cover(F(1, 2), 2)
         with pytest.raises(ValueError, match="expected 4 picks"):
             remove_intervals(c, [0, 1])
+
+    @pytest.mark.parametrize("bad", [-1, 17])
+    def test_pick_out_of_range(self, bad):
+        c = make_cover(F(1, 2), 2)  # 17 centers
+        with pytest.raises(ValueError, match=f"pick index {bad} out of range"):
+            remove_intervals(c, [3, bad, 0, 16])
 
     @pytest.mark.parametrize("delta", [F(1, 2), F(3, 4)])
     def test_measure_bound_random(self, delta):
@@ -255,29 +268,6 @@ class TestRemoveIntervals:
                 s = remove_intervals(c, picks)
                 assert s.measure() >= delta
                 assert pieces(s) == subtraction_oracle(c, picks)
-
-
-class TestSubtractOpen:
-    @settings(max_examples=300)
-    @given(data=st.data())
-    def test_matches_linear_scan(self, data):
-        s = data.draw(canonical_sets())
-        assert IntervalSet.from_pairs(pieces(s)) == s
-        for _ in range(data.draw(st.integers(1, 4))):
-            # hi <= lo (an empty cut) is drawn about half the time
-            lo, hi = data.draw(cut_ends(s)), data.draw(cut_ends(s))
-            want = FractionSet(s.points).subtract_open(lo, hi)
-            s = s.subtract_open(lo, hi)
-            assert s.points == want.points
-
-    def test_cut_on_endpoints_keeps_them(self):
-        s = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))])
-        # the cut's ends are endpoints of the pieces around it: only the
-        # single point strictly inside goes
-        assert pieces(s.subtract_open(F(1, 4), F(3, 4))) == [(F(0), F(1, 4)), (F(3, 4), F(1))]
-        assert s.subtract_open(F(1, 4), F(1, 2)) is s
-        assert s.subtract_open(F(2), F(3)) is s
-        assert s.subtract_open(F(1, 2), F(0)) is s
 
 
 def outcome(call, *args):
@@ -305,17 +295,17 @@ class TestMeasureAndIntersect:
         assert IntervalSet.unit().measure() == 1
 
     def test_additivity(self):
-        s = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(1, 2), F(1))])
+        s = interval_set([(F(0), F(1, 4)), (F(1, 2), F(1))])
         assert s.measure() == F(3, 4)
 
     def test_empty(self):
-        assert IntervalSet.from_pairs([]).measure() == 0
+        assert interval_set([]).measure() == 0
 
     @settings(max_examples=300)
     @given(s=mixed_denominator_sets())
     @example(s=IntervalSet(1, ()))
     @example(s=IntervalSet(3, (1, 1)))  # a single point
-    @example(s=IntervalSet.from_pairs(
+    @example(s=interval_set(
         [(F(0), F(1, 3)), (F(3, 7), F(3, 7)), (F(1, 2) + F(1, 2**200), F(1))]
     ))
     @example(s=IntervalSet(630, (210, 252, 270, 315, 490, 630)))  # 1/3, 2/5, ... 7/9, 1
@@ -333,21 +323,21 @@ class TestMeasureAndIntersect:
     ], ids=["unsorted", "overlapping", "touching", "repeated-point", "reversed"])
     def test_from_pairs_rejects_noncanonical(self, pairs):
         with pytest.raises(ValueError):
-            IntervalSet.from_pairs(pairs)
+            interval_set(pairs)
 
     def test_intersect_two(self):
-        a = IntervalSet.from_pairs([(F(0), F(1, 2))])
-        b = IntervalSet.from_pairs([(F(1, 4), F(3, 4))])
+        a = interval_set([(F(0), F(1, 2))])
+        b = interval_set([(F(1, 4), F(3, 4))])
         assert pieces(intersect_many([a, b])) == [(F(1, 4), F(1, 2))]
 
     def test_intersect_touching_gives_point(self):
-        a = IntervalSet.from_pairs([(F(0), F(1, 2))])
-        b = IntervalSet.from_pairs([(F(1, 2), F(1))])
+        a = interval_set([(F(0), F(1, 2))])
+        b = interval_set([(F(1, 2), F(1))])
         assert pieces(intersect_many([a, b])) == [(F(1, 2), F(1, 2))]
 
     def test_intersect_disjoint_empty(self):
-        a = IntervalSet.from_pairs([(F(0), F(1, 4))])
-        b = IntervalSet.from_pairs([(F(1, 2), F(1))])
+        a = interval_set([(F(0), F(1, 4))])
+        b = interval_set([(F(1, 2), F(1))])
         assert not intersect_many([a, b]).points
 
     def test_intersect_requires_input(self):
@@ -355,7 +345,7 @@ class TestMeasureAndIntersect:
             intersect_many([])
 
     def test_serialization_round_trip(self):
-        s = IntervalSet.from_pairs([(F(0), F(0)), (F(1, 3), F(2, 3))])
+        s = interval_set([(F(0), F(0)), (F(1, 3), F(2, 3))])
         assert IntervalSet.from_strings(s.to_pairs()) == s
 
 
@@ -434,16 +424,16 @@ class TestFromPairsOrder:
     @example(pairs=single_points(COPRIME, 840))
     @example(pairs=single_points(COPRIME, 860))
     def test_matches_fraction_comparison(self, pairs):
-        assert points_of(IntervalSet.from_pairs, pairs) == points_of(FractionSet.from_pairs, pairs)
+        assert points_of(interval_set, pairs) == points_of(FractionSet.from_pairs, pairs)
 
     def test_refuses_a_lift_past_the_bound(self):
         pairs = [(F(1, d), F(1, d)) for d in reversed(COPRIME)]
         with pytest.raises(ValueError, match="does not lift to one denominator"):
-            IntervalSet.from_pairs(pairs)
+            interval_set(pairs)
         # unit fractions over the first eight primes lift, though their ints
         # take more than 4 times their own bits: the bound has a floor
         small = [(F(1, p), F(1, p)) for p in reversed(PRIMES[:8])]
-        assert IntervalSet.from_pairs(small).den == 9699690
+        assert interval_set(small).den == 9699690
 
     def test_makes_no_fraction_comparison(self, monkeypatch):
         def refuse(a, b):
@@ -452,7 +442,58 @@ class TestFromPairsOrder:
         for attr in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
             monkeypatch.setattr(F, attr, refuse)
         pairs = [(F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(1, 2), F(1))]
-        assert IntervalSet.from_pairs(pairs).ends == (0, 3, 4, 4, 6, 12)
+        assert interval_set(pairs).ends == (0, 3, 4, 4, 6, 12)
+
+
+@st.composite
+def cut_calls(draw):
+    """A set and the arguments of one ``subtract_open`` call on it.
+
+    The set's endpoints have small, mixed or 130-bit denominators.  Cut
+    ends come from its endpoints, a hair to either side of them, the 1/24
+    grid of [-1/2, 3/2] (past both ends of [0,1]) and free values; each cut
+    touches the last one or not.  per is the ends' least common denominator
+    times 1, 2, 3 or a 130-bit factor, so it may equal, divide or not
+    divide the set's den.
+    """
+    s = draw(st.one_of(canonical_sets(), mixed_denominator_sets(ENDPOINTS)))
+    near = [*s.points, *(p + d for p in s.points for d in (TINY, -TINY)), *CUT_ENDS]
+    marks = sorted(draw(st.sets(st.one_of(st.sampled_from(near), ENDPOINTS), min_size=2, max_size=8)))
+    ends, i = [], 0
+    while i + 1 < len(marks):
+        ends += (marks[i], marks[i + 1])
+        i += draw(st.sampled_from([1, 2]))  # 1: the next cut starts where this one ends
+    per = lcm(*(x.denominator for x in ends)) * draw(st.sampled_from([1, 2, 3, BIG]))
+    return s, per, [int(x * per) for x in ends]
+
+
+class TestSubtractOpen:
+    @settings(max_examples=400)
+    @given(case=cut_calls())
+    @example(case=(IntervalSet.unit(), 4, [1, 2, 2, 3]))  # touching: 1/2 survives
+    @example(case=(IntervalSet.unit(), 2, [-3, 0, 2, 5]))  # past both ends of [0,1]
+    @example(case=(IntervalSet(3, (0, 1)), 2, [0, 1]))  # per does not divide den
+    @example(case=(IntervalSet(12, (0, 3, 9, 12)), 4, [1, 3]))  # per divides den
+    @example(case=(IntervalSet.unit(), BIG, [1, BIG - 1]))  # a 130-bit per
+    def test_matches_linear_scan(self, case):
+        s, per, cuts = case
+        want = FractionSet(s.points)
+        for a, b in zip(cuts[::2], cuts[1::2]):
+            want = want.subtract_open(F(a, per), F(b, per))
+        got = s.subtract_open(per, cuts)
+        assert got.points == want.points
+        assert got.den > 0 and gcd(got.den, *got.ends) == 1
+        assert interval_set(pieces(got)) == got  # canonical order
+
+    def test_cut_on_endpoints_keeps_them(self):
+        s = interval_set([(F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))])
+        # the cut's ends are endpoints of the pieces around it: only the
+        # single point strictly inside goes
+        assert pieces(s.subtract_open(4, [1, 3])) == [(F(0), F(1, 4)), (F(3, 4), F(1))]
+        # touching cuts keep the point between them
+        assert s.subtract_open(4, [1, 2, 2, 3]) == s
+        assert s.subtract_open(1, [2, 3]) == s
+        assert s.subtract_open(1, []) == s
 
 
 # pieces [0, 1/4] and [3/4, 1] around the gap (1/4, 3/4), and a single point
@@ -473,7 +514,7 @@ class TestIntegerQueries:
     @example(pairs=GAPPED, xs=[F(-1, 3) + TINY], cuts=[(0, 3)])  # past the single point
     @example(pairs=GAPPED, xs=[], cuts=[(4, 6), (2, 12)])  # cuts at endpoints
     def test_matches_fraction_reference(self, pairs, xs, cuts):
-        got, want = outcome(IntervalSet.from_pairs, pairs), outcome(FractionSet.from_pairs, pairs)
+        got, want = outcome(interval_set, pairs), outcome(FractionSet.from_pairs, pairs)
         if isinstance(want, str):
             assert got == want
             return
@@ -484,7 +525,7 @@ class TestIntegerQueries:
                     for i, j in (cuts if queries else [])]
         for lo, hi in [(None, None), *cut_ends]:
             if lo is not None:
-                s, ref = s.subtract_open(lo, hi), ref.subtract_open(lo, hi)
+                s, ref = cut(s, lo, hi), ref.subtract_open(lo, hi)
             assert s.points == ref.points
             assert s.den > 0 and gcd(s.den, *s.ends) == 1
             assert s.measure() == ref.measure() and type(s.measure()) is F
@@ -500,22 +541,22 @@ class TestIntegerQueries:
     def test_cut_orders_build_one_representation(self, case, rng):
         cover, picks = case
         merged = remove_intervals(cover, picks)
-        spans = [cover.open_intervals[p] for p in picks]
+        spans = [open_span(cover, p) for p in picks]
         rng.shuffle(spans)
         one_by_one = IntervalSet.unit()
         for lo, hi in spans:
-            one_by_one = one_by_one.subtract_open(lo, hi)
+            one_by_one = cut(one_by_one, lo, hi)
             assert gcd(one_by_one.den, *one_by_one.ends) == 1
         assert (one_by_one.den, one_by_one.ends) == (merged.den, merged.ends)
         assert one_by_one == merged and hash(one_by_one) == hash(merged)
 
     def test_to_pairs_renders_past_the_digit_limit(self):
         huge = 10**5000 + 1  # past Python's 4,300-digit int-to-string limit
-        s = IntervalSet.from_pairs([(F(1, huge), F(1, 2))])
+        s = interval_set([(F(1, huge), F(1, 2))])
         assert s.to_pairs() == [[format_rational(F(1, huge)), "1/2"]]
 
     def test_queries_make_no_fraction_ordering_comparison(self, monkeypatch):
-        s = IntervalSet.from_pairs([(F(2 * j, 41), F(2 * j + 1, 41)) for j in range(20)])
+        s = interval_set([(F(2 * j, 41), F(2 * j + 1, 41)) for j in range(20)])
         compared = []
         for attr in ("__lt__", "__le__", "__gt__", "__ge__"):
             real = getattr(F, attr)
@@ -527,9 +568,8 @@ class TestIntegerQueries:
             0 <= k <= 78 and k % 4 in (0, 1, 2) for k in range(-2, 85)
         ]
         assert s.gap_around(F(3, 82)) == (F(1, 41), F(2, 41))
-        cut = s.subtract_open(F(1, 82), F(5, 82))
-        assert cut.points[:4] == (F(0), F(1, 82), F(5, 82), F(3, 41))
-        assert s.subtract_open(F(5, 82), F(1, 82)) is s
+        cut = s.subtract_open(82, [1, 5, 5, 6])
+        assert cut.points[:6] == (F(0), F(1, 82), F(5, 82), F(5, 82), F(3, 41), F(3, 41))
         assert compared == []
         assert F(0) < F(1) and len(compared) == 1  # the count does see a comparison
 
@@ -566,6 +606,25 @@ class TestEndpointCache:
         assert parsed == Counter({"0/1": 1, "1/4": 1, "1/2": 1, "3/4": 1, "1/1": 1})
         assert [s.to_pairs() for s in sets] == REPEATING_SUPPORTS * 2
 
+    def test_each_distinct_endpoint_is_rendered_once(self, monkeypatch):
+        intervals._ratio_text.cache_clear()
+        rendered = Counter()
+
+        def counting(x):
+            rendered[x] += 1
+            return format_rational(x)
+
+        monkeypatch.setattr(intervals, "format_rational", counting)
+        sets = [IntervalSet.from_strings(s) for s in REPEATING_SUPPORTS * 2]
+        assert [s.to_pairs() for s in sets] == REPEATING_SUPPORTS * 2
+        assert rendered == Counter({F(0): 1, F(1, 4): 1, F(1, 2): 1, F(3, 4): 1, F(1): 1})
+
+    def test_to_pairs_renders_every_endpoint_as_format_rational(self, pinned_family):
+        for body in pinned_family:
+            s = body.support
+            flat = [text for pair in s.to_pairs() for text in pair]
+            assert flat == [format_rational(F(e, s.den)) for e in s.ends]
+
     @pytest.mark.parametrize("bad", ["1/0", "0.5", "1e5"])
     def test_bad_endpoint_fails_the_same_way_every_time(self, bad):
         parse_endpoint.cache_clear()
@@ -580,8 +639,8 @@ class TestEndpointCache:
         assert parse_endpoint.cache_info().currsize == 3  # the good strings only
 
     def test_cache_is_bounded(self):
-        parse_endpoint.cache_clear()
-        assert parse_endpoint.cache_info().maxsize is not None
+        for cache in (parse_endpoint, intervals._ratio_text):
+            assert cache.cache_info().maxsize == 4096
 
 
 def random_family(rng, count, max_level=3):
@@ -619,9 +678,9 @@ def brute_max_depth(sets):
 class TestDepthProfile:
     def test_three_set_example(self):
         sets = [
-            IntervalSet.from_pairs([(F(0), F(1, 2))]),
-            IntervalSet.from_pairs([(F(1, 4), F(3, 4))]),
-            IntervalSet.from_pairs([(F(1, 2), F(1))]),
+            interval_set([(F(0), F(1, 2))]),
+            interval_set([(F(1, 4), F(3, 4))]),
+            interval_set([(F(1, 2), F(1))]),
         ]
         cells = depth_profile(sets)
         flat = [(c.lo, c.hi, c.depth) for c in cells]
@@ -663,16 +722,16 @@ class TestDepthProfile:
 class TestDeepWitness:
     def test_three_set_example(self):
         sets = [
-            IntervalSet.from_pairs([(F(0), F(1, 2))]),
-            IntervalSet.from_pairs([(F(1, 4), F(3, 4))]),
-            IntervalSet.from_pairs([(F(1, 2), F(1))]),
+            interval_set([(F(0), F(1, 2))]),
+            interval_set([(F(1, 4), F(3, 4))]),
+            interval_set([(F(1, 2), F(1))]),
         ]
         assert deep_witness(sets, 3) == (F(1, 2), (0, 1, 2))
 
     def test_disjoint_sets_no_witness(self):
         sets = [
-            IntervalSet.from_pairs([(F(0), F(1, 4))]),
-            IntervalSet.from_pairs([(F(1, 2), F(1))]),
+            interval_set([(F(0), F(1, 4))]),
+            interval_set([(F(1, 2), F(1))]),
         ]
         assert deep_witness(sets, 2) is None
 

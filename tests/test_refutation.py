@@ -34,11 +34,11 @@ from linepierce.refutation import (
     piercing_matrix,
     refute,
 )
-from oracles import expected_certificate, pieces, vertical_distance
+from oracles import expected_certificate, interval_set, pieces, vertical_distance
 
 
 def body_with_gap():
-    support = IntervalSet.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
+    support = interval_set([(F(0), F(1, 4)), (F(3, 4), F(1))])
     return ConvexBody(q=F(1, 2), f_index=1, support=support)
 
 
@@ -365,7 +365,7 @@ class TestMaxVerticalDistance:
 
     def test_point_body(self):
         body = ConvexBody(
-            q=F(1, 2), f_index=1, support=IntervalSet.from_pairs([(F(1, 3), F(1, 3))])
+            q=F(1, 2), f_index=1, support=interval_set([(F(1, 3), F(1, 3))])
         )
         assert max_vertical_distance(body) == 0
 
@@ -814,7 +814,7 @@ def test_in_plane_pierce_matches_sympy():
         cuts = sorted({F(rng.randint(0, 8), 8) for _ in range(rng.choice([2, 4, 6]))})
         if len(cuts) % 2:
             cuts.append(cuts[-1])
-        support = IntervalSet.from_pairs(zip(cuts[::2], cuts[1::2]))
+        support = interval_set(zip(cuts[::2], cuts[1::2]))
         body = ConvexBody(q=F(rng.randint(0, 6), 6), f_index=rng.randint(1, 3), support=support)
         charts = []
         for u0 in [*body.support.points, *(F(rng.randint(0, 8), 8) for _ in range(2))]:
