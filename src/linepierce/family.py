@@ -52,11 +52,16 @@ def enumerate_Q0(n: int) -> Fraction:
     return _Q0_CACHE[n - 1]
 
 
+def tilt_exponent(n: int) -> int:
+    """k with eps_of(n) = 2^-k: the n-th tilt 4^-(n+2) is 2^-(2n+4)."""
+    return 2 * n + 4
+
+
 def eps_of(n: int) -> Fraction:
     """Tilt of the n-th emitted body: 4^-(n+2), strictly decreasing to 0."""
     if n < 1:
         raise ValueError(f"tilt index must be positive, got {n}")
-    return Fraction(1, 4 ** (n + 2))
+    return Fraction(1, 1 << tilt_exponent(n))
 
 
 def m_of(n: int) -> int:
@@ -110,11 +115,11 @@ class _LevelCursor:
     def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[Fraction]):
         self.size = cover.picks_per_set
         forbidden = set(cover.covering_indices(target))
-        self.allowed = [p for p in range(len(cover.centers)) if p not in forbidden]
+        self.allowed = [p for p in range(cover.size) if p not in forbidden]
         self.cands = [
             [p for p in cover.covering_indices(e) if p not in forbidden] for e in excluded
         ]
-        self.reach = [0] * len(cover.centers)
+        self.reach = [0] * cover.size
         for i, ps in enumerate(self.cands):
             for p in ps:
                 self.reach[p] = i + 1
@@ -191,20 +196,13 @@ class SupportAssigner:
             raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
         self.delta = delta
         self._walks: dict[int, Iterator[IntervalSet]] = {}
-        self._covers: dict[int, CoverSpec] = {}  # by level, shared by every m
-
-    def _cover(self, level: int) -> CoverSpec:
-        cover = self._covers.get(level)
-        if cover is None:
-            cover = self._covers[level] = make_cover(self.delta, level)
-        return cover
 
     def _supports(self, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
         excluded = sorted(enumerate_Q0(k) for k in range(1, m))
         seen: set[IntervalSet] = set()
         for level in count(1):
-            cover = self._cover(level)
+            cover = make_cover(self.delta, level)
             for combo in _LevelCursor(cover, target, excluded).walk():
                 support = remove_intervals(cover, combo)
                 if support not in seen:  # hashed as ints
@@ -247,6 +245,11 @@ class ConvexBody:
         return m_of(self.f_index)
 
     @cached_property
+    def k(self) -> int:
+        """The tilt exponent: eps = 2^-k."""
+        return tilt_exponent(self.f_index)
+
+    @cached_property
     def eps(self) -> Fraction:
         return eps_of(self.f_index)
 
@@ -265,22 +268,21 @@ class ConvexBody:
     def parabola(self, u):
         return self.q * u + self.eps * u * u
 
-    def chord_slope(self, a: Fraction, b: Fraction) -> Fraction:
-        # (parabola(b) - parabola(a)) / (b - a), valid also for a == b
-        return self.q + self.eps * (a + b)
-
-    @cached_property
-    def _top_chord(self) -> tuple[Fraction, Fraction]:
-        """Slope and intercept of the chord joining the extreme parabola
-        points: w = (q + eps*(r_min + r_max))*u - eps*r_min*r_max."""
-        return (
-            self.chord_slope(self.r_min, self.r_max),
-            -self.eps * self.r_min * self.r_max,
-        )
+    def chord(self, s: Fraction, t: Fraction, u: Fraction) -> Fraction:
+        """The chord of the parabola over s and t, at u; with s = t = u it is
+        the parabola itself."""
+        return (self.q + self.eps * (s + t)) * u - self.eps * s * t
 
     def top_chord(self, u):
-        slope, intercept = self._top_chord
-        return slope * u + intercept
+        return self.chord(self.r_min, self.r_max, u)
+
+    def envelope_ends(self, u: Fraction) -> tuple[Fraction, Fraction]:
+        """The ends of the chord that is the lower envelope over u in the
+        range: (u, u), the parabola, when the support holds u, and otherwise
+        the gap around u."""
+        if self.support.contains(u):
+            return (u, u)
+        return self.support.gap_around(u)
 
     def lower_envelope(self, u: Fraction) -> Fraction:
         if u < self.r_min or u > self.r_max:
@@ -288,10 +290,7 @@ class ConvexBody:
                 f"{format_rational(u)} outside body range "
                 f"[{format_rational(self.r_min)}, {format_rational(self.r_max)}]"
             )
-        if self.support.contains(u):
-            return self.parabola(u)
-        a, b = self.support.gap_around(u)
-        return self.parabola(a) + self.chord_slope(a, b) * (u - a)
+        return self.chord(*self.envelope_ends(u), u)
 
     def y_range(self) -> tuple[Fraction, Fraction]:
         return (self.q + self.eps * self.r_min, self.q + self.eps * self.r_max)
@@ -360,10 +359,10 @@ def body_from_record(record: dict) -> ConvexBody:
         support = IntervalSet.from_strings(record["support"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed body record: {exc}") from exc
-    # eps_of(f) is 2^-(2f+4): check the stated tilt has that shape before
-    # the body computes it, so the work stays bounded by the record's size
+    # eps_of(f) is 2^-tilt_exponent(f): check the stated tilt has that shape
+    # before the body computes it, so the work stays bounded by the record's size
     den = eps.denominator
-    if f < 1 or eps.numerator != 1 or den & (den - 1) or den.bit_length() != 2 * f + 5:
+    if f < 1 or eps.numerator != 1 or den & (den - 1) or den.bit_length() - 1 != tilt_exponent(f):
         raise ValueError(
             f"tilt mismatch in body record: stated {format_rational(eps)} for f = {f}"
         )

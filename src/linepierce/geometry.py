@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 
 from .exactnum import QuadExt, Scalar, format_rational, parse_rational, solve_quadratic
@@ -63,18 +63,18 @@ class Line3:
 
         With dy != 0 the line is x(y) = (x1*y + x0)/den, and its height over
         the surface is z(y) - x(y)*y = (a*y^2 + b*y + c)/den, for integers
-        a, b, c, x1, x0 and den > 0; returned as (a, b, c, x1, x0, den).
-        None when dy == 0.
+        a, b, c, x1, x0 and den > 0 with no common factor; returned as
+        (a, b, c, x1, x0, den).  None when dy == 0.  Over the denominator L
+        of ``integer_coords``, x(y) = (L*dx*y + at_x)/(L*dy) with
+        at_x = x0*dy - y0*dx, and z(y) likewise with at_z = z0*dy - y0*dz.
         """
-        dx, dy, dz = (Fraction(d) for d in self.dir)
+        x0, y0, z0, dx, dy, dz, den = self.integer_coords
         if dy == 0:
             return None
-        slope_x, slope_z = dx / dy, dz / dy
-        x0 = self.base.x - self.base.y * slope_x
-        z0 = self.base.z - self.base.y * slope_z
-        coeffs = (-slope_x, slope_z - x0, z0, slope_x, x0)
-        den = lcm(*(c.denominator for c in coeffs))
-        return (*(c.numerator * (den // c.denominator) for c in coeffs), den)
+        at_x, at_z = x0 * dy - y0 * dx, z0 * dy - y0 * dz
+        form = (-den * dx, den * dz - at_x, at_z, den * dx, at_x, den * dy)
+        g = gcd(*form) if dy > 0 else -gcd(*form)
+        return tuple(v // g for v in form)
 
 
 @dataclass(frozen=True)

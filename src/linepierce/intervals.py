@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
@@ -185,26 +185,22 @@ def _ratio_text(e: int, den: int) -> str:
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """Deterministic open cover of [0,1] by length-`length` intervals.
+    """Deterministic open cover of [0,1]: ``size`` open intervals of length
+    2*step, interval k centered at k*step.
 
-    Centers sit on the uniform grid k*length/2, so consecutive intervals
-    overlap by half their length and the union covers [0,1] with both
-    endpoints interior.  Removing any ``picks_per_set`` of them from [0,1]
-    leaves measure at least the ``delta`` given to ``make_cover``.
+    Consecutive intervals overlap by half their length, and the last center
+    is the first grid point at or past 1, so the union covers [0,1] with
+    both endpoints interior.  Removing any ``picks_per_set`` of them from
+    [0,1] leaves measure at least the ``delta`` given to ``make_cover``.
     """
 
     level: int
-    length: Fraction
-    centers: tuple[Fraction, ...]
+    step: Fraction
+    size: int
 
     @property
     def picks_per_set(self) -> int:
         return 2**self.level
-
-    @cached_property
-    def step(self) -> Fraction:
-        """Half the length: the spacing of the centers."""
-        return self.length / 2
 
     def covering_indices(self, x: Fraction) -> list[int]:
         """Indices of cover intervals whose open interior contains x.
@@ -216,20 +212,19 @@ class CoverSpec:
         step = self.step
         k, rem = divmod(x.numerator * step.denominator, x.denominator * step.numerator)
         around = (k,) if rem == 0 else (k, k + 1)
-        return [idx for idx in around if 0 <= idx < len(self.centers)]
+        return [idx for idx in around if 0 <= idx < self.size]
 
 
 def make_cover(delta: Fraction, level: int) -> CoverSpec:
-    """Level-i cover: open intervals of length (1-delta)/2^i on the k*l/2 grid."""
+    """Level-i cover: open intervals of length (1-delta)/2^i, centered on
+    the grid of half that length from 0 to the first grid point at or past 1."""
     if not (0 < delta < 1):
         raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
     if level < 1:
         raise ValueError(f"level must be a positive integer, got {level}")
-    length = (1 - delta) / 2**level
-    step = length / 2
-    k_max = -(-step.denominator // step.numerator)  # ceil(1/step) = ceil(2/length)
-    centers = tuple(k * step for k in range(k_max + 1))
-    return CoverSpec(level=level, length=length, centers=centers)
+    step = (1 - delta) / 2 ** (level + 1)
+    last = -(-step.denominator // step.numerator)  # ceil(1/step)
+    return CoverSpec(level=level, step=step, size=last + 1)
 
 
 def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
@@ -249,7 +244,7 @@ def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
             f"got {len(picks)}"
         )
     for p in (picks[0], picks[-1]):  # 2^level >= 1 picks: the least and the greatest
-        if not (0 <= p < len(cover.centers)):
+        if not (0 <= p < cover.size):
             raise ValueError(f"pick index {p} out of range")
     sn, sd = cover.step.as_integer_ratio()
     cuts: list[int] = []

@@ -2,12 +2,15 @@
 
 A line pierces a body iff it meets the body's plane inside the chart hull.
 Each line class has one exact miss decision, which returns the failed
-inequality as a certificate, or None when the line pierces:
+inequality as a certificate, or None when the line pierces.  Every integer
+test here clears the tilt eps = 2^-k by a shift of k = ``ConvexBody.k``
+bits, the one exponent ``family.tilt_exponent`` defines:
 
 - a line crossing the plane misses iff its chart point lies outside the
   hull; each hull side is the sign of the point's height over a chord of
-  the parabola (``_chord_side``), one comparison of integers, and the
-  certificate's ``Fraction`` values are built only on a miss;
+  the parabola (``ConvexBody.chord``, signed by ``_chord_side``), one
+  comparison of integers, and the certificate's ``Fraction`` values are
+  built only on a miss;
 - a line parallel to the plane has no chart point; the residual
   y0 - q - eps*x0 of its base tells a line off the plane, which misses
   and whose certificate states that residual, from a line inside it;
@@ -88,7 +91,7 @@ def _surely_misses(line: Line3, body: ConvexBody) -> bool:
     body when g(q) > eps*(M + 1/4) or g(q) < -eps*M, and when x(q) lies
     outside [0, 1] by more than eps*|dx/dy|.
 
-    With q = n/d and eps = 2^-k, k = 2f + 4, the tests below are these
+    With q = n/d and eps = 2^-k, k = ``body.k``, the tests below are these
     inequalities multiplied through by 32*den*d^2*2^k (height) and by
     den*d*2^k (x), so each is a small-integer polynomial, one shift and one
     comparison.  Lines with dy == 0 are left to the plane meet.
@@ -97,8 +100,7 @@ def _surely_misses(line: Line3, body: ConvexBody) -> bool:
     if form is None:
         return False
     a, b, c, x1, x0, den = form
-    n, d = body.q.numerator, body.q.denominator
-    k = body.eps.denominator.bit_length() - 1  # eps = 4^-(f+2) = 2^-k
+    n, d, k = body.q.numerator, body.q.denominator, body.k
     height = ((a * n + b * d) * n + c * d * d) << (k + 5)
     spread = 32 * d * abs(2 * a * n + b * d) + abs(a) * d * d
     if height > spread + 8 * den * d * d or height < -spread:
@@ -258,17 +260,16 @@ def non_piercing_certificate(
 def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
     """The support rule: a ruling pierces iff its abscissa is in the support.
 
-    A y-ruling's abscissa (b - q)/eps, with eps = 2^-k, is asked as the
-    ratio of (bn*qd - qn*bd) << k to bd*qd, so it is never reduced to a
-    ``Fraction``.  ``pierce`` decides rulings by an independent geometric
+    A y-ruling's abscissa (b - q)/eps, with eps = 2^-k, k = ``body.k``, is
+    asked as the ratio of (bn*qd - qn*bd) << k to bd*qd, so it is never
+    reduced to a ``Fraction``.  ``pierce`` decides rulings by an independent geometric
     path; the verifier and the witness command use it to cross-check this.
     """
     b, q = cls.param, body.q
     if cls.kind == X_RULING:
         return body.support.contains(b)
-    k = body.eps.denominator.bit_length() - 1
     offset = b.numerator * q.denominator - q.numerator * b.denominator
-    return body.support.contains(offset << k, b.denominator * q.denominator)
+    return body.support.contains(offset << body.k, b.denominator * q.denominator)
 
 
 def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
@@ -280,16 +281,24 @@ def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
     return _ruling_pierces(cls, body)
 
 
+def _range_miss(prefix: str, u: Fraction, body: ConvexBody) -> Certificate | None:
+    """``prefix-below-range`` or ``prefix-above-range`` when the abscissa u
+    lies outside the body's range [r_min, r_max]; None inside it."""
+    if u < body.r_min:
+        return Certificate(f"{prefix}-below-range", u, "<", body.r_min)
+    if u > body.r_max:
+        return Certificate(f"{prefix}-above-range", u, ">", body.r_max)
+    return None
+
+
 def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
     if _ruling_pierces(cls, body):
         return None
     if cls.kind == X_RULING:
-        u = cls.param
-        if u < body.r_min:
-            return Certificate("support-below-range", u, "<", body.r_min)
-        if u > body.r_max:
-            return Certificate("support-above-range", u, ">", body.r_max)
-        gap = "support-gap"
+        u, gap = cls.param, "support-gap"
+        outside = _range_miss("support", u, body)
+        if outside is not None:
+            return outside
     else:
         # eps > 0, so u < r_min iff b < y_lo and u > r_max iff b > y_hi
         b = cls.param
@@ -312,27 +321,23 @@ def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
             return Certificate("plane-parallel", residual, "!=", Fraction(0))
         return _in_plane_miss(line, body)
     u, w = hit
-    if u < body.r_min:
-        return Certificate("point-below-range", u, "<", body.r_min)
-    if u > body.r_max:
-        return Certificate("point-above-range", u, ">", body.r_max)
+    outside = _range_miss("point", u, body)
+    if outside is not None:
+        return outside
     if _chord_side(body, u, w, body.r_min, body.r_max) > 0:
         return Certificate("point-above-top-chord", w, ">", body.top_chord(u))
-    # the lower envelope at u is the chord over the gap around u, or over
-    # (u, u), the parabola itself, when the support holds u
-    support = body.support
-    ends = (u, u) if support.contains(u) else support.gap_around(u)
+    ends = body.envelope_ends(u)
     if _chord_side(body, u, w, *ends) < 0:
-        return Certificate("point-below-envelope", w, "<", body.lower_envelope(u))
+        return Certificate("point-below-envelope", w, "<", body.chord(*ends, u))
     return None
 
 
 def _chord_side(body: ConvexBody, u: Fraction, w: Fraction, s: Fraction, t: Fraction) -> int:
-    """Sign of w - chord(u), where chord(u) = (q + eps*(s + t))*u - eps*s*t
-    is the chord of the body's parabola over s and t.
+    """Sign of w - ``body.chord(s, t, u)``, the height of (u, w) over the
+    chord (q + eps*(s + t))*u - eps*s*t of the body's parabola over s and t.
 
-    A body's eps is 4^-(f+2) = 2^-k.  Write each fraction as wn/wd and so on,
-    over a positive denominator, and multiply w - chord(u) by the positive
+    The body's eps is 2^-k, k = ``body.k``.  Write each fraction as wn/wd and
+    so on, over a positive denominator, and multiply w - chord(u) by the positive
     wd*qd*ud*sd*td*2^k: the sign is that of the integer difference
     (wn*qd*ud - qn*un*wd)*sd*td*2^k minus ((sn*td + tn*sd)*un - sn*tn*ud)*wd*qd,
     so one comparison decides it.
@@ -342,8 +347,7 @@ def _chord_side(body: ConvexBody, u: Fraction, w: Fraction, s: Fraction, t: Frac
     un, ud = u.numerator, u.denominator
     sn, sd = s.numerator, s.denominator
     tn, td = t.numerator, t.denominator
-    k = body.eps.denominator.bit_length() - 1
-    above = ((wn * qd * ud - qn * un * wd) * sd * td) << k
+    above = ((wn * qd * ud - qn * un * wd) * sd * td) << body.k
     chord = ((sn * td + tn * sd) * un - sn * tn * ud) * wd * qd
     return (above > chord) - (above < chord)
 
@@ -352,12 +356,7 @@ def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     dx, _, dz = line.dir
     if dx == 0:
         # the chart line u = x sweeps every w
-        u = line.base.x
-        if u < body.r_min:
-            return Certificate("inplane-below-range", u, "<", body.r_min)
-        if u > body.r_max:
-            return Certificate("inplane-above-range", u, ">", body.r_max)
-        return None
+        return _range_miss("inplane", line.base.x, body)
     # chart image w = alpha + beta*u
     beta = dz / dx
     alpha = line.base.z - line.base.x * beta

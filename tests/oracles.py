@@ -34,10 +34,35 @@ def interval_set(pairs) -> IntervalSet:
     )
 
 
-def open_span(cover, p: int) -> tuple[Fraction, Fraction]:
-    """The p-th open cover interval, from its center and length alone."""
-    half = cover.length / 2
-    return (cover.centers[p] - half, cover.centers[p] + half)
+def open_span(delta: Fraction, level: int, p: int) -> tuple[Fraction, Fraction]:
+    """The p-th open interval of the level's cover, by the definition: length
+    (1-delta)/2^level, centered at p times half that length."""
+    length = (1 - delta) / 2**level
+    center = p * length / 2
+    return (center - length / 2, center + length / 2)
+
+
+def chord_slope(body, a: Fraction, b: Fraction) -> Fraction:
+    """Slope of the chord of a body's parabola over a and b, as the
+    difference quotient of ``parabola``; the tangent's slope when a == b."""
+    if a == b:
+        return body.q + 2 * body.eps * a
+    return (body.parabola(b) - body.parabola(a)) / (b - a)
+
+
+def over_y_by_fractions(line: Line3):
+    """``Line3.over_y`` by ``Fraction`` arithmetic: x and z as functions of
+    y, the height's coefficients formed from them, and each tuple entry the
+    numerator over the least common denominator of the five coefficients."""
+    dx, dy, dz = (Fraction(d) for d in line.dir)
+    if dy == 0:
+        return None
+    slope_x, slope_z = dx / dy, dz / dy
+    x0 = line.base.x - line.base.y * slope_x
+    z0 = line.base.z - line.base.y * slope_z
+    coeffs = (-slope_x, slope_z - x0, z0, slope_x, x0)
+    den = lcm(*(c.denominator for c in coeffs))
+    return (*(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def pieces(s) -> list[tuple[Fraction, Fraction]]:

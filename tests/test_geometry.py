@@ -1,10 +1,11 @@
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.exactnum import QuadExt
@@ -23,7 +24,7 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
-from oracles import point_at, vertical_distance
+from oracles import over_y_by_fractions, point_at, vertical_distance
 
 
 def random_line(rng) -> Line3:
@@ -245,6 +246,7 @@ class TestPlaneIntersection:
 
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+WIDE = st.fractions(max_denominator=2**40)
 # tilts whose numerator is not 1 (a meet that drops it leaves the plane),
 # besides the family's 4^-k
 TILTS = st.one_of(
@@ -369,6 +371,19 @@ class TestOverY:
         assert p.y == y
         assert (x1 * y + x0) / den == p.x
         assert (a * y * y + b * y + c) / den == p.z - p.x * p.y
+
+    @settings(max_examples=300)
+    @given(base=st.tuples(*[SMALL | WIDE] * 3), direction=st.tuples(*[SMALL | WIDE] * 3))
+    @example(base=(F(1, 3), F(2, 9), F(5, 6)), direction=(F(2), F(-4), F(6)))  # dy < 0
+    @example(base=(F(0), F(0), F(0)), direction=(F(6), F(3), F(9)))  # a common factor 3
+    def test_form_is_primitive_and_the_fraction_form(self, base, direction):
+        if direction == (0, 0, 0):
+            direction = (F(0), F(1), F(0))
+        line = Line3(Point3(*base), direction)
+        form = line.over_y
+        assert form == over_y_by_fractions(line)
+        if form is not None:
+            assert form[-1] > 0 and gcd(*form) == 1
 
 
 class TestLineRecords:

@@ -41,16 +41,17 @@ def open_spans_cover_unit(spans) -> bool:
     return reach > 1
 
 
-def covers_unit_interval(cover) -> bool:
-    half = cover.length / 2
-    return open_spans_cover_unit([(c - half, c + half) for c in cover.centers])
+def covers_unit_interval(delta, level) -> bool:
+    """Do the level's cover intervals, as many as the cover states, hold [0,1]?"""
+    size = make_cover(delta, level).size
+    return open_spans_cover_unit([open_span(delta, level, p) for p in range(size)])
 
 
-def subtraction_oracle(cover, picks) -> list[tuple[F, F]]:
+def subtraction_oracle(delta, level, picks) -> list[tuple[F, F]]:
     """[0,1] minus each picked interval in turn, by the ``Fraction`` scan."""
     s = FractionSet((F(0), F(1)))
     for p in picks:
-        s = s.subtract_open(*open_span(cover, p))
+        s = s.subtract_open(*open_span(delta, level, p))
     return pieces(s)
 
 
@@ -99,17 +100,17 @@ COVER_DELTAS = [F(1, 2), F(3, 4), F(2, 5)]
 
 @st.composite
 def pick_cases(draw):
-    """A cover and its 2^level picks, unsorted and repeated, built around
-    one of the shapes that decide how the picks merge into runs: adjacent
-    picks (p, p+1), picks one apart (p, p+2), which keep the point between
-    them, and the two end picks."""
-    cover = make_cover(draw(st.sampled_from(COVER_DELTAS)), draw(st.integers(1, 4)))
-    last = len(cover.centers) - 1
+    """A cover's delta and level and its 2^level picks, unsorted and
+    repeated, built around one of the shapes that decide how the picks merge
+    into runs: adjacent picks (p, p+1), picks one apart (p, p+2), which keep
+    the point between them, and the two end picks."""
+    delta, level = draw(st.sampled_from(COVER_DELTAS)), draw(st.integers(1, 4))
+    last = make_cover(delta, level).size - 1
     p = draw(st.integers(0, last - 2))
     shape = draw(st.sampled_from([(p, p + 1), (p, p + 2), (0, last), ()]))
-    size = cover.picks_per_set - len(shape)
+    size = 2**level - len(shape)
     rest = draw(st.lists(st.integers(0, last), min_size=size, max_size=size))
-    return cover, draw(st.permutations([*shape, *rest]))
+    return delta, level, draw(st.permutations([*shape, *rest]))
 
 
 # cut ends on the 1/24 grid of [-1/2, 3/2]: beyond [0,1], inside pieces,
@@ -126,26 +127,29 @@ def within(span, x) -> bool:
 class TestMakeCover:
     def test_level_one_half(self):
         c = make_cover(F(1, 2), 1)
-        assert c.length == F(1, 4)
-        assert c.centers == tuple(F(k, 8) for k in range(9))
-        assert covers_unit_interval(c)
+        assert (c.level, c.step, c.size) == (1, F(1, 8), 9)
+        assert covers_unit_interval(F(1, 2), 1)
 
     def test_level_two_half(self):
         c = make_cover(F(1, 2), 2)
-        assert c.length == F(1, 8)
-        assert len(c.centers) == 17
-        assert covers_unit_interval(c)
+        assert (c.level, c.step, c.size) == (2, F(1, 16), 17)
+        assert covers_unit_interval(F(1, 2), 2)
 
     def test_level_one_three_quarters(self):
         c = make_cover(F(3, 4), 1)
-        assert c.length == F(1, 8)
-        assert c.centers == tuple(F(k, 16) for k in range(17))
-        assert covers_unit_interval(c)
+        assert (c.level, c.step, c.size) == (1, F(1, 16), 17)
+        assert covers_unit_interval(F(3, 4), 1)
+
+    def test_last_center_is_the_first_grid_point_at_or_past_one(self):
+        # step 1/10: 1 is the tenth grid point; step 3/40: 1 lies past the
+        # thirteenth, so a fourteenth center is needed
+        assert make_cover(F(3, 5), 1).size == 11
+        assert make_cover(F(7, 10), 1).size == 15
 
     @pytest.mark.parametrize("delta", [F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(9, 10)])
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_always_covers(self, delta, level):
-        assert covers_unit_interval(make_cover(delta, level))
+        assert covers_unit_interval(delta, level)
 
     def test_bad_delta(self):
         with pytest.raises(ValueError):
@@ -166,10 +170,10 @@ class TestMakeCover:
         # every half step from two steps below 0 to two steps past the last
         # center: grid points, and the midpoints between them
         c = make_cover(delta, level)
-        half_step = c.length / 4
-        for j in range(-4, 2 * len(c.centers) + 3):
+        half_step = c.step / 2
+        for j in range(-4, 2 * c.size + 3):
             x = j * half_step
-            want = [p for p in range(len(c.centers)) if within(open_span(c, p), x)]
+            want = [p for p in range(c.size) if within(open_span(delta, level, p), x)]
             assert c.covering_indices(x) == want
 
     @settings(max_examples=300)
@@ -183,7 +187,7 @@ class TestMakeCover:
     @example(delta=F(1, 2), level=5, x=F(-1, 256))  # left of 0, inside interval 0
     def test_covering_indices_match_brute_force(self, delta, level, x):
         c = make_cover(delta, level)
-        want = [p for p in range(len(c.centers)) if within(open_span(c, p), x)]
+        want = [p for p in range(c.size) if within(open_span(delta, level, p), x)]
         assert c.covering_indices(x) == want
 
     def test_covering_indices(self):
@@ -193,7 +197,7 @@ class TestMakeCover:
         assert c.covering_indices(F(1, 2)) == [4]
         assert c.covering_indices(F(1, 5)) == [1, 2]
         for idx in c.covering_indices(F(1, 5)):
-            assert within(open_span(c, idx), F(1, 5))
+            assert within(open_span(F(1, 2), 1, idx), F(1, 5))
 
 
 class TestRemoveIntervals:
@@ -203,7 +207,7 @@ class TestRemoveIntervals:
         s = remove_intervals(c, [1, 3])
         assert pieces(s) == [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1))]
         assert s.measure() == F(1, 2)
-        assert subtraction_oracle(c, [1, 3]) == pieces(s)
+        assert subtraction_oracle(F(1, 2), 1, [1, 3]) == pieces(s)
 
     def test_repeated_pick_idempotent(self):
         c = make_cover(F(1, 2), 1)
@@ -219,16 +223,17 @@ class TestRemoveIntervals:
 
     @settings(max_examples=300)
     @given(case=pick_cases())
-    @example(case=(make_cover(F(1, 2), 1), [4, 3]))  # adjacent, unsorted
-    @example(case=(make_cover(F(1, 2), 1), [5, 3]))  # one apart: 1/2 survives
-    @example(case=(make_cover(F(1, 2), 2), [3, 3, 5, 4]))  # a run with a repeat
-    @example(case=(make_cover(F(3, 4), 2), [9, 0, 2, 16]))  # both ends, a lone point
-    @example(case=(make_cover(F(2, 5), 1), [7, 0]))  # both end picks
-    @example(case=(make_cover(F(2, 5), 1), [6, 7]))  # the two intervals holding 1
-    @example(case=(make_cover(F(2, 5), 2), [13, 11, 0, 11]))  # one apart below 1
+    @example(case=(F(1, 2), 1, [4, 3]))  # adjacent, unsorted
+    @example(case=(F(1, 2), 1, [5, 3]))  # one apart: 1/2 survives
+    @example(case=(F(1, 2), 2, [3, 3, 5, 4]))  # a run with a repeat
+    @example(case=(F(3, 4), 2, [9, 0, 2, 16]))  # both ends, a lone point
+    @example(case=(F(2, 5), 1, [7, 0]))  # both end picks
+    @example(case=(F(2, 5), 1, [6, 7]))  # the two intervals holding 1
+    @example(case=(F(2, 5), 2, [13, 11, 0, 11]))  # one apart below 1
     def test_matches_subtraction_oracle(self, case):
-        cover, picks = case
-        assert pieces(remove_intervals(cover, picks)) == subtraction_oracle(cover, picks)
+        delta, level, picks = case
+        got = pieces(remove_intervals(make_cover(delta, level), picks))
+        assert got == subtraction_oracle(delta, level, picks)
 
     def test_cuts_each_run_once(self, monkeypatch):
         calls = []
@@ -254,7 +259,7 @@ class TestRemoveIntervals:
 
     @pytest.mark.parametrize("bad", [-1, 17])
     def test_pick_out_of_range(self, bad):
-        c = make_cover(F(1, 2), 2)  # 17 centers
+        c = make_cover(F(1, 2), 2)  # 17 intervals
         with pytest.raises(ValueError, match=f"pick index {bad} out of range"):
             remove_intervals(c, [3, bad, 0, 16])
 
@@ -264,10 +269,10 @@ class TestRemoveIntervals:
         for level in range(1, 5):
             c = make_cover(delta, level)
             for _ in range(50):
-                picks = [rng.randrange(len(c.centers)) for _ in range(c.picks_per_set)]
+                picks = [rng.randrange(c.size) for _ in range(c.picks_per_set)]
                 s = remove_intervals(c, picks)
                 assert s.measure() >= delta
-                assert pieces(s) == subtraction_oracle(c, picks)
+                assert pieces(s) == subtraction_oracle(delta, level, picks)
 
 
 def outcome(call, *args):
@@ -539,9 +544,9 @@ class TestIntegerQueries:
     @settings(max_examples=200)
     @given(case=pick_cases(), rng=st.randoms(use_true_random=False))
     def test_cut_orders_build_one_representation(self, case, rng):
-        cover, picks = case
-        merged = remove_intervals(cover, picks)
-        spans = [open_span(cover, p) for p in picks]
+        delta, level, picks = case
+        merged = remove_intervals(make_cover(delta, level), picks)
+        spans = [open_span(delta, level, p) for p in picks]
         rng.shuffle(spans)
         one_by_one = IntervalSet.unit()
         for lo, hi in spans:
@@ -650,7 +655,7 @@ def random_family(rng, count, max_level=3):
     for _ in range(count):
         level = rng.randint(1, max_level)
         c = mk(F(1, 2), level)
-        picks = [rng.randrange(len(c.centers)) for _ in range(c.picks_per_set)]
+        picks = [rng.randrange(c.size) for _ in range(c.picks_per_set)]
         sets.append(remove_intervals(c, picks))
     return sets
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0
@@ -34,7 +34,7 @@ from linepierce.refutation import (
     piercing_matrix,
     refute,
 )
-from oracles import expected_certificate, interval_set, pieces, vertical_distance
+from oracles import chord_slope, expected_certificate, interval_set, pieces, vertical_distance
 
 
 def body_with_gap():
@@ -794,13 +794,13 @@ def _sympy_pierces_in_plane(body, alpha, beta):
         return Union(*solve_poly_inequality(Poly(expr, u), "<="))
 
     line = sym(alpha) + sym(beta) * u
-    slope = body.chord_slope(body.r_min, body.r_max)
+    slope = chord_slope(body, body.r_min, body.r_max)
     under_top = nonpositive(line - sym(body.parabola(body.r_min)) - sym(slope) * (u - sym(body.r_min)))
     above_arcs = nonpositive(sym(body.q) * u + sym(body.eps) * u**2 - line)
     ivs = pieces(body.support)
     hits = [above_arcs.intersect(Interval(sym(lo), sym(hi))) for lo, hi in ivs]
     for (_, a), (b, _) in zip(ivs, ivs[1:]):
-        chord = sym(body.parabola(a)) + sym(body.chord_slope(a, b)) * (u - sym(a))
+        chord = sym(body.parabola(a)) + sym(chord_slope(body, a, b)) * (u - sym(a))
         hits.append(nonpositive(chord - line).intersect(Interval(sym(a), sym(b))))
     return not Union(*hits).intersect(under_top).is_empty
 
@@ -820,7 +820,7 @@ def test_in_plane_pierce_matches_sympy():
         for u0 in [*body.support.points, *(F(rng.randint(0, 8), 8) for _ in range(2))]:
             slope = body.q + 2 * body.eps * u0  # tangent to the parabola at u0
             charts += [(body.parabola(u0) - slope * u0 + h, slope) for h in nudges]
-        top = body.chord_slope(body.r_min, body.r_max)
+        top = chord_slope(body, body.r_min, body.r_max)
         charts += [(body.parabola(body.r_min) - top * body.r_min + h, top) for h in nudges]
         while len(charts) < 26:
             beta = body.q + body.eps * F(rng.randint(-4, 8), 4)
@@ -925,3 +925,69 @@ def test_y_ruling_rule_matches_the_fraction_abscissa(case):
     want = body.support.contains((b - body.q) / body.eps)
     assert _ruling_pierces(cls, body) == want
     assert pierce(ruling_line_y(b), body) == want
+
+
+CERTIFICATE_CASES = (
+    "support-below-range", "support-above-range", "support-gap",
+    "plane-slab-below", "plane-slab-above", "slab-gap",
+    "plane-parallel",
+    "point-below-range", "point-above-range", "point-above-top-chord", "point-below-envelope",
+    "inplane-below-range", "inplane-above-range", "inplane-above-top-chord",
+    "inplane-below-envelope",
+)
+
+
+@st.composite
+def aimed_pools(draw):
+    """A ``mixed_pool`` pool, the first body W every line of it misses, and
+    one more line per certificate case, in ``CERTIFICATE_CASES`` order, each
+    built to miss W in that case's way.  A line that misses W leaves W the
+    first body the grown pool misses.  W must have a support gap."""
+    pool = mixed_pool(draw(st.randoms(use_true_random=False)), EARLY[:12])
+    w = refute(pool, FamilyStream(F(1, 2)), 400).witness
+    assume(w is not None and len(pieces(w.support)) > 1)
+    q, eps, r_min, r_max = w.q, w.eps, w.r_min, w.r_max
+    past = draw(st.fractions(0, 1, max_denominator=64).filter(bool))
+    up = draw(st.sampled_from([eps, eps**2, F(1, 10**9)]))
+    (_, lo), (hi, _) = draw(st.sampled_from(list(zip(pieces(w.support), pieces(w.support)[1:]))))
+    in_gap = lo + (hi - lo) * draw(st.sampled_from([F(1, 8), F(1, 2), F(7, 8)]))
+    anywhere = st.fractions(r_min, r_max, max_denominator=256)
+    u = draw(st.sampled_from([*w.support.points, in_gap]) | anywhere)
+    # oblique directions cross every body's plane (dy != eps*dx) and are no rulings
+    oblique = (F(1), draw(st.sampled_from([F(-2), F(1), F(3)])), draw(SMALL))
+    vertical = (F(0), F(0), F(1))
+    tangent = q + 2 * eps * u
+    off_plane = draw(st.sampled_from([up, -up]))
+    span = r_max - r_min
+    lines = [
+        ruling_line_x(r_min - past),
+        ruling_line_x(r_max + past),
+        ruling_line_x(in_gap),
+        ruling_line_y(q + eps * (r_min - past)),
+        ruling_line_y(q + eps * (r_max + past)),
+        ruling_line_y(q + eps * in_gap),
+        Line3(Point3(u, q + eps * u + off_plane, F(0)), (F(1), eps, tangent)),
+        Line3(w.from_chart(r_min - past, F(0)), oblique),
+        Line3(w.from_chart(r_max + past, F(0)), oblique),
+        Line3(w.from_chart(u, w.top_chord(u) + up), oblique),
+        Line3(w.from_chart(u, w.lower_envelope(u) - up), oblique),
+        Line3(w.from_chart(r_min - past, F(0)), vertical),
+        Line3(w.from_chart(r_max + past, F(0)), vertical),
+        Line3(w.from_chart(r_min, w.top_chord(r_min) + up),
+              (span, eps * span, w.top_chord(r_max) - w.top_chord(r_min))),
+        Line3(w.from_chart(u, w.parabola(u) - up), (F(1), eps, tangent)),
+    ]
+    return pool, lines, w
+
+
+@settings(max_examples=60)
+@given(case=aimed_pools())
+def test_aimed_pools_reach_every_certificate_case(case):
+    """Every one of the 15 certificate cases, stated by a real refute report
+    and checked against ``expected_certificate`` with the pool's own lines."""
+    pool, aimed, witness = case
+    outcome = refute(pool + aimed, FamilyStream(F(1, 2)), 400)
+    assert outcome.witness.f_index == witness.f_index
+    assert tuple(cert.case for cert in outcome.certificates[len(pool):]) == CERTIFICATE_CASES
+    assert all(cert.holds() for cert in outcome.certificates)
+    assert_certificates_match_the_oracle(outcome, pool + aimed)
