@@ -305,10 +305,16 @@ def cmd_export_plot(args) -> int:
         for y in grid:
             surface_rows.append(f"{dec(x)},{dec(y)},{dec(x * y)}")
 
-    # each file's rows, and a row's offset from the curve it samples
+    def size(row) -> Fraction:  # 1 + |q| of the row's body bounds its values
+        return 1 + abs(bodies[int(row[0])].q)
+
+    # each file's rows, and a row's offset from the curve it samples over the
+    # row's size: a value rendered to --precision significant digits is off
+    # by a share of its own size, and the surface's values are at most 4
     tables = {
-        "arcs": (arc_rows, lambda row: row[6] - row[4] * row[5]),
-        "hull": (hull_rows, lambda row: row[3] - bodies[int(row[0])].parabola(row[2])),
+        "arcs": (arc_rows, lambda row: (row[6] - row[4] * row[5]) / size(row)),
+        "hull": (hull_rows,
+                 lambda row: (row[3] - bodies[int(row[0])].parabola(row[2])) / size(row)),
         "surface": (surface_rows, lambda row: row[2] - row[0] * row[1]),
     }
     for name, (rows, _) in tables.items():

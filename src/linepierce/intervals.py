@@ -8,10 +8,11 @@ Lebesgue measure, and deep-point witnesses found by a sweep over all
 endpoints.
 
 A set is one denominator and its endpoints' ints over it, so a query is
-one ``divmod`` and one ``bisect``.  A support is built by one
-``subtract_open`` pass that cuts every run of picked cover intervals from
-[0,1].  Writing and reading supports renders and parses each distinct
-endpoint once per process, through bounded caches.
+one ``divmod`` and one ``bisect``.  A support is written straight onto
+its cover's grid: one ``subtract_open`` pass keeps [0,1] minus every run
+of picked cover intervals, left to right in one list.  Writing and
+reading supports renders and parses each distinct endpoint once per
+process, through bounded caches.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class IntervalSet:
                 )
         return IntervalSet(den, ends)
 
-    @staticmethod
-    def unit() -> IntervalSet:
-        return IntervalSet(1, (0, 1))
-
     @property
     def points(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(e, self.den) for e in self.ends)
@@ -111,34 +108,25 @@ class IntervalSet:
             raise ValueError(f"{format_rational(x)} is not interior to a gap")
         return (Fraction(ends[i - 1], self.den), Fraction(ends[i], self.den))
 
-    def subtract_open(self, per: int, cuts) -> IntervalSet:
-        """Remove the open intervals (a_j/per, b_j/per); every a_j and b_j
-        survives.  ``cuts`` is the flat int sequence a_0, b_0, a_1, ... with
-        a_j < b_j <= a_{j+1}, and ``per`` is positive.
-
-        The set is lifted to ``lcm(den, per)`` only when per is not den.  The
-        cuts are disjoint, so each is placed against the set's own ends,
-        left to right from where the last one stopped: ends[i:k] lie
-        strictly inside (a, b).  An odd i means a lies in a piece, which
-        keeps [.., a]; an odd k means b does, which keeps [b, ..].  The
-        result is written in one list and the gcd divided out.
+    @staticmethod
+    def subtract_open(per: int, cuts) -> IntervalSet:
+        """[0,1] minus the open intervals (a_j/per, b_j/per), written on the
+        grid of 1/per left to right in one list; every a_j and b_j in [0,1]
+        survives.  ``per`` is positive and ``cuts`` is the flat int sequence
+        a_0, b_0, a_1, ... with a_j < b_j <= a_{j+1}, as the runs of
+        ``remove_intervals`` give it; only the first cut may start below 0
+        and only the last may end past per.  The name is kept because
+        ``perfbench/tracer.py`` binds it; ROADMAP item 1 renames it.
         """
-        den, ends = self.den, self.ends
-        if per != den:
-            den = lcm(den, per)
-            ends = tuple(map(mul, ends, repeat(den // self.den)))
-            cuts = list(map(mul, cuts, repeat(den // per)))
-        out, pos = [], 0
+        out, lo = [], 0
         for a, b in zip(cuts[::2], cuts[1::2]):
-            i = bisect_right(ends, a, pos)
-            k = bisect_left(ends, b, i)
-            out += ends[pos:i] + (a,) * (i % 2) + (b,) * (k % 2)
-            pos = k
-        out += ends[pos:]
-        g = gcd(den, *out)
-        if g > 1:
-            den, out = den // g, list(map(floordiv, out, repeat(g)))
-        return IntervalSet(den, tuple(out))
+            if a >= lo:
+                out += (lo, a)
+            lo = b
+        if lo <= per:
+            out += (lo, per)
+        g = gcd(per, *out)
+        return IntervalSet(per // g, tuple(map(floordiv, out, repeat(g))))
 
     def to_pairs(self) -> list[list[str]]:
         """Each piece as [lo, hi], rendered as ``format_rational``."""
@@ -255,7 +243,7 @@ def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
             start = p
         end = p
     cuts += ((start - 1) * sn, (end + 1) * sn)
-    return IntervalSet.unit().subtract_open(sd, cuts)
+    return IntervalSet.subtract_open(sd, cuts)
 
 
 def deep_witness(

@@ -524,6 +524,18 @@ class TestExportPlot:
         assert "argument --precision" in capsys.readouterr().err
         assert not plots.exists()
 
+    # bodies whose |q| is far past 1, where a fixed bound 10^(3 - precision) fails
+    @pytest.mark.parametrize("q", ["10000/3", "1000001/7", "-1000001/7"])
+    @pytest.mark.parametrize("precision", ["1", "12", "40"])
+    def test_verify_bound_scales_with_the_body(self, tmp_path, q, precision):
+        """Each value is rendered to --precision significant digits, so a
+        row's offset from its curve grows with the body's |q|."""
+        family = tmp_path / "family.jsonl"
+        family.write_text(json.dumps({"q": q, "m": 1, "f": 1, "eps": "1/64",
+                                      "support": [["0/1", "0/1"], ["1/4", "1/1"]]}) + "\n")
+        assert main(["export-plot", "--family", str(family), "--out", str(tmp_path / "p"),
+                     "--precision", precision, "--verify"]) == 0
+
     def test_csv_bytes_pinned(self, tmp_path):
         # 24 bodies: supports with gaps and single points, so the hull walks
         # arcs, gap chords and degenerate arcs; pinned from a run of the

@@ -247,7 +247,7 @@ class TestLevelCursorWalk:
 
 class TestBuildBody:
     def test_full_support_shape(self):
-        body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.unit())
+        body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet(1, (0, 1)))
         assert body.eps == F(1, 64)
         assert (body.r_min, body.r_max) == (F(0), F(1))
         # extremes on the constant-x lines at 0 and 1
@@ -285,7 +285,7 @@ class TestBuildBody:
     def test_offset_that_is_not_rational_rejected(self, q):
         # a float q would carry into every certificate of the body
         with pytest.raises(ValueError, match="rational"):
-            ConvexBody(q=q, f_index=1, support=IntervalSet.unit())
+            ConvexBody(q=q, f_index=1, support=IntervalSet(1, (0, 1)))
 
     def test_record_round_trip(self):
         body = ConvexBody(q=F(2, 5), f_index=3, support=interval_set([(F(0), F(1, 3))]))
@@ -431,7 +431,7 @@ SLAB = ConvexBody(q=F(1, 2), f_index=1, support=interval_set([(F(1, 2), F(1))]))
 
 @pytest.mark.parametrize("call, shown", [
     (lambda: interval_set([(F(1), TINY)]), TINY),
-    (lambda: IntervalSet.unit().gap_around(TINY), TINY),
+    (lambda: IntervalSet(1, (0, 1)).gap_around(TINY), TINY),
     (lambda: SLAB.lower_envelope(TINY), TINY),
     (lambda: make_cover(1 + TINY, 1), 1 + TINY),
     (lambda: SupportAssigner(1 + TINY), 1 + TINY),

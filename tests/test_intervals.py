@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,15 +53,6 @@ def subtraction_oracle(delta, level, picks) -> list[tuple[F, F]]:
     for p in picks:
         s = s.subtract_open(*open_span(delta, level, p))
     return pieces(s)
-
-
-def cut(s: IntervalSet, lo: F, hi: F) -> IntervalSet:
-    """s minus the open interval (lo, hi), as one ``subtract_open`` cut; an
-    empty cut (hi <= lo) leaves s, as it leaves a ``FractionSet``."""
-    if hi <= lo:
-        return s
-    per = lcm(lo.denominator, hi.denominator)
-    return s.subtract_open(per, (int(lo * per), int(hi * per)))
 
 
 @st.composite
@@ -239,17 +230,17 @@ class TestRemoveIntervals:
         calls = []
         subtract_open = IntervalSet.subtract_open
 
-        def counting(self, per, cuts):
-            calls.append((self, per, list(cuts)))
-            return subtract_open(self, per, cuts)
+        def counting(per, cuts):
+            calls.append((per, list(cuts)))
+            return subtract_open(per, cuts)
 
-        monkeypatch.setattr(IntervalSet, "subtract_open", counting)
+        monkeypatch.setattr(IntervalSet, "subtract_open", staticmethod(counting))
         c = make_cover(F(1, 2), 3)
         assert c.step == F(1, 32)
         s = remove_intervals(c, [5, 3, 4, 3, 9, 11, 0, 1])
         # one call: runs 0..1, 3..5, 9 and 11, each one cut (start-1, end+1)
         # in units of the step; the points 2 and 10 between runs survive
-        assert calls == [(IntervalSet.unit(), 32, [-1, 2, 2, 6, 8, 10, 10, 12])]
+        assert calls == [(32, [-1, 2, 2, 6, 8, 10, 10, 12])]
         assert s.contains(F(2, 32)) and s.contains(F(10, 32))
 
     def test_wrong_pick_count(self):
@@ -297,7 +288,7 @@ class TestMembership:
 
 class TestMeasureAndIntersect:
     def test_full_interval(self):
-        assert IntervalSet.unit().measure() == 1
+        assert IntervalSet(1, (0, 1)).measure() == 1
 
     def test_additivity(self):
         s = interval_set([(F(0), F(1, 4)), (F(1, 2), F(1))])
@@ -451,54 +442,54 @@ class TestFromPairsOrder:
 
 
 @st.composite
-def cut_calls(draw):
-    """A set and the arguments of one ``subtract_open`` call on it.
-
-    The set's endpoints have small, mixed or 130-bit denominators.  Cut
-    ends come from its endpoints, a hair to either side of them, the 1/24
-    grid of [-1/2, 3/2] (past both ends of [0,1]) and free values; each cut
-    touches the last one or not.  per is the ends' least common denominator
-    times 1, 2, 3 or a 130-bit factor, so it may equal, divide or not
-    divide the set's den.
-    """
-    s = draw(st.one_of(canonical_sets(), mixed_denominator_sets(ENDPOINTS)))
-    near = [*s.points, *(p + d for p in s.points for d in (TINY, -TINY)), *CUT_ENDS]
-    marks = sorted(draw(st.sets(st.one_of(st.sampled_from(near), ENDPOINTS), min_size=2, max_size=8)))
-    ends, i = [], 0
+def grid_cuts(draw):
+    """The arguments of one ``subtract_open`` call, as ``remove_intervals``
+    makes them: per, small or 130 bits, and sorted cuts a_j < b_j <= a_{j+1}
+    whose ends are drawn from [-per, 2*per], near 0 and per more often;
+    each cut touches the last one or not.  Cuts that end at or below 0 or
+    start at or past per are dropped, so only the first cut may start below
+    0 and only the last may end past per."""
+    per = draw(st.one_of(st.integers(1, 48), st.integers(2**129, 2**130)))
+    near = st.sampled_from([-1, 0, 1, per - 1, per, per + 1])
+    ends = st.one_of(st.integers(-per, 2 * per), near)
+    marks = sorted(draw(st.sets(ends, min_size=2, max_size=10)))
+    cuts, i = [], 0
     while i + 1 < len(marks):
-        ends += (marks[i], marks[i + 1])
+        a, b = marks[i], marks[i + 1]
+        if b > 0 and a < per:
+            cuts += (a, b)
         i += draw(st.sampled_from([1, 2]))  # 1: the next cut starts where this one ends
-    per = lcm(*(x.denominator for x in ends)) * draw(st.sampled_from([1, 2, 3, BIG]))
-    return s, per, [int(x * per) for x in ends]
+    return per, cuts
 
 
 class TestSubtractOpen:
     @settings(max_examples=400)
-    @given(case=cut_calls())
-    @example(case=(IntervalSet.unit(), 4, [1, 2, 2, 3]))  # touching: 1/2 survives
-    @example(case=(IntervalSet.unit(), 2, [-3, 0, 2, 5]))  # past both ends of [0,1]
-    @example(case=(IntervalSet(3, (0, 1)), 2, [0, 1]))  # per does not divide den
-    @example(case=(IntervalSet(12, (0, 3, 9, 12)), 4, [1, 3]))  # per divides den
-    @example(case=(IntervalSet.unit(), BIG, [1, BIG - 1]))  # a 130-bit per
+    @given(case=grid_cuts())
+    @example(case=(4, [-1, 1]))  # the first cut starts below 0
+    @example(case=(4, [3, 5]))  # the last cut ends past per
+    @example(case=(4, [1, 2, 2, 3]))  # touching: 1/2 survives
+    @example(case=(4, [-1, 2]))  # [1/2, 1]: gcd 2 with per
+    @example(case=(4, [1, 4]))  # 1 survives as a point
+    @example(case=(2, [-1, 3]))  # nothing survives
+    @example(case=(3, []))  # no cut
+    @example(case=(BIG, [1, BIG - 1]))  # a 130-bit per
     def test_matches_linear_scan(self, case):
-        s, per, cuts = case
-        want = FractionSet(s.points)
+        per, cuts = case
+        want = FractionSet((F(0), F(1)))
         for a, b in zip(cuts[::2], cuts[1::2]):
             want = want.subtract_open(F(a, per), F(b, per))
-        got = s.subtract_open(per, cuts)
+        got = IntervalSet.subtract_open(per, cuts)
         assert got.points == want.points
         assert got.den > 0 and gcd(got.den, *got.ends) == 1
         assert interval_set(pieces(got)) == got  # canonical order
 
     def test_cut_on_endpoints_keeps_them(self):
-        s = interval_set([(F(0), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1))])
-        # the cut's ends are endpoints of the pieces around it: only the
-        # single point strictly inside goes
-        assert pieces(s.subtract_open(4, [1, 3])) == [(F(0), F(1, 4)), (F(3, 4), F(1))]
-        # touching cuts keep the point between them
-        assert s.subtract_open(4, [1, 2, 2, 3]) == s
-        assert s.subtract_open(1, [2, 3]) == s
-        assert s.subtract_open(1, []) == s
+        cut = IntervalSet.subtract_open
+        assert cut(4, [-1, 2]) == IntervalSet(2, (1, 2))
+        # touching cuts keep the point between them, and each cut's ends
+        assert cut(4, [1, 2, 2, 3]).points == (F(0), F(1, 4), F(1, 2), F(1, 2), F(3, 4), F(1))
+        assert cut(4, [-1, 5]) == IntervalSet(1, ())
+        assert cut(7, []) == IntervalSet(1, (0, 1))
 
 
 # pieces [0, 1/4] and [3/4, 1] around the gap (1/4, 3/4), and a single point
@@ -523,14 +514,17 @@ class TestIntegerQueries:
         if isinstance(want, str):
             assert got == want
             return
-        s, ref = got, want
+        ref = want
         # each endpoint, a hair to each side of it, and values drawn freely
-        queries = [*xs, *s.points, *(p + d for p in s.points for d in (TINY, -TINY))]
+        queries = [*xs, *got.points, *(p + d for p in got.points for d in (TINY, -TINY))]
         cut_ends = [(queries[i % len(queries)], queries[j % len(queries)])
                     for i, j in (cuts if queries else [])]
         for lo, hi in [(None, None), *cut_ends]:
+            # only the reference is cut; the set under test is built anew
+            # from its pieces
             if lo is not None:
-                s, ref = cut(s, lo, hi), ref.subtract_open(lo, hi)
+                ref = ref.subtract_open(lo, hi)
+            s = interval_set(pieces(ref))
             assert s.points == ref.points
             assert s.den > 0 and gcd(s.den, *s.ends) == 1
             assert s.measure() == ref.measure() and type(s.measure()) is F
@@ -545,15 +539,14 @@ class TestIntegerQueries:
     @given(case=pick_cases(), rng=st.randoms(use_true_random=False))
     def test_cut_orders_build_one_representation(self, case, rng):
         delta, level, picks = case
-        merged = remove_intervals(make_cover(delta, level), picks)
-        spans = [open_span(delta, level, p) for p in picks]
-        rng.shuffle(spans)
-        one_by_one = IntervalSet.unit()
-        for lo, hi in spans:
-            one_by_one = cut(one_by_one, lo, hi)
-            assert gcd(one_by_one.den, *one_by_one.ends) == 1
-        assert (one_by_one.den, one_by_one.ends) == (merged.den, merged.ends)
-        assert one_by_one == merged and hash(one_by_one) == hash(merged)
+        # picks are unsorted and may repeat; every order builds one set
+        want = interval_set(subtraction_oracle(delta, level, picks))
+        cover = make_cover(delta, level)
+        for order in (picks, sorted(picks), rng.sample(picks, len(picks))):
+            got = remove_intervals(cover, order)
+            assert gcd(got.den, *got.ends) == 1
+            assert (got.den, got.ends) == (want.den, want.ends)
+            assert got == want and hash(got) == hash(want)
 
     def test_to_pairs_renders_past_the_digit_limit(self):
         huge = 10**5000 + 1  # past Python's 4,300-digit int-to-string limit
@@ -573,8 +566,8 @@ class TestIntegerQueries:
             0 <= k <= 78 and k % 4 in (0, 1, 2) for k in range(-2, 85)
         ]
         assert s.gap_around(F(3, 82)) == (F(1, 41), F(2, 41))
-        cut = s.subtract_open(82, [1, 5, 5, 6])
-        assert cut.points[:6] == (F(0), F(1, 82), F(5, 82), F(5, 82), F(3, 41), F(3, 41))
+        cut = IntervalSet.subtract_open(82, [1, 5, 5, 6])
+        assert cut.points == (F(0), F(1, 82), F(5, 82), F(5, 82), F(3, 41), F(1))
         assert compared == []
         assert F(0) < F(1) and len(compared) == 1  # the count does see a comparison
 
@@ -698,7 +691,7 @@ class TestDepthProfile:
         ]
 
     def test_single_full_set(self):
-        cells = depth_profile([IntervalSet.unit()])
+        cells = depth_profile([IntervalSet(1, (0, 1))])
         assert len(cells) == 1
         assert cells[0].depth == 1
         assert (cells[0].lo, cells[0].hi) == (F(0), F(1))
@@ -742,7 +735,7 @@ class TestDeepWitness:
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError):
-            deep_witness([IntervalSet.unit()], 0)
+            deep_witness([IntervalSet(1, (0, 1))], 0)
 
     def test_pigeonhole_guarantee(self):
         # five sets of measure >= 1/2 always admit a triple point

@@ -360,7 +360,7 @@ class TestHullSide:
 
 class TestMaxVerticalDistance:
     def test_full_span(self):
-        body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet.unit())
+        body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet(1, (0, 1)))
         assert max_vertical_distance(body) == F(1, 256)
 
     def test_point_body(self):
