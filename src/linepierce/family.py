@@ -73,6 +73,15 @@ def m_of(n: int) -> int:
     return n - k * (k + 1) // 2
 
 
+def n_of(f: int) -> int:
+    """Place of the f-th emitted body in its approach sequence m_of(f).
+    Approach m joins the dovetail in round m and comes once a round, so in
+    round r it emits its (r - m + 1)-th body, r - m emissions before the
+    round ends at emission r(r+1)/2."""
+    r = (isqrt(8 * f - 7) + 1) // 2  # the round of f
+    return r * (r + 1) // 2 - f + 1
+
+
 def dyadic_approach(target: Fraction) -> Iterator[Fraction]:
     """Distinct rationals in [0,1] converging to target.
 
@@ -297,7 +306,17 @@ class ConvexBody:
 
 
 class FamilyStream:
-    """Lazy deterministic emission of bodies; prefixes are memoized.
+    """Lazy deterministic emission of bodies, in two parts.
+
+    The schedule gives emission f its approach sequence m = m_of(f) and its
+    q, the first value of m's dyadic approach not emitted before; every
+    emission advances it, in order.  The support table holds, per m, the
+    supports ``SupportAssigner.assign(m)`` has built, in order, and the
+    n-th body of m (n = n_of(f)) takes the n-th.  ``body_at`` builds a
+    body's support, and every earlier one of its m, when it is first asked
+    for; ``advance`` only schedules.  So ``refute`` passes bodies pierced by
+    construction without building their supports, and a stream returns the
+    same bodies whatever it was asked before.
 
     The (m, n) emission order is dovetailed by m+n then m, so every approach
     sequence is revisited infinitely often; the tilt index of a body is its
@@ -308,9 +327,12 @@ class FamilyStream:
         self._assigner = SupportAssigner(delta)  # rejects a delta outside (0,1)
         self._registry: set[Fraction] = set()
         self._approaches: dict[int, Iterator[Fraction]] = {}
-        self._bodies: list[ConvexBody] = []
+        self._supports: dict[int, list[IntervalSet]] = {}
+        # position i holds emission i + 1: its body, or its q while no caller
+        # has asked for the body
+        self._bodies: list[ConvexBody | Fraction] = []
 
-    def _emit(self) -> None:
+    def _emit(self, build: bool = True) -> None:
         f = len(self._bodies) + 1
         m = m_of(f)
         approach = self._approaches.get(m)
@@ -318,19 +340,59 @@ class FamilyStream:
             approach = self._approaches[m] = dyadic_approach(enumerate_Q0(m))
         q = next(v for v in approach if v not in self._registry)
         self._registry.add(q)
-        support = self._assigner.assign(m)
-        self._bodies.append(ConvexBody(q=q, f_index=f, support=support))
+        self._bodies.append(
+            ConvexBody(q=q, f_index=f, support=self._support(m, n_of(f))) if build else q
+        )
+
+    def _support(self, m: int, n: int) -> IntervalSet:
+        """The n-th support of approach m, built with every earlier one of m
+        not built yet."""
+        table = self._supports.setdefault(m, [])
+        while len(table) < n:
+            table.append(self._assigner.assign(m))
+        return table[n - 1]
+
+    def advance(self, index: int) -> None:
+        """Schedules emissions through ``index`` (0-based), building no support."""
+        while len(self._bodies) <= index:
+            self._emit(build=False)
 
     def body_at(self, index: int) -> ConvexBody:
         """0-based; extends the stream as needed."""
         while len(self._bodies) <= index:
             self._emit()
-        return self._bodies[index]
+        entry, f = self._bodies[index], index + 1
+        if not isinstance(entry, ConvexBody):
+            support = self._support(m_of(f), n_of(f))
+            entry = self._bodies[index] = ConvexBody(q=entry, f_index=f, support=support)
+        return entry
 
     def truncate(self, n: int) -> list[ConvexBody]:
         if n < 1:
             raise ValueError(f"truncation size must be positive, got {n}")
         return [self.body_at(i) for i in range(n)]
+
+
+def membership_fault(body: ConvexBody, delta: Fraction) -> str | None:
+    """The first rule of the family's definition that the body breaks, or
+    None: its support has measure at least delta, holds its base rational
+    r_m and none of r_1 ... r_(m-1), and q = r_m +- 2^-j for some j >= 2,
+    inside [0,1].  Decided from the definitions, not by the walk that built
+    the support, at the cost of m support queries."""
+    m, support = body.m, body.support
+    target = enumerate_Q0(m)
+    if support.measure() < delta:
+        return f"support has measure below delta = {format_rational(delta)}"
+    if not support.contains(target):
+        return f"support does not hold its base rational r_{m} = {format_rational(target)}"
+    for k in range(1, m):
+        if support.contains(earlier := enumerate_Q0(k)):
+            return f"support holds the earlier base rational r_{k} = {format_rational(earlier)}"
+    step = abs(body.q - target)
+    den = step.denominator
+    if not 0 <= body.q <= 1 or step.numerator != 1 or den < 4 or den & (den - 1):
+        return f"q = {format_rational(body.q)} is not r_{m} +- 2^-j for any j >= 2 in [0,1]"
+    return None
 
 
 def body_to_record(body: ConvexBody) -> dict:

@@ -32,7 +32,8 @@ thin body by more than the slab allows.  The filter only ever answers
 come from the plane meet alone.  ``refute`` and ``piercing_matrix``
 classify each line once and decide rulings by the support rule.  The
 refuter scans the family stream for the first body missed by every line of
-a finite pool and emits one re-verifiable certificate per line.
+a finite pool and emits one re-verifiable certificate per line; it builds
+no support for a body that a pool x-ruling pierces by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import format_rational
-from .family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0
+from .family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0, m_of
 from .geometry import (
     GENERIC,
     X_RULING,
@@ -440,11 +441,14 @@ class RefutationOutcome:
 def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOutcome:
     """First family member missed by every line in the pool.
 
-    Rulings are decided by the support rule and the other lines by
-    ``pierce``.  The first body every line misses is reported with one
-    certificate per line; a certificate that does not hold raises
-    ``InternalError``.  Exhaustion only signals that the search budget ran
-    out.
+    A body holds the base rational r_m its approach sequence m targets, so
+    the pool's x-ruling x = r_m, if there is one, pierces it by the support
+    rule: the scan advances the stream past such a body and builds no
+    support for it.  Of every other body, rulings are decided by the support
+    rule and the other lines by ``pierce``.  The first body every line
+    misses is reported with one certificate per line; a certificate that
+    does not hold raises ``InternalError``.  Exhaustion only signals that
+    the search budget ran out.
     """
     if n_max < 1:
         raise ValueError(f"search budget must be positive, got {n_max}")
@@ -456,17 +460,13 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOu
         ((line, info.cls) for line, info in zip(lines, infos)),
         key=lambda pair: pair[1].kind == GENERIC,
     )
-    # a body's support holds the base rational its approach sequence
-    # targets, so the pool's x-ruling through that rational, if any,
-    # pierces it: testing that line first decides most bodies of a pool of
-    # base x-rulings with one support-rule call.  Only the order changes.
-    own_ruling = {info.cls.param: info.cls for info in infos if info.cls.kind == X_RULING}
+    x_rulings = {info.cls.param for info in infos if info.cls.kind == X_RULING}
 
     for i in range(n_max):
+        stream.advance(i)
+        if enumerate_Q0(m_of(i + 1)) in x_rulings:
+            continue  # pierced by construction
         body = stream.body_at(i)
-        own = own_ruling.get(enumerate_Q0(body.m))
-        if own is not None and _ruling_pierces(own, body):
-            continue
         if any(_pierces(line, cls, body) for line, cls in classed):
             continue
         certs = tuple(

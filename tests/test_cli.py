@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ import linepierce
 from linepierce import cli, refutation
 from linepierce.cli import MAX_PRECISION, load_lines, main, verify_refutation
 from linepierce.exactnum import QuadExt
-from linepierce.family import ConvexBody, FamilyStream, body_to_record
+from linepierce.family import ConvexBody, FamilyStream, SupportAssigner, body_to_record
 from linepierce.geometry import (
     Line3,
     Point3,
@@ -588,6 +589,11 @@ class TestPipelineDeterminism:
         assert artifacts[0] == artifacts[1]
 
 
+GOOD_LINE = {"base": ["1/2", "0/1", "0/1"], "dir": ["0/1", "1/1", "1/2"]}
+GOOD_BODY = {"q": "1/4", "m": 1, "f": 1, "eps": "1/64",
+             "support": [["0/1", "0/1"], ["1/4", "1/1"]]}
+
+
 class TestVerifyRefutation:
     def refuted(self, tmp_path):
         pool = [ruling_line_x(F(1, 2)), ruling_line_y(F(1, 3))]
@@ -611,7 +617,7 @@ class TestVerifyRefutation:
         tamper(data["certificates"])
         out.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(InternalError, match="does not state the computed report"):
-            verify_refutation(str(out), report, lines)
+            verify_refutation(str(out), report, lines, F(1, 2))
 
     def test_certificates_are_checked_once(self, tmp_path, monkeypatch):
         """refute checks each certificate as it builds it; --verify compares
@@ -624,10 +630,48 @@ class TestVerifyRefutation:
                      "--out", str(tmp_path / "r.json"), "--verify"]) == 0
         assert len(calls) == len(MIXED_POOL)
 
+    def test_a_witness_off_the_family_exits_5(self, tmp_path, monkeypatch, capsys):
+        """An assigner that builds a wrong support is caught by --verify
+        alone, which checks the witness against the family's definition.
+        The pool's x-rulings at r_1 = 0 and r_2 = 1 pierce every body of
+        approaches 1 and 2 by construction, so the first support built is
+        the witness's, of approach 3, which must hold r_3 = 1/2."""
+        lines, out = tmp_path / "lines.jsonl", tmp_path / "r.json"
+        write_lines(lines, [ruling_line_x(F(0)), ruling_line_x(F(1))])
+        lacking = interval_set([(F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))])
+        monkeypatch.setattr(SupportAssigner, "assign", lambda self, m: lacking)
+        assert main(["refute", "--delta", "1/2", "--lines", str(lines), "--out", str(out),
+                     "--verify"]) == 5
+        assert json.loads(out.read_text())["emission_index"] == 6
+        assert capsys.readouterr().err == (
+            "internal error: verification failed: the witness is no family member: "
+            "support does not hold its base rational r_3 = 1/2\n"
+        )
 
-GOOD_LINE = {"base": ["1/2", "0/1", "0/1"], "dir": ["0/1", "1/1", "1/2"]}
-GOOD_BODY = {"q": "1/4", "m": 1, "f": 1, "eps": "1/64",
-             "support": [["0/1", "0/1"], ["1/4", "1/1"]]}
+    @pytest.mark.parametrize("witness, rule", [
+        ({**GOOD_BODY, "support": [["0/1", "0/1"], ["3/4", "1/1"]]},
+         "support has measure below delta = 1/2"),
+        ({**GOOD_BODY, "support": [["1/4", "1/1"]]},
+         "support does not hold its base rational r_1 = 0/1"),
+        ({"q": "3/4", "m": 2, "f": 3, "eps": "1/1024", "support": [["0/1", "0/1"], ["1/2", "1/1"]]},
+         "support holds the earlier base rational r_1 = 0/1"),
+        ({**GOOD_BODY, "q": "3/8"}, "q = 3/8 is not r_1 +- 2^-j"),
+        ({**GOOD_BODY, "q": "1/2"}, "q = 1/2 is not r_1 +- 2^-j"),
+        ({**GOOD_BODY, "q": "-1/4"}, "q = -1/4 is not r_1 +- 2^-j"),
+        ({**GOOD_BODY, "q": "0/1"}, "q = 0/1 is not r_1 +- 2^-j"),
+    ], ids=["measure", "lacks-r_m", "holds-earlier", "not-dyadic", "j-below-2", "below-0",
+            "at-target"])
+    def test_each_membership_rule_is_checked(self, tmp_path, witness, rule):
+        out = tmp_path / "r.json"
+        report = {"found": True, "witness": witness}
+        out.write_text(json.dumps(report), encoding="utf-8")
+        with pytest.raises(InternalError, match=f"no family member: {re.escape(rule)}"):
+            verify_refutation(str(out), report, [], F(1, 2))
+        good = {"found": True, "witness": GOOD_BODY}
+        out.write_text(json.dumps(good), encoding="utf-8")
+        verify_refutation(str(out), good, [], F(1, 2))
+
+
 BAD_CONTENTS = {
     "zero-denominator": {"lines": {**GOOD_LINE, "dir": ["0/1", "1/0", "1/2"]},
                          "family": {**GOOD_BODY, "q": "1/0"}},

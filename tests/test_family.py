@@ -18,6 +18,7 @@ from linepierce.family import (
     enumerate_Q0,
     eps_of,
     m_of,
+    n_of,
 )
 from linepierce.exactnum import QuadExt, format_rational
 from linepierce.geometry import Line3
@@ -367,6 +368,10 @@ class TestFamilyStream:
         assert [b.m for b in FamilyStream(F(1, 2)).truncate(60)] == dovetail[:60]
         with pytest.raises(ValueError):
             m_of(0)
+        # the place of each body in its approach sequence: in round s - 1,
+        # approach m emits its (s - m)-th body
+        places = [s - m for s in range(2, 80) for m in range(1, s)][:3000]
+        assert [n_of(f) for f in range(1, 3001)] == places
 
     def test_membership_constraints_hold(self, pinned_family):
         # each support, read as Fraction pieces so that no IntervalSet query
