@@ -14,11 +14,11 @@ Everything here is deterministic: same delta, same prefix, byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import count, islice, repeat
 from math import gcd, isqrt
 from numbers import Rational
 
@@ -71,15 +71,6 @@ def m_of(n: int) -> int:
         raise ValueError(f"emission index must be positive, got {n}")
     k = (isqrt(8 * n - 7) - 1) // 2  # rounds completed before n
     return n - k * (k + 1) // 2
-
-
-def n_of(f: int) -> int:
-    """Place of the f-th emitted body in its approach sequence m_of(f).
-    Approach m joins the dovetail in round m and comes once a round, so in
-    round r it emits its (r - m + 1)-th body, r - m emissions before the
-    round ends at emission r(r+1)/2."""
-    r = (isqrt(8 * f - 7) + 1) // 2  # the round of f
-    return r * (r + 1) // 2 - f + 1
 
 
 def dyadic_approach(target: Fraction) -> Iterator[Fraction]:
@@ -206,7 +197,7 @@ class SupportAssigner:
         self.delta = delta
         self._walks: dict[int, Iterator[IntervalSet]] = {}
 
-    def _supports(self, m: int) -> Iterator[IntervalSet]:
+    def _walk(self, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
         excluded = sorted(enumerate_Q0(k) for k in range(1, m))
         seen: set[IntervalSet] = set()
@@ -222,7 +213,7 @@ class SupportAssigner:
         """Next unassigned support for approach sequence m."""
         walk = self._walks.get(m)
         if walk is None:
-            walk = self._walks[m] = self._supports(m)
+            walk = self._walks[m] = self._walk(m)
         return next(walk)
 
 
@@ -306,17 +297,16 @@ class ConvexBody:
 
 
 class FamilyStream:
-    """Lazy deterministic emission of bodies, in two parts.
+    """Lazy deterministic emission of bodies, read once, forward.
 
-    The schedule gives emission f its approach sequence m = m_of(f) and its
-    q, the first value of m's dyadic approach not emitted before; every
-    emission advances it, in order.  The support table holds, per m, the
-    supports ``SupportAssigner.assign(m)`` has built, in order, and the
-    n-th body of m (n = n_of(f)) takes the n-th.  ``body_at`` builds a
-    body's support, and every earlier one of its m, when it is first asked
-    for; ``advance`` only schedules.  So ``refute`` passes bodies pierced by
-    construction without building their supports, and a stream returns the
-    same bodies whatever it was asked before.
+    Emission f takes its approach sequence m = m_of(f), as q the first value
+    of m's dyadic approach not emitted before, and as support the next
+    ``SupportAssigner.assign(m)``.  ``bodies`` yields every emission in
+    order, once per stream, with None for a body whose base rational r_m the
+    caller skips; its support is never built.  Skipping depends on m alone
+    and the stream is read once, so each approach is either skipped whole or
+    built in order, and every body read takes the support a full read gives
+    it.
 
     The (m, n) emission order is dovetailed by m+n then m, so every approach
     sequence is revisited infinitely often; the tilt index of a body is its
@@ -325,52 +315,36 @@ class FamilyStream:
 
     def __init__(self, delta: Fraction):
         self._assigner = SupportAssigner(delta)  # rejects a delta outside (0,1)
-        self._registry: set[Fraction] = set()
         self._approaches: dict[int, Iterator[Fraction]] = {}
-        self._supports: dict[int, list[IntervalSet]] = {}
-        # position i holds emission i + 1: its body, or its q while no caller
-        # has asked for the body
-        self._bodies: list[ConvexBody | Fraction] = []
+        # the emitted q values, one per emission; the name is kept because the
+        # benchmark tracer counts emissions as len(_bodies)
+        self._bodies: set[Fraction] = set()
+        self._read = False
 
-    def _emit(self, build: bool = True) -> None:
+    def _emit(self, skip: Container[Fraction]) -> ConvexBody | None:
         f = len(self._bodies) + 1
         m = m_of(f)
+        target = enumerate_Q0(m)
         approach = self._approaches.get(m)
         if approach is None:
-            approach = self._approaches[m] = dyadic_approach(enumerate_Q0(m))
-        q = next(v for v in approach if v not in self._registry)
-        self._registry.add(q)
-        self._bodies.append(
-            ConvexBody(q=q, f_index=f, support=self._support(m, n_of(f))) if build else q
-        )
+            approach = self._approaches[m] = dyadic_approach(target)
+        q = next(v for v in approach if v not in self._bodies)
+        self._bodies.add(q)
+        if target in skip:
+            return None
+        return ConvexBody(q=q, f_index=f, support=self._assigner.assign(m))
 
-    def _support(self, m: int, n: int) -> IntervalSet:
-        """The n-th support of approach m, built with every earlier one of m
-        not built yet."""
-        table = self._supports.setdefault(m, [])
-        while len(table) < n:
-            table.append(self._assigner.assign(m))
-        return table[n - 1]
-
-    def advance(self, index: int) -> None:
-        """Schedules emissions through ``index`` (0-based), building no support."""
-        while len(self._bodies) <= index:
-            self._emit(build=False)
-
-    def body_at(self, index: int) -> ConvexBody:
-        """0-based; extends the stream as needed."""
-        while len(self._bodies) <= index:
-            self._emit()
-        entry, f = self._bodies[index], index + 1
-        if not isinstance(entry, ConvexBody):
-            support = self._support(m_of(f), n_of(f))
-            entry = self._bodies[index] = ConvexBody(q=entry, f_index=f, support=support)
-        return entry
+    def bodies(self, skip: Container[Fraction] = ()) -> Iterator[ConvexBody | None]:
+        """Every emission in order, None for a body whose r_m is in skip."""
+        if self._read:
+            raise ValueError("a family stream is read once")
+        self._read = True
+        return map(self._emit, repeat(skip))
 
     def truncate(self, n: int) -> list[ConvexBody]:
         if n < 1:
             raise ValueError(f"truncation size must be positive, got {n}")
-        return [self.body_at(i) for i in range(n)]
+        return list(islice(self.bodies(), n))
 
 
 def membership_fault(body: ConvexBody, delta: Fraction) -> str | None:

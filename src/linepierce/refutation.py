@@ -31,18 +31,20 @@ thin body by more than the slab allows.  The filter only ever answers
 "miss"; anything else falls through to the plane meet, and certificates
 come from the plane meet alone.  ``refute`` and ``piercing_matrix``
 classify each line once and decide rulings by the support rule.  The
-refuter scans the family stream for the first body missed by every line of
-a finite pool and emits one re-verifiable certificate per line; it builds
-no support for a body that a pool x-ruling pierces by construction.
+refuter reads the family stream once, forward, to the first body missed by
+every line of a finite pool and emits one re-verifiable certificate per
+line; it skips, unbuilt, every body that a pool x-ruling pierces by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exactnum import format_rational
-from .family import ConvexBody, FamilyStream, body_to_record, enumerate_Q0, m_of
+from .family import ConvexBody, FamilyStream, body_to_record
 from .geometry import (
     GENERIC,
     X_RULING,
@@ -407,7 +409,7 @@ class LineInfo:
 class RefutationOutcome:
     """The first body every pool line misses, with one certificate per line
     in line order, or no witness when the budget of ``n_max`` bodies ran
-    out.  Stream position i holds emission i + 1, so the witness's
+    out.  The stream yields emission f as its f-th item, so the witness's
     ``f_index`` is also the number of bodies checked."""
 
     witness: ConvexBody | None
@@ -441,14 +443,16 @@ class RefutationOutcome:
 def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOutcome:
     """First family member missed by every line in the pool.
 
-    A body holds the base rational r_m its approach sequence m targets, so
-    the pool's x-ruling x = r_m, if there is one, pierces it by the support
-    rule: the scan advances the stream past such a body and builds no
-    support for it.  Of every other body, rulings are decided by the support
-    rule and the other lines by ``pierce``.  The first body every line
-    misses is reported with one certificate per line; a certificate that
-    does not hold raises ``InternalError``.  Exhaustion only signals that
-    the search budget ran out.
+    The scan reads the unread ``stream`` once, forward, through at most
+    ``n_max`` emissions.  A body holds the base rational r_m its approach
+    sequence m targets, so the pool's x-ruling x = r_m, if there is one,
+    pierces it by the support rule: the scan skips that approach in the
+    stream and builds no support for its bodies.  Of every other body,
+    rulings are decided by the support rule and the other lines by
+    ``pierce``.  The first body every line misses is reported with one
+    certificate per line; a certificate that does not hold raises
+    ``InternalError``.  Exhaustion only signals that the search budget ran
+    out.
     """
     if n_max < 1:
         raise ValueError(f"search budget must be positive, got {n_max}")
@@ -462,13 +466,9 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOu
     )
     x_rulings = {info.cls.param for info in infos if info.cls.kind == X_RULING}
 
-    for i in range(n_max):
-        stream.advance(i)
-        if enumerate_Q0(m_of(i + 1)) in x_rulings:
-            continue  # pierced by construction
-        body = stream.body_at(i)
-        if any(_pierces(line, cls, body) for line, cls in classed):
-            continue
+    for body in islice(stream.bodies(skip=x_rulings), n_max):
+        if body is None or any(_pierces(line, cls, body) for line, cls in classed):
+            continue  # None: pierced by construction
         certs = tuple(
             non_piercing_certificate(line, body, info.cls)
             for line, info in zip(lines, infos)

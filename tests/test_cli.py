@@ -444,13 +444,13 @@ class TestCertificatesStateWhatTheyProve:
 
     def test_benchmark_pools(self, monkeypatch):
         pools = _benchmark_pools(monkeypatch)
-        stream = FamilyStream(F(1, 2))
         cases = set()
         for seed in (0, 1):
             for pool in pools.refute_pools(seed):
                 records = [record for record, _ in pool]
                 lines = [line_from_record(record) for record in records]
-                cases |= stated_cases(refute(lines, stream, 2000).to_record(), records)
+                report = refute(lines, FamilyStream(F(1, 2)), 2000).to_record()
+                cases |= stated_cases(report, records)
         assert cases == {
             "support-below-range", "support-above-range", "support-gap",
             "plane-slab-below", "plane-slab-above", "point-below-range",
@@ -1062,7 +1062,7 @@ class TestInternalError:
         self.assert_one_line(err)
         assert "body 0 is not pierced by cover line 0" in err
         assert json.loads(out.read_text())["columns"] == [0, 1]
-        assert pierce(shared, FamilyStream(F(1, 2)).body_at(0))
+        assert pierce(shared, FamilyStream(F(1, 2)).truncate(1)[0])
 
     def test_uncoverable_cross_check_disagreement(self, tmp_path, monkeypatch, capsys):
         """A support rule that misses every body lists them all as

@@ -1,7 +1,7 @@
 import json
 from decimal import Decimal
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +18,6 @@ from linepierce.family import (
     enumerate_Q0,
     eps_of,
     m_of,
-    n_of,
 )
 from linepierce.exactnum import QuadExt, format_rational
 from linepierce.geometry import Line3
@@ -337,11 +336,21 @@ def held_points(xs: list[F], support: list[tuple[F, F]]) -> list[F]:
 
 
 class TestFamilyStream:
-    def test_prefix_is_memoized_and_stable(self):
+    def test_a_stream_is_read_once(self):
         stream = FamilyStream(F(1, 2))
-        first = stream.truncate(10)
-        second = stream.truncate(10)
-        assert first == second
+        stream.truncate(10)
+        with pytest.raises(ValueError, match="read once"):
+            stream.truncate(10)
+        with pytest.raises(ValueError, match="read once"):
+            stream.bodies()
+
+    def test_skipped_approaches_leave_every_other_body_as_a_full_read_builds_it(self):
+        # approaches 2 and 5 interleave with every other one in the dovetail;
+        # each body read is the one a full read gives, and a skipped one is None
+        skip = {enumerate_Q0(2), enumerate_Q0(5)}
+        full = FamilyStream(F(1, 2)).truncate(120)
+        read = list(islice(FamilyStream(F(1, 2)).bodies(skip=skip), 120))
+        assert read == [None if b.m in (2, 5) else b for b in full]
 
     def test_fresh_streams_agree_byte_for_byte(self):
         a = FamilyStream(F(1, 2)).truncate(15)
@@ -368,10 +377,6 @@ class TestFamilyStream:
         assert [b.m for b in FamilyStream(F(1, 2)).truncate(60)] == dovetail[:60]
         with pytest.raises(ValueError):
             m_of(0)
-        # the place of each body in its approach sequence: in round s - 1,
-        # approach m emits its (s - m)-th body
-        places = [s - m for s in range(2, 80) for m in range(1, s)][:3000]
-        assert [n_of(f) for f in range(1, 3001)] == places
 
     def test_membership_constraints_hold(self, pinned_family):
         # each support, read as Fraction pieces so that no IntervalSet query

@@ -2,7 +2,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -598,11 +598,9 @@ class TestMinLineCover:
 
 def replay_first_avoiding(delta: F, predicate, n_max=2000):
     """Independent scan of a fresh stream for the first matching body."""
-    stream = FamilyStream(delta)
-    for i in range(n_max):
-        body = stream.body_at(i)
+    for f, body in enumerate(islice(FamilyStream(delta).bodies(), n_max), 1):
         if predicate(body):
-            return i + 1, body
+            return f, body
     raise AssertionError("no matching body in replay budget")
 
 
@@ -634,7 +632,7 @@ class TestRefute:
 
     def test_y_ruling_through_a_support_gap(self):
         # inside body 1's y-slab, but over the support gap (0, 1/4)
-        first = FamilyStream(F(1, 2)).body_at(0)
+        first = FamilyStream(F(1, 2)).truncate(1)[0]
         line = ruling_line_y(first.q + first.eps / 8)
         assert not pierce(line, first)
         outcome = refute([line], FamilyStream(F(1, 2)), 10)
@@ -718,24 +716,34 @@ class TestRefute:
         assert built == [k + 1]
         assert set(asked) == {witness}
 
-    def test_a_shared_stream_returns_a_fresh_streams_bodies(self):
-        # refute passes the bodies of approaches 1..5 unbuilt; asking the
-        # same stream for them afterwards builds each approach's supports
-        # in order, whatever body is asked for first
-        fresh = FamilyStream(F(1, 2)).truncate(40)
+    @pytest.mark.parametrize("pool, witness", [
+        ([2, 5], (21, 6)),
+        ([2, 5, "generic"], (27, 6)),
+        ([2, 4, "generic"], (15, 5)),
+    ])
+    def test_a_witness_past_skipped_approaches_is_a_fresh_streams_body(self, pool, witness):
+        # the x-rulings through r_2 and r_5 (or r_4) skip approaches whose
+        # bodies interleave with those of the approaches refute builds; the
+        # generic line pierces body 21 alone, the first of approach 6, so
+        # with it the witness is approach 6's second body
+        first = FamilyStream(F(1, 2)).truncate(21)[20]
+        u = first.r_min
+        generic = Line3(first.from_chart(u, first.parabola(u)), (F(1), F(3), F(1)))
+        lines = [generic if m == "generic" else ruling_line_x(enumerate_Q0(m)) for m in pool]
+        outcome = refute(lines, FamilyStream(F(1, 2)), 1000)
+        f = outcome.witness.f_index
+        assert (f, outcome.witness.m) == witness
+        assert outcome.witness == FamilyStream(F(1, 2)).truncate(f)[f - 1]
+
+    def test_a_read_stream_is_refused(self):
         stream = FamilyStream(F(1, 2))
-        witness = refute(base_x_rulings(5), stream, 1000).witness.f_index
-        assert witness == 21
-        assert stream.body_at(7) == fresh[7]  # emission 8, approach 2, skipped
-        assert stream.truncate(40) == fresh
-        # emission 29 is the 8th body of approach 1, of which refute built none
-        stream = FamilyStream(F(1, 2))
-        refute(base_x_rulings(5), stream, 1000)
-        assert stream.body_at(28) == fresh[28]
-        assert [stream.body_at(i) for i in (27, 0, 39)] == [fresh[i] for i in (27, 0, 39)]
-        # and refute on a stream whose bodies are built reads them as they are
-        pool = base_x_rulings(6)
-        assert refute(pool, stream, 1000) == refute(pool, FamilyStream(F(1, 2)), 1000)
+        assert refute(base_x_rulings(5), stream, 1000).witness.f_index == 21
+        with pytest.raises(ValueError, match="read once"):
+            refute(base_x_rulings(5), stream, 1000)
+        with pytest.raises(ValueError, match="read once"):
+            stream.truncate(1)
+        with pytest.raises(ValueError, match="read once"):
+            stream.bodies()
 
 
 class TestVerticalClearance:
