@@ -384,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream search budget in bodies (default 100000); no support is "
         "built for a body a pool x-ruling pierces by construction, so the "
         "first 200 and 400 base-rational x-rulings are refuted at emissions "
-        "20301 and 80601 in about 0.4 s and 2 s (25 and 64 MB), and the "
+        "20301 and 80601 in about 0.2 s and 1.4 s (25 and 64 MB), and the "
         "whole command, mostly writing certificates of up to 97,000 digits, "
-        "takes about 3 s and 73 s (51 and 282 MB); a scan that builds every "
+        "takes about 3 s and 79 s (51 and 283 MB); a scan that builds every "
         "support takes about 0.1 s for 2000 bodies and 0.6 s for 8000",
     )
     p.set_defaults(func=cmd_refute)

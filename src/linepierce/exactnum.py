@@ -98,9 +98,9 @@ class QuadExt:
     """The exact value a + b*sqrt(d), with a, b, d rational and d >= 0.
 
     Canonical form: b == 0 implies d == 0, and d is never a rational square
-    (square radicands fold into the rational part at construction).  Two
-    values with distinct nonzero radicands cannot be combined; the quadratics
-    solved here only ever produce both roots over one radicand.
+    (square radicands fold into the rational part at construction).  Values
+    with distinct nonzero radicands compare equal or not, but cannot be
+    combined or ordered; the quadratics solved here give both roots over one.
     """
 
     a: Fraction
@@ -188,15 +188,21 @@ class QuadExt:
     def _diff_sign(self, other: Scalar | int) -> int:
         return (self - QuadExt.of(other)).sign()
 
+    def _key(self) -> tuple[Fraction, int, Fraction]:
+        # a + b*sqrt(d) = a' + b'*sqrt(d') forces a = a', as 1 and a
+        # non-square radical are independent over Q; then b*sqrt(d) and
+        # b'*sqrt(d') agree exactly when their signs and squares do
+        return (self.a, (self.b > 0) - (self.b < 0), self.b * self.b * self.d)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (QuadExt, Fraction, int)):
             return NotImplemented
-        return self._diff_sign(other) == 0
+        return self._key() == QuadExt.of(other)._key()
 
     def __hash__(self) -> int:
         if self.is_rational:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+            return hash(self.a)  # as the equal Fraction hashes
+        return hash(self._key())
 
     def __lt__(self, other: Scalar | int) -> bool:
         return self._diff_sign(other) < 0

@@ -27,29 +27,19 @@ from .geometry import Point3
 from .intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
 
-def _base_rationals():
-    """0, 1, then reduced fractions by denominator, then numerator."""
-    yield Fraction(0)
-    yield Fraction(1)
-    den = 2
-    while True:
-        for num in range(1, den):
-            if gcd(num, den) == 1:
-                yield Fraction(num, den)
-        den += 1
-
-
-_Q0_TERMS = _base_rationals()
-_Q0_CACHE: list[Fraction] = []
+# the base rationals r_1, r_2, ... in order, extended a whole denominator at a time
+_Q0: list[Fraction] = [Fraction(0), Fraction(1)]
 
 
 def enumerate_Q0(n: int) -> Fraction:
-    """n-th term (1-based) of the canonical enumeration of [0,1] rationals."""
+    """n-th term (1-based) of the canonical enumeration of [0,1] rationals:
+    0, 1, then the reduced fractions by denominator, then numerator."""
     if n < 1:
         raise ValueError(f"enumeration index must be positive, got {n}")
-    while len(_Q0_CACHE) < n:
-        _Q0_CACHE.append(next(_Q0_TERMS))
-    return _Q0_CACHE[n - 1]
+    while len(_Q0) < n:
+        den = _Q0[-1].denominator + 1
+        _Q0.extend(Fraction(num, den) for num in range(1, den) if gcd(num, den) == 1)
+    return _Q0[n - 1]
 
 
 def tilt_exponent(n: int) -> int:
@@ -73,19 +63,21 @@ def m_of(n: int) -> int:
     return n - k * (k + 1) // 2
 
 
-def dyadic_approach(target: Fraction) -> Iterator[Fraction]:
-    """Distinct rationals in [0,1] converging to target.
-
-    Candidates are target +- 2^-j for j = 2, 3, ... (plus before minus),
-    skipping values outside [0,1].
+def dyadic_approach(target: Fraction) -> Iterator[tuple[int, int]]:
+    """Distinct rationals in [0,1] converging to target, as reduced
+    (numerator, denominator) int pairs: with target = a/b, the candidates
+    (a*2^j +- b) / (b*2^j) = target +- 2^-j for j = 2, 3, ... (plus before
+    minus), skipping values outside [0,1].
     """
     if not (0 <= target <= 1):
         raise ValueError(f"target must lie in [0,1], got {format_rational(target)}")
+    a, b = target.numerator, target.denominator
     for j in count(2):
-        offset = Fraction(1, 2**j)
-        for cand in (target + offset, target - offset):
-            if 0 <= cand <= 1:
-                yield cand
+        den = b << j
+        for num in ((a << j) + b, (a << j) - b):
+            if 0 <= num <= den:
+                g = gcd(num, den)
+                yield num // g, den // g
 
 
 class _LevelCursor:
@@ -199,7 +191,7 @@ class SupportAssigner:
 
     def _walk(self, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
-        excluded = sorted(enumerate_Q0(k) for k in range(1, m))
+        excluded = sorted(_Q0[: m - 1])
         seen: set[IntervalSet] = set()
         for level in count(1):
             cover = make_cover(self.delta, level)
@@ -304,35 +296,37 @@ class FamilyStream:
     ``SupportAssigner.assign(m)``.  ``bodies`` yields every emission in
     order, once per stream, with None for a body whose base rational r_m the
     caller skips; its support is never built.  Skipping depends on m alone
-    and the stream is read once, so each approach is either skipped whole or
-    built in order, and every body read takes the support a full read gives
-    it.
+    and is decided once, when approach m opens, so each approach is either
+    skipped whole or built in order, and every body read takes the support a
+    full read gives it.
 
     The (m, n) emission order is dovetailed by m+n then m, so every approach
     sequence is revisited infinitely often; the tilt index of a body is its
-    global emission position.
+    global emission position.  Emitted values are kept as reduced int pairs;
+    only a built body's q becomes a ``Fraction``.
     """
 
     def __init__(self, delta: Fraction):
         self._assigner = SupportAssigner(delta)  # rejects a delta outside (0,1)
-        self._approaches: dict[int, Iterator[Fraction]] = {}
-        # the emitted q values, one per emission; the name is kept because the
-        # benchmark tracer counts emissions as len(_bodies)
-        self._bodies: set[Fraction] = set()
+        # entry m - 1: approach m's values and whether its r_m is skipped
+        self._approaches: list[tuple[Iterator[tuple[int, int]], bool]] = []
+        # the emitted q values as pairs, one per emission; the name is kept
+        # because the benchmark tracer counts emissions as len(_bodies)
+        self._bodies: set[tuple[int, int]] = set()
         self._read = False
 
     def _emit(self, skip: Container[Fraction]) -> ConvexBody | None:
         f = len(self._bodies) + 1
         m = m_of(f)
-        target = enumerate_Q0(m)
-        approach = self._approaches.get(m)
-        if approach is None:
-            approach = self._approaches[m] = dyadic_approach(target)
-        q = next(v for v in approach if v not in self._bodies)
+        if m > len(self._approaches):  # round m opens approach m as its last visit
+            target = enumerate_Q0(m)
+            self._approaches.append((dyadic_approach(target), target in skip))
+        values, skipped = self._approaches[m - 1]
+        q = next(v for v in values if v not in self._bodies)
         self._bodies.add(q)
-        if target in skip:
+        if skipped:
             return None
-        return ConvexBody(q=q, f_index=f, support=self._assigner.assign(m))
+        return ConvexBody(q=Fraction(*q), f_index=f, support=self._assigner.assign(m))
 
     def bodies(self, skip: Container[Fraction] = ()) -> Iterator[ConvexBody | None]:
         """Every emission in order, None for a body whose r_m is in skip."""
@@ -359,8 +353,8 @@ def membership_fault(body: ConvexBody, delta: Fraction) -> str | None:
         return f"support has measure below delta = {format_rational(delta)}"
     if not support.contains(target):
         return f"support does not hold its base rational r_{m} = {format_rational(target)}"
-    for k in range(1, m):
-        if support.contains(earlier := enumerate_Q0(k)):
+    for k, earlier in enumerate(_Q0[: m - 1], 1):
+        if support.contains(earlier):
             return f"support holds the earlier base rational r_{k} = {format_rational(earlier)}"
     step = abs(body.q - target)
     den = step.denominator

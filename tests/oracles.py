@@ -6,8 +6,10 @@ the package path it checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from linepierce.exactnum import format_rational
@@ -63,6 +65,40 @@ def over_y_by_fractions(line: Line3):
     coeffs = (-slope_x, slope_z - x0, z0, slope_x, x0)
     den = lcm(*(c.denominator for c in coeffs))
     return (*(c.numerator * (den // c.denominator) for c in coeffs), den)
+
+
+def base_rationals() -> Iterator[Fraction]:
+    """0, 1, then each p/q of (0,1) in lowest terms, by q, then p; p/q is in
+    lowest terms when ``Fraction`` keeps its denominator q."""
+    yield Fraction(0)
+    yield Fraction(1)
+    for q in count(2):
+        for p in range(1, q):
+            if Fraction(p, q).denominator == q:
+                yield Fraction(p, q)
+
+
+def _fraction_approach(r: Fraction) -> Iterator[Fraction]:
+    for j in count(2):
+        for cand in (r + Fraction(1, 2**j), r - Fraction(1, 2**j)):
+            if 0 <= cand <= 1:
+                yield cand
+
+
+def fraction_schedule() -> Iterator[tuple[int, int, Fraction]]:
+    """(f, m, q) of every emission, by ``Fraction`` arithmetic: round k
+    visits approaches 1, ..., k, and approach m takes the first candidate
+    r_m + 2^-j, then r_m - 2^-j, for j = 2, 3, ..., that lies in [0,1] and
+    is not in the registry of emitted ``Fraction``s."""
+    bases = base_rationals()
+    approaches: list[Iterator[Fraction]] = []
+    emitted: set[Fraction] = set()
+    for k in count(1):
+        approaches.append(_fraction_approach(next(bases)))
+        for m in range(1, k + 1):
+            q = next(c for c in approaches[m - 1] if c not in emitted)
+            emitted.add(q)
+            yield len(emitted), m, q
 
 
 def pieces(s) -> list[tuple[Fraction, Fraction]]:

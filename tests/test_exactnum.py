@@ -136,6 +136,16 @@ class TestQuadExt:
             s = x + y
             assert s.sign() == decimal_sign_oracle(s.a, s.b, s.d)
 
+    def test_equality_across_radicands_never_raises(self):
+        assert QuadExt(F(0), F(1), F(2)) != QuadExt(F(0), F(1), F(3))
+        # 2*sqrt(5) = sqrt(20)
+        assert QuadExt(F(0), F(2), F(5)) == QuadExt(F(0), F(1), F(20))
+        assert hash(QuadExt(F(0), F(2), F(5))) == hash(QuadExt(F(0), F(1), F(20)))
+
+    def test_rational_hashes_as_its_fraction(self):
+        assert hash(QuadExt(F(-1), F(1), F(1))) == hash(F(0))
+        assert hash(QuadExt.of(F(3, 7))) == hash(F(3, 7))
+
     def test_total_order(self):
         x = QuadExt(F(0), F(1), F(2))  # sqrt(2)
         assert F(1) < x < F(3, 2)
@@ -212,6 +222,13 @@ def pell_convergent(n: int) -> tuple[int, int]:
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 scales = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000)
+# few small parts, so that equal values over distinct radicands come up
+small_quadexts = st.builds(
+    QuadExt,
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=0, max_value=20, max_denominator=4),
+)
 
 
 class TestSympyOracle:
@@ -223,6 +240,21 @@ class TestSympyOracle:
     @given(a=rationals, b=rationals, d=st.fractions(min_value=0, max_value=50, max_denominator=50))
     def test_sign_matches_sympy(self, a, b, d):
         assert QuadExt(a, b, d).sign() == sympy.sign(sym(a) + sym(b) * sympy.sqrt(sym(d)))
+
+    @settings(max_examples=300)
+    @given(
+        x=small_quadexts,
+        y=small_quadexts,
+        square=st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+        rebuild=st.booleans(),
+    )
+    def test_equality_matches_sympy(self, x, y, square, rebuild):
+        if rebuild:  # the same value over the radicand scaled by a square
+            y = QuadExt(x.a, x.b / square, x.d * square * square)
+        equal = sympy.expand(sym(x) - sym(y)) == 0
+        assert (x == y) == (y == x) == equal
+        if equal:
+            assert hash(x) == hash(y)
 
     @settings(max_examples=100)
     @given(n=st.integers(0, 80), scale=scales, negate=st.booleans())

@@ -23,7 +23,14 @@ from linepierce.exactnum import QuadExt, format_rational
 from linepierce.geometry import Line3
 from linepierce.intervals import IntervalSet, make_cover
 from linepierce.refutation import pierce
-from oracles import FractionSet, interval_set, open_span, pieces
+from oracles import (
+    FractionSet,
+    base_rationals,
+    fraction_schedule,
+    interval_set,
+    open_span,
+    pieces,
+)
 
 
 def pierced_at(body, u, w):
@@ -51,6 +58,10 @@ class TestBaseEnumeration:
         with pytest.raises(ValueError):
             enumerate_Q0(0)
 
+    def test_matches_a_generation_by_denominator(self):
+        want = list(islice(base_rationals(), 20_000))
+        assert [enumerate_Q0(n) for n in range(1, 20_001)] == want
+
 
 class TestEpsSequence:
     def test_first_values(self):
@@ -66,7 +77,7 @@ class TestEpsSequence:
 
 
 def next_value(approach, registry):
-    """The next approach value the registry does not hold, as the stream takes it."""
+    """The next approach pair the registry does not hold, as the stream takes it."""
     return next(v for v in approach if v not in registry)
 
 
@@ -79,7 +90,7 @@ class TestDyadicApproacher:
             v = next_value(gen, registry)
             registry.add(v)
             got.append(v)
-        assert got == [F(3, 4), F(1, 4), F(5, 8), F(3, 8), F(9, 16)]
+        assert got == [(3, 4), (1, 4), (5, 8), (3, 8), (9, 16)]
 
     def test_boundary_target_one_sided(self):
         gen = dyadic_approach(F(0))
@@ -89,12 +100,12 @@ class TestDyadicApproacher:
             v = next_value(gen, registry)
             registry.add(v)
             got.append(v)
-        assert got == [F(1, 4), F(1, 8), F(1, 16), F(1, 32)]
+        assert got == [(1, 4), (1, 8), (1, 16), (1, 32)]
 
     def test_collision_skipped(self):
         gen = dyadic_approach(F(1, 2))
-        registry = {F(3, 4)}
-        assert next_value(gen, registry) == F(1, 4)
+        registry = {(3, 4)}
+        assert next_value(gen, registry) == (1, 4)
 
     def test_never_emits_target(self):
         gen = dyadic_approach(F(1, 4))
@@ -102,8 +113,9 @@ class TestDyadicApproacher:
         for _ in range(60):
             v = next_value(gen, registry)
             registry.add(v)
-            assert v != F(1, 4)
-            assert 0 <= v <= 1
+            assert v != (1, 4)
+            assert F(*v).as_integer_ratio() == v
+            assert 0 <= F(*v) <= 1
 
     def test_converges_to_target(self):
         gen = dyadic_approach(F(2, 3))
@@ -112,7 +124,7 @@ class TestDyadicApproacher:
         for _ in range(40):
             v = next_value(gen, registry)
             registry.add(v)
-            d = abs(v - F(2, 3))
+            d = abs(F(*v) - F(2, 3))
             if dist is not None:
                 assert d <= dist
             dist = d
@@ -335,6 +347,22 @@ def held_points(xs: list[F], support: list[tuple[F, F]]) -> list[F]:
     return held
 
 
+class Everything:
+    def __contains__(self, item) -> bool:
+        return True
+
+
+class CountingSkip:
+    """A skip container that records every value it is asked about."""
+
+    def __init__(self, held):
+        self.held, self.asked = held, []
+
+    def __contains__(self, item) -> bool:
+        self.asked.append(item)
+        return item in self.held
+
+
 class TestFamilyStream:
     def test_a_stream_is_read_once(self):
         stream = FamilyStream(F(1, 2))
@@ -351,6 +379,28 @@ class TestFamilyStream:
         full = FamilyStream(F(1, 2)).truncate(120)
         read = list(islice(FamilyStream(F(1, 2)).bodies(skip=skip), 120))
         assert read == [None if b.m in (2, 5) else b for b in full]
+
+    def test_registry_holds_the_fraction_walks_values(self):
+        # every approach skipped: no support is built, only the schedule runs
+        stream = FamilyStream(F(1, 2))
+        read = list(islice(stream.bodies(skip=Everything()), 20_000))
+        assert read == [None] * 20_000
+        want = {q.as_integer_ratio() for _, _, q in islice(fraction_schedule(), 20_000)}
+        assert stream._bodies == want
+
+    def test_a_full_read_follows_the_fraction_walk(self):
+        bodies = FamilyStream(F(1, 2)).truncate(2000)
+        got = [(b.f_index, b.m, b.q) for b in bodies]
+        assert got == list(islice(fraction_schedule(), 2000))
+        assert all(type(b.q) is F for b in bodies)
+
+    def test_skip_is_consulted_once_per_opened_approach(self):
+        # 100 rounds of the dovetail are 5,050 emissions over approaches 1..100
+        bases = [enumerate_Q0(m) for m in range(1, 101)]
+        skip = CountingSkip({*bases[:60], *bases[61:]})
+        read = list(islice(FamilyStream(F(1, 2)).bodies(skip=skip), 5050))
+        assert skip.asked == bases
+        assert [b.m for b in read if b is not None] == [61] * 40
 
     def test_fresh_streams_agree_byte_for_byte(self):
         a = FamilyStream(F(1, 2)).truncate(15)

@@ -16,6 +16,7 @@ from linepierce.geometry import (
     Y_RULING,
     Line3,
     Point3,
+    SurfaceIntersection,
     classify_line,
     line_from_record,
     line_plane_intersection,
@@ -106,6 +107,22 @@ class TestSurfaceIntersection:
             QuadExt.of(3),
             QuadExt.of(6),
         )
+
+    def test_meets_over_distinct_radicands_compare_unequal(self):
+        # z = x*y along (s, s, c): s^2 = c, so the roots lie over sqrt(4c)
+        def meet(c):
+            return line_surface_intersection(Line3(Point3(F(0), F(0), F(c)), (F(1), F(1), F(0))))
+
+        assert meet(2) != meet(3)
+
+    def test_meet_equals_its_points_over_a_scaled_radicand(self):
+        # the roots +-sqrt(5) are formed as +-(1/2)*sqrt(20)
+        meet = line_surface_intersection(Line3(Point3(F(0), F(0), F(5)), (F(1), F(1), F(0))))
+        assert {p.x.d for p in meet.points} == {F(20)}
+        root5 = [QuadExt(F(0), F(sign), F(5)) for sign in (-1, 1)]
+        by_radicand_5 = SurfaceIntersection(False, tuple(Point3(r, r, QuadExt.of(5)) for r in root5))
+        assert meet == by_radicand_5
+        assert hash(meet) == hash(by_radicand_5)
 
     def test_classification_matches_surface_membership(self):
         rng = random.Random(61)
