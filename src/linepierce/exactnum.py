@@ -1,12 +1,12 @@
-"""Exact scalar arithmetic: rationals and single-radical quadratic extensions.
+"""Exact scalars: rationals, and single-radical values a + b*sqrt(d).
 
 Every geometric predicate in this package compares rationals, plain
 ``fractions.Fraction`` (always reduced, positive denominator, canonical).
 ``QuadExt``, a value a + b*sqrt(d) with rational a, b and rational d >= 0,
 holds the roots of rational quadratics and the line/surface crossings that
-``refute`` reports, each built from its root's rational parts: the package
-renders it but runs none of its arithmetic or signs, which stay for the
-tests' oracles.  It deliberately does not support towers of distinct radicals.
+``refute`` reports, each built from its root's rational parts.  A
+``QuadExt`` is built, compared for equality and rendered; it has no
+arithmetic and no order.
 """
 
 from __future__ import annotations
@@ -98,9 +98,11 @@ class QuadExt:
     """The exact value a + b*sqrt(d), with a, b, d rational and d >= 0.
 
     Canonical form: b == 0 implies d == 0, and d is never a rational square
-    (square radicands fold into the rational part at construction).  Values
-    with distinct nonzero radicands compare equal or not, but cannot be
-    combined or ordered; the quadratics solved here give both roots over one.
+    (square radicands fold into the rational part at construction).  A value
+    is built, compared for equality (exact across radicands) and rendered;
+    ``+``, ``-``, ``*``, ``abs`` and ``<`` raise TypeError.  ``sign`` and
+    ``bool`` remain only because the benchmark tracer binds ``sign``; they
+    go once its hook is retired.
     """
 
     a: Fraction
@@ -131,41 +133,6 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _common_radicand(self, other: QuadExt) -> Fraction:
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise ValueError(
-                f"incompatible radicands sqrt({format_rational(self.d)}) and "
-                f"sqrt({format_rational(other.d)})"
-            )
-        return self.d if self.b != 0 else other.d
-
-    def __add__(self, other: Scalar | int) -> QuadExt:
-        o = QuadExt.of(other)
-        d = self._common_radicand(o)
-        return QuadExt(self.a + o.a, self.b + o.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: Scalar | int) -> QuadExt:
-        return self + (-QuadExt.of(other))
-
-    def __rsub__(self, other: Scalar | int) -> QuadExt:
-        return QuadExt.of(other) + (-self)
-
-    def __mul__(self, other: Scalar | int) -> QuadExt:
-        o = QuadExt.of(other)
-        d = self._common_radicand(o)
-        return QuadExt(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d) in {-1, 0, +1}."""
         sa = (self.a > 0) - (self.a < 0)
@@ -182,12 +149,6 @@ class QuadExt:
     def __bool__(self) -> bool:
         return self.sign() != 0
 
-    def __abs__(self) -> QuadExt:
-        return -self if self.sign() < 0 else self
-
-    def _diff_sign(self, other: Scalar | int) -> int:
-        return (self - QuadExt.of(other)).sign()
-
     def _key(self) -> tuple[Fraction, int, Fraction]:
         # a + b*sqrt(d) = a' + b'*sqrt(d') forces a = a', as 1 and a
         # non-square radical are independent over Q; then b*sqrt(d) and
@@ -203,18 +164,6 @@ class QuadExt:
         if self.is_rational:
             return hash(self.a)  # as the equal Fraction hashes
         return hash(self._key())
-
-    def __lt__(self, other: Scalar | int) -> bool:
-        return self._diff_sign(other) < 0
-
-    def __le__(self, other: Scalar | int) -> bool:
-        return self._diff_sign(other) <= 0
-
-    def __gt__(self, other: Scalar | int) -> bool:
-        return self._diff_sign(other) > 0
-
-    def __ge__(self, other: Scalar | int) -> bool:
-        return self._diff_sign(other) >= 0
 
     def __str__(self) -> str:
         if self.is_rational:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import count
 from math import lcm
 
-from linepierce.exactnum import format_rational
+from linepierce.exactnum import QuadExt, format_rational
 from linepierce.geometry import Line3, Point3
 from linepierce.intervals import IntervalSet
 
@@ -26,6 +26,20 @@ def point_at(line: Line3, s: Fraction) -> Point3:
 def vertical_distance(pt: Point3) -> Fraction:
     """|z - x*y| of a rational point: its offset from the surface along z."""
     return abs(pt.z - pt.x * pt.y)
+
+
+def surface_residual_parts(pt: Point3) -> tuple[Fraction, Fraction]:
+    """The rational parts (r, s) of z - x*y = r + s*sqrt(d), over the one
+    radicand d of the point's irrational coordinates.  A canonical d > 0 is
+    no rational square, so sqrt(d) is irrational and the residual is zero
+    exactly when r == s == 0."""
+    parts = [(c.a, c.b, c.d) if isinstance(c, QuadExt) else (c, 0, 0)
+             for c in (pt.x, pt.y, pt.z)]
+    radicands = {d for _, b, d in parts if b != 0}
+    assert len(radicands) <= 1, f"coordinates over distinct radicands {radicands}"
+    d = radicands.pop() if radicands else 0
+    (xa, xb, _), (ya, yb, _), (za, zb, _) = parts
+    return (za - xa * ya - xb * yb * d, zb - xa * yb - xb * ya)
 
 
 def interval_set(pairs) -> IntervalSet:

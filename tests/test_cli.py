@@ -359,14 +359,23 @@ class TestPinnedRefuteReport:
         self.check_pinned(tmp_path, monkeypatch, capsys)
 
     def test_crossings_need_no_radical_arithmetic(self, tmp_path, monkeypatch, capsys):
-        """Each crossing is formed from its root's rational parts, so the
-        pinned report comes out with QuadExt's arithmetic and sign disabled."""
-        def refuse(*args):
-            raise AssertionError("QuadExt arithmetic ran")
+        """Each crossing is formed from its root's rational parts: QuadExt
+        has no arithmetic or order, and the pinned report comes out with its
+        sign disabled."""
+        # vars, not hasattr: object supplies __lt__ and the other orderings
+        assert not {"_common_radicand", "__add__", "__radd__", "__neg__", "__sub__",
+                    "__rsub__", "__mul__", "__rmul__", "__abs__", "_diff_sign",
+                    "__lt__", "__le__", "__gt__", "__ge__"} & set(vars(QuadExt))
+        x, y = QuadExt(F(0), F(1), F(2)), QuadExt(F(1), F(0), F(0))
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: -x,
+                   lambda: abs(x), lambda: x < y):
+            with pytest.raises(TypeError):
+                op()
 
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__neg__", "sign"):
-            monkeypatch.setattr(QuadExt, name, refuse)
+        def refuse(*args):
+            raise AssertionError("QuadExt.sign ran")
+
+        monkeypatch.setattr(QuadExt, "sign", refuse)
         meet = line_surface_intersection(MIXED_POOL[3])
         assert [(str(p.x), str(p.y), str(p.z)) for p in meet.points] == [
             ("0/1 + -1/2*sqrt(8/1)", "0/1 + -1/2*sqrt(8/1)", "2/1"),
@@ -906,6 +915,7 @@ def test_integer_flags_accept_sign_and_padding(tmp_path, flag, form):
     [("-N", "0", "--count/-N"), ("--t", "0", "--t"), ("--nmax", "0", "--nmax"),
      ("--samples", "0", "--samples"), ("--precision", "0", "--precision"),
      ("--precision", str(MAX_PRECISION + 1), "--precision"),
+     ("-N", str(sys.maxsize + 1), "--count/-N"), ("--nmax", str(sys.maxsize + 1), "--nmax"),
      ("--delta", "1", "--delta"), ("--delta", "0", "--delta")],
 )
 def test_flag_rule_is_a_usage_error_naming_the_flag(tmp_path, capsys, flag, text, name):
@@ -915,6 +925,11 @@ def test_flag_rule_is_a_usage_error_naming_the_flag(tmp_path, capsys, flag, text
     err = capsys.readouterr().err
     assert f"error: argument {name}: " in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "plots").exists()
+
+
+def test_nmax_takes_sys_maxsize(tmp_path):
+    # -N and --nmax bound an islice of the family, so each lies in [1, sys.maxsize]
+    assert main(_flag_argv(tmp_path, "--nmax", str(sys.maxsize))) == 0
 
 
 @pytest.mark.parametrize("command", ["construct", "witness", "refute", "cover", "export-plot"])
@@ -1362,6 +1377,9 @@ def _dump_records(path, records):
 @example(argv=["witness", "--t", "1" + "0" * 40, "--family", "@family", "--out", "@out"])
 @example(argv=["construct", "--delta", "1/" + LONG_DIGITS, "-N", "٣", "--out", "@out",
                "--verify"])
+@example(argv=["construct", "--delta", "1/2", "-N", str(sys.maxsize + 1), "--out", "@out"])
+@example(argv=["refute", "--delta", "1/2", "--lines", "@lines", "--nmax", str(sys.maxsize + 1),
+               "--out", "@out"])
 def test_any_command_line_exits_with_a_contract_code(argv):
     """Whatever the command line, every command exits 0, 2, 3 or 4 without
     raising, and --verify never fails."""

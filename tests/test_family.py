@@ -19,7 +19,7 @@ from linepierce.family import (
     eps_of,
     m_of,
 )
-from linepierce.exactnum import QuadExt, format_rational
+from linepierce.exactnum import format_rational
 from linepierce.geometry import Line3
 from linepierce.intervals import IntervalSet, make_cover
 from linepierce.refutation import pierce
@@ -497,9 +497,8 @@ SLAB = ConvexBody(q=F(1, 2), f_index=1, support=interval_set([(F(1, 2), F(1))]))
     (lambda: SupportAssigner(1 + TINY), 1 + TINY),
     (lambda: FamilyStream(-TINY), -TINY),
     (lambda: next(dyadic_approach(1 + TINY)), 1 + TINY),
-    (lambda: QuadExt(F(0), F(1), 2 + TINY) + QuadExt(F(0), F(1), F(3)), 2 + TINY),
 ], ids=["from_pairs", "gap_around", "lower_envelope", "make_cover", "assigner",
-        "stream", "dyadic_approach", "radicands"])
+        "stream", "dyadic_approach"])
 def test_error_messages_render_long_rationals(call, shown):
     with pytest.raises(ValueError) as info:
         call()

@@ -25,7 +25,7 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
-from oracles import over_y_by_fractions, point_at, vertical_distance
+from oracles import over_y_by_fractions, point_at, surface_residual_parts, vertical_distance
 
 
 def random_line(rng) -> Line3:
@@ -36,10 +36,6 @@ def random_line(rng) -> Line3:
         direction = (rat(), rat(), rat())
         if any(c != 0 for c in direction):
             return Line3(Point3(rat(), rat(), rat()), direction)
-
-
-def surface_residual_sign(pt: Point3) -> int:
-    return QuadExt.of(pt.z - pt.x * pt.y).sign()
 
 
 class TestRationalLine:
@@ -141,7 +137,7 @@ class TestSurfaceIntersection:
                 continue
             counted[len(meet.points)] += 1
             for p in meet.points:
-                assert surface_residual_sign(p) == 0
+                assert surface_residual_parts(p) == (0, 0)
         # the sample should exercise all three counts
         assert all(counted[k] > 0 for k in counted)
 
