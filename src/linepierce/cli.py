@@ -68,6 +68,8 @@ def _flag(parse: Callable[[str], object], holds: Callable[[object], bool], rule:
 
 # exact rendering and its --verify read-back grow about quadratically in the digits
 MAX_PRECISION = 10_000
+# an export holds every row of its arcs in memory, so the samples per body are capped
+MAX_SAMPLES = 100_000
 
 _delta = _flag(parse_rational, lambda d: 0 < d < 1, "lie strictly between 0 and 1")
 _positive = _flag(parse_integer, lambda n: n >= 1, "be positive")
@@ -75,39 +77,39 @@ _positive = _flag(parse_integer, lambda n: n >= 1, "be positive")
 _count = _flag(parse_integer, lambda n: 1 <= n <= sys.maxsize, f"lie in [1, {sys.maxsize}]")
 _precision = _flag(parse_integer, lambda n: 1 <= n <= MAX_PRECISION,
                    f"lie in [1, {MAX_PRECISION}]")
+_samples = _flag(parse_integer, lambda n: 1 <= n <= MAX_SAMPLES, f"lie in [1, {MAX_SAMPLES}]")
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _dump_jsonl(records) -> str:
-    return "".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
-    )
-
-
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path: str, parts) -> None:
+    """Every artifact's one write path: ``parts`` in order, as ``Path.write_text``
+    writes text, so a family goes out a record line at a time, never joined."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(parts)
 
 
 def _read_jsonl(path: str, kind: str, parse: Callable[[object], object]) -> list:
-    """Parse every non-blank line of a JSON-lines file; any unreadable file
-    or bad line is an input error, and every bad line is named."""
+    """Parse every non-blank line of a JSON-lines file, one line at a time.
+    Only "\n" ends a record: a lone "\r", and U+2028, U+2029 and U+0085, which
+    a JSON string may hold raw, stay inside it.  Every bad line is named, but a
+    file that cannot be read or decoded anywhere is an error of its own."""
+    records, problems = [], []
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            for ln, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    # without its "\n", so json's messages place a fault as before
+                    records.append(parse(json.loads(line.removesuffix("\n"))))
+                except (ValueError, RecursionError) as exc:
+                    # json raises RecursionError on deeply nested arrays or objects
+                    problems.append(f"{path}:{ln}: {exc}")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
-    records, problems = [], []
-    # "\n" only: splitlines also breaks at U+2028, which a JSON string may hold
-    for ln, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(parse(json.loads(line)))
-        except (ValueError, RecursionError) as exc:
-            # json raises RecursionError on deeply nested arrays or objects
-            problems.append(f"{path}:{ln}: {exc}")
     if problems:
         raise InputError("\n".join(problems))
     return records
@@ -124,15 +126,11 @@ def _reading_back(path: str):
         raise InternalError(f"verification failed: {path} does not read back: {first}") from exc
 
 
-def _read_json(path: str):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def _verify_report(path: str, report: dict) -> dict:
     """--verify of a JSON report: it must read back as the record the
     command computed.  Returns the data read back."""
     with _reading_back(path):
-        data = _read_json(path)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     if data != report:
         raise InternalError(f"verification failed: {path} does not state the computed report")
     return data
@@ -151,7 +149,8 @@ def load_lines(path: str) -> list[Line3]:
 
 def cmd_construct(args) -> int:
     bodies = FamilyStream(args.delta).truncate(args.count)
-    _write(args.out, _dump_jsonl(body_to_record(b) for b in bodies))
+    _write(args.out, (json.dumps(body_to_record(b), sort_keys=True, separators=(",", ":")) + "\n"
+                      for b in bodies))
     if args.verify:
         with _reading_back(args.out):
             reloaded = load_family(args.out)
@@ -169,7 +168,7 @@ def cmd_witness(args) -> int:
     found = deep_witness([b.support for b in bodies], args.t)
     if found is None:
         report = {"found": False, "t": args.t, "bodies_searched": len(bodies)}
-        _write(args.out, _dump_json(report))
+        _write(args.out, [_dump_json(report)])
         if args.verify:
             _verify_report(args.out, report)
             print("verified exhausted report")
@@ -191,7 +190,7 @@ def cmd_witness(args) -> int:
         "pierced": [{"index": i, "q": format_rational(bodies[i].q)} for i in members],
         "bodies_searched": len(bodies),
     }
-    _write(args.out, _dump_json(report))
+    _write(args.out, [_dump_json(report)])
     if args.verify:
         _verify_report(args.out, report)
         print(f"verified {len(members)} pierced bodies")
@@ -203,7 +202,7 @@ def cmd_refute(args) -> int:
     lines = load_lines(args.lines)
     outcome = refute(lines, FamilyStream(args.delta), args.nmax)
     report = outcome.to_record()
-    _write(args.out, _dump_json(report))
+    _write(args.out, [_dump_json(report)])
     if args.verify:
         verify_refutation(args.out, report, lines, args.delta)
     if not outcome.found:
@@ -241,7 +240,7 @@ def cmd_cover(args) -> int:
         sol = min_line_cover(matrix)
     except UncoverableError as exc:
         report = {"uncoverable": True, "rows": list(exc.rows), **shape}
-        _write(args.out, _dump_json(report))
+        _write(args.out, [_dump_json(report)])
         if args.verify:
             # the matrix decides rulings by the support rule; the geometric
             # pierce cross-checks that every pool line misses each listed body
@@ -260,7 +259,7 @@ def cmd_cover(args) -> int:
         "lower_bound": sol.lower_bound,
         **shape,
     }
-    _write(args.out, _dump_json(report))
+    _write(args.out, [_dump_json(report)])
     if args.verify:
         # the matrix decides rulings by the support rule; the geometric
         # pierce cross-checks it once per body, on the first cover column
@@ -330,7 +329,7 @@ def cmd_export_plot(args) -> int:
         "surface": (surface_rows, lambda row: row[2] - row[0] * row[1]),
     }
     for name, (rows, _) in tables.items():
-        _write(str(outdir / f"{name}.csv"), "\n".join(rows) + "\n")
+        _write(str(outdir / f"{name}.csv"), ["\n".join(rows) + "\n"])
     if args.verify:
         for name, (rows, offset) in tables.items():
             path = str(outdir / f"{name}.csv")
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-plot", parents=[shared],
                        help="CSV samples of bodies and the surface")
     p.add_argument("--family", required=True)
-    p.add_argument("--samples", type=_positive, default=64)
+    p.add_argument("--samples", type=_samples, default=64)
     p.add_argument("--precision", type=_precision, default=12, help="significant digits")
     p.set_defaults(func=cmd_export_plot)
 

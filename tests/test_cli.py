@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 import linepierce
 from linepierce import cli, refutation
-from linepierce.cli import MAX_PRECISION, load_lines, main, verify_refutation
+from linepierce.cli import (
+    MAX_PRECISION,
+    InputError,
+    build_parser,
+    load_family,
+    load_lines,
+    main,
+    verify_refutation,
+)
 from linepierce.exactnum import QuadExt
 from linepierce.family import ConvexBody, FamilyStream, SupportAssigner, body_to_record
 from linepierce.geometry import (
@@ -837,6 +845,56 @@ def test_bad_line_record_exits_3_naming_its_line(tmp_path, command, record):
     assert f"{lines}:2:" in done.stderr
 
 
+class TestJsonLinesReader:
+    """Every JSON-lines file is read one line at a time, and only "\n" ends
+    a record."""
+
+    def test_crlf_a_lone_cr_and_no_final_newline_load(self, tmp_path):
+        family = construct(tmp_path, count=5)
+        bodies, data = load_family(str(family)), family.read_bytes()
+        # a lone "\r" is JSON whitespace inside a record, and ends no line
+        for name, variant in (("crlf.jsonl", data.replace(b"\n", b"\r\n")),
+                              ("cr.jsonl", data.replace(b",", b",\r")), ("cut.jsonl", data[:-1])):
+            (tmp_path / name).write_bytes(variant)
+            assert load_family(str(tmp_path / name)) == bodies
+
+    def test_blank_lines_are_skipped_and_a_bad_line_is_named_by_number(self, tmp_path):
+        family, good = tmp_path / "family.jsonl", json.dumps(GOOD_BODY)
+        family.write_text(f"  \n{good}\n\t \r\n\n{good}\n", encoding="utf-8")
+        assert len(load_family(str(family))) == 2
+        cut = good[:12]
+        family.write_text(f"  \n{good}\n\t \n{cut}\n{good}\n", encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            load_family(str(family))
+        # the message json gives for the line without its newline
+        with pytest.raises(ValueError) as parsed:
+            json.loads(cut)
+        assert str(raised.value) == f"{family}:4: {parsed.value}"
+
+    @pytest.mark.parametrize("command", ["witness", "cover"])
+    def test_a_bad_byte_past_the_first_64_kb_is_unreadable(self, tmp_path, command):
+        family, lines = tmp_path / "family.jsonl", tmp_path / "lines.jsonl"
+        head = (json.dumps(GOOD_BODY) + "\n").encode() * 1000
+        assert len(head) > 65536
+        family.write_bytes(head + b'{"q": "1/4\xff"}\n')
+        lines.write_text(json.dumps(GOOD_LINE) + "\n", encoding="utf-8")
+        done = assert_exits_3_without_traceback(
+            tmp_path, COMMANDS[command][1]({"family": str(family), "lines": str(lines)})
+        )
+        assert f"cannot read family file {family}" in done.stderr
+
+    def test_a_bad_byte_outranks_an_earlier_bad_line(self, tmp_path, capsys):
+        # past the first 64 KB, the bad byte is decoded after line 1 is parsed
+        family = tmp_path / "family.jsonl"
+        family.write_bytes(b"not json\n" + (json.dumps(GOOD_BODY) + "\n").encode() * 1000
+                           + b"\xff\n")
+        assert main(["witness", "--t", "1", "--family", str(family),
+                     "--out", str(tmp_path / "w.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read family file {family}: ")
+        assert f"{family}:1:" not in err
+
+
 @pytest.mark.parametrize("command", ["witness", "cover"])
 def test_huge_tilt_index_exits_3_without_traceback(tmp_path, command):
     # the stated eps is checked before 4^(f+2) is computed, so this is quick
@@ -914,7 +972,7 @@ def test_integer_flags_accept_sign_and_padding(tmp_path, flag, form):
     "flag, text, name",
     [("-N", "0", "--count/-N"), ("--t", "0", "--t"), ("--nmax", "0", "--nmax"),
      ("--samples", "0", "--samples"), ("--precision", "0", "--precision"),
-     ("--precision", str(MAX_PRECISION + 1), "--precision"),
+     ("--precision", str(MAX_PRECISION + 1), "--precision"), ("--samples", "100001", "--samples"),
      ("-N", str(sys.maxsize + 1), "--count/-N"), ("--nmax", str(sys.maxsize + 1), "--nmax"),
      ("--delta", "1", "--delta"), ("--delta", "0", "--delta")],
 )
@@ -930,6 +988,16 @@ def test_flag_rule_is_a_usage_error_naming_the_flag(tmp_path, capsys, flag, text
 def test_nmax_takes_sys_maxsize(tmp_path):
     # -N and --nmax bound an islice of the family, so each lies in [1, sys.maxsize]
     assert main(_flag_argv(tmp_path, "--nmax", str(sys.maxsize))) == 0
+
+
+def test_samples_lie_in_1_to_100000(capsys):
+    """An export holds every arc row in memory, so --samples is capped; the
+    cap itself parses (and is not run: 100,000 samples take seconds a body)."""
+    argv = ["export-plot", "--family", "f.jsonl", "--out", "plots", "--samples"]
+    assert build_parser().parse_args([*argv, "100000"]).samples == 100_000
+    assert main([*argv, "100001"]) == 3
+    err = capsys.readouterr().err
+    assert "error: argument --samples: must lie in [1, 100000], got 100001" in err
 
 
 @pytest.mark.parametrize("command", ["construct", "witness", "refute", "cover", "export-plot"])
@@ -1128,8 +1196,8 @@ class TestInternalError:
         write_lines(pool, MIXED_POOL)
         command, name, corrupt = CORRUPTIONS[case]
         write = cli._write
-        monkeypatch.setattr(cli, "_write", lambda path, text: write(
-            path, corrupt(text) if Path(path).name == name else text))
+        monkeypatch.setattr(cli, "_write", lambda path, parts: write(
+            path, [corrupt("".join(parts))] if Path(path).name == name else parts))
         argv = {
             "construct": ["construct", "--delta", "1/2", "-N", "3"],
             "witness": ["witness", "--t", "1", "--family", str(family)],
@@ -1380,6 +1448,8 @@ def _dump_records(path, records):
 @example(argv=["construct", "--delta", "1/2", "-N", str(sys.maxsize + 1), "--out", "@out"])
 @example(argv=["refute", "--delta", "1/2", "--lines", "@lines", "--nmax", str(sys.maxsize + 1),
                "--out", "@out"])
+@example(argv=["export-plot", "--family", "@family", "--out", "@dir",
+               "--samples", "1000000000000"])
 def test_any_command_line_exits_with_a_contract_code(argv):
     """Whatever the command line, every command exits 0, 2, 3 or 4 without
     raising, and --verify never fails."""

@@ -1,0 +1,63 @@
+"""Construct's own peak: time ``construct --verify`` at N = 2,000 to 8,000.
+
+Usage:
+
+    python3 tools/construct_peak.py
+
+Runs ``python -m linepierce.cli construct --delta 1/2 -N n --out <tmp>
+--verify`` for each n, one child process each, with the package imported
+from ``src``. Each line gives n, the command's seconds, its peak resident
+size (``ru_maxrss`` from ``os.wait4``; kilobytes on Linux) and the size of
+the family file in bytes. A first ``python -c pass`` line shows the floor:
+a child starts with the resident size its parent had at the fork, so no
+peak reads below it.
+
+Exits 1 if a command does not exit 0, else 0. Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+COUNTS = (2_000, 4_000, 8_000)
+
+
+def run(argv: list[str]) -> tuple[int, float, float]:
+    """The child's exit code, seconds and peak resident size in MB."""
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=ENV, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss / 1024
+
+
+def main() -> int:
+    print(f"Python {sys.version.split()[0]}; construct --delta 1/2 -N n --verify")
+    print(f"{'n':>14} {'seconds':>8} {'peak MB':>8} {'file bytes':>11}")
+    code, seconds, peak = run([sys.executable, "-c", "pass"])
+    print(f"{'python -c pass':>14} {seconds:>8.2f} {peak:>8.1f} {'':>11}", flush=True)
+    failed = [] if code == 0 else ["python -c pass"]
+    with tempfile.TemporaryDirectory() as work:
+        for n in COUNTS:
+            out = Path(work) / f"family_{n}.jsonl"
+            code, seconds, peak = run([sys.executable, "-m", "linepierce.cli", "construct",
+                                       "--delta", "1/2", "-N", str(n), "--out", str(out),
+                                       "--verify"])
+            size = out.stat().st_size if out.exists() else 0
+            print(f"{n:>14} {seconds:>8.2f} {peak:>8.1f} {size:>11}", flush=True)
+            if code != 0:
+                failed.append(f"N = {n} exited {code}")
+    if failed:
+        print(f"failed: {', '.join(failed)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
