@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 from typing import Union
 
 Scalar = Union[Fraction, "QuadExt"]
@@ -93,8 +93,50 @@ def rational_square_root(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class Record:
+    """Base of the frozen value records: one import, and no generated code
+    per class, where ``@dataclass`` costs every process ``dataclasses`` and
+    ``inspect``.
+
+    A subclass names two or more fields in ``_fields`` (also its
+    ``__slots__``, unless a ``cached_property`` needs a ``__dict__``) and
+    sets each once in its ``__init__`` with ``object.__setattr__``.  Here
+    come equality within one class, ``hash``, ``repr``, ``copy`` and
+    ``pickle``; assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through __init__: the frozen __setattr__ blocks the
+        # default restore of slots
+        return type(self), self._values(self)
+
+
+class QuadExt(Record):
     """The exact value a + b*sqrt(d), with a, b, d rational and d >= 0.
 
     Canonical form: b == 0 implies d == 0, and d is never a rational square
@@ -105,12 +147,10 @@ class QuadExt:
     go once its hook is retired.
     """
 
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    __slots__ = _fields = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        a, b, d = Fraction(self.a), Fraction(self.b), Fraction(self.d)
+    def __init__(self, a: Fraction, b: Fraction, d: Fraction) -> None:
+        a, b, d = Fraction(a), Fraction(b), Fraction(d)
         if d < 0:
             raise ValueError("negative radicand")
         if b != 0:

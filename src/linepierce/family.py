@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Container, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, repeat
 from math import gcd, isqrt
 from numbers import Rational
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import Record, format_rational, parse_rational
 from .geometry import Point3
 from .intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
@@ -209,8 +208,7 @@ class SupportAssigner:
         return next(walk)
 
 
-@dataclass(frozen=True)
-class ConvexBody:
+class ConvexBody(Record):
     """One member of the family: hull data for the slice at y = q + eps*x.
 
     In chart coordinates (u, w) = (x, z) the body is bounded below by the
@@ -219,11 +217,12 @@ class ConvexBody:
     points.
     """
 
-    q: Fraction
-    f_index: int
-    support: IntervalSet
+    _fields = ("q", "f_index", "support")  # no __slots__: the cached properties need a __dict__
 
-    def __post_init__(self) -> None:
+    def __init__(self, q: Fraction, f_index: int, support: IntervalSet) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "f_index", f_index)
+        object.__setattr__(self, "support", support)
         if not isinstance(self.q, Rational):
             raise ValueError("body offset q must be rational")
         ends = self.support.ends

@@ -15,34 +15,35 @@ point, and a line parallel to it or lying in it has no chart point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 
-from .exactnum import QuadExt, Scalar, format_rational, parse_rational, solve_quadratic
+from .exactnum import QuadExt, Record, Scalar, format_rational, parse_rational, solve_quadratic
 
 X_RULING = "x-ruling"  # x = c, z = c*y: pierces a body iff c is in its support
 Y_RULING = "y-ruling"  # y = b, z = b*x: constant-y line on the surface
 GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class Point3:
-    x: Scalar
-    y: Scalar
-    z: Scalar
+class Point3(Record):
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: Scalar, y: Scalar, z: Scalar) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class Line3:
+class Line3(Record):
     """Parametric line base + s*dir; all six coordinates must be rationals."""
 
-    base: Point3
-    dir: tuple[Fraction, Fraction, Fraction]
+    _fields = ("base", "dir")  # no __slots__: the cached properties need a __dict__
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: Point3, dir: tuple[Fraction, Fraction, Fraction]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dir", dir)
         coords = (self.base.x, self.base.y, self.base.z, *self.dir)
         if not all(isinstance(c, Rational) for c in coords):
             raise ValueError("line coordinates must be rational")
@@ -77,10 +78,12 @@ class Line3:
         return tuple(v // g for v in form)
 
 
-@dataclass(frozen=True)
-class LineClass:
-    kind: str  # X_RULING | Y_RULING | GENERIC
-    param: Fraction | None = None
+class LineClass(Record):
+    __slots__ = _fields = ("kind", "param")
+
+    def __init__(self, kind: str, param: Fraction | None = None) -> None:
+        object.__setattr__(self, "kind", kind)  # X_RULING | Y_RULING | GENERIC
+        object.__setattr__(self, "param", param)
 
 
 def ruling_line_x(c: Fraction) -> Line3:
@@ -111,10 +114,12 @@ def classify_line(line: Line3) -> LineClass:
     return LineClass(GENERIC)
 
 
-@dataclass(frozen=True)
-class SurfaceIntersection:
-    on_surface: bool
-    points: tuple[Point3, ...] = ()
+class SurfaceIntersection(Record):
+    __slots__ = _fields = ("on_surface", "points")
+
+    def __init__(self, on_surface: bool, points: tuple[Point3, ...] = ()) -> None:
+        object.__setattr__(self, "on_surface", on_surface)
+        object.__setattr__(self, "points", points)
 
 
 def line_surface_intersection(line: Line3) -> SurfaceIntersection:

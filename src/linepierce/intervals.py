@@ -19,21 +19,19 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import Record, format_rational, parse_rational
 
 LIFT_FACTOR = 4  # the bounds of ``IntervalSet.from_pairs`` on a lift
 LIFT_FLOOR = 2**16
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSet:
+class IntervalSet(Record):
     """Disjoint sorted union of closed intervals, in units of ``1/den``.
 
     ``ends`` is ``lo_0, hi_0, lo_1, hi_1, ...``: nondecreasing ints, with
@@ -42,8 +40,11 @@ class IntervalSet:
     past an odd number of endpoints lies in a piece past its left end.
     """
 
-    den: int
-    ends: tuple[int, ...]
+    __slots__ = _fields = ("den", "ends")
+
+    def __init__(self, den: int, ends: tuple[int, ...]) -> None:
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ends", ends)
 
     @staticmethod
     def from_pairs(pairs) -> IntervalSet:
@@ -171,8 +172,7 @@ def _ratio_text(e: int, den: int) -> str:
     return format_rational(Fraction(e, den))
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     """Deterministic open cover of [0,1]: ``size`` open intervals of length
     2*step, interval k centered at k*step.
 
@@ -182,9 +182,12 @@ class CoverSpec:
     [0,1] leaves measure at least the ``delta`` given to ``make_cover``.
     """
 
-    level: int
-    step: Fraction
-    size: int
+    __slots__ = _fields = ("level", "step", "size")
+
+    def __init__(self, level: int, step: Fraction, size: int) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "size", size)
 
     @property
     def picks_per_set(self) -> int:

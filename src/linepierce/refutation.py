@@ -39,11 +39,10 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .exactnum import format_rational
+from .exactnum import Record, format_rational
 from .family import ConvexBody, FamilyStream, body_to_record
 from .geometry import (
     GENERIC,
@@ -136,11 +135,13 @@ class UncoverableError(Exception):
         self.rows = rows
 
 
-@dataclass(frozen=True)
-class CoverSolution:
-    columns: tuple[int, ...]
-    exact: bool
-    lower_bound: int
+class CoverSolution(Record):
+    __slots__ = _fields = ("columns", "exact", "lower_bound")
+
+    def __init__(self, columns: tuple[int, ...], exact: bool, lower_bound: int) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "lower_bound", lower_bound)
 
 
 EXACT_COVER_LIMIT = 25
@@ -221,14 +222,16 @@ def _disjoint_rows_bound(matrix: tuple[tuple[bool, ...], ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """One exact inequality witnessing that a line misses a body."""
 
-    case: str
-    lhs: Fraction
-    rel: str  # "<" | ">" | "!="
-    rhs: Fraction
+    __slots__ = _fields = ("case", "lhs", "rel", "rhs")
+
+    def __init__(self, case: str, lhs: Fraction, rel: str, rhs: Fraction) -> None:
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rel", rel)  # "<" | ">" | "!="
+        object.__setattr__(self, "rhs", rhs)
 
     def holds(self) -> bool:
         if self.rel == "<":
@@ -388,10 +391,12 @@ def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     return None
 
 
-@dataclass(frozen=True)
-class LineInfo:
-    cls: LineClass
-    meet: SurfaceIntersection
+class LineInfo(Record):
+    __slots__ = _fields = ("cls", "meet")
+
+    def __init__(self, cls: LineClass, meet: SurfaceIntersection) -> None:
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "meet", meet)
 
     def to_record(self, index: int) -> dict:
         return {
@@ -405,17 +410,20 @@ class LineInfo:
         }
 
 
-@dataclass(frozen=True)
-class RefutationOutcome:
+class RefutationOutcome(Record):
     """The first body every pool line misses, with one certificate per line
     in line order, or no witness when the budget of ``n_max`` bodies ran
     out.  The stream yields emission f as its f-th item, so the witness's
     ``f_index`` is also the number of bodies checked."""
 
-    witness: ConvexBody | None
-    n_max: int
-    line_infos: tuple[LineInfo, ...]
-    certificates: tuple[Certificate, ...]
+    __slots__ = _fields = ("witness", "n_max", "line_infos", "certificates")
+
+    def __init__(self, witness: ConvexBody | None, n_max: int,
+                 line_infos: tuple[LineInfo, ...], certificates: tuple[Certificate, ...]) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "line_infos", line_infos)
+        object.__setattr__(self, "certificates", certificates)
 
     @property
     def found(self) -> bool:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -9,6 +11,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linepierce.exactnum import QuadExt, format_rational, parse_rational, solve_quadratic
+from linepierce.family import ConvexBody, FamilyStream
+from linepierce.geometry import (
+    GENERIC,
+    Line3,
+    LineClass,
+    Point3,
+    SurfaceIntersection,
+    line_surface_intersection,
+    ruling_line_x,
+)
+from linepierce.intervals import CoverSpec, IntervalSet, make_cover
+from linepierce.refutation import (
+    Certificate,
+    CoverSolution,
+    LineInfo,
+    RefutationOutcome,
+    min_line_cover,
+    refute,
+)
 
 
 def decimal_sign_oracle(a: F, b: F, d: F) -> int:
@@ -265,3 +286,86 @@ class TestSympyOracle:
         assert len(got) == len(want)
         assert {sympy.expand(r) for r in got} == {sympy.expand(r) for r in want}
         assert all(sympy.sign(hi - lo) == 1 for lo, hi in zip(got, got[1:]))
+
+
+def record_values():
+    """One value of each frozen record type, with its field names in order."""
+    generic = Line3(Point3(F(0), F(1, 2), F(1, 5)), (F(1), F(1, 3), F(2)))
+    outcome = refute([ruling_line_x(F(1, 3)), generic], FamilyStream(F(1, 2)), 100)
+    assert outcome.found
+    return [
+        (QuadExt(F(1, 2), F(-3), F(5)), ("a", "b", "d")),
+        (Point3(F(1), F(2, 3), F(-4)), ("x", "y", "z")),
+        (generic, ("base", "dir")),
+        (LineClass("x-ruling", F(1, 3)), ("kind", "param")),
+        (line_surface_intersection(generic), ("on_surface", "points")),
+        (IntervalSet(2, (0, 1)), ("den", "ends")),
+        (make_cover(F(1, 2), 2), ("level", "step", "size")),
+        (outcome.witness, ("q", "f_index", "support")),
+        (min_line_cover(((True, False), (False, True))), ("columns", "exact", "lower_bound")),
+        (outcome.certificates[0], ("case", "lhs", "rel", "rhs")),
+        (outcome.line_infos[1], ("cls", "meet")),
+        (outcome, ("witness", "n_max", "line_infos", "certificates")),
+    ]
+
+
+RECORDS = record_values()
+RECORD_IDS = [type(value).__name__ for value, _ in RECORDS]
+
+
+class TestRecord:
+    """The records keep what ``@dataclass(frozen=True)`` gave them."""
+
+    def test_covers_every_record_type(self):
+        assert {type(value) for value, _ in RECORDS} == {
+            QuadExt, Point3, Line3, LineClass, SurfaceIntersection, IntervalSet, CoverSpec,
+            ConvexBody, CoverSolution, Certificate, LineInfo, RefutationOutcome,
+        }
+
+    @pytest.mark.parametrize(("value", "names"), RECORDS, ids=RECORD_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, value, names):
+        before = [getattr(value, name) for name in names]
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert [getattr(value, name) for name in names] == before
+        assert not hasattr(value, "extra")
+
+    @pytest.mark.parametrize(("value", "names"), RECORDS, ids=RECORD_IDS)
+    def test_rebuilt_from_its_fields_is_equal(self, value, names):
+        fields = [getattr(value, name) for name in names]
+        for rebuilt in (type(value)(*fields), type(value)(**dict(zip(names, fields)))):
+            assert rebuilt is not value
+            assert rebuilt == value and not rebuilt != value
+            assert hash(rebuilt) == hash(value)
+
+    @pytest.mark.parametrize(("value", "names"), RECORDS, ids=RECORD_IDS)
+    def test_never_equals_its_field_tuple(self, value, names):
+        fields = tuple(getattr(value, name) for name in names)
+        assert value != fields and fields != value
+
+    @pytest.mark.parametrize(("value", "names"), RECORDS, ids=RECORD_IDS)
+    def test_repr_names_every_field(self, value, names):
+        shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+        assert repr(value) == f"{type(value).__name__}({shown})"
+
+    def test_repr_keeps_the_dataclass_form(self):
+        assert repr(IntervalSet(2, (0, 1))) == "IntervalSet(den=2, ends=(0, 1))"
+        assert repr(LineClass(GENERIC)) == "LineClass(kind='generic', param=None)"
+
+    def test_defaults(self):
+        assert LineClass(GENERIC).param is None
+        assert SurfaceIntersection(True).points == ()
+        assert CoverSpec(1, F(1, 4), 5) == CoverSpec(level=1, step=F(1, 4), size=5)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize(("value", "names"), RECORDS, ids=RECORD_IDS)
+    def test_copies_are_equal(self, value, names, clone):
+        cloned = clone(value)
+        assert type(cloned) is type(value)
+        assert cloned == value and hash(cloned) == hash(value)
+        assert [getattr(cloned, name) for name in names] == [getattr(value, name) for name in names]

@@ -5,11 +5,15 @@ public method or property of a public class, must be referenced somewhere in
 the package other than its own definition and the package root's re-export,
 so a helper kept alive only by its own tests fails here.  References match
 by name.  The allowlist names what the acceptance criteria call although the
-package does not.
+package does not.  Starting the CLI imports neither ``dataclasses`` nor
+``inspect``.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import linepierce
@@ -90,3 +94,24 @@ def test_every_root_export_resolves():
     for module, name in exports:
         source = importlib.import_module(f"linepierce.{module}")
         assert getattr(linepierce, name) is getattr(source, name)
+
+
+def test_no_module_imports_dataclasses():
+    imported = set()
+    for tree in parsed_modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert "fractions" in imported
+    assert "dataclasses" not in {name.split(".")[0] for name in imported}
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    probe = ("import sys, linepierce.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

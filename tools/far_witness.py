@@ -13,10 +13,13 @@ own peak resident size (``RUSAGE_SELF``; kilobytes on Linux), so no scan
 inherits another's memory.  One line is printed per K.
 
 A second table times the whole ``refute --verify`` command, report
-rendering and read-back included, in a child process per K for K = 40, 100
-and 200 (K = 400's command takes over a minute).  Each line gives the
-command's seconds, its own peak resident size (``os.wait4``) and the size
-of its report in bytes.
+rendering and read-back included, in a child process per K for K = 27 (the
+benchmark's middle stratum, witness at emission 406), 40, 100 and 200
+(K = 400's command takes over a minute).  Each line gives the command's
+seconds, its own peak resident size (``os.wait4``) and the size of its
+report in bytes.  Two floor rows come first, each the median seconds of
+``STARTS`` children: ``python -c pass``, and ``python -c "import
+linepierce.cli"``, the start-up every command pays before its own work.
 
 Exits 1 if a witness is not at the predicted emission or a command does not
 exit 0, else 0.  Standard library only.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -35,7 +39,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 KS = (40, 100, 200, 400)
-COMMAND_KS = (40, 100, 200)
+COMMAND_KS = (27, 40, 100, 200)
+STARTS = 5
 BUDGET = 100_000
 TIMEOUT_S = 600
 
@@ -98,6 +103,16 @@ def run_command(k: int, work: Path) -> dict:
             "report_bytes": report.stat().st_size}
 
 
+def start_up(code: str) -> float:
+    """Median seconds of ``STARTS`` children each running ``python -c code``."""
+    times = []
+    for _ in range(STARTS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=ENV, check=True, timeout=TIMEOUT_S)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def main() -> int:
     print(f"Python {sys.version.split()[0]}; first K base-rational x-rulings, delta 1/2")
     print(f"{'K':>5} {'witness':>9} {'predicted':>9} {'seconds':>8} {'peak MB':>8}")
@@ -110,6 +125,9 @@ def main() -> int:
         if result["witness"] != predicted:
             wrong.append(k)
     print(f"\nwhole refute --verify command\n{'K':>5} {'seconds':>8} {'peak MB':>8} {'report bytes':>13}")
+    for code in ("pass", "import linepierce.cli"):
+        print(f"{'':>5} {start_up(code):>8.3f}  python -c {code!r}, median of {STARTS}",
+              flush=True)
     with tempfile.TemporaryDirectory() as work:
         for k in COMMAND_KS:
             result = run_command(k, Path(work))
