@@ -19,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -85,8 +86,8 @@ def _dump_json(obj) -> str:
 
 
 def _write(path: str, parts) -> None:
-    """Every artifact's one write path: ``parts`` in order, as ``Path.write_text``
-    writes text, so a family goes out a record line at a time, never joined."""
+    """Every artifact's one write path: the file opens, then ``parts`` go out in
+    order as ``Path.write_text`` writes text; construct renders each as emitted."""
     with open(path, "w", encoding="utf-8") as out:
         out.writelines(parts)
 
@@ -148,7 +149,9 @@ def load_lines(path: str) -> list[Line3]:
 
 
 def cmd_construct(args) -> int:
-    bodies = FamilyStream(args.delta).truncate(args.count)
+    bodies = islice(FamilyStream(args.delta).bodies(), args.count)
+    if args.verify:  # kept to compare with the bodies the file reads back as
+        bodies = list(bodies)
     _write(args.out, (json.dumps(body_to_record(b), sort_keys=True, separators=(",", ":")) + "\n"
                       for b in bodies))
     if args.verify:
@@ -159,7 +162,8 @@ def cmd_construct(args) -> int:
         if any(b.support.measure() < args.delta for b in reloaded):
             raise InternalError("verification failed: support below delta")
         print(f"verified {len(reloaded)} bodies")
-    print(f"wrote {len(bodies)} bodies to {args.out}")
+    # the stream never ends, so the count asked for is the count written
+    print(f"wrote {args.count} bodies to {args.out}")
     return EXIT_OK
 
 

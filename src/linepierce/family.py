@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections.abc import Container, Iterator
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from math import gcd, isqrt
 from numbers import Rational
 
@@ -333,11 +333,6 @@ class FamilyStream:
             raise ValueError("a family stream is read once")
         self._read = True
         return map(self._emit, repeat(skip))
-
-    def truncate(self, n: int) -> list[ConvexBody]:
-        if n < 1:
-            raise ValueError(f"truncation size must be positive, got {n}")
-        return list(islice(self.bodies(), n))
 
 
 def membership_fault(body: ConvexBody, delta: Fraction) -> str | None:

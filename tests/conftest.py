@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from linepierce.family import FamilyStream
+from oracles import prefix
 
 settings.register_profile("linepierce", derandomize=True, deadline=None)
 settings.load_profile("linepierce")
@@ -18,4 +18,4 @@ settings.load_profile("linepierce")
 def pinned_family():
     """The first 2,000 bodies at delta 1/2: the family whose bytes
     ``tests/test_cli.py::TestConstruct::test_benchmark_bytes_pinned`` pins."""
-    return FamilyStream(Fraction(1, 2)).truncate(2000)
+    return prefix(Fraction(1, 2), 2000)

@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the package against.
 
 Each one computes its answer by a route of its own: it shares no code with
-the package path it checks.
+the package path it checks.  ``prefix`` alone is no oracle: it is the
+family's first bodies as the package reads them, for every test module.
 """
 
 from __future__ import annotations
@@ -9,12 +10,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import lcm
 
 from linepierce.exactnum import QuadExt, format_rational
+from linepierce.family import ConvexBody, FamilyStream
 from linepierce.geometry import Line3, Point3
 from linepierce.intervals import IntervalSet
+
+
+def prefix(delta: Fraction, n: int) -> list[ConvexBody]:
+    """The first n bodies of the family at delta, read from a fresh stream."""
+    return list(islice(FamilyStream(delta).bodies(), n))
 
 
 def point_at(line: Line3, s: Fraction) -> Point3:

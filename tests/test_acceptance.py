@@ -11,7 +11,6 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from linepierce.cli import main
-from linepierce.family import FamilyStream
 from linepierce.geometry import (
     GENERIC,
     Line3,
@@ -29,7 +28,7 @@ from linepierce.refutation import (
     non_piercing_certificate,
     pierce,
 )
-from oracles import expected_certificate, pieces, surface_residual_parts
+from oracles import expected_certificate, pieces, prefix, surface_residual_parts
 
 
 def report(n: int, elapsed: float, message: str) -> None:
@@ -114,7 +113,7 @@ def _probe_values(body, inside_needed=20, outside_needed=20):
 
 def test_criterion_3_piercing_matches_support_membership():
     start = time.monotonic()
-    bodies = FamilyStream(F(1, 2)).truncate(50)
+    bodies = prefix(F(1, 2), 50)
     pairs = 0
     for body in bodies:
         inside, outside = _probe_values(body)
@@ -131,7 +130,7 @@ def test_criterion_3_piercing_matches_support_membership():
 
 def test_criterion_4_vertical_distance_closed_form():
     start = time.monotonic()
-    bodies = FamilyStream(F(1, 2)).truncate(100)
+    bodies = prefix(F(1, 2), 100)
     for body in bodies:
         closed = max_vertical_distance(body)
         span = body.r_max - body.r_min

@@ -42,7 +42,7 @@ from linepierce.geometry import (
 )
 from linepierce.intervals import IntervalSet, parse_endpoint
 from linepierce.refutation import Certificate, InternalError, pierce, refute
-from oracles import expected_certificate, interval_set
+from oracles import expected_certificate, interval_set, prefix
 
 
 def write_lines(path, lines):
@@ -52,11 +52,23 @@ def write_lines(path, lines):
     )
 
 
-def construct(tmp_path, delta="1/2", count=10, name="family.jsonl"):
+def construct(tmp_path, delta="1/2", count=10, name="family.jsonl", flags=()):
     family = tmp_path / name
     assert main(["construct", "--delta", delta, "-N", str(count),
-                 "--out", str(family)]) == 0
+                 "--out", str(family), *flags]) == 0
     return family
+
+
+def sizes_at_emissions(monkeypatch, path):
+    """Wrap ``FamilyStream._emit`` to record, as each body is emitted, the
+    bytes the file at path holds then (None while it does not exist)."""
+    sizes, emit = [], FamilyStream._emit
+
+    def watched(stream, skip):
+        sizes.append(path.stat().st_size if path.exists() else None)
+        return emit(stream, skip)
+    monkeypatch.setattr(FamilyStream, "_emit", watched)
+    return sizes
 
 
 class TestConstruct:
@@ -77,9 +89,12 @@ class TestConstruct:
         b = construct(tmp_path, name="b.jsonl")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_prefix_bytes_pinned(self, tmp_path):
+    # --verify builds the bodies before the write, and without it each is
+    # written as it is emitted, so each path is pinned
+    @pytest.mark.parametrize("flags", [(), ("--verify",)], ids=["streamed", "verify"])
+    def test_prefix_bytes_pinned(self, tmp_path, flags):
         # 300 bodies reach cover level 5, so every enumeration layer shows here
-        family = construct(tmp_path, count=300)
+        family = construct(tmp_path, count=300, flags=flags)
         assert hashlib.sha256(family.read_bytes()).hexdigest() == (
             "135bdf3494b33d4f9272f5f9f8edfb4cc892e25575ec2e862fdb1164d5d44f1e"
         )
@@ -91,6 +106,19 @@ class TestConstruct:
             "cd43c8de4d90bddc0737e571da7ea113ac5c6a24dc4b75a44db256280d644ecc"
         )
 
+    def test_bodies_are_written_as_they_are_emitted(self, tmp_path, monkeypatch):
+        family = tmp_path / "f.jsonl"
+        sizes = sizes_at_emissions(monkeypatch, family)
+        construct(tmp_path, count=300, name=family.name)
+        # past the write buffer, so earlier lines are on disk by the last emission
+        assert len(sizes) == 300 and sizes[-1]
+
+    def test_an_unopenable_out_exits_3_before_any_emission(self, tmp_path, monkeypatch):
+        family = tmp_path / "missing" / "f.jsonl"
+        sizes = sizes_at_emissions(monkeypatch, family)
+        assert main(["construct", "--delta", "1/2", "-N", "50", "--out", str(family)]) == 3
+        assert sizes == []
+
     def test_verify_flag(self, tmp_path):
         family = tmp_path / "fam.jsonl"
         assert main(["construct", "--delta", "1/2", "-N", "5",
@@ -100,7 +128,7 @@ class TestConstruct:
         """A writer that drops a support's single-point pieces keeps every
         measure, and the family it writes re-renders to the same text; only
         the comparison with the built bodies catches it."""
-        assert FamilyStream(F(1, 2)).truncate(1)[0].support.points[:2] == (0, 0)
+        assert prefix(F(1, 2), 1)[0].support.points[:2] == (0, 0)
         record_of = cli.body_to_record
 
         def without_points(body):
@@ -145,7 +173,7 @@ class TestWitness:
                      "--out", str(out), "--verify"]) == 0
         data = json.loads(out.read_text())
         assert len(data["pierced"]) == 3
-        bodies = FamilyStream(F(1, 2)).truncate(5)
+        bodies = prefix(F(1, 2), 5)
         r = F(data["r"])
         for entry in data["pierced"]:
             assert pierce(ruling_line_x(r), bodies[entry["index"]])
@@ -156,7 +184,7 @@ class TestWitness:
         assert main(["witness", "--t", "1", "--family", str(family),
                      "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        body = FamilyStream(F(1, 2)).truncate(1)[0]
+        body = prefix(F(1, 2), 1)[0]
         assert F(data["r"]) == body.r_min
         assert data["pierced"] == [{"index": 0, "q": "1/4"}]
 
@@ -260,7 +288,7 @@ class TestCoverCommand:
                      "--out", str(out), "--verify"]) == 0
         data = json.loads(out.read_text())
         assert data["exact"] is True
-        bodies = FamilyStream(F(1, 2)).truncate(4)
+        bodies = prefix(F(1, 2), 4)
         matrix = [[b.support.contains(F(k, 8)) for k in range(9)] for b in bodies]
         from itertools import combinations
         want = next(
@@ -274,7 +302,7 @@ class TestCoverCommand:
 
     def test_all_bodies_share_a_line(self, tmp_path):
         family = construct(tmp_path, delta="3/5", count=3)
-        bodies = FamilyStream(F(3, 5)).truncate(3)
+        bodies = prefix(F(3, 5), 3)
         common = next(
             F(k, 64) for k in range(65)
             if all(b.support.contains(F(k, 64)) for b in bodies)
@@ -288,7 +316,7 @@ class TestCoverCommand:
 
     def test_uncoverable_pool(self, tmp_path):
         family = construct(tmp_path, count=4)
-        bodies = FamilyStream(F(1, 2)).truncate(4)
+        bodies = prefix(F(1, 2), 4)
         target = 2  # drop every line piercing body 2
         pool = [
             ruling_line_x(F(k, 16)) for k in range(17)
@@ -1079,7 +1107,7 @@ def test_cover_verify_pierces_once_per_body(tmp_path, monkeypatch):
     pierces = counting(monkeypatch, "pierce")
     assert main(["cover", "--family", str(family), "--lines", str(lines),
                  "--out", str(tmp_path / "c.json"), "--verify"]) == 0
-    bodies = FamilyStream(F(1, 2)).truncate(40)
+    bodies = prefix(F(1, 2), 40)
     assert [body for _, body in pierces] == bodies
 
 
@@ -1145,7 +1173,7 @@ class TestInternalError:
         self.assert_one_line(err)
         assert "body 0 is not pierced by cover line 0" in err
         assert json.loads(out.read_text())["columns"] == [0, 1]
-        assert pierce(shared, FamilyStream(F(1, 2)).truncate(1)[0])
+        assert pierce(shared, prefix(F(1, 2), 1)[0])
 
     def test_uncoverable_cross_check_disagreement(self, tmp_path, monkeypatch, capsys):
         """A support rule that misses every body lists them all as
@@ -1227,7 +1255,7 @@ GOOD_LINE_RECORDS = [
         Line3(Point3(F(0), F(0), F(1)), (F(1), F(1), F(0))),
     )
 ]
-GOOD_BODY_RECORDS = [body_to_record(body) for body in FamilyStream(F(1, 2)).truncate(3)]
+GOOD_BODY_RECORDS = [body_to_record(body) for body in prefix(F(1, 2), 3)]
 ODD_VALUES = [
     "1/0", "0/0", "1e5", "1e400", "-2E-3", "2.5", "-.5", "1/2.0", "0x10", "1_000",
     "\u0661/\u0662", " 7/3 ", "-3/7", "0/1", "1/1", LONG_DIGITS, "1/" + LONG_DIGITS,

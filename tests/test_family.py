@@ -30,6 +30,7 @@ from oracles import (
     interval_set,
     open_span,
     pieces,
+    prefix,
 )
 
 
@@ -366,9 +367,7 @@ class CountingSkip:
 class TestFamilyStream:
     def test_a_stream_is_read_once(self):
         stream = FamilyStream(F(1, 2))
-        stream.truncate(10)
-        with pytest.raises(ValueError, match="read once"):
-            stream.truncate(10)
+        list(islice(stream.bodies(), 10))
         with pytest.raises(ValueError, match="read once"):
             stream.bodies()
 
@@ -376,7 +375,7 @@ class TestFamilyStream:
         # approaches 2 and 5 interleave with every other one in the dovetail;
         # each body read is the one a full read gives, and a skipped one is None
         skip = {enumerate_Q0(2), enumerate_Q0(5)}
-        full = FamilyStream(F(1, 2)).truncate(120)
+        full = prefix(F(1, 2), 120)
         read = list(islice(FamilyStream(F(1, 2)).bodies(skip=skip), 120))
         assert read == [None if b.m in (2, 5) else b for b in full]
 
@@ -389,7 +388,7 @@ class TestFamilyStream:
         assert stream._bodies == want
 
     def test_a_full_read_follows_the_fraction_walk(self):
-        bodies = FamilyStream(F(1, 2)).truncate(2000)
+        bodies = prefix(F(1, 2), 2000)
         got = [(b.f_index, b.m, b.q) for b in bodies]
         assert got == list(islice(fraction_schedule(), 2000))
         assert all(type(b.q) is F for b in bodies)
@@ -403,19 +402,19 @@ class TestFamilyStream:
         assert [b.m for b in read if b is not None] == [61] * 40
 
     def test_fresh_streams_agree_byte_for_byte(self):
-        a = FamilyStream(F(1, 2)).truncate(15)
-        b = FamilyStream(F(1, 2)).truncate(15)
+        a = prefix(F(1, 2), 15)
+        b = prefix(F(1, 2), 15)
         blob_a = json.dumps([body_to_record(x) for x in a], sort_keys=True)
         blob_b = json.dumps([body_to_record(x) for x in b], sort_keys=True)
         assert blob_a == blob_b
 
     def test_emitted_values_distinct(self):
-        bodies = FamilyStream(F(1, 2)).truncate(80)
+        bodies = prefix(F(1, 2), 80)
         values = [b.q for b in bodies]
         assert len(set(values)) == len(values)
 
     def test_tilt_indices_follow_emission_order(self):
-        bodies = FamilyStream(F(1, 2)).truncate(40)
+        bodies = prefix(F(1, 2), 40)
         assert [b.f_index for b in bodies] == list(range(1, 41))
         eps = [b.eps for b in bodies]
         assert all(a > b for a, b in zip(eps, eps[1:]))
@@ -424,7 +423,7 @@ class TestFamilyStream:
         # the dovetail 1; 1, 2; 1, 2, 3; ... written out round by round
         dovetail = [m for s in range(2, 80) for m in range(1, s)][:3000]
         assert [m_of(n) for n in range(1, 3001)] == dovetail
-        assert [b.m for b in FamilyStream(F(1, 2)).truncate(60)] == dovetail[:60]
+        assert [b.m for b in prefix(F(1, 2), 60)] == dovetail[:60]
         with pytest.raises(ValueError):
             m_of(0)
 
@@ -442,11 +441,11 @@ class TestFamilyStream:
 
     def test_supports_meet_measure_bound(self):
         for delta in (F(1, 2), F(3, 4)):
-            bodies = FamilyStream(delta).truncate(30)
+            bodies = prefix(delta, 30)
             assert all(b.support.measure() >= delta for b in bodies)
 
     def test_bodies_inside_box(self):
-        bodies = FamilyStream(F(1, 2)).truncate(60)
+        bodies = prefix(F(1, 2), 60)
         for body in bodies:
             # the points over the support's endpoints attain every extreme
             for u in body.support.points:
@@ -454,7 +453,7 @@ class TestFamilyStream:
                 assert 0 <= pt.x <= 2 and 0 <= pt.y <= 2 and 0 <= pt.z <= 2
 
     def test_every_sequence_revisited(self):
-        bodies = FamilyStream(F(1, 2)).truncate(60)
+        bodies = prefix(F(1, 2), 60)
         per_m = {}
         for b in bodies:
             per_m.setdefault(b.m, []).append(b.q)
@@ -466,7 +465,7 @@ class TestFamilyStream:
             assert all(a >= b for a, b in zip(dists, dists[1:]))
 
     def test_extreme_points_leave_hull_when_interval_removed(self):
-        bodies = [b for b in FamilyStream(F(1, 2)).truncate(30)
+        bodies = [b for b in prefix(F(1, 2), 30)
                   if len(pieces(b.support)) >= 2]
         assert bodies
         for body in bodies[:10]:

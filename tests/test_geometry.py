@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.exactnum import QuadExt
-from linepierce.family import FamilyStream
 from linepierce.geometry import (
     GENERIC,
     X_RULING,
@@ -25,7 +24,13 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
-from oracles import over_y_by_fractions, point_at, surface_residual_parts, vertical_distance
+from oracles import (
+    over_y_by_fractions,
+    point_at,
+    prefix,
+    surface_residual_parts,
+    vertical_distance,
+)
 
 
 def random_line(rng) -> Line3:
@@ -327,7 +332,7 @@ class TestPlaneMeetInIntegers:
 
     def test_random_lines_on_the_family_planes(self):
         rng = random.Random(20)
-        bodies = FamilyStream(F(1, 2)).truncate(21)
+        bodies = prefix(F(1, 2), 21)
         lines = [random_line(rng) for _ in range(200)] + [ruling_line_x(F(9, 16))]
         for body in bodies:
             for line in lines:

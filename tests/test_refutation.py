@@ -42,7 +42,14 @@ from linepierce.refutation import (
     piercing_matrix,
     refute,
 )
-from oracles import chord_slope, expected_certificate, interval_set, pieces, vertical_distance
+from oracles import (
+    chord_slope,
+    expected_certificate,
+    interval_set,
+    pieces,
+    prefix,
+    vertical_distance,
+)
 
 
 def body_with_gap():
@@ -197,7 +204,7 @@ class TestPierce:
         assert non_piercing_certificate(ruling_line_x(F(1, 8)), body) is None
 
     def test_characterization_on_truncation(self):
-        bodies = FamilyStream(F(1, 2)).truncate(25)
+        bodies = prefix(F(1, 2), 25)
         for body in bodies:
             probes = set(body.support.points)
             for lo, hi in pieces(body.support):
@@ -214,7 +221,7 @@ def test_ruling_certificate_cases():
     reaches a range case: b leaves the y-slab exactly when its abscissa
     (b - q)/eps leaves [r_min, r_max]."""
     cases = {X_RULING: set(), Y_RULING: set()}
-    for body in FamilyStream(F(1, 2)).truncate(200):
+    for body in prefix(F(1, 2), 200):
         gaps = list(zip(pieces(body.support), pieces(body.support)[1:]))[:3]
         probes = [F(-1, 7), F(8, 7), body.r_min, body.r_max]
         probes += [(hi + lo2) / 2 for (_, hi), (lo2, _) in gaps]
@@ -268,7 +275,7 @@ def test_certificate_oracle_on_cases_no_pinned_report_reaches():
 
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-PREFIX = FamilyStream(F(1, 2)).truncate(40)
+PREFIX = prefix(F(1, 2), 40)
 
 
 @st.composite
@@ -306,7 +313,7 @@ class TestParallelCertificate:
             assert cert.case.startswith("inplane-") and cert.holds()
 
 
-BOUNDARY_BODIES = FamilyStream(F(1, 2)).truncate(96)
+BOUNDARY_BODIES = prefix(F(1, 2), 96)
 # lines of three shapes through a chart point lifted to the plane: constant
 # x, and two that cross it obliquely; none is parallel to a body's plane
 THROUGH = [(F(0), F(1), F(0)), (F(1), F(3), F(-2)), (F(-2), F(1), F(5))]
@@ -378,7 +385,7 @@ class TestMaxVerticalDistance:
         assert max_vertical_distance(body) == 0
 
     def test_sampled_distances_bounded_and_tight(self):
-        for body in FamilyStream(F(1, 2)).truncate(12):
+        for body in prefix(F(1, 2), 12):
             closed = max_vertical_distance(body)
             assert closed <= body.eps
             span = body.r_max - body.r_min
@@ -394,18 +401,18 @@ class TestMaxVerticalDistance:
 
 class TestPiercingMatrix:
     def test_support_rows_all_true(self):
-        bodies = FamilyStream(F(1, 2)).truncate(4)
+        bodies = prefix(F(1, 2), 4)
         lines = [ruling_line_x(r) for r in bodies[2].support.points]
         matrix = piercing_matrix(bodies, lines)
         assert all(matrix[2])
 
     def test_empty_pool(self):
-        bodies = FamilyStream(F(1, 2)).truncate(3)
+        bodies = prefix(F(1, 2), 3)
         matrix = piercing_matrix(bodies, [])
         assert matrix == ((), (), ())
 
     def test_recomputation_idempotent(self):
-        bodies = FamilyStream(F(1, 2)).truncate(5)
+        bodies = prefix(F(1, 2), 5)
         lines = [ruling_line_x(F(k, 7)) for k in range(8)]
         assert piercing_matrix(bodies, lines) == piercing_matrix(bodies, lines)
 
@@ -456,7 +463,7 @@ def test_piercing_matrix_matches_geometric_pierce():
     """The matrix decides rulings by the support rule and generic lines
     through the slab filter; the plane meet alone decides every line on its
     own, so whole matrices must agree."""
-    bodies = FamilyStream(F(1, 2)).truncate(96)
+    bodies = prefix(F(1, 2), 96)
     lines = _oracle_pool(bodies)
     want = tuple(
         tuple(_geometric_miss(line, body) is None for line in lines) for body in bodies
@@ -524,7 +531,7 @@ class TestSurelyMisses:
         """Past the first bodies, almost every miss by a generic line with
         dy != 0 is decided in the filter, so ``pierce`` rarely reaches the
         plane meet; lines with dy == 0 always go on to it."""
-        bodies = FamilyStream(F(1, 2)).truncate(96)[20:]
+        bodies = prefix(F(1, 2), 96)[20:]
         lines = [line for line in _oracle_pool(bodies)
                  if classify_line(line).kind == GENERIC and line.dir[1] != 0]
         misses = [(line, body) for line in lines for body in bodies
@@ -632,7 +639,7 @@ class TestRefute:
 
     def test_y_ruling_through_a_support_gap(self):
         # inside body 1's y-slab, but over the support gap (0, 1/4)
-        first = FamilyStream(F(1, 2)).truncate(1)[0]
+        first = prefix(F(1, 2), 1)[0]
         line = ruling_line_y(first.q + first.eps / 8)
         assert not pierce(line, first)
         outcome = refute([line], FamilyStream(F(1, 2)), 10)
@@ -726,22 +733,20 @@ class TestRefute:
         # bodies interleave with those of the approaches refute builds; the
         # generic line pierces body 21 alone, the first of approach 6, so
         # with it the witness is approach 6's second body
-        first = FamilyStream(F(1, 2)).truncate(21)[20]
+        first = prefix(F(1, 2), 21)[20]
         u = first.r_min
         generic = Line3(first.from_chart(u, first.parabola(u)), (F(1), F(3), F(1)))
         lines = [generic if m == "generic" else ruling_line_x(enumerate_Q0(m)) for m in pool]
         outcome = refute(lines, FamilyStream(F(1, 2)), 1000)
         f = outcome.witness.f_index
         assert (f, outcome.witness.m) == witness
-        assert outcome.witness == FamilyStream(F(1, 2)).truncate(f)[f - 1]
+        assert outcome.witness == prefix(F(1, 2), f)[f - 1]
 
     def test_a_read_stream_is_refused(self):
         stream = FamilyStream(F(1, 2))
         assert refute(base_x_rulings(5), stream, 1000).witness.f_index == 21
         with pytest.raises(ValueError, match="read once"):
             refute(base_x_rulings(5), stream, 1000)
-        with pytest.raises(ValueError, match="read once"):
-            stream.truncate(1)
         with pytest.raises(ValueError, match="read once"):
             stream.bodies()
 
@@ -752,7 +757,7 @@ class TestVerticalClearance:
         vertical offset within the body's exact maximum; bodies with smaller
         tilt are provably missed."""
         rng = random.Random(89)
-        bodies = FamilyStream(F(1, 2)).truncate(40)
+        bodies = prefix(F(1, 2), 40)
         cleared = 0
         for _ in range(50):
             def rat():
@@ -806,7 +811,7 @@ def mixed_pool(rng, early):
 
 def test_refute_returns_the_brute_force_first_witness():
     rng = random.Random(127)
-    early = FamilyStream(F(1, 2)).truncate(12)
+    early = prefix(F(1, 2), 12)
     for _ in range(40):
         pool = mixed_pool(rng, early)
         outcome = refute(pool, FamilyStream(F(1, 2)), 400)
@@ -954,7 +959,7 @@ class TestFarWitness:
             assert_certificates_match_the_oracle(outcome, pool)
 
 
-EARLY = FamilyStream(F(1, 2)).truncate(96)
+EARLY = prefix(F(1, 2), 96)
 
 
 @st.composite

@@ -1,16 +1,21 @@
-"""Construct's own peak: time ``construct --verify`` at N = 2,000 to 8,000.
+"""Construct's own peak: time ``construct`` at N = 2,000 to 8,000, with and
+without ``--verify``.
 
 Usage:
 
     python3 tools/construct_peak.py
 
-Runs ``python -m linepierce.cli construct --delta 1/2 -N n --out <tmp>
---verify`` for each n, one child process each, with the package imported
-from ``src``. Each line gives n, the command's seconds, its peak resident
-size (``ru_maxrss`` from ``os.wait4``; kilobytes on Linux) and the size of
-the family file in bytes. A first ``python -c pass`` line shows the floor:
-a child starts with the resident size its parent had at the fork, so no
-peak reads below it.
+Runs ``python -m linepierce.cli construct --delta 1/2 -N n --out <tmp>``
+for each n, once without ``--verify`` and once with it, one child process
+each, with the package imported from ``src``. Without ``--verify`` each
+body is written as it is emitted; with it the bodies are built into a list
+before the write, to compare with the bodies the file reads back as. Each
+line gives n, whether ``--verify`` was passed, the command's seconds, its
+peak resident size (``ru_maxrss`` from ``os.wait4``; kilobytes on Linux)
+and the size of the family file in bytes. A first ``python -c pass`` line
+shows the floor: a child starts with the resident size its parent had at
+the fork, so no peak reads below it, and this process only stats the files
+its children write, so reading one cannot raise the next child's peak.
 
 Exits 1 if a command does not exit 0, else 0. Standard library only.
 """
@@ -38,21 +43,23 @@ def run(argv: list[str]) -> tuple[int, float, float]:
 
 
 def main() -> int:
-    print(f"Python {sys.version.split()[0]}; construct --delta 1/2 -N n --verify")
-    print(f"{'n':>14} {'seconds':>8} {'peak MB':>8} {'file bytes':>11}")
+    print(f"Python {sys.version.split()[0]}; construct --delta 1/2 -N n [--verify]")
+    print(f"{'n':>14} {'verify':>6} {'seconds':>8} {'peak MB':>8} {'file bytes':>11}")
     code, seconds, peak = run([sys.executable, "-c", "pass"])
-    print(f"{'python -c pass':>14} {seconds:>8.2f} {peak:>8.1f} {'':>11}", flush=True)
+    print(f"{'python -c pass':>14} {'':>6} {seconds:>8.2f} {peak:>8.1f} {'':>11}", flush=True)
     failed = [] if code == 0 else ["python -c pass"]
     with tempfile.TemporaryDirectory() as work:
         for n in COUNTS:
             out = Path(work) / f"family_{n}.jsonl"
-            code, seconds, peak = run([sys.executable, "-m", "linepierce.cli", "construct",
-                                       "--delta", "1/2", "-N", str(n), "--out", str(out),
-                                       "--verify"])
-            size = out.stat().st_size if out.exists() else 0
-            print(f"{n:>14} {seconds:>8.2f} {peak:>8.1f} {size:>11}", flush=True)
-            if code != 0:
-                failed.append(f"N = {n} exited {code}")
+            for flags in ([], ["--verify"]):
+                code, seconds, peak = run([sys.executable, "-m", "linepierce.cli", "construct",
+                                           "--delta", "1/2", "-N", str(n), "--out", str(out),
+                                           *flags])
+                size = out.stat().st_size if out.exists() else 0
+                verify = "yes" if flags else "no"
+                print(f"{n:>14} {verify:>6} {seconds:>8.2f} {peak:>8.1f} {size:>11}", flush=True)
+                if code != 0:
+                    failed.append(" ".join([f"N = {n}", *flags, f"exited {code}"]))
     if failed:
         print(f"failed: {', '.join(failed)}")
         return 1
