@@ -99,7 +99,9 @@ class _LevelCursor:
 
     ``cands[i]`` lists the (at most two) allowed intervals over point i in
     increasing order; ``reach[p]`` counts the points below the right end of
-    an interval p over some point, one past the last point p holds.  After
+    an interval p over some point, one past the last point p holds.
+    ``need[i]`` counts the greedy picks that cover the points from i on, more
+    than any slot count when one of them has no candidate.  After
     ``__init__`` the walk does no rational arithmetic.
     """
 
@@ -114,18 +116,19 @@ class _LevelCursor:
         for i, ps in enumerate(self.cands):
             for p in ps:
                 self.reach[p] = i + 1
+        self.need = [0] * (len(excluded) + 1)
+        for i in reversed(range(len(excluded))):
+            ps = self.cands[i]
+            self.need[i] = self.need[self.reach[ps[-1]]] + 1 if ps else self.size + 1
 
     def _coverable(self, low: int, floor: int, slots: int) -> bool:
         """Can at most ``slots`` picks >= floor cover the points from index
         ``low`` on?  Greedily, the lowest uncovered point takes its rightmost
-        candidate, which covers every point below its right end."""
-        while low < len(self.cands):
-            options = self.cands[low]
-            if not options or options[-1] < floor or slots == 0:
-                return False
-            slots -= 1
-            low = self.reach[options[-1]]
-        return True
+        candidate, which covers every point below its right end.  Only that
+        chain's first pick can fall below floor: each later pick is over a
+        point at or past the right end of the one before, and as the
+        intervals are equally long, its index is higher."""
+        return low == len(self.cands) or self.need[low] <= slots and self.cands[low][-1] >= floor
 
     def _least_pick(self, low: int, floor: int, slots_after: int) -> tuple[int, int] | None:
         """Least pick >= floor after which the later slots can still cover
@@ -173,39 +176,33 @@ class _LevelCursor:
 
 
 class SupportAssigner:
-    """First-fit assignment of supports from the canonical enumeration.
+    """First-fit supports of approach sequence m, from the canonical enumeration.
 
     The enumeration runs over cover levels 1, 2, ... and within a level over
-    pick multisets in lexicographic order.  For the m-th base rational the
-    valid sets are those containing it and excluding all earlier base
-    rationals; distinct multisets denoting the same point set are assigned
-    only once.
+    pick multisets in lexicographic order.  The valid sets are those
+    containing the m-th base rational and excluding all earlier ones;
+    distinct multisets denoting the same point set are assigned only once.
     """
 
-    def __init__(self, delta: Fraction):
-        if not (0 < delta < 1):
-            raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
-        self.delta = delta
-        self._walks: dict[int, Iterator[IntervalSet]] = {}
+    def __init__(self, delta: Fraction, m: int):
+        self._supports = self._walk(delta, m)
 
-    def _walk(self, m: int) -> Iterator[IntervalSet]:
+    @staticmethod
+    def _walk(delta: Fraction, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
         excluded = sorted(_Q0[: m - 1])
         seen: set[IntervalSet] = set()
         for level in count(1):
-            cover = make_cover(self.delta, level)
+            cover = make_cover(delta, level)
             for combo in _LevelCursor(cover, target, excluded).walk():
                 support = remove_intervals(cover, combo)
                 if support not in seen:  # hashed as ints
                     seen.add(support)
                     yield support
 
-    def assign(self, m: int) -> IntervalSet:
-        """Next unassigned support for approach sequence m."""
-        walk = self._walks.get(m)
-        if walk is None:
-            walk = self._walks[m] = self._walk(m)
-        return next(walk)
+    def assign(self) -> IntervalSet:
+        """Next unassigned support of the approach."""
+        return next(self._supports)
 
 
 class ConvexBody(Record):
@@ -291,13 +288,12 @@ class FamilyStream:
     """Lazy deterministic emission of bodies, read once, forward.
 
     Emission f takes its approach sequence m = m_of(f), as q the first value
-    of m's dyadic approach not emitted before, and as support the next
-    ``SupportAssigner.assign(m)``.  ``bodies`` yields every emission in
+    of m's dyadic approach not emitted before, and as support the next one
+    of approach m's ``SupportAssigner``.  ``bodies`` yields every emission in
     order, once per stream, with None for a body whose base rational r_m the
-    caller skips; its support is never built.  Skipping depends on m alone
-    and is decided once, when approach m opens, so each approach is either
-    skipped whole or built in order, and every body read takes the support a
-    full read gives it.
+    caller skips.  Skipping depends on m alone and is decided once, when
+    approach m opens: a skipped approach opens no assigner and builds no
+    support, and every body read takes the support a full read gives it.
 
     The (m, n) emission order is dovetailed by m+n then m, so every approach
     sequence is revisited infinitely often; the tilt index of a body is its
@@ -306,9 +302,11 @@ class FamilyStream:
     """
 
     def __init__(self, delta: Fraction):
-        self._assigner = SupportAssigner(delta)  # rejects a delta outside (0,1)
-        # entry m - 1: approach m's values and whether its r_m is skipped
-        self._approaches: list[tuple[Iterator[tuple[int, int]], bool]] = []
+        if not (0 < delta < 1):
+            raise ValueError(f"delta must lie in (0,1), got {format_rational(delta)}")
+        self._delta = delta
+        # entry m - 1: approach m's values and its assigner, None when r_m is skipped
+        self._approaches: list[tuple[Iterator[tuple[int, int]], SupportAssigner | None]] = []
         # the emitted q values as pairs, one per emission; the name is kept
         # because the benchmark tracer counts emissions as len(_bodies)
         self._bodies: set[tuple[int, int]] = set()
@@ -319,13 +317,14 @@ class FamilyStream:
         m = m_of(f)
         if m > len(self._approaches):  # round m opens approach m as its last visit
             target = enumerate_Q0(m)
-            self._approaches.append((dyadic_approach(target), target in skip))
-        values, skipped = self._approaches[m - 1]
+            assigner = None if target in skip else SupportAssigner(self._delta, m)
+            self._approaches.append((dyadic_approach(target), assigner))
+        values, assigner = self._approaches[m - 1]
         q = next(v for v in values if v not in self._bodies)
         self._bodies.add(q)
-        if skipped:
+        if assigner is None:
             return None
-        return ConvexBody(q=Fraction(*q), f_index=f, support=self._assigner.assign(m))
+        return ConvexBody(q=Fraction(*q), f_index=f, support=assigner.assign())
 
     def bodies(self, skip: Container[Fraction] = ()) -> Iterator[ConvexBody | None]:
         """Every emission in order, None for a body whose r_m is in skip."""

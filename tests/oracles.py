@@ -122,6 +122,20 @@ def fraction_schedule() -> Iterator[tuple[int, int, Fraction]]:
             yield len(emitted), m, q
 
 
+def greedy_coverable(cursor, low: int, floor: int, slots: int) -> bool:
+    """``_LevelCursor._coverable`` by walking the greedy chain over the
+    cursor's ``cands`` and ``reach``: the lowest uncovered point takes its
+    rightmost candidate, which covers every point below its right end, until
+    no point is left, or a point has no candidate >= floor, or no slot is."""
+    while low < len(cursor.cands):
+        options = cursor.cands[low]
+        if not options or options[-1] < floor or slots == 0:
+            return False
+        slots -= 1
+        low = cursor.reach[options[-1]]
+    return True
+
+
 def pieces(s) -> list[tuple[Fraction, Fraction]]:
     """The closed pieces of an ``IntervalSet`` or a ``FractionSet`` as
     (lo, hi) pairs, in order."""

@@ -684,7 +684,7 @@ class TestVerifyRefutation:
         lines, out = tmp_path / "lines.jsonl", tmp_path / "r.json"
         write_lines(lines, [ruling_line_x(F(0)), ruling_line_x(F(1))])
         lacking = interval_set([(F(1, 8), F(3, 8)), (F(5, 8), F(7, 8))])
-        monkeypatch.setattr(SupportAssigner, "assign", lambda self, m: lacking)
+        monkeypatch.setattr(SupportAssigner, "assign", lambda self: lacking)
         assert main(["refute", "--delta", "1/2", "--lines", str(lines), "--out", str(out),
                      "--verify"]) == 5
         assert json.loads(out.read_text())["emission_index"] == 6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from decimal import Decimal
 from fractions import Fraction as F
@@ -27,6 +28,7 @@ from oracles import (
     FractionSet,
     base_rationals,
     fraction_schedule,
+    greedy_coverable,
     interval_set,
     open_span,
     pieces,
@@ -162,44 +164,44 @@ class TestSupportAssigner:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_matches_brute_force_enumeration(self, m):
         delta = F(1, 2)
-        assigner = SupportAssigner(delta)
+        assigner = SupportAssigner(delta, m)
         want = first_fit_oracle(delta, m, 8)
-        got = [pieces(assigner.assign(m)) for _ in range(8)]
+        got = [pieces(assigner.assign()) for _ in range(8)]
         assert got == want
 
     def test_matches_brute_force_across_level_bump(self):
         # the ninth valid set for m=2 forces the move from level 1 to level 2
         delta = F(1, 2)
-        assigner = SupportAssigner(delta)
+        assigner = SupportAssigner(delta, 2)
         want = first_fit_oracle(delta, 2, 40)
-        got = [pieces(assigner.assign(2)) for _ in range(40)]
+        got = [pieces(assigner.assign()) for _ in range(40)]
         assert got == want
         levels = {len(s) for s in got}
         assert len(levels) > 1  # sets from both cover levels appear
 
     def test_first_set_for_m1_starts_at_zero(self):
-        s = SupportAssigner(F(1, 2)).assign(1)
+        s = SupportAssigner(F(1, 2), 1).assign()
         assert s.contains(F(0))
         assert s.points[0] == F(0)
 
     def test_m3_membership_constraints(self):
-        assigner = SupportAssigner(F(1, 2))
+        assigner = SupportAssigner(F(1, 2), 3)
         for _ in range(6):
-            s = assigner.assign(3)
+            s = assigner.assign()
             assert s.contains(F(1, 2))
             assert not s.contains(F(0))
             assert not s.contains(F(1))
 
     def test_distinct_values_get_distinct_sets(self):
-        assigner = SupportAssigner(F(1, 2))
-        sets = [assigner.assign(2) for _ in range(29)]
+        assigner = SupportAssigner(F(1, 2), 2)
+        sets = [assigner.assign() for _ in range(29)]
         assert len(set(sets)) == len(sets)
 
     def test_measure_bound(self):
-        assigner = SupportAssigner(F(3, 4))
         for m in (1, 2, 3, 5, 8):
+            assigner = SupportAssigner(F(3, 4), m)
             for _ in range(4):
-                s = assigner.assign(m)
+                s = assigner.assign()
                 assert s.measure() >= F(3, 4)
 
 
@@ -248,6 +250,43 @@ class TestLevelCursorWalk:
         cover = make_cover(delta, level)
         got = list(_LevelCursor(cover, target, sorted(excluded)).walk())
         assert got == list(valid_multisets_oracle(delta, level, target, excluded))
+
+    @settings(max_examples=200)
+    @given(
+        delta=st.sampled_from([F(1, 3), F(1, 2), F(2, 7), F(9, 10)]),
+        level=st.integers(1, 4),
+        target=unit_rationals,
+        excluded=st.lists(unit_rationals, max_size=12),
+    )
+    # the target is an excluded point, which then has no candidate
+    @example(delta=F(1, 2), level=2, target=F(1, 2), excluded=[F(1, 8), F(1, 2), F(7, 8)])
+    # twelve points spread over [0,1] need more picks than level 1 has
+    @example(delta=F(1, 2), level=1, target=F(0), excluded=[F(k, 12) for k in range(1, 13)])
+    def test_coverable_matches_the_greedy_chain(self, delta, level, target, excluded):
+        cover = make_cover(delta, level)
+        cursor = _LevelCursor(cover, target, sorted(excluded))
+        for low in range(len(excluded) + 1):
+            for floor in range(cover.size + 1):
+                for slots in range(cursor.size + 1):
+                    want = greedy_coverable(cursor, low, floor, slots)
+                    assert cursor._coverable(low, floor, slots) == want, (low, floor, slots)
+
+    # sha256 of a "m level combo" line for each of the first 500 multisets of
+    # each cursor, m <= 40 and levels 1-3, as the walk yielded them when its
+    # feasibility test walked the greedy chain per query
+    @pytest.mark.parametrize("delta, digest", [
+        (F(1, 2), "de458e3d69075e1eed82774154ed416bf2e1c23d0b64f89c590a3fc6f4175bc1"),
+        (F(2, 7), "129c7bbd5a7c8d96961ec58c75743620856afc629d55767e2b0e06b2768d4996"),
+    ], ids=["1/2", "2/7"])
+    def test_walk_order_is_pinned(self, delta, digest):
+        walked = hashlib.sha256()
+        for m in range(1, 41):
+            target, excluded = enumerate_Q0(m), sorted(map(enumerate_Q0, range(1, m)))
+            for level in (1, 2, 3):
+                cursor = _LevelCursor(make_cover(delta, level), target, excluded)
+                for combo in islice(cursor.walk(), 500):
+                    walked.update(f"{m} {level} {combo}\n".encode())
+        assert walked.hexdigest() == digest
 
     def test_deep_level_does_not_recurse(self):
         # 1024 picks: a walk that recursed once per pick would pass
@@ -493,7 +532,7 @@ SLAB = ConvexBody(q=F(1, 2), f_index=1, support=interval_set([(F(1, 2), F(1))]))
     (lambda: IntervalSet(1, (0, 1)).gap_around(TINY), TINY),
     (lambda: SLAB.lower_envelope(TINY), TINY),
     (lambda: make_cover(1 + TINY, 1), 1 + TINY),
-    (lambda: SupportAssigner(1 + TINY), 1 + TINY),
+    (lambda: SupportAssigner(1 + TINY, 1).assign(), 1 + TINY),
     (lambda: FamilyStream(-TINY), -TINY),
     (lambda: next(dyadic_approach(1 + TINY)), 1 + TINY),
 ], ids=["from_pairs", "gap_around", "lower_envelope", "make_cover", "assigner",

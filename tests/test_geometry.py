@@ -221,6 +221,25 @@ class TestSympyOracle:
             seen[len(want)] += 1
         assert all(seen.values()), seen
 
+    def test_crossing_points_lie_on_the_surface_and_the_line(self):
+        # each point P solves z = x*y, and P - base is parallel to dir: their
+        # cross product vanishes, all checked in sympy's exact arithmetic
+        rng = random.Random(97)
+        lines = [random_line(rng) for _ in range(200)]
+        lines += [tangent_line(rng) for _ in range(50)]
+        lines += [line_through_surface_point(rng) for _ in range(60)]
+        crossings = 0
+        for line in lines:
+            base = sympy.Matrix([sym(c) for c in (line.base.x, line.base.y, line.base.z)])
+            direction = sympy.Matrix([sym(c) for c in line.dir])
+            for p in line_surface_intersection(line).points:
+                x, y, z = (sym(c) for c in (p.x, p.y, p.z))
+                assert sympy.expand(x * y - z) == 0
+                offset = sympy.Matrix([x, y, z]) - base
+                assert offset.cross(direction).expand() == sympy.zeros(3, 1)
+                crossings += 1
+        assert crossings > 200
+
 
 def lift(q, eps, u, w) -> Point3:
     """The chart point (u, w) on the plane y = q + eps*x."""

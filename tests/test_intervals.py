@@ -576,8 +576,8 @@ def test_support_walk_hashes_no_fraction(monkeypatch):
     hashed = []
     real = F.__hash__
     monkeypatch.setattr(F, "__hash__", lambda x: hashed.append(x) or real(x))
-    assigner = SupportAssigner(F(1, 2))
-    supports = [assigner.assign(m_of(f)) for f in range(1, 301)]
+    assigners = [SupportAssigner(F(1, 2), m) for m in range(1, m_of(300) + 1)]
+    supports = [assigners[m_of(f) - 1].assign() for f in range(1, 301)]
     assert len(set(supports)) == 300 and hashed == []
     assert hash(F(1, 3)) and hashed == [F(1, 3)]  # the count does see a hash
 

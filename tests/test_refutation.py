@@ -706,10 +706,14 @@ class TestRefute:
         # about it.  The pool is reversed so that list order alone decides
         # nothing
         pool = [ruling_line_x(enumerate_Q0(m)) for m in range(k, 0, -1)]
-        built, asked = [], []
-        assign = SupportAssigner.assign
+        opened, built, asked = [], [], []
+        init, assign = SupportAssigner.__init__, SupportAssigner.assign
         monkeypatch.setattr(
-            SupportAssigner, "assign", lambda self, m: built.append(m) or assign(self, m)
+            SupportAssigner, "__init__",
+            lambda self, delta, m: opened.append(m) or init(self, delta, m),
+        )
+        monkeypatch.setattr(
+            SupportAssigner, "assign", lambda self: built.append(self) or assign(self)
         )
 
         def counting(cls, body):
@@ -720,7 +724,7 @@ class TestRefute:
         outcome = refute(pool, FamilyStream(F(1, 2)), 10_000)
         witness = outcome.witness.f_index
         assert witness == (k + 1) * (k + 2) // 2  # the first body of m = k + 1
-        assert built == [k + 1]
+        assert opened == [k + 1] and len(built) == 1
         assert set(asked) == {witness}
 
     @pytest.mark.parametrize("pool, witness", [

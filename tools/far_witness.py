@@ -1,4 +1,5 @@
-"""Far witnesses: refute the first K base-rational x-rulings, K = 40 to 400.
+"""Far witnesses: refute the first K base-rational x-rulings, K = 40 to 400,
+and the next K after them, K = 100 and 200.
 
 Usage:
 
@@ -11,6 +12,13 @@ Each K runs in a child process of its own, which imports the package from
 ``src``, times ``refute`` on a fresh stream at delta 1/2 and reports its
 own peak resident size (``RUSAGE_SELF``; kilobytes on Linux), so no scan
 inherits another's memory.  One line is printed per K.
+
+A far-scan table does the same for the pools x = r_(K+1) ... r_2K, K = 100
+and 200.  They pierce every body of approaches K + 1 to 2K by construction,
+but not those of approaches 1 to K, so ``refute`` builds and checks the
+support of each of those on its way to the witness: the first body of
+approach 2K + 1, at emission (2K+1)(2K+2)/2, whose support holds none of
+r_1 ... r_2K.
 
 A second table times the whole ``refute --verify`` command, report
 rendering and read-back included, in a child process per K for K = 27 (the
@@ -39,6 +47,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 KS = (40, 100, 200, 400)
+SCAN_KS = (100, 200)
 COMMAND_KS = (27, 40, 100, 200)
 STARTS = 5
 BUDGET = 100_000
@@ -51,8 +60,8 @@ from linepierce.family import FamilyStream, enumerate_Q0
 from linepierce.geometry import ruling_line_x
 from linepierce.refutation import refute
 
-k, budget = int(sys.argv[1]), int(sys.argv[2])
-pool = [ruling_line_x(enumerate_Q0(m)) for m in range(1, k + 1)]
+first, last, budget = (int(arg) for arg in sys.argv[1:])
+pool = [ruling_line_x(enumerate_Q0(m)) for m in range(first, last + 1)]
 start = time.perf_counter()
 outcome = refute(pool, FamilyStream(Fraction(1, 2)), budget)
 seconds = time.perf_counter() - start
@@ -64,12 +73,28 @@ print(json.dumps({
 """
 
 
-def run(k: int) -> dict:
-    done = subprocess.run([sys.executable, "-c", CHILD, str(k), str(BUDGET)], env=ENV,
-                          capture_output=True, text=True, timeout=TIMEOUT_S)
+def run(first: int, last: int) -> dict:
+    """``refute`` on the x-rulings through r_first ... r_last, in a child."""
+    done = subprocess.run([sys.executable, "-c", CHILD, str(first), str(last), str(BUDGET)],
+                          env=ENV, capture_output=True, text=True, timeout=TIMEOUT_S)
     if done.returncode != 0:
-        raise RuntimeError(f"K = {k}: child exited {done.returncode}: {done.stderr[-500:]}")
+        raise RuntimeError(f"r_{first} ... r_{last}: child exited {done.returncode}: "
+                           f"{done.stderr[-500:]}")
     return json.loads(done.stdout)
+
+
+def witness_table(pools) -> list[str]:
+    """One line per (K, first, last, predicted witness); the pools whose
+    witness is not the predicted one."""
+    print(f"{'K':>5} {'witness':>9} {'predicted':>9} {'seconds':>8} {'peak MB':>8}")
+    wrong = []
+    for k, first, last, predicted in pools:
+        result = run(first, last)
+        print(f"{k:>5} {result['witness']!s:>9} {predicted:>9} "
+              f"{result['seconds']:>8.2f} {result['peak_mb']:>8.1f}", flush=True)
+        if result["witness"] != predicted:
+            wrong.append(f"r_{first} ... r_{last}")
+    return wrong
 
 
 def write_pool(k: int, path: Path) -> None:
@@ -115,15 +140,9 @@ def start_up(code: str) -> float:
 
 def main() -> int:
     print(f"Python {sys.version.split()[0]}; first K base-rational x-rulings, delta 1/2")
-    print(f"{'K':>5} {'witness':>9} {'predicted':>9} {'seconds':>8} {'peak MB':>8}")
-    wrong = []
-    for k in KS:
-        predicted = (k + 1) * (k + 2) // 2
-        result = run(k)
-        print(f"{k:>5} {result['witness']!s:>9} {predicted:>9} "
-              f"{result['seconds']:>8.2f} {result['peak_mb']:>8.1f}", flush=True)
-        if result["witness"] != predicted:
-            wrong.append(k)
+    wrong = witness_table((k, 1, k, (k + 1) * (k + 2) // 2) for k in KS)
+    print("\nfar scan: x-rulings r_(K+1) ... r_2K, delta 1/2")
+    wrong += witness_table((k, k + 1, 2 * k, (2 * k + 1) * (2 * k + 2) // 2) for k in SCAN_KS)
     print(f"\nwhole refute --verify command\n{'K':>5} {'seconds':>8} {'peak MB':>8} {'report bytes':>13}")
     for code in ("pass", "import linepierce.cli"):
         print(f"{'':>5} {start_up(code):>8.3f}  python -c {code!r}, median of {STARTS}",
@@ -134,7 +153,7 @@ def main() -> int:
             print(f"{k:>5} {result['seconds']:>8.2f} {result['peak_mb']:>8.1f} "
                   f"{result['report_bytes']:>13}", flush=True)
     if wrong:
-        print(f"witness not at (K+1)(K+2)/2 for K = {wrong}")
+        print(f"witness not at the predicted emission for {', '.join(wrong)}")
         return 1
     return 0
 
