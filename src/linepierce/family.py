@@ -137,8 +137,10 @@ class _LevelCursor:
         or a candidate of the lowest uncovered point: any other feasible pick
         covers no uncovered point and leaves the later slots fewer indices."""
         j = bisect_left(self.allowed, floor)
+        if j == len(self.allowed):  # every candidate is an allowed index
+            return None
         over = self.cands[low] if low < len(self.cands) else []
-        for p in sorted({*self.allowed[j : j + 1], *(p for p in over if p >= floor)}):
+        for p in (self.allowed[j], *(c for c in over if c > self.allowed[j])):
             rest = self.reach[p] if p in over else low
             if self._coverable(rest, p, slots_after):
                 return p, rest
@@ -175,14 +177,40 @@ class _LevelCursor:
                 return
 
 
-class SupportAssigner:
-    """First-fit supports of approach sequence m, from the canonical enumeration.
+def _first_of_its_support(cover: CoverSpec, combo: tuple[int, ...]) -> bool:
+    """Is the multiset the first, lowest level first, then lexicographic, to
+    give its support, on which alone validity depends?  In units of step
+    interval p is (p-1, p+1): the support fixes the distinct picks, but
+    ``last`` adds nothing to ``last - 1`` when last*step > 1, so the first
+    (a) repeats only its least pick and (b) holds not both.  (c) As level
+    L-1's p is level L's 2p-1..2p+1, level L-1 gives the support when each
+    cut (start-1, end+1) of a run of picks ends even or outside [0,1] and
+    the coarse runs, none empty, total n <= 2^(L-1) picks.  A lower level
+    gives it only if L-1 does: its cut ends are even too, and halving the
+    step takes a gap's k picks to 2k + 1, 2k at 0, >= 2k - 1 at 1: 2n - 1 <= 2^L."""
+    picks = combo[combo.count(combo[0]) - 1 :]  # the least pick once, then the rest
+    sn, sd = cover.step.as_integer_ratio()
+    last = cover.size - 1
+    if len(set(picks)) < len(picks) or last * sn > sd and picks[-2:] == (last - 1, last):
+        return False  # (a) or (b)
+    cuts = [picks[0] - 1 if picks[0] else -2]  # coarse interval 0 holds 0
+    if cover.level == 1 or cuts[0] % 2:  # (c), at the first odd cut end: the support is new
+        return True
+    for p, q in zip(picks, picks[1:]):
+        if q > p + 1:
+            if not p & q & 1:  # p + 1 or q - 1 is odd
+                return True
+            cuts += (p + 1, q - 1)
+    end = picks[-1] + 1  # past 1, the coarse run ends at the least end past 1, after a pick
+    cuts.append(max(2 * (sd // (2 * sn) + 1), cuts[-1] + 4) if end * sn > sd else end)
+    runs = [(b - a) // 2 - 1 for a, b in zip(cuts[::2], cuts[1::2])]
+    return cuts[-1] % 2 == 1 or 0 in runs or sum(runs) > 2 ** (cover.level - 1)
 
-    The enumeration runs over cover levels 1, 2, ... and within a level over
-    pick multisets in lexicographic order.  The valid sets are those
-    containing the m-th base rational and excluding all earlier ones;
-    distinct multisets denoting the same point set are assigned only once.
-    """
+
+class SupportAssigner:
+    """First-fit supports of approach sequence m: the point sets of the valid
+    pick multisets, those holding r_m and none of r_1 ... r_(m-1), in the
+    order of their first multisets, level by level, lexicographic in one."""
 
     def __init__(self, delta: Fraction, m: int):
         self._supports = self._walk(delta, m)
@@ -191,14 +219,11 @@ class SupportAssigner:
     def _walk(delta: Fraction, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
         excluded = sorted(_Q0[: m - 1])
-        seen: set[IntervalSet] = set()
         for level in count(1):
             cover = make_cover(delta, level)
             for combo in _LevelCursor(cover, target, excluded).walk():
-                support = remove_intervals(cover, combo)
-                if support not in seen:  # hashed as ints
-                    seen.add(support)
-                    yield support
+                if _first_of_its_support(cover, combo):
+                    yield remove_intervals(cover, combo)
 
     def assign(self) -> IntervalSet:
         """Next unassigned support of the approach."""

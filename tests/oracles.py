@@ -14,9 +14,9 @@ from itertools import count, islice
 from math import lcm
 
 from linepierce.exactnum import QuadExt, format_rational
-from linepierce.family import ConvexBody, FamilyStream
+from linepierce.family import ConvexBody, FamilyStream, _LevelCursor, enumerate_Q0
 from linepierce.geometry import Line3, Point3
-from linepierce.intervals import IntervalSet
+from linepierce.intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
 
 def prefix(delta: Fraction, n: int) -> list[ConvexBody]:
@@ -134,6 +134,31 @@ def greedy_coverable(cursor, low: int, floor: int, slots: int) -> bool:
         slots -= 1
         low = cursor.reach[options[-1]]
     return True
+
+
+def stored_decisions(delta: Fraction, m: int) -> Iterator[tuple[CoverSpec, tuple[int, ...], bool]]:
+    """Each valid multiset of approach m with its cover, level by level, and
+    whether it is the first to give its support, as ``SupportAssigner``
+    decided it when it stored every support it had yielded: each multiset
+    of the package's ``_LevelCursor`` is cut by ``remove_intervals`` and
+    its support looked up among the earlier ones.  It checks the assigner's
+    test on the multiset alone, which stores nothing, against that store."""
+    target = enumerate_Q0(m)
+    excluded = sorted(map(enumerate_Q0, range(1, m)))
+    seen: set[IntervalSet] = set()
+    for level in count(1):
+        cover = make_cover(delta, level)
+        for combo in _LevelCursor(cover, target, excluded).walk():
+            support = remove_intervals(cover, combo)
+            yield cover, combo, support not in seen
+            seen.add(support)
+
+
+def stored_support_walk(delta: Fraction, m: int) -> Iterator[IntervalSet]:
+    """The supports of approach m that ``stored_decisions`` keeps, in order."""
+    for cover, combo, first in stored_decisions(delta, m):
+        if first:
+            yield remove_intervals(cover, combo)
 
 
 def pieces(s) -> list[tuple[Fraction, Fraction]]:

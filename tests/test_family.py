@@ -13,6 +13,7 @@ from linepierce.family import (
     FamilyStream,
     SupportAssigner,
     _LevelCursor,
+    _first_of_its_support,
     body_from_record,
     body_to_record,
     dyadic_approach,
@@ -33,6 +34,8 @@ from oracles import (
     open_span,
     pieces,
     prefix,
+    stored_decisions,
+    stored_support_walk,
 )
 
 
@@ -203,6 +206,27 @@ class TestSupportAssigner:
             for _ in range(4):
                 s = assigner.assign()
                 assert s.measure() >= F(3, 4)
+
+    # every kind of repeat shows here: a repeated pick at each delta, a
+    # redundant last interval at 2/7 and 5/11, and a lower level's support
+    # at levels 2 and 3
+    @pytest.mark.parametrize("delta", [F(1, 2), F(1, 3), F(2, 7), F(5, 11), F(9, 10)], ids=str)
+    def test_matches_the_stored_walk(self, delta):
+        for m in range(1, 41):
+            assigner = SupportAssigner(delta, m)
+            got = [assigner.assign() for _ in range(200)]
+            assert got == list(islice(stored_support_walk(delta, m), 200)), m
+
+    # whole levels 1 and 2 reach multisets past the first 200 supports, such
+    # as (2, 3, 4, 5) of m = 1, whose cut (1, 6) starts odd; at 9/10 level 2
+    # has 81 intervals, and millions of multisets
+    @pytest.mark.parametrize("delta", [F(1, 2), F(1, 3), F(2, 7), F(5, 11)], ids=str)
+    def test_decides_as_the_stored_walk_over_whole_levels(self, delta):
+        for m in (1, 2, 3):
+            for cover, combo, first in stored_decisions(delta, m):
+                if cover.level > 2:
+                    break
+                assert _first_of_its_support(cover, combo) == first, (m, combo)
 
 
 def valid_multisets_oracle(delta, level, target, excluded):

@@ -573,13 +573,16 @@ class TestIntegerQueries:
 
 
 def test_support_walk_hashes_no_fraction(monkeypatch):
+    # nor any support: the walk keeps none of those it has yielded
     hashed = []
-    real = F.__hash__
-    monkeypatch.setattr(F, "__hash__", lambda x: hashed.append(x) or real(x))
+    for cls in (F, IntervalSet):
+        real = cls.__hash__
+        monkeypatch.setattr(cls, "__hash__", lambda x, real=real: hashed.append(x) or real(x))
     assigners = [SupportAssigner(F(1, 2), m) for m in range(1, m_of(300) + 1)]
     supports = [assigners[m_of(f) - 1].assign() for f in range(1, 301)]
-    assert len(set(supports)) == 300 and hashed == []
-    assert hash(F(1, 3)) and hashed == [F(1, 3)]  # the count does see a hash
+    assert hashed == []
+    assert len(set(supports)) == 300 and len(hashed) == 300  # the count does see a support's hash
+    assert hash(F(1, 3)) and hashed[-1] == F(1, 3)  # and a fraction's
 
 
 # three supports over five distinct endpoint strings
