@@ -30,6 +30,7 @@ from .family import (
     body_from_record,
     body_to_record,
     membership_fault,
+    record_line,
 )
 from .geometry import Line3, line_from_record, line_to_record, ruling_line_x
 from .intervals import deep_witness
@@ -152,8 +153,7 @@ def cmd_construct(args) -> int:
     bodies = islice(FamilyStream(args.delta).bodies(), args.count)
     if args.verify:  # kept to compare with the bodies the file reads back as
         bodies = list(bodies)
-    _write(args.out, (json.dumps(body_to_record(b), sort_keys=True, separators=(",", ":")) + "\n"
-                      for b in bodies))
+    _write(args.out, map(record_line, map(body_to_record, bodies)))
     if args.verify:
         with _reading_back(args.out):
             reloaded = load_family(args.out)

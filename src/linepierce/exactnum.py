@@ -41,6 +41,18 @@ def _digits_of(n: int) -> str:
         return str(Decimal(n))
 
 
+def rational_digits(text: str) -> tuple[str, str]:
+    """The numerator's and denominator's digits of a text in the grammar of
+    ``parse_rational``, which raises its ValueErrors here; "1" for no "/"."""
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"expected a 'num/den' string, got {text!r}")
+    num, den = match[1], match[2] or "1"
+    if not den.strip("0"):
+        raise ValueError(f"zero denominator in {text!r}")
+    return num, den
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a bare integer into a Fraction.
 
@@ -49,14 +61,8 @@ def parse_rational(text: str) -> Fraction:
     an exponent or a decimal point included, raises ValueError.  Numbers of
     any length are read, at a cost at most quadratic in the text's length.
     """
-    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
-    if match is None:
-        raise ValueError(f"expected a 'num/den' string, got {text!r}")
-    num, den = match.groups()
-    try:
-        return Fraction(_int_from_digits(num), _int_from_digits(den or "1"))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+    num, den = rational_digits(text)
+    return Fraction(_int_from_digits(num), _int_from_digits(den))
 
 
 def parse_integer(text: str) -> int:

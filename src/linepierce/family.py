@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Container, Iterator
+from decimal import MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, repeat
 from math import gcd, isqrt
 from numbers import Rational
 
-from .exactnum import Record, format_rational, parse_rational
+from .exactnum import Record, format_rational, parse_rational, rational_digits
 from .geometry import Point3
 from .intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
@@ -44,6 +45,22 @@ def enumerate_Q0(n: int) -> Fraction:
 def tilt_exponent(n: int) -> int:
     """k with eps_of(n) = 2^-k: the n-th tilt 4^-(n+2) is 2^-(2n+4)."""
     return 2 * n + 4
+
+
+# exact at any length: a Decimal renders and reads digits in linear time
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_PREC, traps=[Inexact])
+# (k, 2^k) of the last tilt denominator asked for, replaced whole
+_last_power: tuple[int, Decimal] = (0, Decimal(1))
+
+
+def _power_of_two(k: int) -> Decimal:
+    """2^k as an exact Decimal.  Each tilt is 4 times the one before, so a
+    power at or above the last one asked for is that one times 2^(k - k0):
+    bodies in order cost one multiply each, not a base conversion."""
+    global _last_power
+    k0, value = _last_power if _last_power[0] <= k else (0, Decimal(1))
+    _last_power = (k, _EXACT.multiply(value, _EXACT.power(2, k - k0)))
+    return _last_power[1]
 
 
 def eps_of(n: int) -> Fraction:
@@ -386,9 +403,18 @@ def body_to_record(body: ConvexBody) -> dict:
         "q": format_rational(body.q),
         "m": body.m,
         "f": body.f_index,
-        "eps": format_rational(body.eps),
+        "eps": "1/" + str(_power_of_two(body.k)),
         "support": body.support.to_pairs(),
     }
+
+
+def record_line(record: dict) -> str:
+    """A ``body_to_record`` record as one line, exactly ``json.dumps(record,
+    sort_keys=True, separators=(",", ":")) + "\n"``: its support is nonempty, and
+    its strings are ``format_rational`` texts of 0-9, '-' and '/', never escaped."""
+    support = '"],["'.join(map('","'.join, record["support"]))
+    return (f'{{"eps":"{record["eps"]}","f":{record["f"]},"m":{record["m"]},'
+            f'"q":"{record["q"]}","support":[["{support}"]]}}\n')
 
 
 def _integer_field(record: dict, key: str) -> int:
@@ -403,16 +429,19 @@ def body_from_record(record: dict) -> ConvexBody:
         q = parse_rational(record["q"])
         m = _integer_field(record, "m")
         f = _integer_field(record, "f")
-        eps = parse_rational(record["eps"])
+        num, den = rational_digits(record["eps"])
         support = IntervalSet.from_strings(record["support"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed body record: {exc}") from exc
-    # eps_of(f) is 2^-tilt_exponent(f): check the stated tilt has that shape
-    # before the body computes it, so the work stays bounded by the record's size
-    den = eps.denominator
-    if f < 1 or eps.numerator != 1 or den & (den - 1) or den.bit_length() - 1 != tilt_exponent(f):
+    # eps_of(f) = 2^-k is num/den when den's canonical digits are those of num * 2^k, over
+    # 0.3 * k of them: 2^k is computed only then, so the work stays bounded by the record
+    k = tilt_exponent(f)
+    if f < 1 or 10 * len(den) < 3 * k or den.lstrip("0") != str(
+        _EXACT.multiply(Decimal(num), _power_of_two(k))
+    ):
         raise ValueError(
-            f"tilt mismatch in body record: stated {format_rational(eps)} for f = {f}"
+            f"tilt mismatch in body record: stated "
+            f"{format_rational(parse_rational(record['eps']))} for f = {f}"
         )
     if m != m_of(f):
         raise ValueError(

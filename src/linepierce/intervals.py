@@ -21,9 +21,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import floordiv, le, lt, mul
 
 from .exactnum import Record, format_rational, parse_rational
 
@@ -57,29 +57,32 @@ class IntervalSet(Record):
         leaves gcd 1, and ordered as ints.  The lift is quadratic over
         unrelated denominators, so it is refused, step by step and at linear
         cost, once the endpoint count times the denominator's bits exceeds
-        both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints' own bits.
+        both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints' own bits,
+        which are summed only once it exceeds the first.
         """
-        ratios = [x for pair in pairs for x in pair]
-        nums, dens = [n for n, _ in ratios], [d for _, d in ratios]
-        own = sum(map(int.bit_length, nums)) + sum(map(int.bit_length, dens))
-        limit = max(LIFT_FACTOR * own, LIFT_FLOOR)
-        den = 1
+        ratios = list(chain.from_iterable(pairs))
+        nums, dens = zip(*ratios) if ratios else ((), ())
+        den, own = 1, 0
         for d in set(dens):
             den = lcm(den, d)
-            if len(ratios) * den.bit_length() > limit:
-                raise ValueError(
-                    f"support of {len(ratios)} endpoints of {own} bits does not "
-                    f"lift to one denominator within {limit} bits"
-                )
+            if len(ratios) * den.bit_length() > max(LIFT_FACTOR * own, LIFT_FLOOR):
+                own = own or sum(map(int.bit_length, nums)) + sum(map(int.bit_length, dens))
+                limit = max(LIFT_FACTOR * own, LIFT_FLOOR)
+                if len(ratios) * den.bit_length() > limit:
+                    raise ValueError(
+                        f"support of {len(ratios)} endpoints of {own} bits does not "
+                        f"lift to one denominator within {limit} bits"
+                    )
         ends = tuple(map(mul, nums, map(floordiv, repeat(den), dens)))
-        for j in range(0, len(ends), 2):
+        if all(map(le, ends[::2], ends[1::2])) and all(map(lt, ends[1:-1:2], ends[2::2])):
+            return IntervalSet(den, ends)
+        for j in range(0, len(ends), 2):  # name the first fault
             if ends[j + 1] < ends[j] or j and ends[j] <= ends[j - 1]:
                 lo, hi, prev = (format_rational(Fraction(*ratios[i])) for i in (j, j + 1, j - 1))
                 raise ValueError(
                     f"interval endpoints out of order: [{lo}, {hi}]" if ends[j + 1] < ends[j]
                     else f"interval [{lo}, {hi}] does not start above the previous one's end {prev}"
                 )
-        return IntervalSet(den, ends)
 
     @property
     def points(self) -> tuple[Fraction, ...]:
@@ -132,7 +135,7 @@ class IntervalSet(Record):
     def to_pairs(self) -> list[list[str]]:
         """Each piece as [lo, hi], rendered as ``format_rational``."""
         texts = list(map(_ratio_text, self.ends, repeat(self.den)))
-        return [texts[j : j + 2] for j in range(0, len(texts), 2)]
+        return list(map(list, zip(texts[::2], texts[1::2])))
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
@@ -142,14 +145,15 @@ class IntervalSet(Record):
         Each endpoint is parsed by ``parse_endpoint``, so once per distinct
         string per process; order is checked by ``from_pairs``.
         """
-        if type(pairs) is not list or any(
-            type(p) is not list or len(p) != 2 or type(p[0]) is not str or type(p[1]) is not str
-            for p in pairs
+        if (
+            type(pairs) is not list
+            or set(map(type, pairs)) - {list}
+            or set(map(len, pairs)) - {2}
+            or set(map(type, chain.from_iterable(pairs))) - {str}
         ):
             raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
-        return IntervalSet.from_pairs(
-            (parse_endpoint(lo), parse_endpoint(hi)) for lo, hi in pairs
-        )
+        ratios = list(map(parse_endpoint, chain.from_iterable(pairs)))
+        return IntervalSet.from_pairs(zip(ratios[::2], ratios[1::2]))
 
 
 @lru_cache(maxsize=4096)
@@ -240,7 +244,7 @@ def remove_intervals(cover: CoverSpec, picks) -> IntervalSet:
     sn, sd = cover.step.as_integer_ratio()
     cuts: list[int] = []
     start = end = picks[0]
-    for p in picks:
+    for p in islice(picks, picks.count(start), None):  # past the copies of the least pick
         if p > end + 1:
             cuts += ((start - 1) * sn, (end + 1) * sn)
             start = p

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import count, islice
 from math import lcm
 
-from linepierce.exactnum import QuadExt, format_rational
-from linepierce.family import ConvexBody, FamilyStream, _LevelCursor, enumerate_Q0
+from linepierce.exactnum import QuadExt, format_rational, parse_rational
+from linepierce.family import ConvexBody, FamilyStream, _LevelCursor, enumerate_Q0, tilt_exponent
 from linepierce.geometry import Line3, Point3
 from linepierce.intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
 
@@ -159,6 +159,21 @@ def stored_support_walk(delta: Fraction, m: int) -> Iterator[IntervalSet]:
     for cover, combo, first in stored_decisions(delta, m):
         if first:
             yield remove_intervals(cover, combo)
+
+
+def stated_tilt_fault(text, f: int) -> str | None:
+    """The message ``body_from_record`` gives for a record stating tilt
+    ``text`` at index f, or None if it states eps_of(f) = 2^-(2f+4): the
+    text is read as a ``Fraction``, which must then be 1 over a power of two
+    of that exponent.  Whatever its digits, it costs a quadratic parse."""
+    try:
+        eps = parse_rational(text)
+    except ValueError as exc:
+        return f"malformed body record: {exc}"
+    den = eps.denominator
+    if f < 1 or eps.numerator != 1 or den & (den - 1) or den.bit_length() - 1 != tilt_exponent(f):
+        return f"tilt mismatch in body record: stated {format_rational(eps)} for f = {f}"
+    return None
 
 
 def pieces(s) -> list[tuple[Fraction, Fraction]]:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, islice
@@ -20,6 +22,7 @@ from linepierce.family import (
     enumerate_Q0,
     eps_of,
     m_of,
+    record_line,
 )
 from linepierce.exactnum import format_rational
 from linepierce.geometry import Line3
@@ -34,6 +37,7 @@ from oracles import (
     open_span,
     pieces,
     prefix,
+    stated_tilt_fault,
     stored_decisions,
     stored_support_walk,
 )
@@ -398,6 +402,102 @@ class TestBuildBody:
         assert body_to_record(body)["m"] == 2
         with pytest.raises(ValueError, match="approach mismatch"):
             body_from_record({**body_to_record(body), "m": m})
+
+
+def digits(n: int) -> str:
+    """n in decimal, also past the int-to-str digit limit."""
+    return format_rational(F(n)).removesuffix("/1")
+
+
+@st.composite
+def wide_bodies(draw):
+    """A body whose support's endpoints lie over one 130-bit denominator,
+    with a signed q over it and a tilt index on either side of the 4,300-digit
+    limit, so its record's texts are long and may hold a '-'."""
+    den = draw(st.integers(2**129, 2**130 - 1))
+    ends = sorted(draw(st.sets(st.integers(0, den), min_size=1, max_size=12)))
+    ends += ends[-1:] * (len(ends) % 2)  # an odd count ends in a single point
+    support = interval_set([(F(a, den), F(b, den)) for a, b in zip(ends[::2], ends[1::2])])
+    q = F(draw(st.integers(-den, den)), den)
+    return ConvexBody(q=q, f_index=draw(st.sampled_from([1, 7140, 7141, 7142, 20000])),
+                      support=support)
+
+
+@st.composite
+def stated_tilts(draw):
+    """(f, text): a tilt a record may state for index f, mostly near 2^-(2f+4)
+    and in every form the grammar admits or nearly admits."""
+    f = draw(st.one_of(st.integers(-2, 40), st.sampled_from([7140, 7141, 7142])))
+    power = digits(2 ** max(2 * f + 4 + draw(st.integers(-1, 1)), 0))
+    near = digits(2 ** max(2 * f + 4, 0) + draw(st.sampled_from([-1, 1])))
+    double = digits(2 ** max(2 * f + 5, 0))
+    text = draw(st.one_of(
+        st.sampled_from([
+            f"1/{power}", f"2/{double}", f"+1/{power}", f"01/0{power}", f"  1/{power} ",
+            f"-1/{power}", f"0/{power}", f"1/{near}", "1/0", "1/000", "1", power, f"1/{power}/1",
+            f"1.0/{power}", f"1/+{power}", f"1 / {power}",
+        ]),
+        st.text(alphabet="0124/+- ", max_size=8),
+    ))
+    return f, text
+
+
+class TestRecordCodec:
+    """A record's line is its JSON dump, and a stated tilt is decided from its
+    digits as the ``Fraction`` reading of ``oracles.stated_tilt_fault`` decides it."""
+
+    BODY = ConvexBody(q=F(2, 5), f_index=3, support=interval_set([(F(0), F(1, 3))]))
+
+    @staticmethod
+    def dump(record: dict) -> str:
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_line_is_the_json_dump_over_the_pinned_family(self, pinned_family):
+        for body in pinned_family:
+            record = body_to_record(body)
+            assert record_line(record) == self.dump(record)
+
+    @settings(max_examples=60)
+    @given(body=wide_bodies())
+    def test_line_is_the_json_dump_of_wide_records(self, body):
+        record = body_to_record(body)
+        assert record_line(record) == self.dump(record)
+
+    @pytest.mark.parametrize("order", [
+        list(range(7136, 7146)),
+        list(range(7146, 7136, -1)),
+        [7141, 7141, 7140, 7140, 7142, 7142, 1, 1],
+        random.Random(34).sample(range(1, 7200), 12) + [7141, 7139, 7142],
+    ], ids=["rising", "falling", "repeated", "random"])
+    def test_tilt_renders_as_format_rational_in_any_order(self, order):
+        for f in order:
+            body = ConvexBody(q=F(1, 4), f_index=f, support=interval_set([(F(0), F(1))]))
+            assert body_to_record(body)["eps"] == format_rational(eps_of(f))
+
+    @settings(max_examples=300)
+    @given(case=stated_tilts())
+    def test_tilt_check_agrees_with_the_fraction_reading(self, case):
+        f, text = case
+        record = {**body_to_record(self.BODY), "f": f, "m": m_of(f) if f >= 1 else 1, "eps": text}
+        try:
+            body_from_record(record)
+        except ValueError as exc:
+            assert str(exc) == stated_tilt_fault(text, f)
+        else:
+            assert stated_tilt_fault(text, f) is None
+
+    def test_huge_stated_index_refused_in_little_memory(self):
+        # 2^-(2f+4) for f = 10^9 would be a 250 MB int; the 2-digit
+        # denominator is too short to state it, so nothing that long is built
+        record = {**body_to_record(self.BODY), "f": 10**9, "m": m_of(10**9), "eps": "1/64"}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="tilt mismatch"):
+                body_from_record(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def held_points(xs: list[F], support: list[tuple[F, F]]) -> list[F]:

@@ -31,6 +31,8 @@ MUST_HIT = [
     # construct must-hit counters read
     "exactnum.parse_rational",
     "family.body_from_record",
+    # construct's writer must build each record through the traced seam
+    "family.body_to_record",
     "cli.load_family",
     "intervals.deep_witness",
     "refutation.piercing_matrix",
