@@ -42,6 +42,23 @@ def enumerate_Q0(n: int) -> Fraction:
     return _Q0[n - 1]
 
 
+_last_sorted: tuple[int, list[tuple[int, int]]] = (0, [])  # (n, _sorted_base(n)), replaced whole
+
+
+def _sorted_base(n: int) -> list[tuple[int, int]]:
+    """r_1 ... r_n as int pairs in increasing order, in a new list: approach m
+    asks for one more than m - 1, so at or past the last n asked for, that
+    list plus one insertion per rational, else built from none."""
+    global _last_sorted
+    enumerate_Q0(n + 1)  # _Q0 holds r_1 ... r_n
+    n0, pairs = _last_sorted if _last_sorted[0] <= n else (0, [])
+    pairs = pairs.copy()
+    for a, b in map(Fraction.as_integer_ratio, _Q0[n0:n]):  # p < a/b when p0*b - a*p1 < 0
+        pairs.insert(bisect_left(pairs, 0, key=lambda p: p[0] * b - a * p[1]), (a, b))
+    _last_sorted = (n, pairs)
+    return pairs
+
+
 def tilt_exponent(n: int) -> int:
     """k with eps_of(n) = 2^-k: the n-th tilt 4^-(n+2) is 2^-(2n+4)."""
     return 2 * n + 4
@@ -106,29 +123,33 @@ class _LevelCursor:
     enumeration, via a greedy feasibility oracle (the lexicographic multiset
     walk of Knuth, TAOCP Vol. 4A, 7.2.1.3).
 
-    ``excluded`` comes sorted.  A feasible pick either covers the lowest
-    uncovered point e, and with it every uncovered point below its right
-    end, or covers no uncovered point.  For a pick that covers a later point
-    but not e lies wholly above e, and so does every later pick, as picks
-    are nondecreasing: e could never be covered.  So the points a feasible
-    prefix of picks covers are always a prefix of the sorted points, and the
-    walk's state is the index of the lowest uncovered one.
+    ``excluded`` is sorted int pairs (n, d), points n/d of [0,1].  A feasible
+    pick either covers the lowest uncovered point e, and with it every
+    uncovered point below its right end, or covers no uncovered point.  For a
+    pick that covers a later point but not e lies wholly above e, and so does
+    every later pick, as picks are nondecreasing: e could never be covered.
+    So the points a feasible prefix of picks covers are always a prefix of
+    the sorted points, and the walk's state is the lowest uncovered one's index.
 
     ``cands[i]`` lists the (at most two) allowed intervals over point i in
     increasing order; ``reach[p]`` counts the points below the right end of
     an interval p over some point, one past the last point p holds.
     ``need[i]`` counts the greedy picks that cover the points from i on, more
-    than any slot count when one of them has no candidate.  After
-    ``__init__`` the walk does no rational arithmetic.
+    than any slot count when one of them has no candidate.  ``__init__``
+    does no rational arithmetic either: a point's intervals take one divmod.
     """
 
-    def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[Fraction]):
+    def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[tuple[int, int]]):
         self.size = cover.picks_per_set
-        forbidden = set(cover.covering_indices(target))
-        self.allowed = [p for p in range(cover.size) if p not in forbidden]
-        self.cands = [
-            [p for p in cover.covering_indices(e) if p not in forbidden] for e in excluded
-        ]
+        forbidden = cover.covering_indices(target)  # k or k, k + 1: the cover holds [0,1]
+        self.allowed = [*range(forbidden[0]), *range(forbidden[-1] + 1, cover.size)]
+        sn, sd = cover.step.as_integer_ratio()
+        self.cands = []
+        for n, d in excluded:  # as covering_indices: n/d <= 1 is below the last center
+            k, r = divmod(n * sd, d * sn)
+            ps = [k, k + 1] if r else [k]
+            near = forbidden[0] - 1 <= k <= forbidden[-1]  # else no p of ps is forbidden
+            self.cands.append([p for p in ps if p not in forbidden] if near else ps)
         self.reach = [0] * cover.size
         for i, ps in enumerate(self.cands):
             for p in ps:
@@ -156,11 +177,14 @@ class _LevelCursor:
         j = bisect_left(self.allowed, floor)
         if j == len(self.allowed):  # every candidate is an allowed index
             return None
-        over = self.cands[low] if low < len(self.cands) else []
-        for p in (self.allowed[j], *(c for c in over if c > self.allowed[j])):
-            rest = self.reach[p] if p in over else low
-            if self._coverable(rest, p, slots_after):
-                return p, rest
+        p = self.allowed[j]
+        over = self.cands[low] if low < len(self.cands) else ()
+        rest = self.reach[p] if p in over else low
+        if self._coverable(rest, p, slots_after):
+            return p, rest
+        for c in over:
+            if c > p and self._coverable(self.reach[c], c, slots_after):
+                return c, self.reach[c]
         return None
 
     def walk(self) -> Iterator[tuple[int, ...]]:
@@ -235,7 +259,7 @@ class SupportAssigner:
     @staticmethod
     def _walk(delta: Fraction, m: int) -> Iterator[IntervalSet]:
         target = enumerate_Q0(m)
-        excluded = sorted(_Q0[: m - 1])
+        excluded = _sorted_base(m - 1)
         for level in count(1):
             cover = make_cover(delta, level)
             for combo in _LevelCursor(cover, target, excluded).walk():

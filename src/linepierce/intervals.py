@@ -29,6 +29,8 @@ from .exactnum import Record, format_rational, parse_rational
 
 LIFT_FACTOR = 4  # the bounds of ``IntervalSet.from_pairs`` on a lift
 LIFT_FLOOR = 2**16
+TEXTS_BOUND = 4096  # most texts ``IntervalSet.to_pairs`` keeps in _TEXTS (den -> {e: text})
+_TEXTS: dict[int, dict[int, str]] = {}
 
 
 class IntervalSet(Record):
@@ -133,8 +135,13 @@ class IntervalSet(Record):
         return IntervalSet(per // g, tuple(map(floordiv, out, repeat(g))))
 
     def to_pairs(self) -> list[list[str]]:
-        """Each piece as [lo, hi], rendered as ``format_rational``."""
-        texts = list(map(_ratio_text, self.ends, repeat(self.den)))
+        """Each piece as [lo, hi] of ``format_rational`` texts, each read from the table of den."""
+        table = _TEXTS.setdefault(self.den, {})
+        missing = set(self.ends).difference(table)
+        table.update(zip(missing, map(format_rational, map(Fraction, missing, repeat(self.den)))))
+        texts = list(map(table.__getitem__, self.ends))
+        if missing and sum(map(len, _TEXTS.values())) > TEXTS_BOUND:
+            _TEXTS.clear()  # whole, when full
         return list(map(list, zip(texts[::2], texts[1::2])))
 
     @staticmethod
@@ -168,12 +175,6 @@ def parse_endpoint(text: str) -> tuple[int, int]:
     so a wrapper rebound to that name sees every string actually parsed.
     """
     return parse_rational(text).as_integer_ratio()
-
-
-@lru_cache(maxsize=4096)
-def _ratio_text(e: int, den: int) -> str:
-    """``format_rational`` of e/den, memoised as ``parse_endpoint`` is."""
-    return format_rational(Fraction(e, den))
 
 
 class CoverSpec(Record):

@@ -136,6 +136,32 @@ def greedy_coverable(cursor, low: int, floor: int, slots: int) -> bool:
     return True
 
 
+def sorted_pairs(points) -> list[tuple[int, int]]:
+    """Rationals in increasing order, sorted as ``Fraction``s, as the
+    reduced (numerator, denominator) pairs ``_LevelCursor`` takes."""
+    return [x.as_integer_ratio() for x in sorted(map(Fraction, points))]
+
+
+def covering_cursor_tables(cover: CoverSpec, target: Fraction, excluded) -> tuple[list, ...]:
+    """``allowed``, ``cands``, ``reach`` and ``need`` of a ``_LevelCursor``,
+    built as the cursor once built them: every interval over a point comes
+    from ``covering_indices`` in ``Fraction`` arithmetic.  ``excluded`` is
+    a sorted list of ``Fraction``s."""
+    size = cover.picks_per_set
+    forbidden = set(cover.covering_indices(target))
+    allowed = [p for p in range(cover.size) if p not in forbidden]
+    cands = [[p for p in cover.covering_indices(e) if p not in forbidden] for e in excluded]
+    reach = [0] * cover.size
+    for i, ps in enumerate(cands):
+        for p in ps:
+            reach[p] = i + 1
+    need = [0] * (len(excluded) + 1)
+    for i in reversed(range(len(excluded))):
+        ps = cands[i]
+        need[i] = need[reach[ps[-1]]] + 1 if ps else size + 1
+    return allowed, cands, reach, need
+
+
 def stored_decisions(delta: Fraction, m: int) -> Iterator[tuple[CoverSpec, tuple[int, ...], bool]]:
     """Each valid multiset of approach m with its cover, level by level, and
     whether it is the first to give its support, as ``SupportAssigner``
@@ -144,7 +170,7 @@ def stored_decisions(delta: Fraction, m: int) -> Iterator[tuple[CoverSpec, tuple
     its support looked up among the earlier ones.  It checks the assigner's
     test on the multiset alone, which stores nothing, against that store."""
     target = enumerate_Q0(m)
-    excluded = sorted(map(enumerate_Q0, range(1, m)))
+    excluded = sorted_pairs(map(enumerate_Q0, range(1, m)))
     seen: set[IntervalSet] = set()
     for level in count(1):
         cover = make_cover(delta, level)

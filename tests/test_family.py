@@ -10,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linepierce import family
 from linepierce.family import (
     ConvexBody,
     FamilyStream,
     SupportAssigner,
     _LevelCursor,
     _first_of_its_support,
+    _sorted_base,
     body_from_record,
     body_to_record,
     dyadic_approach,
@@ -31,12 +33,14 @@ from linepierce.refutation import pierce
 from oracles import (
     FractionSet,
     base_rationals,
+    covering_cursor_tables,
     fraction_schedule,
     greedy_coverable,
     interval_set,
     open_span,
     pieces,
     prefix,
+    sorted_pairs,
     stated_tilt_fault,
     stored_decisions,
     stored_support_walk,
@@ -276,7 +280,7 @@ class TestLevelCursorWalk:
     @example(delta=F(1, 3), level=1, target=F(1, 2), excluded=[F(1, 4), F(1, 2)])
     def test_walk_matches_full_enumeration(self, delta, level, target, excluded):
         cover = make_cover(delta, level)
-        got = list(_LevelCursor(cover, target, sorted(excluded)).walk())
+        got = list(_LevelCursor(cover, target, sorted_pairs(excluded)).walk())
         assert got == list(valid_multisets_oracle(delta, level, target, excluded))
 
     @settings(max_examples=200)
@@ -292,7 +296,7 @@ class TestLevelCursorWalk:
     @example(delta=F(1, 2), level=1, target=F(0), excluded=[F(k, 12) for k in range(1, 13)])
     def test_coverable_matches_the_greedy_chain(self, delta, level, target, excluded):
         cover = make_cover(delta, level)
-        cursor = _LevelCursor(cover, target, sorted(excluded))
+        cursor = _LevelCursor(cover, target, sorted_pairs(excluded))
         for low in range(len(excluded) + 1):
             for floor in range(cover.size + 1):
                 for slots in range(cursor.size + 1):
@@ -309,7 +313,7 @@ class TestLevelCursorWalk:
     def test_walk_order_is_pinned(self, delta, digest):
         walked = hashlib.sha256()
         for m in range(1, 41):
-            target, excluded = enumerate_Q0(m), sorted(map(enumerate_Q0, range(1, m)))
+            target, excluded = enumerate_Q0(m), sorted_pairs(map(enumerate_Q0, range(1, m)))
             for level in (1, 2, 3):
                 cursor = _LevelCursor(make_cover(delta, level), target, excluded)
                 for combo in islice(cursor.walk(), 500):
@@ -320,9 +324,78 @@ class TestLevelCursorWalk:
         # 1024 picks: a walk that recursed once per pick would pass
         # Python's default recursion limit of 1000
         cover = make_cover(F(1, 2), 10)
-        combo = next(_LevelCursor(cover, F(0), [F(1, 3), F(1, 2)]).walk())
+        combo = next(_LevelCursor(cover, F(0), [(1, 3), (1, 2)]).walk())
         assert len(combo) == 1024
         assert all(a <= b for a, b in zip(combo, combo[1:]))
+
+
+@st.composite
+def cursor_inputs(draw):
+    """A cover, and a target and excluded points drawn from rationals of
+    [0,1], the cover's grid points in it, and 0 and 1."""
+    delta = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 7), F(9, 10)]))
+    cover = make_cover(delta, draw(st.integers(1, 6)))
+    grid = st.integers(0, int(1 / cover.step)).map(lambda k: k * cover.step)
+    points = st.one_of(unit_rationals, grid, st.sampled_from([F(0), F(1)]))
+    return cover, draw(points), draw(st.lists(points, max_size=12))
+
+
+class TestIntegerSetUp:
+    @settings(max_examples=300)
+    @given(cursor_inputs())
+    # both ends of [0,1] as target and points; 1 is the last center at 1/2
+    @example((make_cover(F(1, 2), 1), F(1), [F(0), F(1), F(1)]))
+    @example((make_cover(F(1, 2), 3), F(0), [F(0), F(1, 16), F(3, 32), F(1)]))
+    # at 2/7 no grid point is 1, which lies between the last two centers
+    @example((make_cover(F(2, 7), 6), F(1), [F(5, 448), F(1, 2), F(1)]))
+    # the target is a grid point and an excluded one, which then has no candidate
+    @example((make_cover(F(9, 10), 1), F(1, 40), [F(0), F(1, 40), F(39, 40), F(1)]))
+    def test_tables_match_the_covering_indices_build(self, inputs):
+        cover, target, excluded = inputs
+        cursor = _LevelCursor(cover, target, sorted_pairs(excluded))
+        got = (cursor.allowed, cursor.cands, cursor.reach, cursor.need)
+        assert got == covering_cursor_tables(cover, target, sorted(excluded))
+
+    @pytest.mark.parametrize("ns", [
+        range(0, 90), range(90, -1, -1), [5, 5, 40, 40, 3, 3, 0, 0, 61, 7, 7, 120],
+    ], ids=["rising", "falling", "repeated"])
+    def test_sorted_prefix_matches_a_fraction_sort(self, monkeypatch, ns):
+        monkeypatch.setattr(family, "_last_sorted", (0, []))
+        for n in ns:
+            want = sorted_pairs(map(enumerate_Q0, range(1, n + 1)))
+            assert _sorted_base(n) == want, n
+            assert family._last_sorted == (n, want)
+
+    def test_each_prefix_is_a_list_of_its_own_sharing_its_pairs(self, monkeypatch):
+        monkeypatch.setattr(family, "_last_sorted", (0, []))
+        shorter = _sorted_base(30)
+        longer = _sorted_base(31)
+        assert len(shorter) == 30 and longer == sorted_pairs(map(enumerate_Q0, range(1, 32)))
+        assert {id(pair) for pair in shorter} < {id(pair) for pair in longer}
+
+    def test_set_up_compares_no_fraction(self, monkeypatch):
+        monkeypatch.setattr(family, "_last_sorted", (0, []))
+        covers = [make_cover(F(1, 2), level) for level in (1, 2, 3)]
+        target = enumerate_Q0(80)
+        compared = []
+        for attr in ("__lt__", "__le__", "__gt__", "__ge__"):
+            real = getattr(F, attr)
+            monkeypatch.setattr(
+                F, attr, lambda a, b, real=real: compared.append((a, b)) or real(a, b)
+            )
+        cursors = [_LevelCursor(cover, target, _sorted_base(79)) for cover in covers]
+        assert compared == [] and all(len(c.cands) == 79 for c in cursors)
+        assert F(0) < F(1) and len(compared) == 1  # the count does see a comparison
+
+    def test_a_low_approach_after_high_ones(self):
+        delta = F(1, 2)
+        assigners = [SupportAssigner(delta, m) for m in range(1, 31)]
+        firsts = [a.assign() for a in assigners]  # each walk has taken its points
+        low = SupportAssigner(delta, 1)  # asks for a shorter prefix than the last
+        assert [low.assign() for _ in range(30)] == list(islice(stored_support_walk(delta, 1), 30))
+        for m in range(30, 0, -1):  # and every earlier walk kept its own points
+            got = [firsts[m - 1], *(assigners[m - 1].assign() for _ in range(40))]
+            assert got == list(islice(stored_support_walk(delta, m), 41)), m
 
 
 class TestBuildBody:

@@ -608,7 +608,7 @@ class TestEndpointCache:
         assert [s.to_pairs() for s in sets] == REPEATING_SUPPORTS * 2
 
     def test_each_distinct_endpoint_is_rendered_once(self, monkeypatch):
-        intervals._ratio_text.cache_clear()
+        intervals._TEXTS.clear()
         rendered = Counter()
 
         def counting(x):
@@ -640,8 +640,40 @@ class TestEndpointCache:
         assert parse_endpoint.cache_info().currsize == 3  # the good strings only
 
     def test_cache_is_bounded(self):
-        for cache in (parse_endpoint, intervals._ratio_text):
-            assert cache.cache_info().maxsize == 4096
+        assert parse_endpoint.cache_info().maxsize == 4096
+        assert intervals.TEXTS_BOUND == 4096
+
+    @settings(max_examples=200)
+    @given(
+        den=st.one_of(st.just(1), st.integers(1, 10**30)),
+        ends=st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=20),
+    )
+    @example(den=1, ends=[-3, 0, 0, 1])
+    @example(den=6, ends=[-12, -4, -3, 2, 3, 6])
+    def test_every_text_is_format_rational(self, den, ends):
+        ends = sorted(ends + ends[-1:] if len(ends) % 2 else ends)
+        texts = [text for pair in IntervalSet(den, tuple(ends)).to_pairs() for text in pair]
+        assert texts == [format_rational(F(e, den)) for e in ends]
+
+    def test_many_denominators_render_their_own_texts(self):
+        intervals._TEXTS.clear()
+        sets = [IntervalSet(den, (-1, 0, 1, den)) for den in range(1, 600)]
+        for s in sets * 2:
+            assert s.to_pairs() == [[format_rational(F(e, s.den)) for e in pair]
+                                    for pair in ((-1, 0), (1, s.den))]
+
+    def test_tables_stay_within_their_bound(self):
+        intervals._TEXTS.clear()
+        seen = 0
+        for den in (7, 7, 1, 11, 7, 3**40, 1, 11):  # over every table and the bound
+            for start in range(0, 3 * intervals.TEXTS_BOUND, 64):
+                ends = tuple(range(start, start + 64))
+                texts = [text for pair in IntervalSet(den, ends).to_pairs() for text in pair]
+                assert texts == [format_rational(F(e, den)) for e in ends]
+                held = sum(map(len, intervals._TEXTS.values()))
+                assert held <= intervals.TEXTS_BOUND
+                seen = max(seen, held)
+        assert seen > intervals.TEXTS_BOUND - 64  # the tables did fill before each clear
 
 
 def random_family(rng, count, max_level=3):

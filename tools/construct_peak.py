@@ -1,5 +1,5 @@
 """Construct's own peak: time ``construct`` at N = 2,000 to 16,000, with and
-without ``--verify``.
+without ``--verify``, and split ``-N 2000 --verify`` into its phases.
 
 Usage:
 
@@ -17,15 +17,22 @@ shows the floor: a child starts with the resident size its parent had at
 the fork, so no peak reads below it, and this process only stats the files
 its children write, so reading one cannot raise the next child's peak.
 
+A last table, taken after the peak rows in a child process of its own,
+gives the seconds of each phase of ``construct -N 2000 --verify``, as the
+command runs them: emitting the bodies into a list, writing the file,
+reading it back, and comparing the bodies read with those emitted.
+
 From body 7,141 on, the tilt denominator 2^(2f+4) has more than 4,300
 digits, past Python's limit on converting an int to a string, so the
 N = 16,000 rows show what long tilts cost to write and to read back.
 
-Exits 1 if a command does not exit 0, else 0. Standard library only.
+Exits 1 if a command does not exit 0 or the phases' read-back differs,
+else 0. Standard library only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +43,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 COUNTS = (2_000, 4_000, 8_000, 16_000)
+PHASE_COUNT = 2_000
+
+# cmd_construct's steps under --verify, each timed
+PHASES = """
+import json, sys, time
+from fractions import Fraction
+from itertools import islice
+from linepierce.cli import _write, load_family
+from linepierce.family import FamilyStream, body_to_record, record_line
+
+n, out, delta = int(sys.argv[1]), sys.argv[2], Fraction(1, 2)
+clock = [time.perf_counter()]
+bodies = list(islice(FamilyStream(delta).bodies(), n))
+clock.append(time.perf_counter())
+_write(out, map(record_line, map(body_to_record, bodies)))
+clock.append(time.perf_counter())
+reloaded = load_family(out)
+clock.append(time.perf_counter())
+same = reloaded == bodies and all(b.support.measure() >= delta for b in reloaded)
+clock.append(time.perf_counter())
+print(json.dumps({"seconds": [b - a for a, b in zip(clock, clock[1:])], "same": same}))
+"""
 
 
 def run(argv: list[str]) -> tuple[int, float, float]:
@@ -64,6 +93,15 @@ def main() -> int:
                 print(f"{n:>14} {verify:>6} {seconds:>8.2f} {peak:>8.1f} {size:>11}", flush=True)
                 if code != 0:
                     failed.append(" ".join([f"N = {n}", *flags, f"exited {code}"]))
+        out = Path(work) / "phases.jsonl"
+        done = subprocess.run([sys.executable, "-c", PHASES, str(PHASE_COUNT), str(out)],
+                              env=ENV, capture_output=True, text=True)
+    print(f"{'n':>14} {'emit':>8} {'write':>8} {'read':>8} {'compare':>8}")
+    if done.returncode != 0 or not json.loads(done.stdout)["same"]:
+        failed.append(f"phases of N = {PHASE_COUNT} --verify: {done.stderr[-500:]}")
+    else:
+        seconds = json.loads(done.stdout)["seconds"]
+        print(f"{PHASE_COUNT:>14} " + " ".join(f"{s:>8.3f}" for s in seconds))
     if failed:
         print(f"failed: {', '.join(failed)}")
         return 1
