@@ -159,7 +159,7 @@ def cmd_construct(args) -> int:
             reloaded = load_family(args.out)
         if reloaded != bodies:
             raise InternalError("verification failed: reloaded family differs")
-        if any(b.support.measure() < args.delta for b in reloaded):
+        if any(b.support.measure_below(args.delta) for b in reloaded):
             raise InternalError("verification failed: support below delta")
         print(f"verified {len(reloaded)} bodies")
     # the stream never ends, so the count asked for is the count written

@@ -408,7 +408,7 @@ def membership_fault(body: ConvexBody, delta: Fraction) -> str | None:
     the support, at the cost of m support queries."""
     m, support = body.m, body.support
     target = enumerate_Q0(m)
-    if support.measure() < delta:
+    if support.measure_below(delta):
         return f"support has measure below delta = {format_rational(delta)}"
     if not support.contains(target):
         return f"support does not hold its base rational r_{m} = {format_rational(target)}"

@@ -3,16 +3,15 @@
 The compact supports used throughout are complements in [0,1] of finitely
 many open grid intervals, so they are exactly finite unions of closed
 intervals (single points included).  This module supplies the deterministic
-open covers, the removal operation that produces the supports, exact
-Lebesgue measure, and deep-point witnesses found by a sweep over all
-endpoints.
+open covers, the removal operation that produces the supports, their exact
+measure test, and deep-point witnesses found by a sweep over all endpoints.
 
 A set is one denominator and its endpoints' ints over it, so a query is
 one ``divmod`` and one ``bisect``.  A support is written straight onto
 its cover's grid: one ``subtract_open`` pass keeps [0,1] minus every run
-of picked cover intervals, left to right in one list.  Writing and
-reading supports renders and parses each distinct endpoint once per
-process, through bounded caches.
+of picked cover intervals, left to right in one list.  A support is read
+as one flat list of endpoints and rendered from tables, parsing and
+rendering each distinct endpoint once per process, through bounded caches.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import floordiv, le, lt, mul
 
@@ -49,11 +48,10 @@ class IntervalSet(Record):
         object.__setattr__(self, "ends", ends)
 
     @staticmethod
-    def from_pairs(pairs) -> IntervalSet:
-        """The set of the given (lo, hi) pieces of reduced ``(numerator,
-        denominator)`` int pairs, as ``parse_endpoint`` gives them, which
-        must already be in canonical order: each lo <= hi and above the
-        previous hi.
+    def from_pairs(ratios) -> IntervalSet:
+        """The set of the flat endpoints lo_0, hi_0, lo_1, ... as reduced int pairs
+        from ``parse_endpoint``, in canonical order: each lo <= hi and above the
+        previous hi.  The name is kept because ``perfbench/tracer.py`` binds it.
 
         The endpoints are lifted to their least common denominator, which
         leaves gcd 1, and ordered as ints.  The lift is quadratic over
@@ -62,7 +60,8 @@ class IntervalSet(Record):
         both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints' own bits,
         which are summed only once it exceeds the first.
         """
-        ratios = list(chain.from_iterable(pairs))
+        if len(ratios) % 2:
+            raise ValueError(f"a support needs an even number of endpoints, got {len(ratios)}")
         nums, dens = zip(*ratios) if ratios else ((), ())
         den, own = 1, 0
         for d in set(dens):
@@ -90,8 +89,10 @@ class IntervalSet(Record):
     def points(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(e, self.den) for e in self.ends)
 
-    def measure(self) -> Fraction:
-        return Fraction(sum(self.ends[1::2]) - sum(self.ends[::2]), self.den)
+    def measure_below(self, delta: Fraction) -> bool:
+        """Is the measure, (sum of his - sum of los) / den, below delta?  Decided in ints."""
+        ends = self.ends
+        return (sum(ends[1::2]) - sum(ends[::2])) * delta.denominator < delta.numerator * self.den
 
     def contains(self, x: Fraction | int, per: int = 1) -> bool:
         """Does the set hold x/per?  A positive int ``per`` lets a caller ask
@@ -137,30 +138,29 @@ class IntervalSet(Record):
     def to_pairs(self) -> list[list[str]]:
         """Each piece as [lo, hi] of ``format_rational`` texts, each read from the table of den."""
         table = _TEXTS.setdefault(self.den, {})
-        missing = set(self.ends).difference(table)
-        table.update(zip(missing, map(format_rational, map(Fraction, missing, repeat(self.den)))))
-        texts = list(map(table.__getitem__, self.ends))
-        if missing and sum(map(len, _TEXTS.values())) > TEXTS_BOUND:
-            _TEXTS.clear()  # whole, when full
-        return list(map(list, zip(texts[::2], texts[1::2])))
+        try:
+            texts = map(table.__getitem__, self.ends)
+            return list(map(list, zip(texts, texts)))
+        except KeyError:  # render what the table lacks, then read every text again
+            missing = set(self.ends).difference(table)
+            table.update(zip(missing, map(format_rational, map(Fraction, missing, repeat(self.den)))))
+            pairs = self.to_pairs()
+            if sum(map(len, _TEXTS.values())) > TEXTS_BOUND:
+                _TEXTS.clear()  # whole, when full
+            return pairs
 
     @staticmethod
     def from_strings(pairs) -> IntervalSet:
         """The set of a support as a family record states it: a JSON array
-        of [lo, hi] arrays of rational strings, in canonical order.
-
-        Each endpoint is parsed by ``parse_endpoint``, so once per distinct
-        string per process; order is checked by ``from_pairs``.
-        """
-        if (
-            type(pairs) is not list
-            or set(map(type, pairs)) - {list}
-            or set(map(len, pairs)) - {2}
-            or set(map(type, chain.from_iterable(pairs))) - {str}
-        ):
+        of [lo, hi] arrays of rational strings, in canonical order.  One pass
+        flattens it, a bad top level or piece adding a None; each endpoint is
+        parsed by ``parse_endpoint`` and order is checked by ``from_pairs``."""
+        flat = []
+        for piece in pairs if type(pairs) is list else [None]:
+            flat += piece if type(piece) is list and len(piece) == 2 else [None]
+        if set(map(type, flat)) - {str}:
             raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
-        ratios = list(map(parse_endpoint, chain.from_iterable(pairs)))
-        return IntervalSet.from_pairs(zip(ratios[::2], ratios[1::2]))
+        return IntervalSet.from_pairs(list(map(parse_endpoint, flat)))
 
 
 @lru_cache(maxsize=4096)

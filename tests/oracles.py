@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import lcm
 
 from linepierce.exactnum import QuadExt, format_rational, parse_rational
@@ -51,10 +51,30 @@ def surface_residual_parts(pt: Point3) -> tuple[Fraction, Fraction]:
 
 def interval_set(pairs) -> IntervalSet:
     """``IntervalSet.from_pairs`` of (lo, hi) ``Fraction`` pieces, each
-    endpoint given as its reduced (numerator, denominator) pair."""
-    return IntervalSet.from_pairs(
-        [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in pairs]
-    )
+    endpoint given, flat and in order, as its reduced (numerator,
+    denominator) pair."""
+    return IntervalSet.from_pairs([x.as_integer_ratio() for pair in pairs for x in pair])
+
+
+def measure(s) -> Fraction:
+    """The Lebesgue measure of an ``IntervalSet``: its pieces' lengths,
+    summed as ``Fraction``s."""
+    return sum((hi - lo for lo, hi in pieces(s)), Fraction(0))
+
+
+def decode_support(pairs) -> FractionSet:
+    """A family record's support read by the earlier decode path: the whole
+    shape is checked first, then every endpoint is parsed, and the parsed
+    values are paired again into (lo, hi) pieces for ``FractionSet``."""
+    if (
+        type(pairs) is not list
+        or set(map(type, pairs)) - {list}
+        or set(map(len, pairs)) - {2}
+        or set(map(type, chain.from_iterable(pairs))) - {str}
+    ):
+        raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
+    values = list(map(parse_rational, chain.from_iterable(pairs)))
+    return FractionSet.from_pairs(zip(values[::2], values[1::2]))
 
 
 def open_span(delta: Fraction, level: int, p: int) -> tuple[Fraction, Fraction]:

@@ -28,7 +28,7 @@ from linepierce.refutation import (
     non_piercing_certificate,
     pierce,
 )
-from oracles import expected_certificate, pieces, prefix, surface_residual_parts
+from oracles import expected_certificate, measure, pieces, prefix, surface_residual_parts
 
 
 def report(n: int, elapsed: float, message: str) -> None:
@@ -45,7 +45,7 @@ def test_criterion_1_cover_complements_keep_measure():
             for _ in range(200):
                 picks = [rng.randrange(cover.size)
                          for _ in range(cover.picks_per_set)]
-                assert remove_intervals(cover, picks).measure() >= delta
+                assert measure(remove_intervals(cover, picks)) >= delta
                 total += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -29,7 +29,7 @@ from linepierce.cli import (
     main,
     verify_refutation,
 )
-from linepierce.exactnum import QuadExt
+from linepierce.exactnum import QuadExt, format_rational
 from linepierce.family import ConvexBody, FamilyStream, SupportAssigner, body_to_record
 from linepierce.geometry import (
     Line3,
@@ -139,6 +139,55 @@ class TestConstruct:
         assert main(["construct", "--delta", "1/2", "-N", "12",
                      "--out", str(tmp_path / "f.jsonl"), "--verify"]) == 5
         assert "reloaded family differs" in capsys.readouterr().err
+        monkeypatch.undo()
+
+        # and each edit of a field or a line that the writer makes
+        def line(rec):
+            return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+        def changed_q(lines):
+            rec = json.loads(lines[4])
+            rec["q"] = format_rational(F(rec["q"]) + F(1, 2**40))
+            return lines[:4] + [line(rec)] + lines[5:]
+
+        def changed_endpoint(lines):
+            rec = json.loads(lines[4])
+            j = next(j for j, (lo, hi) in enumerate(rec["support"]) if lo != hi)
+            lo, hi = map(F, rec["support"][j])
+            rec["support"][j][1] = format_rational((lo + hi) / 2)
+            return lines[:4] + [line(rec)] + lines[5:]
+
+        write = cli._write
+        for edit in (changed_q, changed_endpoint, lambda lines: lines[:-1],
+                     lambda lines: lines[:6] + lines[5:]):
+            monkeypatch.setattr(cli, "_write", lambda path, parts: write(path, edit(list(parts))))
+            assert main(["construct", "--delta", "1/2", "-N", "12",
+                         "--out", str(tmp_path / "f.jsonl"), "--verify"]) == 5
+            assert "reloaded family differs" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "_write", lambda path, parts: write(path, list(parts)))
+        assert main(["construct", "--delta", "1/2", "-N", "12",
+                     "--out", str(tmp_path / "f.jsonl"), "--verify"]) == 0
+
+    @pytest.mark.parametrize("support, code", [
+        (((F(0), F(1, 4)), (F(1, 2), F(3, 4) - F(1, 2**70))), 5),
+        (((F(0), F(1, 4)), (F(1, 2), F(3, 4))), 0),
+    ], ids=["below-delta", "at-delta"])
+    def test_verify_checks_each_support_against_delta(self, tmp_path, monkeypatch, capsys,
+                                                      support, code):
+        """The assigner hands out one support of measure delta or a hair
+        below it, so the file states the bodies built and only the delta
+        check can tell them apart."""
+        assign, handed = SupportAssigner.assign, []
+
+        def assigning(assigner):
+            handed.append(assigner)
+            return interval_set(support) if len(handed) == 3 else assign(assigner)
+        monkeypatch.setattr(SupportAssigner, "assign", assigning)
+        assert main(["construct", "--delta", "1/2", "-N", "5",
+                     "--out", str(tmp_path / "f.jsonl"), "--verify"]) == code
+        err = capsys.readouterr().err
+        assert err == ("internal error: verification failed: support below delta\n" if code else "")
+        assert len(handed) == 5
 
     def test_bad_delta_is_input_error(self, tmp_path):
         out = tmp_path / "x.jsonl"

@@ -37,6 +37,7 @@ from oracles import (
     fraction_schedule,
     greedy_coverable,
     interval_set,
+    measure,
     open_span,
     pieces,
     prefix,
@@ -213,7 +214,7 @@ class TestSupportAssigner:
             assigner = SupportAssigner(F(3, 4), m)
             for _ in range(4):
                 s = assigner.assign()
-                assert s.measure() >= F(3, 4)
+                assert measure(s) >= F(3, 4)
 
     # every kind of repeat shows here: a repeated pick at each delta, a
     # redundant last interval at 2/7 and 5/11, and a lower level's support
@@ -678,7 +679,7 @@ class TestFamilyStream:
     def test_supports_meet_measure_bound(self):
         for delta in (F(1, 2), F(3, 4)):
             bodies = prefix(delta, 30)
-            assert all(b.support.measure() >= delta for b in bodies)
+            assert all(measure(b.support) >= delta for b in bodies)
 
     def test_bodies_inside_box(self):
         bodies = prefix(F(1, 2), 60)

@@ -18,7 +18,16 @@ from linepierce.intervals import (
     parse_endpoint,
     remove_intervals,
 )
-from oracles import FractionSet, depth_profile, interval_set, intersect_many, open_span, pieces
+from oracles import (
+    FractionSet,
+    decode_support,
+    depth_profile,
+    interval_set,
+    intersect_many,
+    measure,
+    open_span,
+    pieces,
+)
 
 
 def open_spans_cover_unit(spans) -> bool:
@@ -82,6 +91,18 @@ def mixed_denominator_sets(
         hi = values.pop(0) if values and draw(st.booleans()) else lo
         pairs.append((lo, hi))
     return interval_set(pairs)
+
+
+# 130-bit numerators and denominators, drawn freely
+WIDE_FRACTIONS = st.builds(F, st.integers(0, 2**130), st.integers(1, 2**130))
+
+
+def measures_exactly(s: IntervalSet, value) -> bool:
+    """Is the set's measure value?  It is not below value, and it is below
+    value plus half the least gap two values over s.den and value's
+    denominator can have."""
+    tiny = F(1, 2 * s.den * F(value).denominator)
+    return not s.measure_below(value) and s.measure_below(value + tiny)
 
 
 # with delta = 2/5, k_max*step > 1 at every level, so the last two cover
@@ -197,20 +218,20 @@ class TestRemoveIntervals:
         # centers 1/8 and 3/8 remove (0,1/4) and (1/4,1/2)
         s = remove_intervals(c, [1, 3])
         assert pieces(s) == [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1))]
-        assert s.measure() == F(1, 2)
+        assert measures_exactly(s, F(1, 2))
         assert subtraction_oracle(F(1, 2), 1, [1, 3]) == pieces(s)
 
     def test_repeated_pick_idempotent(self):
         c = make_cover(F(1, 2), 1)
         s = remove_intervals(c, [3, 3])
-        assert s.measure() >= F(3, 4)
+        assert measure(s) >= F(3, 4)
         assert pieces(s) == [(F(0), F(1, 4)), (F(1, 2), F(1))]
 
     def test_endpoint_picks(self):
         c = make_cover(F(1, 2), 1)
         s = remove_intervals(c, [0, 8])
         assert pieces(s) == [(F(1, 8), F(7, 8))]
-        assert s.measure() >= F(1, 2)
+        assert measure(s) >= F(1, 2)
 
     @settings(max_examples=300)
     @given(case=pick_cases())
@@ -262,7 +283,7 @@ class TestRemoveIntervals:
             for _ in range(50):
                 picks = [rng.randrange(c.size) for _ in range(c.picks_per_set)]
                 s = remove_intervals(c, picks)
-                assert s.measure() >= delta
+                assert measure(s) >= delta
                 assert pieces(s) == subtraction_oracle(delta, level, picks)
 
 
@@ -288,27 +309,30 @@ class TestMembership:
 
 class TestMeasureAndIntersect:
     def test_full_interval(self):
-        assert IntervalSet(1, (0, 1)).measure() == 1
+        assert measures_exactly(IntervalSet(1, (0, 1)), 1)
 
     def test_additivity(self):
         s = interval_set([(F(0), F(1, 4)), (F(1, 2), F(1))])
-        assert s.measure() == F(3, 4)
+        assert measures_exactly(s, F(3, 4))
 
     def test_empty(self):
-        assert interval_set([]).measure() == 0
+        assert measures_exactly(interval_set([]), 0)
 
     @settings(max_examples=300)
-    @given(s=mixed_denominator_sets())
-    @example(s=IntervalSet(1, ()))
-    @example(s=IntervalSet(3, (1, 1)))  # a single point
+    @given(s=st.one_of(mixed_denominator_sets(), mixed_denominator_sets(WIDE_FRACTIONS)),
+           delta=st.one_of(st.fractions(0, 1, max_denominator=10**4), WIDE_FRACTIONS))
+    @example(s=IntervalSet(1, ()), delta=F(0))
+    @example(s=IntervalSet(3, (1, 1)), delta=F(1, 10**4))  # a single point
     @example(s=interval_set(
         [(F(0), F(1, 3)), (F(3, 7), F(3, 7)), (F(1, 2) + F(1, 2**200), F(1))]
-    ))
-    @example(s=IntervalSet(630, (210, 252, 270, 315, 490, 630)))  # 1/3, 2/5, ... 7/9, 1
-    def test_measure_matches_fraction_sum(self, s):
-        want = sum((hi - lo for lo, hi in pieces(s)), F(0))
-        got = s.measure()
-        assert type(got) is F and got == want
+    ), delta=F(5, 6))
+    @example(s=IntervalSet(630, (210, 252, 270, 315, 490, 630)), delta=F(1, 2))  # 1/3, 2/5, ... 7/9, 1
+    def test_measure_matches_fraction_sum(self, s, delta):
+        # the ints' decision against the pieces' lengths summed as Fractions,
+        # at the drawn delta and on either side of the measure itself
+        want = measure(s)
+        assert s.measure_below(delta) == (want < delta)
+        assert measures_exactly(s, want)
 
     @pytest.mark.parametrize("pairs", [
         [(F(1, 2), F(1)), (F(0), F(1, 4))],
@@ -440,6 +464,74 @@ class TestFromPairsOrder:
         pairs = [(F(0), F(1, 4)), (F(1, 3), F(1, 3)), (F(1, 2), F(1))]
         assert interval_set(pairs).ends == (0, 3, 4, 4, 6, 12)
 
+    def test_refuses_an_odd_count_of_endpoints(self):
+        with pytest.raises(ValueError, match="an even number of endpoints, got 3"):
+            IntervalSet.from_pairs([(0, 1), (1, 2), (1, 1)])
+
+
+# what a record may state where a support's text belongs: well-formed
+# texts, malformed ones, and every other JSON type
+BAD_TEXTS = st.sampled_from(["1/0", "0.5", "1e5", "", " 1/2", "1/-2", "--1/2", "1//2"])
+NON_TEXTS = st.one_of(
+    st.integers(-3, 3), st.none(), st.booleans(),
+    st.lists(st.just("0/1"), max_size=2), st.dictionaries(st.just("lo"), st.just("0/1")),
+)
+FAULTS = ["top", "piece", "length", "endpoint", "text", "order"]
+
+
+@st.composite
+def support_records(draw):
+    """A support as a family record states it: the texts of sorted values
+    paired up, then broken in up to two places.  A fault replaces the top
+    level, a piece, a piece's length (0, 1 or 3), an endpoint's type or its
+    text, or shuffles the values."""
+    values = draw(st.lists(ENDPOINTS, max_size=10))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+    if "order" not in faults:
+        values.sort()
+    texts = [format_rational(v) for v in values[: len(values) // 2 * 2]]
+    pieces = [texts[i : i + 2] for i in range(0, len(texts), 2)] or [["0/1", "1/1"]]
+    for fault in faults:
+        j = draw(st.integers(0, len(pieces) - 1))
+        k = draw(st.integers(0, 1))
+        if fault == "top":
+            return draw(st.one_of(NON_TEXTS, BAD_TEXTS, st.just({"lo": pieces})))
+        if fault == "piece":
+            pieces[j] = draw(st.one_of(NON_TEXTS.filter(lambda x: type(x) is not list),
+                                       BAD_TEXTS, st.just(("0/1", "1/1"))))
+        elif fault == "length":
+            pieces[j] = draw(st.sampled_from([[], texts[:1] or ["0/1"], ["0/1", "1/2", "1/1"]]))
+        elif type(pieces[j]) is list and len(pieces[j]) == 2:
+            pieces[j][k] = draw(NON_TEXTS if fault == "endpoint" else BAD_TEXTS)
+    return pieces
+
+
+def decoded(decode, support):
+    """The points a decoder reads a support as, or its ValueError's message."""
+    return outcome(lambda s: decode(s).points, support)
+
+
+class TestFromStrings:
+    """The one-pass decoder against the earlier path, which checked the
+    whole shape, parsed every text and then paired the values again."""
+
+    @settings(max_examples=400)
+    @given(support=support_records())
+    @example(support=[])
+    @example(support=[["0/1", "1/0"], 5])  # a bad text before a bad piece: the shape
+    @example(support=[["0/1", "1/0"], ["1/2", None]])  # and before a bad endpoint
+    @example(support=[["1/2", "1/4"]])  # reversed
+    @example(support=[["0/1", "1/2"], ["1/2", "1/1"]])  # touching
+    @example(support=[[format_rational(F(1, d))] * 2 for d in reversed(COPRIME)])  # lift
+    def test_matches_the_earlier_decoder(self, support):
+        assert decoded(IntervalSet.from_strings, support) == decoded(decode_support, support)
+
+    def test_names_the_shape_it_refuses(self):
+        for support in ({"lo": "0/1"}, "0/1", None, [["0/1"]], [("0/1", "1/1")],
+                        [["0/1", "1/1", "1/1"]], [[0, 1]], [[True, "1/1"]], [["0/1", {}]]):
+            with pytest.raises(ValueError, match=r"a support must be a JSON array of \[lo, hi\]"):
+                IntervalSet.from_strings(support)
+
 
 @st.composite
 def grid_cuts(draw):
@@ -527,7 +619,8 @@ class TestIntegerQueries:
             s = interval_set(pieces(ref))
             assert s.points == ref.points
             assert s.den > 0 and gcd(s.den, *s.ends) == 1
-            assert s.measure() == ref.measure() and type(s.measure()) is F
+            assert measures_exactly(s, ref.measure())
+            assert [s.measure_below(x) for x in queries] == [ref.measure() < x for x in queries]
             assert s.to_pairs() == ref.to_pairs()
             for x in queries:
                 assert s.contains(x) == ref.contains(x)
@@ -741,7 +834,7 @@ class TestDepthProfile:
             sets = random_family(rng, rng.randint(1, 8))
             cells = depth_profile(sets)
             total = sum(c.length() * c.depth for c in cells)
-            assert total == sum(s.measure() for s in sets)
+            assert total == sum(map(measure, sets))
 
     def test_cell_depths_match_point_samples(self):
         rng = random.Random(41)
