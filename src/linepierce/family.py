@@ -330,21 +330,16 @@ class ConvexBody(Record):
     def top_chord(self, u):
         return self.chord(self.r_min, self.r_max, u)
 
-    def envelope_ends(self, u: Fraction) -> tuple[Fraction, Fraction]:
-        """The ends of the chord that is the lower envelope over u in the
-        range: (u, u), the parabola, when the support holds u, and otherwise
-        the gap around u."""
-        if self.support.contains(u):
-            return (u, u)
-        return self.support.gap_around(u)
-
     def lower_envelope(self, u: Fraction) -> Fraction:
+        """The chord over the gap around u, or over (u, u), the parabola,
+        when the support holds u."""
         if u < self.r_min or u > self.r_max:
             raise ValueError(
                 f"{format_rational(u)} outside body range "
                 f"[{format_rational(self.r_min)}, {format_rational(self.r_max)}]"
             )
-        return self.chord(*self.envelope_ends(u), u)
+        ends = (u, u) if self.support.contains(u) else self.support.gap_around(u)
+        return self.chord(*ends, u)
 
     def y_range(self) -> tuple[Fraction, Fraction]:
         return (self.q + self.eps * self.r_min, self.q + self.eps * self.r_max)

@@ -10,7 +10,7 @@ Bodies are sliced out of nearly-y-perpendicular planes y = q + eps*x, and
 the pair (q, eps) is the whole description of such a plane.  The chart
 (u, w) = (x, z) identifies it with R^2 and turns the surface trace into the
 parabola w = q*u + eps*u^2; a line crossing the plane meets it at one chart
-point, and a line parallel to it or lying in it has no chart point.
+point, as ints over one positive denominator, and any other line at none.
 """
 
 from __future__ import annotations
@@ -147,17 +147,18 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
 
 def line_plane_intersection(
     line: Line3, q: Fraction, eps: Fraction
-) -> tuple[Fraction, Fraction] | None:
+) -> tuple[int, int, int] | None:
     """Meet base + s*dir with the plane y = q + eps*x, in the plane's chart.
 
     In integers: the line is (x0, y0, z0) + s*(dx, dy, dz) over its common
     denominator L (``Line3.integer_coords``), and q = qn/qd, eps = en/ed.  Then
     s = sn/sd for sn = ed*(qn*L - qd*y0) + qd*en*x0 and
-    sd = qd*(ed*dy - en*dx).  sd == 0: the line is parallel to the plane, or
-    lies in it, and the meet is None.  Otherwise the hit is the chart point
-    (u, w) = ((x0*sd + sn*dx)/(L*sd), (z0*sd + sn*dz)/(L*sd)), each reduced
-    once; its y = (y0 + s*dy)/L is on the plane by the choice of s, so it is
-    not formed.
+    sd = qd*(ed*dy - en*dx), both negated when sd < 0.  sd == 0: the line is
+    parallel to the plane, or lies in it, and the meet is None.  Otherwise the
+    hit is the chart point (u, w) = (un/ud, wn/ud), returned as the ints
+    (un, wn, ud) = (x0*sd + sn*dx, z0*sd + sn*dz, L*sd) with ud > 0, not
+    reduced; its y = (y0 + s*dy)/L is on the plane by the choice of s, so it
+    is not formed.
     """
     x0, y0, z0, dx, dy, dz, den = line.integer_coords
     en, ed = eps.numerator, eps.denominator
@@ -165,10 +166,11 @@ def line_plane_intersection(
     sd = ed * dy - en * dx
     if sd == 0:
         return None
-    sd *= qd
     sn = ed * (qn * den - qd * y0) + qd * en * x0
-    chart_den = den * sd
-    return Fraction(x0 * sd + sn * dx, chart_den), Fraction(z0 * sd + sn * dz, chart_den)
+    if sd < 0:
+        sn, sd = -sn, -sd
+    sd *= qd
+    return x0 * sd + sn * dx, z0 * sd + sn * dz, den * sd
 
 
 def line_to_record(line: Line3) -> dict:

@@ -6,11 +6,11 @@ inequality as a certificate, or None when the line pierces.  Every integer
 test here clears the tilt eps = 2^-k by a shift of k = ``ConvexBody.k``
 bits, the one exponent ``family.tilt_exponent`` defines:
 
-- a line crossing the plane misses iff its chart point lies outside the
-  hull; each hull side is the sign of the point's height over a chord of
-  the parabola (``ConvexBody.chord``, signed by ``_chord_side``), one
-  comparison of integers, and the certificate's ``Fraction`` values are
-  built only on a miss;
+- a line crossing the plane misses iff its chart point, ints over one
+  denominator, lies outside the hull; ``_hull_miss`` names the failed side
+  by one comparison of integers, a chord's side signed by ``_chord_side``,
+  so ``pierce`` builds no ``Fraction`` for such a line, and a certificate
+  builds its ``Fraction`` values only on a miss;
 - a line parallel to the plane has no chart point; the residual
   y0 - q - eps*x0 of its base tells a line off the plane, which misses
   and whose certificate states that residual, from a line inside it;
@@ -69,13 +69,15 @@ def max_vertical_distance(body: ConvexBody) -> Fraction:
 
 def pierce(line: Line3, body: ConvexBody) -> bool:
     """Does the line meet the body?  Decided by where the line meets the
-    body's plane, for every line class alike, after ``_surely_misses`` has
-    had the chance to answer "miss" in small integers.  The filter is sound,
-    so the answer is the plane meet's; certificates come from the plane meet
-    alone."""
+    body's plane, for every line class alike and in ints for a line crossing
+    it, after the sound filter ``_surely_misses`` has had the chance to
+    answer "miss" in small integers; certificates come from the plane meet."""
     if _surely_misses(line, body):
         return False
-    return _geometric_miss(line, body) is None
+    hit = line_plane_intersection(line, body.q, body.eps)
+    if hit is None:
+        return _parallel_miss(line, body) is None
+    return _hull_miss(*hit, body) is None
 
 
 def _surely_misses(line: Line3, body: ConvexBody) -> bool:
@@ -319,46 +321,63 @@ def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
 
 
 def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
+    """The plane meet's certificate, or None: ``_hull_miss``'s case in ``Fraction``s."""
     hit = line_plane_intersection(line, body.q, body.eps)
     if hit is None:
-        # parallel to the plane: off it by the base's residual, or in it
-        residual = line.base.y - body.q - body.eps * line.base.x
-        if residual:
-            return Certificate("plane-parallel", residual, "!=", Fraction(0))
-        return _in_plane_miss(line, body)
-    u, w = hit
-    outside = _range_miss("point", u, body)
-    if outside is not None:
-        return outside
-    if _chord_side(body, u, w, body.r_min, body.r_max) > 0:
-        return Certificate("point-above-top-chord", w, ">", body.top_chord(u))
-    ends = body.envelope_ends(u)
-    if _chord_side(body, u, w, *ends) < 0:
-        return Certificate("point-below-envelope", w, "<", body.chord(*ends, u))
+        return _parallel_miss(line, body)
+    failed = _hull_miss(*hit, body)
+    if failed is None:
+        return None
+    (case, gap), (un, wn, ud) = failed, hit
+    u, w = Fraction(un, ud), Fraction(wn, ud)
+    if case == "point-above-top-chord":
+        return Certificate(case, w, ">", body.top_chord(u))
+    if case == "point-below-envelope":
+        ends = [Fraction(end, body.support.den) for end in gap] if gap else (u, u)
+        return Certificate(case, w, "<", body.chord(*ends, u))
+    return _range_miss("point", u, body)
+
+
+def _hull_miss(un: int, wn: int, ud: int, body: ConvexBody) -> tuple[str, tuple | None] | None:
+    """The hull side the chart point (un/ud, wn/ud), ud > 0, fails, and the gap's
+    ends, ints over den, when below its chord; or None.  Over the support the envelope
+    is the parabola: ud^2*qd*2^k*(w - q*u - eps*u^2) = (wn*qd - qn*un)*ud*2^k - qd*un^2."""
+    support = body.support
+    den, ends = support.den, support.ends
+    if un * den < ends[0] * ud:
+        return "point-below-range", None
+    if un * den > ends[-1] * ud:
+        return "point-above-range", None
+    if _chord_side(body, un, wn, ud, (ends[0], den), (ends[-1], den)) > 0:
+        return "point-above-top-chord", None
+    if support.contains(un, ud):
+        qn, qd = body.q.numerator, body.q.denominator
+        below = ((wn * qd - qn * un) * ud) << body.k < un * un * qd
+        return ("point-below-envelope", None) if below else None
+    gap = support.gap_ends(un, ud)
+    if _chord_side(body, un, wn, ud, (gap[0], den), (gap[1], den)) < 0:
+        return "point-below-envelope", gap
     return None
 
 
-def _chord_side(body: ConvexBody, u: Fraction, w: Fraction, s: Fraction, t: Fraction) -> int:
-    """Sign of w - ``body.chord(s, t, u)``, the height of (u, w) over the
-    chord (q + eps*(s + t))*u - eps*s*t of the body's parabola over s and t.
-
-    The body's eps is 2^-k, k = ``body.k``.  Write each fraction as wn/wd and
-    so on, over a positive denominator, and multiply w - chord(u) by the positive
-    wd*qd*ud*sd*td*2^k: the sign is that of the integer difference
-    (wn*qd*ud - qn*un*wd)*sd*td*2^k minus ((sn*td + tn*sd)*un - sn*tn*ud)*wd*qd,
-    so one comparison decides it.
-    """
-    wn, wd = w.numerator, w.denominator
+def _chord_side(body: ConvexBody, un: int, wn: int, ud: int, s: tuple, t: tuple) -> int:
+    """Sign of w - ``body.chord(s, t, u)`` at the chart point (un/ud, wn/ud):
+    its height over the chord (q + eps*(s + t))*u - eps*s*t of the parabola
+    over the pairs s = (sn, sd) and t = (tn, td), every denominator positive.
+    Times ud*qd*sd*td*2^k, with eps = 2^-k, the difference is the integer
+    (wn*qd - qn*un)*sd*td*2^k - ((sn*td + tn*sd)*un - sn*tn*ud)*qd."""
+    (sn, sd), (tn, td) = s, t
     qn, qd = body.q.numerator, body.q.denominator
-    un, ud = u.numerator, u.denominator
-    sn, sd = s.numerator, s.denominator
-    tn, td = t.numerator, t.denominator
-    above = ((wn * qd * ud - qn * un * wd) * sd * td) << body.k
-    chord = ((sn * td + tn * sd) * un - sn * tn * ud) * wd * qd
+    above = ((wn * qd - qn * un) * sd * td) << body.k
+    chord = ((sn * td + tn * sd) * un - sn * tn * ud) * qd
     return (above > chord) - (above < chord)
 
 
-def _in_plane_miss(line: Line3, body: ConvexBody) -> Certificate | None:
+def _parallel_miss(line: Line3, body: ConvexBody) -> Certificate | None:
+    """A line parallel to the plane: off it by the base's residual, or in it."""
+    residual = line.base.y - body.q - body.eps * line.base.x
+    if residual:
+        return Certificate("plane-parallel", residual, "!=", Fraction(0))
     dx, _, dz = line.dir
     if dx == 0:
         # the chart line u = x sweeps every w

@@ -17,6 +17,7 @@ from linepierce.exactnum import QuadExt, format_rational, parse_rational
 from linepierce.family import ConvexBody, FamilyStream, _LevelCursor, enumerate_Q0, tilt_exponent
 from linepierce.geometry import Line3, Point3
 from linepierce.intervals import CoverSpec, IntervalSet, make_cover, remove_intervals
+from linepierce.refutation import Certificate, _parallel_miss
 
 
 def prefix(delta: Fraction, n: int) -> list[ConvexBody]:
@@ -91,6 +92,44 @@ def chord_slope(body, a: Fraction, b: Fraction) -> Fraction:
     if a == b:
         return body.q + 2 * body.eps * a
     return (body.parabola(b) - body.parabola(a)) / (b - a)
+
+
+def fraction_plane_meet(line: Line3, q: Fraction, eps: Fraction) -> tuple[Fraction, Fraction] | None:
+    """The plane meet in ``Fraction`` arithmetic: s = (q - y0 + eps*x0) /
+    (dy - eps*dx), then the chart point (x0 + s*dx, z0 + s*dz); None when
+    the line runs parallel to the plane or lies in it."""
+    (dx, dy, dz), b = line.dir, line.base
+    den = dy - eps * dx
+    if den == 0:
+        return None
+    s = (q - b.y + eps * b.x) / den
+    return b.x + s * dx, b.z + s * dz
+
+
+def fraction_geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
+    """The plane meet's certificate as ``refutation._geometric_miss``
+    decided it in ``Fraction``s before its integer form: the chart point of
+    ``fraction_plane_meet``, each hull side one ``Fraction`` comparison, in
+    the order range, top chord, lower envelope, and the envelope's ends
+    from ``FractionSet``.  A line parallel to the plane is certified by the
+    package's ``_parallel_miss``, which has no integer form; its in-plane
+    half is checked against sympy in ``tests/test_refutation.py``."""
+    meet = fraction_plane_meet(line, body.q, body.eps)
+    if meet is None:
+        return _parallel_miss(line, body)
+    u, w = meet
+    if u < body.r_min:
+        return Certificate("point-below-range", u, "<", body.r_min)
+    if u > body.r_max:
+        return Certificate("point-above-range", u, ">", body.r_max)
+    top = body.top_chord(u)
+    if w > top:
+        return Certificate("point-above-top-chord", w, ">", top)
+    support = FractionSet(body.support.points)
+    low = body.chord(*((u, u) if support.contains(u) else support.gap_around(u)), u)
+    if w < low:
+        return Certificate("point-below-envelope", w, "<", low)
+    return None
 
 
 def over_y_by_fractions(line: Line3):

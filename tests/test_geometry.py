@@ -25,6 +25,7 @@ from linepierce.geometry import (
     ruling_line_y,
 )
 from oracles import (
+    fraction_plane_meet,
     over_y_by_fractions,
     point_at,
     prefix,
@@ -246,10 +247,20 @@ def lift(q, eps, u, w) -> Point3:
     return Point3(u, q + eps * u, w)
 
 
+def chart(hit) -> tuple[F, F] | None:
+    """The meet (un, wn, ud) as the chart point (un/ud, wn/ud), after
+    checking that it is three ints over a positive denominator."""
+    if hit is None:
+        return None
+    un, wn, ud = hit
+    assert {type(un), type(wn), type(ud)} == {int} and ud > 0
+    return F(un, ud), F(wn, ud)
+
+
 class TestPlaneIntersection:
     def test_ruling_crossing_example(self):
         q, eps = F(1, 2), F(1, 16)
-        hit = line_plane_intersection(ruling_line_x(F(1, 4)), q, eps)
+        hit = chart(line_plane_intersection(ruling_line_x(F(1, 4)), q, eps))
         assert hit == (F(1, 4), F(33, 256))
         assert lift(q, eps, *hit) == Point3(F(1, 4), F(33, 64), F(33, 256))
 
@@ -267,7 +278,7 @@ class TestPlaneIntersection:
         for _ in range(300):
             q, eps = F(rng.randint(0, 9), 10), F(1, rng.randint(2, 64))
             line = random_line(rng)
-            hit = line_plane_intersection(line, q, eps)
+            hit = chart(line_plane_intersection(line, q, eps))
             if hit is None:
                 continue
             p = lift(q, eps, *hit)
@@ -315,7 +326,7 @@ class TestPlaneMeetDifferential:
     @given(case=lines_and_planes())
     def test_meet_lies_on_line_and_plane(self, case):
         line, q, eps = case
-        hit = line_plane_intersection(line, q, eps)
+        hit = chart(line_plane_intersection(line, q, eps))
         dx, dy, dz = line.dir
         assert (hit is None) == (dy - eps * dx == 0)
         if hit is None:
@@ -327,27 +338,16 @@ class TestPlaneMeetDifferential:
         assert (oy * dz - oz * dy, oz * dx - ox * dz, ox * dy - oy * dx) == (0, 0, 0)
 
 
-def fraction_plane_meet(line: Line3, q: F, eps: F) -> tuple[F, F] | None:
-    """The plane meet in ``Fraction`` arithmetic: s = (q - y0 + eps*x0) /
-    (dy - eps*dx), then the chart point (x0 + s*dx, z0 + s*dz); None when
-    the line runs parallel to the plane or lies in it."""
-    (dx, dy, dz), b = line.dir, line.base
-    den = dy - eps * dx
-    if den == 0:
-        return None
-    s = (q - b.y + eps * b.x) / den
-    return b.x + s * dx, b.z + s * dz
-
-
 class TestPlaneMeetInIntegers:
-    """``line_plane_intersection`` over the line's common denominator
-    against the same meet in ``Fraction`` arithmetic."""
+    """``line_plane_intersection`` over the line's common denominator, read
+    as the ratios of its ints, against the same meet in ``Fraction``
+    arithmetic."""
 
     @settings(max_examples=400)
     @given(case=lines_and_planes())
     def test_matches_the_fraction_formula(self, case):
         line, q, eps = case
-        assert line_plane_intersection(line, q, eps) == fraction_plane_meet(line, q, eps)
+        assert chart(line_plane_intersection(line, q, eps)) == fraction_plane_meet(line, q, eps)
 
     def test_random_lines_on_the_family_planes(self):
         rng = random.Random(20)
@@ -355,7 +355,7 @@ class TestPlaneMeetInIntegers:
         lines = [random_line(rng) for _ in range(200)] + [ruling_line_x(F(9, 16))]
         for body in bodies:
             for line in lines:
-                got = line_plane_intersection(line, body.q, body.eps)
+                got = chart(line_plane_intersection(line, body.q, body.eps))
                 assert got == fraction_plane_meet(line, body.q, body.eps)
 
     def test_parallel_and_in_plane_lines_have_no_meet(self):

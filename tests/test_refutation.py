@@ -1,8 +1,9 @@
 import random
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as F
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,8 +28,10 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
+from linepierce import refutation as refutation_module
 from linepierce.intervals import IntervalSet
 from linepierce.refutation import (
+    Certificate,
     CoverSolution,
     UncoverableError,
     _chord_side,
@@ -45,6 +48,7 @@ from linepierce.refutation import (
 from oracles import (
     chord_slope,
     expected_certificate,
+    fraction_geometric_miss,
     interval_set,
     pieces,
     prefix,
@@ -62,10 +66,10 @@ class TestPierce:
         body = body_with_gap()
         line = ruling_line_x(F(1, 8))
         assert pierce(line, body)
-        hit = line_plane_intersection(line, body.q, body.eps)
+        un, wn, ud = line_plane_intersection(line, body.q, body.eps)
         r = F(1, 8)
         y = body.q + body.eps * r
-        p = body.from_chart(*hit)
+        p = body.from_chart(F(un, ud), F(wn, ud))
         assert (p.x, p.y, p.z) == (r, y, r * y)
 
     def test_ruling_in_gap_misses(self):
@@ -368,9 +372,142 @@ class TestHullSide:
         scale = data.draw(st.sampled_from([F(0), body.eps, body.eps**2]))
         w = data.draw(st.sampled_from([low, top])) + scale * data.draw(SMALL)
         sign = lambda x: (x > 0) - (x < 0)
-        assert _chord_side(body, u, w, body.r_min, body.r_max) == sign(w - top)
+        # the chart point over a common denominator and each chord end as a
+        # pair, none of them reduced
+        scale = data.draw(st.integers(1, 5))
+        un, wn, ud = (scale * v for v in (u.numerator * w.denominator,
+                                          w.numerator * u.denominator,
+                                          u.denominator * w.denominator))
+        ratio = lambda x: (scale * x.numerator, scale * x.denominator)
+        assert _chord_side(body, un, wn, ud, ratio(body.r_min), ratio(body.r_max)) == sign(w - top)
         gap = (u, u) if body.support.contains(u) else body.support.gap_around(u)
-        assert _chord_side(body, u, w, *gap) == sign(w - low)
+        assert _chord_side(body, un, wn, ud, *map(ratio, gap)) == sign(w - low)
+
+
+def differential_bodies(family: list[ConvexBody]) -> list[ConvexBody]:
+    """Family bodies f = 1 to 96 and 1,000 to 1,024, and two bodies with
+    the q and support of body 1,000 at the tilts of f = 5,000 and 20,000."""
+    far = family[999]
+    return [*family[:96], *family[999:1024],
+            *(ConvexBody(q=far.q, f_index=f, support=far.support) for f in (5000, 20000))]
+
+
+def decision_points(body: ConvexBody) -> list[tuple[F, F]]:
+    """Chart points (u, w) on the edges of the hull decision: u exactly at
+    r_min and at r_max, on the first inner support endpoints, inside the
+    first gaps and the first pieces; w on the parabola, on the top chord or
+    on a gap's chord."""
+    ends = body.support.points
+    points = []
+    for u in (ends[0], ends[-1]):
+        points += [(u, body.parabola(u)), (u, body.top_chord(u))]
+    points += [(u, body.parabola(u)) for u in ends[1:5]]
+    for a, b in list(zip(ends[1:-1:2], ends[2::2]))[:2]:
+        u = (a + 3 * b) / 4
+        points += [(u, body.chord(a, b, u)), (u, body.parabola(u))]
+    for lo, hi in list(zip(ends[::2], ends[1::2]))[:2]:
+        u = (lo + hi) / 2
+        points += [(u, body.parabola(u)), (u, body.top_chord(u))]
+    return points
+
+
+# ways to aim a line at a chart point: lifted to the plane along one of
+# three directions that cross it, as the x- or y-ruling through the
+# parabola over u, or along a direction parallel to the plane, lying in it
+# or off it by a hair
+AIMS = ("through", "oblique", "steep", "x-ruling", "y-ruling", "in-plane", "off-plane")
+
+
+def aimed_line(body: ConvexBody, u: F, w: F, aim: str) -> Line3:
+    q, eps = body.q, body.eps
+    if aim == "x-ruling":
+        return ruling_line_x(u)
+    if aim == "y-ruling":
+        return ruling_line_y(q + eps * u)
+    point = body.from_chart(u, w)
+    if aim == "off-plane":
+        point = Point3(point.x, point.y + eps * eps, point.z)
+    direction = {"through": (F(0), F(1), F(0)), "oblique": (F(1), F(3), F(-2)),
+                 "steep": (F(-2), F(1), F(5))}.get(aim, (F(1), eps, q + 2 * eps * u))
+    return Line3(point, direction)
+
+
+class TestIntegerHullDecision:
+    """``pierce`` and ``_geometric_miss`` decide a line crossing the plane
+    by ints; ``oracles.fraction_geometric_miss`` decides it in
+    ``Fraction``s.  Both must name the same case and state the same
+    certificate, at the edges of every side of the hull."""
+
+    @staticmethod
+    def check(line: Line3, body: ConvexBody) -> Certificate | None:
+        want = fraction_geometric_miss(line, body)
+        assert _geometric_miss(line, body) == want
+        assert pierce(line, body) == (want is None)
+        assert want is None or want.holds()
+        return want
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_the_fraction_decision(self, pinned_family, data):
+        body = data.draw(st.sampled_from(differential_bodies(pinned_family)))
+        u, w = data.draw(st.sampled_from(decision_points(body)))
+        # on the edge, or off it at the scale of eps^2 or of 1
+        tiny = body.eps * body.eps
+        u += data.draw(st.sampled_from([F(0), tiny, -tiny]))
+        w += data.draw(st.sampled_from([F(0), tiny, -tiny, F(1, 7)]))
+        self.check(aimed_line(body, u, w, data.draw(st.sampled_from(AIMS))), body)
+
+    def test_every_case_at_every_edge(self, pinned_family):
+        bodies = differential_bodies(pinned_family)
+        cases = Counter()
+        # the far bodies' Fraction oracle is slow, so they get every other
+        # point, one line crossing the plane and the rulings, on each point
+        # and a hair below it
+        sweep = [(body, decision_points(body), AIMS, (0, 1, -1))
+                 for body in [*bodies[:96:19], bodies[96], bodies[-3]]]
+        sweep += [(body, decision_points(body)[::2], ("through", "x-ruling", "y-ruling"), (0, -1))
+                  for body in bodies[-2:]]
+        for body, points, aims, nudges in sweep:
+            tiny = body.eps * body.eps
+            for u, w in points:
+                lines = [aimed_line(body, u, w + n * tiny, aim) for aim in aims for n in nudges]
+                lines += [aimed_line(body, u + n * tiny, w, "through") for n in nudges[1:]]
+                for line in lines:
+                    cert = self.check(line, body)
+                    cases[None if cert is None else cert.case] += 1
+        assert set(cases) >= {None, "point-below-range", "point-above-range",
+                              "point-above-top-chord", "point-below-envelope",
+                              "plane-parallel"}, cases
+
+    def test_meet_is_asked_once_per_decision(self, monkeypatch):
+        body = body_with_gap()
+        calls = []
+        real = refutation_module.line_plane_intersection
+        monkeypatch.setattr(refutation_module, "line_plane_intersection",
+                            lambda *args: calls.append(args) or real(*args))
+        # a line crossing the plane and one inside it, neither decided by the slab filter
+        for line in (ruling_line_x(F(1, 2)), Line3(body.from_chart(F(1, 2), F(0)), (F(0), F(0), F(1)))):
+            pierce(line, body)
+            _geometric_miss(line, body)
+        assert len(calls) == 4
+
+    def test_pierce_builds_no_fraction_for_a_line_crossing_the_plane(self, monkeypatch):
+        body = body_with_gap()
+        tiny = body.eps * body.eps
+        lines = [aimed_line(body, u + m * tiny, w + n * tiny, aim) for u, w in decision_points(body)
+                 for m, n in product((0, 1, -1), repeat=2) for aim in ("through", "oblique", "steep")]
+        # a first pass fills the cached values of the line and the body
+        certs = [_geometric_miss(line, body) for line in lines]
+        want = [pierce(line, body) for line in lines]
+        built, new = [], F.__new__
+        monkeypatch.setattr(F, "__new__", staticmethod(
+            lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+        got = [pierce(line, body) for line in lines]
+        monkeypatch.undo()
+        assert built == [] and got == want == [cert is None for cert in certs]
+        assert {cert and cert.case for cert in certs} == {
+            None, "point-below-range", "point-above-range", "point-above-top-chord",
+            "point-below-envelope"}
 
 
 class TestMaxVerticalDistance:
@@ -415,6 +552,26 @@ class TestPiercingMatrix:
         bodies = prefix(F(1, 2), 5)
         lines = [ruling_line_x(F(k, 7)) for k in range(8)]
         assert piercing_matrix(bodies, lines) == piercing_matrix(bodies, lines)
+
+    def test_each_ruling_cell_asks_the_support_once_and_each_generic_cell_pierce(
+        self, monkeypatch
+    ):
+        bodies = prefix(F(1, 2), 30)
+        rulings = [ruling_line_x(F(k, 8)) for k in range(9)] + [ruling_line_y(F(1, 3))]
+        generic = [Line3(Point3(F(1, 2), F(1, 2), F(1, 4)), (F(1), F(1, 3), F(1)))]
+        asked, pierced = [], []
+        contains, real_pierce = IntervalSet.contains, refutation_module.pierce
+        monkeypatch.setattr(IntervalSet, "contains",
+                            lambda s, *args: asked.append(s) or contains(s, *args))
+        piercing_matrix(bodies, rulings)
+        assert asked == [body.support for body in bodies for _ in rulings]
+        monkeypatch.setattr(refutation_module, "pierce",
+                            lambda line, body: pierced.append((line, body)) or real_pierce(line, body))
+        assert piercing_matrix(bodies, rulings + generic) == tuple(
+            (*row, real_pierce(generic[0], body))
+            for row, body in zip(piercing_matrix(bodies, rulings), bodies)
+        )
+        assert pierced == [(generic[0], body) for body in bodies]
 
 
 def _oracle_pool(bodies: list[ConvexBody]) -> list[Line3]:
@@ -777,8 +934,9 @@ class TestVerticalClearance:
                 hit = line_plane_intersection(line, body.q, body.eps)
                 if hit is None:
                     continue
-                u, _ = hit
-                offset = vertical_distance(body.from_chart(*hit))
+                un, wn, ud = hit
+                u = F(un, ud)
+                offset = vertical_distance(body.from_chart(u, F(wn, ud)))
                 if pierce(line, body):
                     assert body.r_min <= u <= body.r_max
                     assert offset <= max_vertical_distance(body)

@@ -17,11 +17,14 @@ shows the floor: a child starts with the resident size its parent had at
 the fork, so no peak reads below it, and this process only stats the files
 its children write, so reading one cannot raise the next child's peak.
 
-A last table, taken after the peak rows in a child process of its own,
-gives the seconds of each phase of ``construct -N 2000 --verify``, as the
-command runs them: emitting the bodies into a list, writing the file,
-reading it back, and comparing the bodies read with those emitted, then
-each support's measure with delta by the command's own test.
+A last table, taken after the peak rows, gives the seconds of each phase
+of ``construct -N 2000 --verify``, as the command runs them: emitting the
+bodies into a list, writing the file, reading it back, and comparing the
+bodies read with those emitted, then each support's measure with delta by
+the command's own test.  The phases run ``PHASE_RUNS`` times, each time in
+a child process of its own, and each row gives a phase's median and
+quartiles over those runs, as one run's seconds vary by more than a
+change worth measuring.
 
 From body 7,141 on, the tilt denominator 2^(2f+4) has more than 4,300
 digits, past Python's limit on converting an int to a string, so the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 COUNTS = (2_000, 4_000, 8_000, 16_000)
 PHASE_COUNT = 2_000
+PHASE_RUNS = 7
+PHASE_NAMES = ("emit", "write", "read", "compare")
 
 # cmd_construct's steps under --verify, each timed
 PHASES = """
@@ -95,14 +101,20 @@ def main() -> int:
                 if code != 0:
                     failed.append(" ".join([f"N = {n}", *flags, f"exited {code}"]))
         out = Path(work) / "phases.jsonl"
-        done = subprocess.run([sys.executable, "-c", PHASES, str(PHASE_COUNT), str(out)],
-                              env=ENV, capture_output=True, text=True)
-    print(f"{'n':>14} {'emit':>8} {'write':>8} {'read':>8} {'compare':>8}")
-    if done.returncode != 0 or not json.loads(done.stdout)["same"]:
-        failed.append(f"phases of N = {PHASE_COUNT} --verify: {done.stderr[-500:]}")
-    else:
-        seconds = json.loads(done.stdout)["seconds"]
-        print(f"{PHASE_COUNT:>14} " + " ".join(f"{s:>8.3f}" for s in seconds))
+        runs = []
+        for _ in range(PHASE_RUNS):
+            done = subprocess.run([sys.executable, "-c", PHASES, str(PHASE_COUNT), str(out)],
+                                  env=ENV, capture_output=True, text=True)
+            if done.returncode != 0 or not json.loads(done.stdout)["same"]:
+                failed.append(f"phases of N = {PHASE_COUNT} --verify: {done.stderr[-500:]}")
+                break
+            runs.append(json.loads(done.stdout)["seconds"])
+    if len(runs) == PHASE_RUNS:
+        print(f"N = {PHASE_COUNT} --verify, seconds over {PHASE_RUNS} runs")
+        print(f"{'phase':>14} {'median':>8} {'q1':>8} {'q3':>8}")
+        for name, seconds in zip(PHASE_NAMES, zip(*runs)):
+            q1, median, q3 = statistics.quantiles(seconds, n=4)
+            print(f"{name:>14} {median:>8.3f} {q1:>8.3f} {q3:>8.3f}")
     if failed:
         print(f"failed: {', '.join(failed)}")
         return 1

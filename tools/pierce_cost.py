@@ -1,0 +1,121 @@
+"""Predicate cost against the body index: microseconds per ``pierce`` call.
+
+Usage:
+
+    python3 tools/pierce_cost.py
+
+For each f in ``FS``, the body is emission f's of the family at delta 1/2:
+its approach m = m_of(f) and visit n in the dovetail give q, the n-th
+value of approach m's dyadic sequence, and the support, the n-th of
+``SupportAssigner(1/2, m)``.  (An earlier emission that took the same q
+would move it; the tilt eps = 2^-(2f+4) is emission f's either way.)  Six
+lines are aimed at it, each at a chart abscissa c: the middle of the
+support's first piece of positive length, where the line pierces, or the
+middle of its first gap, where it misses.  They are the x-ruling x = c, the
+y-ruling y = q + eps*c, and a generic line of direction (1, 1, 0) through
+the chart point (c, w), with w halfway from the parabola up to the top
+chord (pierced) or up to the gap's chord (missed).  The generic lines pass
+within eps of the surface, so the slab filter in ``pierce`` cannot decide
+them, and every call reaches the plane meet.
+
+Each cell is the median, over ``ROUNDS`` rounds, of the seconds per call
+of ``pierce`` over a list of fresh bodies (the same q and support), so
+every call reads the body's cached properties for the first time, as the
+read commands do.  The package is imported from ``src``; each f is timed
+in this one process, after one untimed round.
+
+Exits 1 if a line does not pierce or miss as aimed, else 0.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+from fractions import Fraction
+from itertools import islice
+from math import isqrt
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from linepierce.family import (  # noqa: E402
+    ConvexBody,
+    SupportAssigner,
+    dyadic_approach,
+    enumerate_Q0,
+    m_of,
+)
+from linepierce.geometry import Line3, ruling_line_x, ruling_line_y  # noqa: E402
+from linepierce.refutation import pierce  # noqa: E402
+
+FS = (100, 1_000, 5_000, 20_000, 80_000)
+ROUNDS = 5
+CALLS = 200_000  # calls per round times f, down to MIN_CALLS
+MIN_CALLS = 20
+DIRECTION = (Fraction(1), Fraction(1), Fraction(0))
+COLUMNS = ("x-ruling", "y-ruling", "generic")
+
+
+def emission(f: int) -> ConvexBody:
+    """Emission f's approach m and visit n, read as the body described above."""
+    m = m_of(f)
+    n = (isqrt(8 * f - 7) - 1) // 2 + 2 - m  # round r = k + 1 visits approach m the (r - m + 1)-th time
+    q = next(islice(dyadic_approach(enumerate_Q0(m)), n - 1, None))
+    support = next(islice(iter(SupportAssigner(Fraction(1, 2), m).assign, None), n - 1, None))
+    return ConvexBody(Fraction(*q), f, support)
+
+
+def aimed_lines(body: ConvexBody) -> dict[tuple[str, bool], Line3]:
+    """(class, pierces) -> the line aimed at the body as the docstring says."""
+    points = body.support.points
+    pieces = list(zip(points[::2], points[1::2]))
+    lo, hi = next((a, b) for a, b in pieces if a < b)
+    (_, a), (b, _) = pieces[0], pieces[1]  # the first gap (a, b)
+    lines = {}
+    for pierces, c, roof in ((True, (lo + hi) / 2, body.top_chord),
+                             (False, (a + b) / 2, lambda u: body.chord(a, b, u))):
+        w = (body.parabola(c) + roof(c)) / 2
+        lines["x-ruling", pierces] = ruling_line_x(c)
+        lines["y-ruling", pierces] = ruling_line_y(body.q + body.eps * c)
+        lines["generic", pierces] = Line3(body.from_chart(c, w), DIRECTION)
+    return lines
+
+
+def cost_us(line: Line3, body: ConvexBody, calls: int) -> tuple[float, set[bool]]:
+    """Median microseconds per ``pierce`` call over fresh bodies, and its answers."""
+    samples = []
+    for _ in range(ROUNDS + 1):
+        fresh = [ConvexBody(body.q, body.f_index, body.support) for _ in range(calls)]
+        start = time.perf_counter()
+        answers = {pierce(line, b) for b in fresh}
+        samples.append((time.perf_counter() - start) / calls * 1e6)
+    return statistics.median(samples[1:]), answers
+
+
+def main() -> int:
+    print(f"Python {sys.version.split()[0]}; microseconds per pierce call, "
+          f"median of {ROUNDS} rounds, delta 1/2")
+    print(f"{'f':>7} {'k bits':>7} " + " ".join(f"{c + ' ' + s:>18}"
+                                               for c in COLUMNS for s in ("pierced", "missed")))
+    faults = []
+    for f in FS:
+        body = emission(f)
+        lines = aimed_lines(body)
+        cells = []
+        for cls in COLUMNS:
+            for pierces in (True, False):
+                us, answers = cost_us(lines[cls, pierces], body, max(MIN_CALLS, CALLS // f))
+                cells.append(f"{us:>18.1f}")
+                if answers != {pierces}:
+                    faults.append(f"f = {f}: the {cls} line aimed to {'pierce' if pierces else 'miss'} does not")
+        print(f"{f:>7} {body.k:>7} " + " ".join(cells), flush=True)
+    if faults:
+        print("\n".join(faults))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
