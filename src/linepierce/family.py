@@ -330,20 +330,6 @@ class ConvexBody(Record):
     def top_chord(self, u):
         return self.chord(self.r_min, self.r_max, u)
 
-    def lower_envelope(self, u: Fraction) -> Fraction:
-        """The chord over the gap around u, or over (u, u), the parabola,
-        when the support holds u."""
-        if u < self.r_min or u > self.r_max:
-            raise ValueError(
-                f"{format_rational(u)} outside body range "
-                f"[{format_rational(self.r_min)}, {format_rational(self.r_max)}]"
-            )
-        ends = (u, u) if self.support.contains(u) else self.support.gap_around(u)
-        return self.chord(*ends, u)
-
-    def y_range(self) -> tuple[Fraction, Fraction]:
-        return (self.q + self.eps * self.r_min, self.q + self.eps * self.r_max)
-
 
 class FamilyStream:
     """Lazy deterministic emission of bodies, read once, forward.

@@ -105,14 +105,10 @@ class IntervalSet(Record):
         i = bisect_left(self.ends, k)
         return i % 2 == 1 or self.ends[i : i + 1] == (k,)
 
-    def gap_around(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        """Endpoints (hi_j, lo_{j+1}) of the gap strictly containing x."""
-        lo, hi = self.gap_ends(x)
-        return (Fraction(lo, self.den), Fraction(hi, self.den))
-
     def gap_ends(self, x: Fraction | int, per: int = 1) -> tuple[int, int]:
-        """``gap_around(x/per)`` as ints over den, ``per`` as in ``contains``: x/per lies past an
-        even number of endpoints, those <= k = floor(x*den/per), and is none of them."""
+        """The ends (hi_j, lo_{j+1}) of the gap strictly holding x/per, as ints over den,
+        ``per`` as in ``contains``: x/per lies past an even number of endpoints, those
+        <= k = floor(x*den/per), and is none of them."""
         k, r = divmod(x.numerator * self.den, x.denominator * per)
         ends, i = self.ends, bisect_right(self.ends, k)
         if i % 2 or not 0 < i < len(ends) or not r and ends[i - 1] == k:

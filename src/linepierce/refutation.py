@@ -19,8 +19,9 @@ bits, the one exponent ``family.tilt_exponent`` defines:
   minimum lies at an endpoint or at a rational parabola vertex, so no
   radicals arise;
 - a ruling meets the plane on the parabola, at chart abscissa ``c``
-  (x-ruling) or ``(b - q)/eps`` (y-ruling), and pierces iff that abscissa
-  lies in the support.
+  (x-ruling) or ``(b - q)/eps`` (y-ruling), so it fails only the range or
+  a gap's chord, and its certificate is that case in its own terms; the
+  scan's support rule says it pierces iff that abscissa is in the support.
 
 ``pierce`` applies the first two decisions to any line; for rulings it is
 the independent geometric cross-check of the support rule.  Ahead of them
@@ -47,6 +48,7 @@ from .family import ConvexBody, FamilyStream, body_to_record
 from .geometry import (
     GENERIC,
     X_RULING,
+    Y_RULING,
     Line3,
     LineClass,
     SurfaceIntersection,
@@ -258,11 +260,29 @@ class Certificate(Record):
 def non_piercing_certificate(
     line: Line3, body: ConvexBody, cls: LineClass | None = None
 ) -> Certificate | None:
-    """Certificate that the line misses the body, or None if it pierces."""
+    """Certificate that the line misses the body, or None if it pierces: the
+    plane meet's, for every line class, and a ruling's in its own terms."""
+    cert = _geometric_miss(line, body)
     cls = cls or classify_line(line)
-    if cls.kind == GENERIC:
-        return _geometric_miss(line, body)
-    return _ruling_miss(cls, body)
+    if cert is None or cls.kind == GENERIC:
+        return cert
+    case = _RULING_CASES[cls.kind, cert.case]
+    if case.startswith("plane-slab"):  # b = q + eps*u, eps > 0: u < r iff b < q + eps*r
+        return Certificate(case, cls.param, cert.rel, body.q + body.eps * cert.rhs)
+    return Certificate(case, cert.lhs, cert.rel, cert.rhs)
+
+
+# A ruling lies on z = x*y, so it meets the plane on the parabola, at
+# (c, parabola(c)) for x = c and at u = (b - q)/eps, w = b*u for y = b:
+# the only hull sides it can fail are the range and a gap's chord.
+_RULING_CASES = {
+    (X_RULING, "point-below-range"): "support-below-range",
+    (X_RULING, "point-above-range"): "support-above-range",
+    (X_RULING, "point-below-envelope"): "support-gap",
+    (Y_RULING, "point-below-range"): "plane-slab-below",
+    (Y_RULING, "point-above-range"): "plane-slab-above",
+    (Y_RULING, "point-below-envelope"): "slab-gap",
+}
 
 
 def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
@@ -270,8 +290,10 @@ def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
 
     A y-ruling's abscissa (b - q)/eps, with eps = 2^-k, k = ``body.k``, is
     asked as the ratio of (bn*qd - qn*bd) << k to bd*qd, so it is never
-    reduced to a ``Fraction``.  ``pierce`` decides rulings by an independent geometric
-    path; the verifier and the witness command use it to cross-check this.
+    reduced to a ``Fraction``.  It is the scan's decision; the plane meet,
+    its deliberate cross-check, decides ``pierce`` and states every
+    certificate, so a miss here that the hull calls pierced fails at the
+    witness even without ``--verify``.
     """
     b, q = cls.param, body.q
     if cls.kind == X_RULING:
@@ -297,27 +319,6 @@ def _range_miss(prefix: str, u: Fraction, body: ConvexBody) -> Certificate | Non
     if u > body.r_max:
         return Certificate(f"{prefix}-above-range", u, ">", body.r_max)
     return None
-
-
-def _ruling_miss(cls: LineClass, body: ConvexBody) -> Certificate | None:
-    if _ruling_pierces(cls, body):
-        return None
-    if cls.kind == X_RULING:
-        u, gap = cls.param, "support-gap"
-        outside = _range_miss("support", u, body)
-        if outside is not None:
-            return outside
-    else:
-        # eps > 0, so u < r_min iff b < y_lo and u > r_max iff b > y_hi
-        b = cls.param
-        y_lo, y_hi = body.y_range()
-        if b < y_lo:
-            return Certificate("plane-slab-below", b, "<", y_lo)
-        if b > y_hi:
-            return Certificate("plane-slab-above", b, ">", y_hi)
-        u, gap = (b - body.q) / body.eps, "slab-gap"
-    # on-parabola point strictly under the gap chord
-    return Certificate(gap, body.parabola(u), "<", body.lower_envelope(u))
 
 
 def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:

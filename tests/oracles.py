@@ -125,11 +125,18 @@ def fraction_geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None
     top = body.top_chord(u)
     if w > top:
         return Certificate("point-above-top-chord", w, ">", top)
-    support = FractionSet(body.support.points)
-    low = body.chord(*((u, u) if support.contains(u) else support.gap_around(u)), u)
+    low = lower_envelope(body, u)
     if w < low:
         return Certificate("point-below-envelope", w, "<", low)
     return None
+
+
+def lower_envelope(body: ConvexBody, u: Fraction) -> Fraction:
+    """The hull's lower boundary over u in the body's range: the parabola
+    where the support holds u, else the chord over the gap around u, whose
+    ends ``FractionSet`` finds by a scan of the pieces."""
+    support = FractionSet(body.support.points)
+    return body.chord(*((u, u) if support.contains(u) else support.gap_around(u)), u)
 
 
 def over_y_by_fractions(line: Line3):

@@ -1174,11 +1174,14 @@ class TestInternalError:
     on stderr; the fuzz tests below check that no input gets here."""
 
     @pytest.mark.parametrize("wrong", [
-        lambda cls, body: None,
-        lambda cls, body: Certificate("support", F(0), "<", F(0)),
+        lambda line, body: None,
+        lambda line, body: Certificate("point-below-range", F(0), "<", F(0)),
     ], ids=["claims-pierce", "false-inequality"])
     def test_refute_certificate_disagreement(self, tmp_path, monkeypatch, capsys, wrong):
-        monkeypatch.setattr(refutation, "_ruling_miss", wrong)
+        """The plane meet states every certificate, a ruling's too; one that
+        says the support rule's miss pierces, or states a false inequality,
+        fails at the witness without ``--verify``."""
+        monkeypatch.setattr(refutation, "_geometric_miss", wrong)
         lines = tmp_path / "lines.jsonl"
         write_lines(lines, [ruling_line_x(F(1, 2))])
         assert main(["refute", "--delta", "1/2", "--lines", str(lines),

@@ -287,6 +287,13 @@ class TestRemoveIntervals:
                 assert pieces(s) == subtraction_oracle(delta, level, picks)
 
 
+def gap_around(s: IntervalSet, x: F) -> tuple[F, F]:
+    """``IntervalSet.gap_ends`` read as ``Fraction``s, to set beside
+    ``FractionSet.gap_around``."""
+    lo, hi = s.gap_ends(x)
+    return F(lo, s.den), F(hi, s.den)
+
+
 def outcome(call, *args):
     """What a call returns, or the message of the ValueError it raises."""
     try:
@@ -304,7 +311,7 @@ class TestMembership:
         ref = FractionSet(s.points)
         for x in sorted(set(s.points) | set(CUT_ENDS)):
             assert s.contains(x) == ref.contains(x)
-            assert outcome(s.gap_around, x) == outcome(ref.gap_around, x)
+            assert outcome(gap_around, s, x) == outcome(ref.gap_around, x)
 
 
 class TestMeasureAndIntersect:
@@ -626,7 +633,7 @@ class TestIntegerQueries:
                 assert s.contains(x) == ref.contains(x)
                 # a ratio of ints, unreduced, as the y-ruling rule asks it
                 assert s.contains(3 * x.numerator, 3 * x.denominator) == ref.contains(x)
-                assert outcome(s.gap_around, x) == outcome(ref.gap_around, x)
+                assert outcome(gap_around, s, x) == outcome(ref.gap_around, x)
 
     @settings(max_examples=200)
     @given(case=pick_cases(), rng=st.randoms(use_true_random=False))
@@ -658,7 +665,7 @@ class TestIntegerQueries:
         assert [s.contains(x) for x in queries] == [
             0 <= k <= 78 and k % 4 in (0, 1, 2) for k in range(-2, 85)
         ]
-        assert s.gap_around(F(3, 82)) == (F(1, 41), F(2, 41))
+        assert s.gap_ends(F(3, 82)) == (1, 2) and s.den == 41
         cut = IntervalSet.subtract_open(82, [1, 5, 5, 6])
         assert cut.points == (F(0), F(1, 82), F(5, 82), F(5, 82), F(3, 41), F(1))
         assert compared == []

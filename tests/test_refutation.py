@@ -46,10 +46,12 @@ from linepierce.refutation import (
     refute,
 )
 from oracles import (
+    FractionSet,
     chord_slope,
     expected_certificate,
     fraction_geometric_miss,
     interval_set,
+    lower_envelope,
     pieces,
     prefix,
     vertical_distance,
@@ -76,7 +78,7 @@ class TestPierce:
         body = body_with_gap()
         assert not pierce(ruling_line_x(F(1, 2)), body)
         # the chart point sits strictly below the gap chord
-        assert body.parabola(F(1, 2)) < body.lower_envelope(F(1, 2))
+        assert body.parabola(F(1, 2)) < lower_envelope(body, F(1, 2))
 
     def test_ruling_out_of_range_misses(self):
         body = body_with_gap()
@@ -89,7 +91,7 @@ class TestPierce:
 
     def test_constant_y_outside_slab_misses(self):
         body = body_with_gap()
-        y_lo, y_hi = body.y_range()
+        y_lo, y_hi = body.q + body.eps * body.r_min, body.q + body.eps * body.r_max
         assert not pierce(ruling_line_y(y_lo - F(1, 1000)), body)
         assert not pierce(ruling_line_y(y_hi + F(1, 1000)), body)
 
@@ -157,7 +159,7 @@ class TestPierce:
     def test_in_plane_steep_line_through_gap(self):
         body = body_with_gap()
         mid = F(1, 2)
-        w = (body.lower_envelope(mid) + body.top_chord(mid)) / 2
+        w = (lower_envelope(body, mid) + body.top_chord(mid)) / 2
         anchor = body.from_chart(mid, w)
         steep = Line3(anchor, (F(1), body.eps, F(1000)))
         assert pierce(steep, body)
@@ -220,27 +222,35 @@ class TestPierce:
                 assert pierce(ruling_line_x(r), body) == body.support.contains(r)
 
 
-def test_ruling_certificate_cases():
-    """Each ruling class has its own three miss cases.  A y-ruling never
-    reaches a range case: b leaves the y-slab exactly when its abscissa
-    (b - q)/eps leaves [r_min, r_max]."""
-    cases = {X_RULING: set(), Y_RULING: set()}
-    for body in prefix(F(1, 2), 200):
-        gaps = list(zip(pieces(body.support), pieces(body.support)[1:]))[:3]
-        probes = [F(-1, 7), F(8, 7), body.r_min, body.r_max]
-        probes += [(hi + lo2) / 2 for (_, hi), (lo2, _) in gaps]
-        for u in probes:
-            for cls, line in ((X_RULING, ruling_line_x(u)),
-                              (Y_RULING, ruling_line_y(body.q + body.eps * u))):
-                cert = non_piercing_certificate(line, body)
-                assert (cert is None) == pierce(line, body)
-                if cert is not None:
-                    assert cert.holds()
-                    cases[cls].add(cert.case)
-    assert cases == {
-        X_RULING: {"support-below-range", "support-above-range", "support-gap"},
-        Y_RULING: {"plane-slab-below", "plane-slab-above", "slab-gap"},
-    }
+def test_ruling_certificate_cases(pinned_family):
+    """Each ruling class has its own three miss cases, the hull's range and
+    gap-chord cases in its terms, on the first 200 bodies and on bodies
+    with body 1,000's q and support where eps has thousands of bits.  A
+    y-ruling's range case is stated on the y-slab: b leaves it exactly when
+    its abscissa (b - q)/eps leaves [r_min, r_max].  Each certificate is
+    the one ``expected_certificate`` derives from the line and body records."""
+    far = pinned_family[999]
+    tilted = [ConvexBody(q=far.q, f_index=f, support=far.support) for f in (5000, 20000)]
+    cases = {}
+    with unlimited_int_digits():
+        for body in [*pinned_family[:200], *tilted]:
+            witness = body_to_record(body)
+            gaps = list(zip(pieces(body.support), pieces(body.support)[1:]))[:3]
+            probes = [F(-1, 7), F(8, 7), body.r_min, body.r_max]
+            probes += [(hi + lo2) / 2 for (_, hi), (lo2, _) in gaps]
+            for u in probes:
+                for cls, line in ((X_RULING, ruling_line_x(u)),
+                                  (Y_RULING, ruling_line_y(body.q + body.eps * u))):
+                    cert = non_piercing_certificate(line, body)
+                    assert (cert is None) == pierce(line, body)
+                    stated = cert and (cert.case, cert.lhs, cert.rel, cert.rhs)
+                    assert stated == expected_certificate(line_to_record(line), witness)
+                    if cert is not None:
+                        assert cert.holds()
+                        cases.setdefault((cls, body in tilted), set()).add(cert.case)
+    for tilt in (False, True):
+        assert cases[X_RULING, tilt] == {"support-below-range", "support-above-range", "support-gap"}
+        assert cases[Y_RULING, tilt] == {"plane-slab-below", "plane-slab-above", "slab-gap"}
 
 
 def test_certificate_oracle_on_cases_no_pinned_report_reaches():
@@ -337,7 +347,7 @@ def hull_boundary_points(body: ConvexBody):
         yield u, body.parabola(u), "point-below-envelope", -1
     if len(points) > 2:
         u = (points[1] + points[2]) / 2
-        yield u, body.lower_envelope(u), "point-below-envelope", -1
+        yield u, lower_envelope(body, u), "point-below-envelope", -1
 
 
 class TestHullSide:
@@ -367,7 +377,7 @@ class TestHullSide:
     def test_sign_matches_the_fraction_difference(self, body, data):
         ends = body.support.points
         u = data.draw(st.sampled_from(ends) | st.fractions(ends[0], ends[-1]))
-        low, top = body.lower_envelope(u), body.top_chord(u)
+        low, top = lower_envelope(body, u), body.top_chord(u)
         # between, on and just beyond the boundary, at the scale of eps and far below it
         scale = data.draw(st.sampled_from([F(0), body.eps, body.eps**2]))
         w = data.draw(st.sampled_from([low, top])) + scale * data.draw(SMALL)
@@ -380,7 +390,7 @@ class TestHullSide:
                                           u.denominator * w.denominator))
         ratio = lambda x: (scale * x.numerator, scale * x.denominator)
         assert _chord_side(body, un, wn, ud, ratio(body.r_min), ratio(body.r_max)) == sign(w - top)
-        gap = (u, u) if body.support.contains(u) else body.support.gap_around(u)
+        gap = (u, u) if body.support.contains(u) else FractionSet(ends).gap_around(u)
         assert _chord_side(body, un, wn, ud, *map(ratio, gap)) == sign(w - low)
 
 
@@ -485,11 +495,15 @@ class TestIntegerHullDecision:
         real = refutation_module.line_plane_intersection
         monkeypatch.setattr(refutation_module, "line_plane_intersection",
                             lambda *args: calls.append(args) or real(*args))
-        # a line crossing the plane and one inside it, neither decided by the slab filter
-        for line in (ruling_line_x(F(1, 2)), Line3(body.from_chart(F(1, 2), F(0)), (F(0), F(0), F(1)))):
+        # rulings crossing the plane and a line inside it, none decided by the
+        # slab filter; a ruling's certificate is the meet's too
+        lines = (ruling_line_x(F(1, 2)), ruling_line_y(body.q + body.eps / 2),
+                 Line3(body.from_chart(F(1, 2), F(0)), (F(0), F(0), F(1))))
+        for line in lines:
             pierce(line, body)
             _geometric_miss(line, body)
-        assert len(calls) == 4
+            non_piercing_certificate(line, body)
+        assert len(calls) == 9
 
     def test_pierce_builds_no_fraction_for_a_line_crossing_the_plane(self, monkeypatch):
         body = body_with_gap()
@@ -603,7 +617,7 @@ def _oracle_pool(bodies: list[ConvexBody]) -> list[Line3]:
         slope, intercept = body.top_chord(F(1)) - body.top_chord(F(0)), body.top_chord(F(0))
         lines.append(Line3(Point3(F(0), q, intercept), (F(1), eps, slope)))
         if gaps:
-            a, b = body.support.gap_around(gaps[0])
+            a, b = FractionSet(ends).gap_around(gaps[0])
             lines.append(Line3(body.from_chart(a, body.parabola(a)),
                                (b - a, eps * (b - a), body.parabola(b) - body.parabola(a))))
         lines.append(Line3(Point3(F(0), q, F(-1)), (F(1), eps, q)))
@@ -644,7 +658,7 @@ def lines_through_early_bodies(draw):
     body = draw(st.sampled_from(PREFIX[:3]))
     ends = body.support.points
     u = draw(st.sampled_from(ends) | st.fractions(ends[0], ends[-1], max_denominator=64))
-    low, top = body.lower_envelope(u), body.top_chord(u)
+    low, top = lower_envelope(body, u), body.top_chord(u)
     share = draw(st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=16))
     point = body.from_chart(u, low + (top - low) * share)
     slope = draw(st.integers(-4000, 4000).map(F) | SMALL)
@@ -1200,7 +1214,7 @@ def aimed_pools(draw):
         Line3(w.from_chart(r_min - past, F(0)), oblique),
         Line3(w.from_chart(r_max + past, F(0)), oblique),
         Line3(w.from_chart(u, w.top_chord(u) + up), oblique),
-        Line3(w.from_chart(u, w.lower_envelope(u) - up), oblique),
+        Line3(w.from_chart(u, lower_envelope(w, u) - up), oblique),
         Line3(w.from_chart(r_min - past, F(0)), vertical),
         Line3(w.from_chart(r_max + past, F(0)), vertical),
         Line3(w.from_chart(r_min, w.top_chord(r_min) + up),

@@ -1,4 +1,5 @@
-"""Predicate cost against the body index: microseconds per ``pierce`` call.
+"""Predicate cost against the body index: microseconds per ``pierce`` call,
+and per ``non_piercing_certificate`` call for a line that misses.
 
 Usage:
 
@@ -21,11 +22,13 @@ them, and every call reaches the plane meet.
 Each cell is the median, over ``ROUNDS`` rounds, of the seconds per call
 of ``pierce`` over a list of fresh bodies (the same q and support), so
 every call reads the body's cached properties for the first time, as the
-read commands do.  The package is imported from ``src``; each f is timed
-in this one process, after one untimed round.
+read commands do.  The last three columns time ``non_piercing_certificate``
+for each missed line, given its class as ``refute`` gives it, in the same
+way.  The package is imported from ``src``; each f is timed in this one
+process, after one untimed round.
 
-Exits 1 if a line does not pierce or miss as aimed, else 0.  Standard
-library only.
+Exits 1 if a line does not pierce or miss as aimed, or a certificate does
+not hold, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,8 +50,13 @@ from linepierce.family import (  # noqa: E402
     enumerate_Q0,
     m_of,
 )
-from linepierce.geometry import Line3, ruling_line_x, ruling_line_y  # noqa: E402
-from linepierce.refutation import pierce  # noqa: E402
+from linepierce.geometry import (  # noqa: E402
+    Line3,
+    classify_line,
+    ruling_line_x,
+    ruling_line_y,
+)
+from linepierce.refutation import non_piercing_certificate, pierce  # noqa: E402
 
 FS = (100, 1_000, 5_000, 20_000, 80_000)
 ROUNDS = 5
@@ -83,33 +91,42 @@ def aimed_lines(body: ConvexBody) -> dict[tuple[str, bool], Line3]:
     return lines
 
 
-def cost_us(line: Line3, body: ConvexBody, calls: int) -> tuple[float, set[bool]]:
-    """Median microseconds per ``pierce`` call over fresh bodies, and its answers."""
+def cost_us(decide, line: Line3, body: ConvexBody, calls: int, *extra) -> tuple[float, list]:
+    """Median microseconds per ``decide(line, body, *extra)`` call over fresh
+    bodies, and the answers of the last round."""
     samples = []
     for _ in range(ROUNDS + 1):
         fresh = [ConvexBody(body.q, body.f_index, body.support) for _ in range(calls)]
         start = time.perf_counter()
-        answers = {pierce(line, b) for b in fresh}
+        answers = [decide(line, b, *extra) for b in fresh]
         samples.append((time.perf_counter() - start) / calls * 1e6)
     return statistics.median(samples[1:]), answers
 
 
 def main() -> int:
-    print(f"Python {sys.version.split()[0]}; microseconds per pierce call, "
-          f"median of {ROUNDS} rounds, delta 1/2")
+    print(f"Python {sys.version.split()[0]}; microseconds per pierce call, then per "
+          f"certificate of a missed line, median of {ROUNDS} rounds, delta 1/2")
     print(f"{'f':>7} {'k bits':>7} " + " ".join(f"{c + ' ' + s:>18}"
-                                               for c in COLUMNS for s in ("pierced", "missed")))
+                                               for c in COLUMNS for s in ("pierced", "missed"))
+          + " " + " ".join(f"{c + ' cert':>18}" for c in COLUMNS))
     faults = []
     for f in FS:
         body = emission(f)
         lines = aimed_lines(body)
         cells = []
+        calls = max(MIN_CALLS, CALLS // f)
         for cls in COLUMNS:
             for pierces in (True, False):
-                us, answers = cost_us(lines[cls, pierces], body, max(MIN_CALLS, CALLS // f))
+                us, answers = cost_us(pierce, lines[cls, pierces], body, calls)
                 cells.append(f"{us:>18.1f}")
-                if answers != {pierces}:
+                if set(answers) != {pierces}:
                     faults.append(f"f = {f}: the {cls} line aimed to {'pierce' if pierces else 'miss'} does not")
+        for cls in COLUMNS:
+            line = lines[cls, False]
+            us, certs = cost_us(non_piercing_certificate, line, body, calls, classify_line(line))
+            cells.append(f"{us:>18.1f}")
+            if not all(cert is not None and cert.holds() for cert in certs):
+                faults.append(f"f = {f}: a certificate of the missed {cls} line does not hold")
         print(f"{f:>7} {body.k:>7} " + " ".join(cells), flush=True)
     if faults:
         print("\n".join(faults))
