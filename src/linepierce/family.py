@@ -277,7 +277,8 @@ class ConvexBody(Record):
     In chart coordinates (u, w) = (x, z) the body is bounded below by the
     parabola w = q*u + eps*u^2 over the support (bridged by chords across
     support gaps) and above by the chord joining the extreme parabola
-    points.
+    points.  ``qn``, ``qd`` and ``k``, with q = qn/qd and eps = 2^-k, are
+    the plane as ints, set at construction for the piercing decisions.
     """
 
     _fields = ("q", "f_index", "support")  # no __slots__: the cached properties need a __dict__
@@ -288,6 +289,9 @@ class ConvexBody(Record):
         object.__setattr__(self, "support", support)
         if not isinstance(self.q, Rational):
             raise ValueError("body offset q must be rational")
+        object.__setattr__(self, "qn", self.q.numerator)
+        object.__setattr__(self, "qd", self.q.denominator)
+        object.__setattr__(self, "k", tilt_exponent(self.f_index))
         ends = self.support.ends
         if not ends:
             raise ValueError("body support must be nonempty")
@@ -297,11 +301,6 @@ class ConvexBody(Record):
     @cached_property
     def m(self) -> int:
         return m_of(self.f_index)
-
-    @cached_property
-    def k(self) -> int:
-        """The tilt exponent: eps = 2^-k."""
-        return tilt_exponent(self.f_index)
 
     @cached_property
     def eps(self) -> Fraction:

@@ -79,11 +79,18 @@ class Line3(Record):
 
 
 class LineClass(Record):
-    __slots__ = _fields = ("kind", "param")
+    """A line's class, and a ruling's constant ``param`` = pn/pd as the ints the
+    support rule asks about; pn and pd are None for a generic line."""
+
+    __slots__ = ("kind", "param", "pn", "pd")
+    _fields = ("kind", "param")
 
     def __init__(self, kind: str, param: Fraction | None = None) -> None:
         object.__setattr__(self, "kind", kind)  # X_RULING | Y_RULING | GENERIC
         object.__setattr__(self, "param", param)
+        pn, pd = (None, None) if param is None else (param.numerator, param.denominator)
+        object.__setattr__(self, "pn", pn)
+        object.__setattr__(self, "pd", pd)
 
 
 def ruling_line_x(c: Fraction) -> Line3:
@@ -146,12 +153,13 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
 
 
 def line_plane_intersection(
-    line: Line3, q: Fraction, eps: Fraction
+    line: Line3, qn: int, qd: int, en: int, ed: int
 ) -> tuple[int, int, int] | None:
-    """Meet base + s*dir with the plane y = q + eps*x, in the plane's chart.
+    """Meet base + s*dir with the plane y = q + eps*x, q = qn/qd and
+    eps = en/ed for ints with qd, ed > 0, in the plane's chart.
 
     In integers: the line is (x0, y0, z0) + s*(dx, dy, dz) over its common
-    denominator L (``Line3.integer_coords``), and q = qn/qd, eps = en/ed.  Then
+    denominator L (``Line3.integer_coords``).  Then
     s = sn/sd for sn = ed*(qn*L - qd*y0) + qd*en*x0 and
     sd = qd*(ed*dy - en*dx), both negated when sd < 0.  sd == 0: the line is
     parallel to the plane, or lies in it, and the meet is None.  Otherwise the
@@ -161,8 +169,6 @@ def line_plane_intersection(
     is not formed.
     """
     x0, y0, z0, dx, dy, dz, den = line.integer_coords
-    en, ed = eps.numerator, eps.denominator
-    qn, qd = q.numerator, q.denominator
     sd = ed * dy - en * dx
     if sd == 0:
         return None

@@ -3,7 +3,8 @@
 A line pierces a body iff it meets the body's plane inside the chart hull.
 Each line class has one exact miss decision, which returns the failed
 inequality as a certificate, or None when the line pierces.  Every integer
-test here clears the tilt eps = 2^-k by a shift of k = ``ConvexBody.k``
+test here reads the body's plane as the ints ``ConvexBody.qn``, ``.qd``
+and ``.k``, q = qn/qd, and clears the tilt eps = 2^-k by a shift of k
 bits, the one exponent ``family.tilt_exponent`` defines:
 
 - a line crossing the plane misses iff its chart point, ints over one
@@ -73,10 +74,12 @@ def pierce(line: Line3, body: ConvexBody) -> bool:
     """Does the line meet the body?  Decided by where the line meets the
     body's plane, for every line class alike and in ints for a line crossing
     it, after the sound filter ``_surely_misses`` has had the chance to
-    answer "miss" in small integers; certificates come from the plane meet."""
+    answer "miss" in small integers; certificates come from the plane meet.
+    It reads the body's plane as ints and builds no ``Fraction``, on a
+    body's first call too, unless the line is parallel to the plane."""
     if _surely_misses(line, body):
         return False
-    hit = line_plane_intersection(line, body.q, body.eps)
+    hit = line_plane_intersection(line, body.qn, body.qd, 1, 1 << body.k)
     if hit is None:
         return _parallel_miss(line, body) is None
     return _hull_miss(*hit, body) is None
@@ -106,7 +109,7 @@ def _surely_misses(line: Line3, body: ConvexBody) -> bool:
     if form is None:
         return False
     a, b, c, x1, x0, den = form
-    n, d, k = body.q.numerator, body.q.denominator, body.k
+    n, d, k = body.qn, body.qd, body.k
     height = ((a * n + b * d) * n + c * d * d) << (k + 5)
     spread = 32 * d * abs(2 * a * n + b * d) + abs(a) * d * d
     if height > spread + 8 * den * d * d or height < -spread:
@@ -288,18 +291,18 @@ _RULING_CASES = {
 def _ruling_pierces(cls: LineClass, body: ConvexBody) -> bool:
     """The support rule: a ruling pierces iff its abscissa is in the support.
 
-    A y-ruling's abscissa (b - q)/eps, with eps = 2^-k, k = ``body.k``, is
-    asked as the ratio of (bn*qd - qn*bd) << k to bd*qd, so it is never
-    reduced to a ``Fraction``.  It is the scan's decision; the plane meet,
-    its deliberate cross-check, decides ``pierce`` and states every
-    certificate, so a miss here that the hull calls pierced fails at the
-    witness even without ``--verify``.
+    The ruling's constant is b = bn/bd, ``cls.pn``/``cls.pd``.  A y-ruling's
+    abscissa (b - q)/eps, with eps = 2^-k, k = ``body.k``, is asked as the
+    ratio of (bn*qd - qn*bd) << k to bd*qd, so no ``Fraction`` is built.  It
+    is the scan's decision; the plane meet, its deliberate cross-check,
+    decides ``pierce`` and states every certificate, so a miss here that the
+    hull calls pierced fails at the witness even without ``--verify``.
     """
-    b, q = cls.param, body.q
+    bn, bd = cls.pn, cls.pd
     if cls.kind == X_RULING:
-        return body.support.contains(b)
-    offset = b.numerator * q.denominator - q.numerator * b.denominator
-    return body.support.contains(offset << body.k, b.denominator * q.denominator)
+        return body.support.contains(bn, bd)
+    offset = bn * body.qd - body.qn * bd
+    return body.support.contains(offset << body.k, bd * body.qd)
 
 
 def _pierces(line: Line3, cls: LineClass, body: ConvexBody) -> bool:
@@ -323,7 +326,7 @@ def _range_miss(prefix: str, u: Fraction, body: ConvexBody) -> Certificate | Non
 
 def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     """The plane meet's certificate, or None: ``_hull_miss``'s case in ``Fraction``s."""
-    hit = line_plane_intersection(line, body.q, body.eps)
+    hit = line_plane_intersection(line, body.qn, body.qd, 1, 1 << body.k)
     if hit is None:
         return _parallel_miss(line, body)
     failed = _hull_miss(*hit, body)
@@ -352,7 +355,7 @@ def _hull_miss(un: int, wn: int, ud: int, body: ConvexBody) -> tuple[str, tuple 
     if _chord_side(body, un, wn, ud, (ends[0], den), (ends[-1], den)) > 0:
         return "point-above-top-chord", None
     if support.contains(un, ud):
-        qn, qd = body.q.numerator, body.q.denominator
+        qn, qd = body.qn, body.qd
         below = ((wn * qd - qn * un) * ud) << body.k < un * un * qd
         return ("point-below-envelope", None) if below else None
     gap = support.gap_ends(un, ud)
@@ -368,7 +371,7 @@ def _chord_side(body: ConvexBody, un: int, wn: int, ud: int, s: tuple, t: tuple)
     Times ud*qd*sd*td*2^k, with eps = 2^-k, the difference is the integer
     (wn*qd - qn*un)*sd*td*2^k - ((sn*td + tn*sd)*un - sn*tn*ud)*qd."""
     (sn, sd), (tn, td) = s, t
-    qn, qd = body.q.numerator, body.q.denominator
+    qn, qd = body.qn, body.qd
     above = ((wn * qd - qn * un) * sd * td) << body.k
     chord = ((sn * td + tn * sd) * un - sn * tn * ud) * qd
     return (above > chord) - (above < chord)

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 import tracemalloc
 from decimal import Decimal
@@ -27,7 +29,14 @@ from linepierce.family import (
     record_line,
 )
 from linepierce.exactnum import format_rational
-from linepierce.geometry import Line3
+from linepierce.geometry import (
+    GENERIC,
+    Line3,
+    LineClass,
+    classify_line,
+    ruling_line_x,
+    ruling_line_y,
+)
 from linepierce.intervals import IntervalSet, make_cover
 from linepierce.refutation import pierce
 from oracles import (
@@ -477,6 +486,47 @@ class TestBuildBody:
         assert body_to_record(body)["m"] == 2
         with pytest.raises(ValueError, match="approach mismatch"):
             body_from_record({**body_to_record(body), "m": m})
+
+
+CLONES = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+
+
+def plane_ints(body: ConvexBody) -> tuple[int, int, int]:
+    return body.qn, body.qd, body.k
+
+
+class TestPlaneInts:
+    """A body's plane as the ints ``qn``, ``qd`` and ``k``, and a ruling
+    class's constant as ``pn`` and ``pd``, against the ``Fraction`` values
+    they stand for."""
+
+    def test_bodies_and_their_read_backs(self, pinned_family):
+        for body in pinned_family:
+            for b in (body, body_from_record(body_to_record(body))):
+                assert {type(v) for v in plane_ints(b)} == {int}
+                assert (b.qn, b.qd) == b.q.as_integer_ratio()
+                assert F(1, 1 << b.k) == b.eps
+                assert plane_ints(b) == plane_ints(body)
+
+    def test_ruling_classes_carry_their_constant(self, pinned_family):
+        for body in pinned_family:
+            for line in (ruling_line_x(body.q), ruling_line_y(body.q)):
+                cls = classify_line(line)
+                assert cls.param == body.q
+                assert (cls.pn, cls.pd) == cls.param.as_integer_ratio() == (body.qn, body.qd)
+        generic = LineClass(GENERIC)
+        assert (generic.pn, generic.pd) == (None, None)
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+    def test_clones_keep_the_ints(self, pinned_family, clone):
+        for body in (pinned_family[0], pinned_family[1999]):
+            again = clone(body)
+            assert again == body and plane_ints(again) == plane_ints(body)
+        for cls in (classify_line(ruling_line_x(F(3, 7))), classify_line(ruling_line_y(F(-2, 9))),
+                    LineClass(GENERIC)):
+            again = clone(cls)
+            assert again == cls and (again.pn, again.pd) == (cls.pn, cls.pd)
+            assert repr(again) == repr(cls)
 
 
 def digits(n: int) -> str:

@@ -257,28 +257,33 @@ def chart(hit) -> tuple[F, F] | None:
     return F(un, ud), F(wn, ud)
 
 
+def meet(line, q, eps) -> tuple[F, F] | None:
+    """``line_plane_intersection`` asked with the plane's ints, read by ``chart``."""
+    return chart(line_plane_intersection(line, *q.as_integer_ratio(), *eps.as_integer_ratio()))
+
+
 class TestPlaneIntersection:
     def test_ruling_crossing_example(self):
         q, eps = F(1, 2), F(1, 16)
-        hit = chart(line_plane_intersection(ruling_line_x(F(1, 4)), q, eps))
+        hit = meet(ruling_line_x(F(1, 4)), q, eps)
         assert hit == (F(1, 4), F(33, 256))
         assert lift(q, eps, *hit) == Point3(F(1, 4), F(33, 64), F(33, 256))
 
     def test_parallel(self):
         line = Line3(Point3(F(0), F(0), F(0)), (F(1), F(1, 16), F(0)))
-        assert line_plane_intersection(line, F(1, 2), F(1, 16)) is None
+        assert meet(line, F(1, 2), F(1, 16)) is None
 
     def test_contained(self):
         base = Point3(F(0), F(1, 2), F(7))
         line = Line3(base, (F(1), F(1, 16), F(5)))
-        assert line_plane_intersection(line, F(1, 2), F(1, 16)) is None
+        assert meet(line, F(1, 2), F(1, 16)) is None
 
     def test_hit_point_on_line_and_plane(self):
         rng = random.Random(71)
         for _ in range(300):
             q, eps = F(rng.randint(0, 9), 10), F(1, rng.randint(2, 64))
             line = random_line(rng)
-            hit = chart(line_plane_intersection(line, q, eps))
+            hit = meet(line, q, eps)
             if hit is None:
                 continue
             p = lift(q, eps, *hit)
@@ -326,7 +331,7 @@ class TestPlaneMeetDifferential:
     @given(case=lines_and_planes())
     def test_meet_lies_on_line_and_plane(self, case):
         line, q, eps = case
-        hit = chart(line_plane_intersection(line, q, eps))
+        hit = meet(line, q, eps)
         dx, dy, dz = line.dir
         assert (hit is None) == (dy - eps * dx == 0)
         if hit is None:
@@ -347,7 +352,7 @@ class TestPlaneMeetInIntegers:
     @given(case=lines_and_planes())
     def test_matches_the_fraction_formula(self, case):
         line, q, eps = case
-        assert chart(line_plane_intersection(line, q, eps)) == fraction_plane_meet(line, q, eps)
+        assert meet(line, q, eps) == fraction_plane_meet(line, q, eps)
 
     def test_random_lines_on_the_family_planes(self):
         rng = random.Random(20)
@@ -355,7 +360,7 @@ class TestPlaneMeetInIntegers:
         lines = [random_line(rng) for _ in range(200)] + [ruling_line_x(F(9, 16))]
         for body in bodies:
             for line in lines:
-                got = chart(line_plane_intersection(line, body.q, body.eps))
+                got = meet(line, body.q, body.eps)
                 assert got == fraction_plane_meet(line, body.q, body.eps)
 
     def test_parallel_and_in_plane_lines_have_no_meet(self):
@@ -366,7 +371,7 @@ class TestPlaneMeetInIntegers:
             for direction in ((F(1), eps, F(0)), (F(-7, 3), -7 * eps / 3, F(2)),
                               (F(0), F(0), F(1))):
                 for base in (on_plane, off_plane):
-                    assert line_plane_intersection(Line3(base, direction), q, eps) is None
+                    assert meet(Line3(base, direction), q, eps) is None
 
     def test_integer_coords(self):
         line = Line3(Point3(F(1, 2), F(-1, 3), F(0)), (F(5), F(1, 6), F(-3, 4)))

@@ -13,6 +13,7 @@ from linepierce.family import (
     ConvexBody,
     FamilyStream,
     SupportAssigner,
+    body_from_record,
     body_to_record,
     enumerate_Q0,
 )
@@ -68,7 +69,8 @@ class TestPierce:
         body = body_with_gap()
         line = ruling_line_x(F(1, 8))
         assert pierce(line, body)
-        un, wn, ud = line_plane_intersection(line, body.q, body.eps)
+        un, wn, ud = line_plane_intersection(
+            line, *body.q.as_integer_ratio(), *body.eps.as_integer_ratio())
         r = F(1, 8)
         y = body.q + body.eps * r
         p = body.from_chart(F(un, ud), F(wn, ud))
@@ -523,6 +525,31 @@ class TestIntegerHullDecision:
             None, "point-below-range", "point-above-range", "point-above-top-chord",
             "point-below-envelope"}
 
+    def test_pierce_builds_no_fraction_on_fresh_bodies(self, pinned_family, monkeypatch):
+        bodies = [*pinned_family[:96:19], pinned_family[999]]
+        pairs = []
+        for body in bodies:
+            tiny = body.eps * body.eps
+            record = body_to_record(body)
+            for u, w in decision_points(body):
+                for aim in ("x-ruling", "y-ruling", "through", "oblique", "steep"):
+                    for n in (0, 1, -1):
+                        line = aimed_line(body, u, w + n * tiny, aim)
+                        pairs.append((line, body, body_from_record(record)))
+        want = [pierce(line, body) for line, body, _ in pairs]
+        built, new = [], F.__new__
+        monkeypatch.setattr(F, "__new__", staticmethod(
+            lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+        got = [pierce(line, fresh) for line, _, fresh in pairs]
+        eps_read = any("eps" in vars(fresh) for _, _, fresh in pairs)
+        control = pairs[0][2].eps  # the counter sees the Fraction a body's eps builds
+        monkeypatch.undo()
+        assert built == [(1, control.denominator)] and not eps_read
+        assert got == want
+        kinds = {(classify_line(line).kind, hit) for (line, _, _), hit in zip(pairs, got)}
+        assert kinds == {(kind, hit) for kind in (X_RULING, Y_RULING, GENERIC)
+                         for hit in (True, False)}
+
 
 class TestMaxVerticalDistance:
     def test_full_span(self):
@@ -945,7 +972,8 @@ class TestVerticalClearance:
             if classify_line(line).kind != GENERIC:
                 continue
             for body in bodies:
-                hit = line_plane_intersection(line, body.q, body.eps)
+                hit = line_plane_intersection(
+                    line, *body.q.as_integer_ratio(), *body.eps.as_integer_ratio())
                 if hit is None:
                     continue
                 un, wn, ud = hit

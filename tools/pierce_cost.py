@@ -21,14 +21,25 @@ them, and every call reaches the plane meet.
 
 Each cell is the median, over ``ROUNDS`` rounds, of the seconds per call
 of ``pierce`` over a list of fresh bodies (the same q and support), so
-every call reads the body's cached properties for the first time, as the
-read commands do.  The last three columns time ``non_piercing_certificate``
-for each missed line, given its class as ``refute`` gives it, in the same
-way.  The package is imported from ``src``; each f is timed in this one
-process, after one untimed round.
+every call is a body's first, as in the read commands: ``pierce`` reads
+only the plane's ints a body sets at construction, and a certificate also
+reads the body's cached ``eps``, ``r_min`` and ``r_max`` for the first
+time.  The last three columns time ``non_piercing_certificate`` for each
+missed line, given its class as ``refute`` gives it, in the same way.
 
-Exits 1 if a line does not pierce or miss as aimed, or a certificate does
-not hold, else 0.  Standard library only.
+A last row is shaped like one ``cover --verify`` of the read benchmark:
+the first ``READ_N`` bodies at delta 1/2, decoded afresh from their records
+for each round, and the pool of session 0 of
+``perfbench/pools.py::read_sessions(READ_SEED, 1)``, 17 x-rulings at j/16
+and 8 generic lines.  It times one ``piercing_matrix`` over them, then, on
+the same bodies, the cross-check pierce of each body by the first column of
+the minimum cover that its row marks; the cover itself is not timed.  Its
+medians are over ``READ_ROUNDS`` rounds.
+
+The package is imported from ``src``; each row is timed in this one
+process, after one untimed round.  Exits 1 if a line does not pierce or
+miss as aimed, a certificate does not hold, or a cover line misses a body
+its row marks, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -41,11 +52,16 @@ from itertools import islice
 from math import isqrt
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from linepierce.family import (  # noqa: E402
     ConvexBody,
+    FamilyStream,
     SupportAssigner,
+    body_from_record,
+    body_to_record,
     dyadic_approach,
     enumerate_Q0,
     m_of,
@@ -53,10 +69,17 @@ from linepierce.family import (  # noqa: E402
 from linepierce.geometry import (  # noqa: E402
     Line3,
     classify_line,
+    line_from_record,
     ruling_line_x,
     ruling_line_y,
 )
-from linepierce.refutation import non_piercing_certificate, pierce  # noqa: E402
+from linepierce.refutation import (  # noqa: E402
+    min_line_cover,
+    non_piercing_certificate,
+    pierce,
+    piercing_matrix,
+)
+from pools import read_sessions  # noqa: E402
 
 FS = (100, 1_000, 5_000, 20_000, 80_000)
 ROUNDS = 5
@@ -64,6 +87,9 @@ CALLS = 200_000  # calls per round times f, down to MIN_CALLS
 MIN_CALLS = 20
 DIRECTION = (Fraction(1), Fraction(1), Fraction(0))
 COLUMNS = ("x-ruling", "y-ruling", "generic")
+READ_N = 1024
+READ_SEED = 0
+READ_ROUNDS = 21  # each round is short, so more of them
 
 
 def emission(f: int) -> ConvexBody:
@@ -103,6 +129,31 @@ def cost_us(decide, line: Line3, body: ConvexBody, calls: int, *extra) -> tuple[
     return statistics.median(samples[1:]), answers
 
 
+def read_row() -> list[str]:
+    """Print the read-shaped row: the median, over ``READ_ROUNDS`` rounds, of the
+    milliseconds of one ``piercing_matrix`` and the microseconds per cross-check
+    pierce; return its faults."""
+    records = [body_to_record(b) for b in islice(FamilyStream(Fraction(1, 2)).bodies(), READ_N)]
+    lines = [line_from_record(rec) for rec, _ in read_sessions(READ_SEED, 1)[0][1]]
+    matrix_s, verify_us, missed = [], [], False
+    for _ in range(READ_ROUNDS + 1):
+        bodies = [body_from_record(rec) for rec in records]
+        start = time.perf_counter()
+        matrix = piercing_matrix(bodies, lines)
+        matrix_s.append(time.perf_counter() - start)
+        columns = min_line_cover(matrix).columns
+        pairs = [(lines[next(c for c in columns if row[c])], body)
+                 for body, row in zip(bodies, matrix)]
+        start = time.perf_counter()
+        answers = [pierce(line, body) for line, body in pairs]
+        verify_us.append((time.perf_counter() - start) / len(pairs) * 1e6)
+        missed |= not all(answers)
+    print(f"read: {READ_N} decoded bodies x {len(lines)} lines, piercing_matrix "
+          f"{statistics.median(matrix_s[1:]) * 1e3:.1f} ms, cover --verify pierce "
+          f"{statistics.median(verify_us[1:]):.1f} us per call")
+    return ["read row: a cover line misses a body its row marks"] if missed else []
+
+
 def main() -> int:
     print(f"Python {sys.version.split()[0]}; microseconds per pierce call, then per "
           f"certificate of a missed line, median of {ROUNDS} rounds, delta 1/2")
@@ -128,6 +179,7 @@ def main() -> int:
             if not all(cert is not None and cert.holds() for cert in certs):
                 faults.append(f"f = {f}: a certificate of the missed {cls} line does not hold")
         print(f"{f:>7} {body.k:>7} " + " ".join(cells), flush=True)
+    faults += read_row()
     if faults:
         print("\n".join(faults))
         return 1
