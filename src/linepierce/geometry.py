@@ -59,21 +59,21 @@ class Line3(Record):
         return (*(c.numerator * (den // c.denominator) for c in coords), den)
 
     @cached_property
-    def over_y(self) -> tuple[int, int, int, int, int, int] | None:
-        """The line as a function of y, in integers over one denominator.
+    def over_y(self) -> tuple[int, int, int, int] | None:
+        """The line's height over the surface as a function of y, in integers
+        over one denominator.
 
-        With dy != 0 the line is x(y) = (x1*y + x0)/den, and its height over
-        the surface is z(y) - x(y)*y = (a*y^2 + b*y + c)/den, for integers
-        a, b, c, x1, x0 and den > 0 with no common factor; returned as
-        (a, b, c, x1, x0, den).  None when dy == 0.  Over the denominator L
-        of ``integer_coords``, x(y) = (L*dx*y + at_x)/(L*dy) with
+        With dy != 0 the height is z(y) - x(y)*y = (a*y^2 + b*y + c)/den, for
+        integers a, b, c and den > 0 with no common factor; returned as
+        (a, b, c, den).  None when dy == 0.  Over the denominator L of
+        ``integer_coords``, x(y) = (L*dx*y + at_x)/(L*dy) with
         at_x = x0*dy - y0*dx, and z(y) likewise with at_z = z0*dy - y0*dz.
         """
         x0, y0, z0, dx, dy, dz, den = self.integer_coords
         if dy == 0:
             return None
         at_x, at_z = x0 * dy - y0 * dx, z0 * dy - y0 * dz
-        form = (-den * dx, den * dz - at_x, at_z, den * dx, at_x, den * dy)
+        form = (-den * dx, den * dz - at_x, at_z, den * dy)
         g = gcd(*form) if dy > 0 else -gcd(*form)
         return tuple(v // g for v in form)
 
@@ -152,27 +152,25 @@ def line_surface_intersection(line: Line3) -> SurfaceIntersection:
     ))
 
 
-def line_plane_intersection(
-    line: Line3, qn: int, qd: int, en: int, ed: int
-) -> tuple[int, int, int] | None:
-    """Meet base + s*dir with the plane y = q + eps*x, q = qn/qd and
-    eps = en/ed for ints with qd, ed > 0, in the plane's chart.
+def line_plane_intersection(line: Line3, qn: int, qd: int, k: int) -> tuple[int, int, int] | None:
+    """Meet base + s*dir with the plane y = q + eps*x, q = qn/qd for ints
+    with qd > 0 and eps = 2^-k, in the plane's chart.
 
     In integers: the line is (x0, y0, z0) + s*(dx, dy, dz) over its common
-    denominator L (``Line3.integer_coords``).  Then
-    s = sn/sd for sn = ed*(qn*L - qd*y0) + qd*en*x0 and
-    sd = qd*(ed*dy - en*dx), both negated when sd < 0.  sd == 0: the line is
-    parallel to the plane, or lies in it, and the meet is None.  Otherwise the
-    hit is the chart point (u, w) = (un/ud, wn/ud), returned as the ints
+    denominator L (``Line3.integer_coords``).  Then s = sn/sd for
+    sn = ((qn*L - qd*y0) << k) + qd*x0 and sd = qd*((dy << k) - dx), both
+    negated when sd < 0.  sd == 0: the line is parallel to the plane, or
+    lies in it, and the meet is None.  Otherwise the hit is the chart point
+    (u, w) = (un/ud, wn/ud), returned as the ints
     (un, wn, ud) = (x0*sd + sn*dx, z0*sd + sn*dz, L*sd) with ud > 0, not
     reduced; its y = (y0 + s*dy)/L is on the plane by the choice of s, so it
     is not formed.
     """
     x0, y0, z0, dx, dy, dz, den = line.integer_coords
-    sd = ed * dy - en * dx
+    sd = (dy << k) - dx
     if sd == 0:
         return None
-    sn = ed * (qn * den - qd * y0) + qd * en * x0
+    sn = ((qn * den - qd * y0) << k) + qd * x0
     if sd < 0:
         sn, sd = -sn, -sd
     sd *= qd

@@ -79,7 +79,7 @@ def pierce(line: Line3, body: ConvexBody) -> bool:
     body's first call too, unless the line is parallel to the plane."""
     if _surely_misses(line, body):
         return False
-    hit = line_plane_intersection(line, body.qn, body.qd, 1, 1 << body.k)
+    hit = line_plane_intersection(line, body.qn, body.qd, body.k)
     if hit is None:
         return _parallel_miss(line, body) is None
     return _hull_miss(*hit, body) is None
@@ -89,33 +89,29 @@ def _surely_misses(line: Line3, body: ConvexBody) -> bool:
     """A sound filter: True only if the line misses the body; False decides
     nothing.
 
-    Lemma.  Every body lies in the box 0 <= x <= 1, q <= y <= q + eps,
-    0 <= z - x*y <= eps/4: its support lies in [0, 1], the hull lies on or
-    above the parabola w = u*y because the chords bridge a convex arc, and
-    the top chord is at most ``max_vertical_distance`` <= eps/4 above it.
-    Parametrise a line with dy != 0 by y.  Its height over the surface is
+    Lemma.  Every body lies in the box q <= y <= q + eps,
+    0 <= z - x*y <= eps/4: the hull lies on or above the parabola w = u*y
+    because the chords bridge a convex arc, and the top chord is at most
+    ``max_vertical_distance`` <= eps/4 above it.  Parametrise a line with
+    dy != 0 by y.  Its height over the surface is
     g(y) = z(y) - x(y)*y = A*y^2 + B*y + C, and for y = q + t, 0 <= t <= eps,
     g(y) - g(q) = t*(2*A*q + B + A*t), so |g(y) - g(q)| <= eps*M with
     M = |2*A*q + B| + 2*|A|/64, as eps <= 1/64.  So the line misses the
-    body when g(q) > eps*(M + 1/4) or g(q) < -eps*M, and when x(q) lies
-    outside [0, 1] by more than eps*|dx/dy|.
+    body when g(q) > eps*(M + 1/4) or g(q) < -eps*M.
 
-    With q = n/d and eps = 2^-k, k = ``body.k``, the tests below are these
-    inequalities multiplied through by 32*den*d^2*2^k (height) and by
-    den*d*2^k (x), so each is a small-integer polynomial, one shift and one
-    comparison.  Lines with dy == 0 are left to the plane meet.
+    With q = n/d and eps = 2^-k, k = ``body.k``, the test below is these
+    inequalities multiplied through by 32*den*d^2*2^k, so it is a
+    small-integer polynomial, one shift and two comparisons.  Lines with
+    dy == 0 are left to the plane meet.
     """
     form = line.over_y
     if form is None:
         return False
-    a, b, c, x1, x0, den = form
-    n, d, k = body.qn, body.qd, body.k
-    height = ((a * n + b * d) * n + c * d * d) << (k + 5)
+    a, b, c, den = form
+    n, d = body.qn, body.qd
+    height = ((a * n + b * d) * n + c * d * d) << (body.k + 5)
     spread = 32 * d * abs(2 * a * n + b * d) + abs(a) * d * d
-    if height > spread + 8 * den * d * d or height < -spread:
-        return True
-    x, widen = x1 * n + x0 * d, abs(x1) * d
-    return (x << k) < -widen or ((x - den * d) << k) > widen
+    return height > spread + 8 * den * d * d or height < -spread
 
 
 def piercing_matrix(
@@ -260,14 +256,14 @@ class Certificate(Record):
         }
 
 
-def non_piercing_certificate(
-    line: Line3, body: ConvexBody, cls: LineClass | None = None
-) -> Certificate | None:
+def non_piercing_certificate(line: Line3, body: ConvexBody) -> Certificate | None:
     """Certificate that the line misses the body, or None if it pierces: the
     plane meet's, for every line class, and a ruling's in its own terms."""
     cert = _geometric_miss(line, body)
-    cls = cls or classify_line(line)
-    if cert is None or cls.kind == GENERIC:
+    if cert is None:
+        return None
+    cls = classify_line(line)
+    if cls.kind == GENERIC:
         return cert
     case = _RULING_CASES[cls.kind, cert.case]
     if case.startswith("plane-slab"):  # b = q + eps*u, eps > 0: u < r iff b < q + eps*r
@@ -326,7 +322,7 @@ def _range_miss(prefix: str, u: Fraction, body: ConvexBody) -> Certificate | Non
 
 def _geometric_miss(line: Line3, body: ConvexBody) -> Certificate | None:
     """The plane meet's certificate, or None: ``_hull_miss``'s case in ``Fraction``s."""
-    hit = line_plane_intersection(line, body.qn, body.qd, 1, 1 << body.k)
+    hit = line_plane_intersection(line, body.qn, body.qd, body.k)
     if hit is None:
         return _parallel_miss(line, body)
     failed = _hull_miss(*hit, body)
@@ -352,28 +348,27 @@ def _hull_miss(un: int, wn: int, ud: int, body: ConvexBody) -> tuple[str, tuple 
         return "point-below-range", None
     if un * den > ends[-1] * ud:
         return "point-above-range", None
-    if _chord_side(body, un, wn, ud, (ends[0], den), (ends[-1], den)) > 0:
+    if _chord_side(body, un, wn, ud, ends[0], ends[-1]) > 0:
         return "point-above-top-chord", None
     if support.contains(un, ud):
         qn, qd = body.qn, body.qd
         below = ((wn * qd - qn * un) * ud) << body.k < un * un * qd
         return ("point-below-envelope", None) if below else None
     gap = support.gap_ends(un, ud)
-    if _chord_side(body, un, wn, ud, (gap[0], den), (gap[1], den)) < 0:
+    if _chord_side(body, un, wn, ud, *gap) < 0:
         return "point-below-envelope", gap
     return None
 
 
-def _chord_side(body: ConvexBody, un: int, wn: int, ud: int, s: tuple, t: tuple) -> int:
-    """Sign of w - ``body.chord(s, t, u)`` at the chart point (un/ud, wn/ud):
-    its height over the chord (q + eps*(s + t))*u - eps*s*t of the parabola
-    over the pairs s = (sn, sd) and t = (tn, td), every denominator positive.
-    Times ud*qd*sd*td*2^k, with eps = 2^-k, the difference is the integer
-    (wn*qd - qn*un)*sd*td*2^k - ((sn*td + tn*sd)*un - sn*tn*ud)*qd."""
-    (sn, sd), (tn, td) = s, t
-    qn, qd = body.qn, body.qd
-    above = ((wn * qd - qn * un) * sd * td) << body.k
-    chord = ((sn * td + tn * sd) * un - sn * tn * ud) * qd
+def _chord_side(body: ConvexBody, un: int, wn: int, ud: int, s: int, t: int) -> int:
+    """Sign of w - ``body.chord(s/den, t/den, u)`` at the chart point
+    (un/ud, wn/ud), den = ``body.support.den``: its height over the chord
+    (q + eps*(s + t)/den)*u - eps*s*t/den^2 of the parabola.  Times
+    ud*qd*den^2*2^k, with eps = 2^-k, the difference is the integer
+    (wn*qd - qn*un)*den^2*2^k - ((s + t)*den*un - s*t*ud)*qd."""
+    qn, qd, den = body.qn, body.qd, body.support.den
+    above = ((wn * qd - qn * un) * den * den) << body.k
+    chord = ((s + t) * den * un - s * t * ud) * qd
     return (above > chord) - (above < chord)
 
 
@@ -500,10 +495,7 @@ def refute(lines: list[Line3], stream: FamilyStream, n_max: int) -> RefutationOu
     for body in islice(stream.bodies(skip=x_rulings), n_max):
         if body is None or any(_pierces(line, cls, body) for line, cls in classed):
             continue  # None: pierced by construction
-        certs = tuple(
-            non_piercing_certificate(line, body, info.cls)
-            for line, info in zip(lines, infos)
-        )
+        certs = tuple(non_piercing_certificate(line, body) for line in lines)
         if not all(cert is not None and cert.holds() for cert in certs):
             raise InternalError(f"certificate check failed at emission {body.f_index}")
         return RefutationOutcome(body, n_max, infos, certs)

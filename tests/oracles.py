@@ -141,15 +141,15 @@ def lower_envelope(body: ConvexBody, u: Fraction) -> Fraction:
 
 def over_y_by_fractions(line: Line3):
     """``Line3.over_y`` by ``Fraction`` arithmetic: x and z as functions of
-    y, the height's coefficients formed from them, and each tuple entry the
-    numerator over the least common denominator of the five coefficients."""
+    y, the height's three coefficients formed from them, and each tuple
+    entry the numerator over their least common denominator."""
     dx, dy, dz = (Fraction(d) for d in line.dir)
     if dy == 0:
         return None
     slope_x, slope_z = dx / dy, dz / dy
     x0 = line.base.x - line.base.y * slope_x
     z0 = line.base.z - line.base.y * slope_z
-    coeffs = (-slope_x, slope_z - x0, z0, slope_x, x0)
+    coeffs = (-slope_x, slope_z - x0, z0)
     den = lcm(*(c.denominator for c in coeffs))
     return (*(c.numerator * (den // c.denominator) for c in coeffs), den)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linepierce.exactnum import QuadExt
+from linepierce.family import tilt_exponent
 from linepierce.geometry import (
     GENERIC,
     X_RULING,
@@ -242,9 +243,9 @@ class TestSympyOracle:
         assert crossings > 200
 
 
-def lift(q, eps, u, w) -> Point3:
-    """The chart point (u, w) on the plane y = q + eps*x."""
-    return Point3(u, q + eps * u, w)
+def lift(q, k, u, w) -> Point3:
+    """The chart point (u, w) on the plane y = q + x/2^k."""
+    return Point3(u, q + F(u, 1 << k), w)
 
 
 def chart(hit) -> tuple[F, F] | None:
@@ -257,36 +258,37 @@ def chart(hit) -> tuple[F, F] | None:
     return F(un, ud), F(wn, ud)
 
 
-def meet(line, q, eps) -> tuple[F, F] | None:
-    """``line_plane_intersection`` asked with the plane's ints, read by ``chart``."""
-    return chart(line_plane_intersection(line, *q.as_integer_ratio(), *eps.as_integer_ratio()))
+def meet(line, q, k) -> tuple[F, F] | None:
+    """``line_plane_intersection`` asked with the plane y = q + x/2^k as ints,
+    read by ``chart``."""
+    return chart(line_plane_intersection(line, *q.as_integer_ratio(), k))
 
 
 class TestPlaneIntersection:
     def test_ruling_crossing_example(self):
-        q, eps = F(1, 2), F(1, 16)
-        hit = meet(ruling_line_x(F(1, 4)), q, eps)
+        q, k = F(1, 2), 4
+        hit = meet(ruling_line_x(F(1, 4)), q, k)
         assert hit == (F(1, 4), F(33, 256))
-        assert lift(q, eps, *hit) == Point3(F(1, 4), F(33, 64), F(33, 256))
+        assert lift(q, k, *hit) == Point3(F(1, 4), F(33, 64), F(33, 256))
 
     def test_parallel(self):
         line = Line3(Point3(F(0), F(0), F(0)), (F(1), F(1, 16), F(0)))
-        assert meet(line, F(1, 2), F(1, 16)) is None
+        assert meet(line, F(1, 2), 4) is None
 
     def test_contained(self):
         base = Point3(F(0), F(1, 2), F(7))
         line = Line3(base, (F(1), F(1, 16), F(5)))
-        assert meet(line, F(1, 2), F(1, 16)) is None
+        assert meet(line, F(1, 2), 4) is None
 
     def test_hit_point_on_line_and_plane(self):
         rng = random.Random(71)
         for _ in range(300):
-            q, eps = F(rng.randint(0, 9), 10), F(1, rng.randint(2, 64))
+            q, k = F(rng.randint(0, 9), 10), rng.randint(0, 12)
             line = random_line(rng)
-            hit = meet(line, q, eps)
+            hit = meet(line, q, k)
             if hit is None:
                 continue
-            p = lift(q, eps, *hit)
+            p = lift(q, k, *hit)
             dx, dy, dz = line.dir
             # some rational s reproduces the point on each coordinate, y
             # included: the chart point lifted to the plane is on the line
@@ -300,27 +302,26 @@ class TestPlaneIntersection:
 
 SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 WIDE = st.fractions(max_denominator=2**40)
-# tilts whose numerator is not 1 (a meet that drops it leaves the plane),
-# besides the family's 4^-k
-TILTS = st.one_of(
-    st.sampled_from([F(3, 7), F(5, 2), F(7, 1), F(9, 16)]),
-    st.integers(1, 40).map(lambda k: F(1, 4**k)),
-    st.fractions(min_value=F(1, 60), max_value=9, max_denominator=60),
+# the tilt's exponent k, eps = 2^-k: 0, small ones, and those of the
+# bodies f = 1,000 and 20,000
+EXPONENTS = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from([tilt_exponent(1_000), tilt_exponent(20_000)]),
 )
 
 
 @st.composite
 def lines_and_planes(draw):
-    """A plane y = q + eps*x and a line that crosses it, runs parallel to it
-    (dy = eps*dx) or lies in it (also its base on the plane)."""
-    q, eps = draw(SMALL), draw(TILTS)
-    dx, dz = draw(SMALL), draw(SMALL)
-    dy = eps * dx if draw(st.booleans()) else draw(SMALL)
+    """A plane y = q + x/2^k and a line that crosses it, runs parallel to it
+    (dx = dy*2^k) or lies in it (also its base on the plane)."""
+    q, k = draw(SMALL), draw(EXPONENTS)
+    dy, dz = draw(SMALL), draw(SMALL)
+    dx = dy * (1 << k) if draw(st.booleans()) else draw(SMALL)
     if dx == dy == dz == 0:
         dz = F(1)
     x0, z0 = draw(SMALL), draw(SMALL)
-    y0 = q + eps * x0 if draw(st.booleans()) else draw(SMALL)
-    return Line3(Point3(x0, y0, z0), (dx, dy, dz)), q, eps
+    y0 = q + F(x0, 1 << k) if draw(st.booleans()) else draw(SMALL)
+    return Line3(Point3(x0, y0, z0), (dx, dy, dz)), q, k
 
 
 class TestPlaneMeetDifferential:
@@ -330,15 +331,15 @@ class TestPlaneMeetDifferential:
     @settings(max_examples=400)
     @given(case=lines_and_planes())
     def test_meet_lies_on_line_and_plane(self, case):
-        line, q, eps = case
-        hit = meet(line, q, eps)
+        line, q, k = case
+        hit = meet(line, q, k)
         dx, dy, dz = line.dir
-        assert (hit is None) == (dy - eps * dx == 0)
+        assert (hit is None) == (dx == dy * (1 << k))
         if hit is None:
             return
         # the chart point lifted to the plane is on the line: p - base is
         # parallel to the direction, so their cross product vanishes
-        p, b = lift(q, eps, *hit), line.base
+        p, b = lift(q, k, *hit), line.base
         ox, oy, oz = p.x - b.x, p.y - b.y, p.z - b.z
         assert (oy * dz - oz * dy, oz * dx - ox * dz, ox * dy - oy * dx) == (0, 0, 0)
 
@@ -346,13 +347,15 @@ class TestPlaneMeetDifferential:
 class TestPlaneMeetInIntegers:
     """``line_plane_intersection`` over the line's common denominator, read
     as the ratios of its ints, against the same meet in ``Fraction``
-    arithmetic."""
+    arithmetic at eps = 2^-k."""
 
     @settings(max_examples=400)
     @given(case=lines_and_planes())
+    @example(case=(ruling_line_x(F(1, 3)), F(1, 2), 0))  # eps = 1
+    @example(case=(Line3(Point3(F(0), F(1, 2), F(0)), (F(1), F(1), F(3))), F(1, 2), 0))  # in it
     def test_matches_the_fraction_formula(self, case):
-        line, q, eps = case
-        assert meet(line, q, eps) == fraction_plane_meet(line, q, eps)
+        line, q, k = case
+        assert meet(line, q, k) == fraction_plane_meet(line, q, F(1, 1 << k))
 
     def test_random_lines_on_the_family_planes(self):
         rng = random.Random(20)
@@ -360,18 +363,19 @@ class TestPlaneMeetInIntegers:
         lines = [random_line(rng) for _ in range(200)] + [ruling_line_x(F(9, 16))]
         for body in bodies:
             for line in lines:
-                got = meet(line, body.q, body.eps)
+                got = meet(line, body.q, tilt_exponent(body.f_index))
                 assert got == fraction_plane_meet(line, body.q, body.eps)
 
     def test_parallel_and_in_plane_lines_have_no_meet(self):
-        q, eps = F(2, 3), F(1, 64)
+        q, k = F(2, 3), 6
+        eps = F(1, 1 << k)
         for x0 in (F(0), F(5, 7)):
             on_plane = Point3(x0, q + eps * x0, F(3))
             off_plane = Point3(x0, q + eps * x0 + F(1, 2**80), F(3))
             for direction in ((F(1), eps, F(0)), (F(-7, 3), -7 * eps / 3, F(2)),
                               (F(0), F(0), F(1))):
                 for base in (on_plane, off_plane):
-                    assert meet(Line3(base, direction), q, eps) is None
+                    assert meet(Line3(base, direction), q, k) is None
 
     def test_integer_coords(self):
         line = Line3(Point3(F(1, 2), F(-1, 3), F(0)), (F(5), F(1, 6), F(-3, 4)))
@@ -393,7 +397,7 @@ class TestOverY:
     """``Line3.over_y`` against the line's own points, found by its parameter."""
 
     def test_x_ruling_has_zero_height(self):
-        assert Line3(Point3(1, 0, 0), (0, 1, 1)).over_y == (0, 0, 0, 0, 1, 1)
+        assert Line3(Point3(1, 0, 0), (0, 1, 1)).over_y == (0, 0, 0, 1)
         assert ruling_line_y(F(1, 3)).over_y is None
 
     @settings(max_examples=300)
@@ -407,11 +411,10 @@ class TestOverY:
         assert (form is None) == (direction[1] == 0)
         if form is None:
             return
-        a, b, c, x1, x0, den = form
+        a, b, c, den = form
         assert all(type(v) is int for v in form) and den > 0
         p = point_at(line, (y - base[1]) / direction[1])
         assert p.y == y
-        assert (x1 * y + x0) / den == p.x
         assert (a * y * y + b * y + c) / den == p.z - p.x * p.y
 
     @settings(max_examples=300)

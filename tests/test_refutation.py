@@ -37,6 +37,7 @@ from linepierce.refutation import (
     UncoverableError,
     _chord_side,
     _geometric_miss,
+    _hull_miss,
     _ruling_pierces,
     _surely_misses,
     max_vertical_distance,
@@ -69,8 +70,7 @@ class TestPierce:
         body = body_with_gap()
         line = ruling_line_x(F(1, 8))
         assert pierce(line, body)
-        un, wn, ud = line_plane_intersection(
-            line, *body.q.as_integer_ratio(), *body.eps.as_integer_ratio())
+        un, wn, ud = line_plane_intersection(line, *body.q.as_integer_ratio(), body.k)
         r = F(1, 8)
         y = body.q + body.eps * r
         p = body.from_chart(F(un, ud), F(wn, ud))
@@ -384,16 +384,24 @@ class TestHullSide:
         scale = data.draw(st.sampled_from([F(0), body.eps, body.eps**2]))
         w = data.draw(st.sampled_from([low, top])) + scale * data.draw(SMALL)
         sign = lambda x: (x > 0) - (x < 0)
-        # the chart point over a common denominator and each chord end as a
-        # pair, none of them reduced
+        # the chart point over a common denominator, not reduced, and each
+        # chord end as an int over the support's denominator
         scale = data.draw(st.integers(1, 5))
         un, wn, ud = (scale * v for v in (u.numerator * w.denominator,
                                           w.numerator * u.denominator,
                                           u.denominator * w.denominator))
-        ratio = lambda x: (scale * x.numerator, scale * x.denominator)
-        assert _chord_side(body, un, wn, ud, ratio(body.r_min), ratio(body.r_max)) == sign(w - top)
-        gap = (u, u) if body.support.contains(u) else FractionSet(ends).gap_around(u)
-        assert _chord_side(body, un, wn, ud, *map(ratio, gap)) == sign(w - low)
+        den = body.support.den
+        over_den = lambda x: (x * den).numerator  # x*den is an int at every end
+        assert all((x * den).denominator == 1 for x in ends)
+        assert _chord_side(body, un, wn, ud, over_den(ends[0]), over_den(ends[-1])) == sign(w - top)
+        support = FractionSet(ends)
+        gap = None if support.contains(u) else tuple(map(over_den, support.gap_around(u)))
+        if gap is not None:
+            assert _chord_side(body, un, wn, ud, *gap) == sign(w - low)
+        # over the support the envelope is the parabola, which _hull_miss decides itself
+        want = (("point-above-top-chord", None) if w > top
+                else ("point-below-envelope", gap) if w < low else None)
+        assert _hull_miss(un, wn, ud, body) == want
 
 
 def differential_bodies(family: list[ConvexBody]) -> list[ConvexBody]:
@@ -737,6 +745,36 @@ class TestSurelyMisses:
         decided = sum(_surely_misses(line, body) for line, body in misses)
         assert decided >= 0.95 * len(misses) > 0
 
+    def test_never_misses_a_line_through_a_far_body(self):
+        """At bodies 5,000 and 20,000, whose tilts are 2^-10004 and
+        2^-40004, no line through a point of the hull's boundary is
+        answered "miss": the points of ``hull_boundary_points`` and the
+        range's ends on the parabola and on the top chord, each met in the
+        directions of ``THROUGH``, a lifted near-ruling, and lines whose
+        height over the surface has its vertex at the point, at y = q or at
+        y = q + eps, with dy of either sign."""
+        far = [b for b in islice(FamilyStream(F(1, 2)).bodies(), 20_000)
+               if b.f_index in (5_000, 20_000)]
+        checked = 0
+        for body in far:
+            points = [(u, w) for u, w, _, _ in hull_boundary_points(body)]
+            points += [(u, roof(u)) for u in (body.r_min, body.r_max)
+                       for roof in (body.parabola, body.top_chord)]
+            for u, w in points:
+                point = body.from_chart(u, w)
+                directions = [*THROUGH, (F(0), F(1), u)] + [
+                    (slope, F(1), u + slope * (2 * v - point.y))
+                    for slope in (F(1), F(-1), F(4000), F(-4000))
+                    for v in (point.y, body.q, body.q + body.eps)
+                ]
+                for d in directions:
+                    for dy in (F(1), F(-3)):
+                        line = Line3(point, tuple(dy * c for c in d))
+                        assert _geometric_miss(line, body) is None  # the line meets the body
+                        assert not _surely_misses(line, body)
+                        checked += 1
+        assert len(far) == 2 and checked > 200
+
 
 def brute_force_cover(matrix: tuple[tuple[bool, ...], ...]) -> int:
     cols = range(len(matrix[0]))
@@ -972,8 +1010,7 @@ class TestVerticalClearance:
             if classify_line(line).kind != GENERIC:
                 continue
             for body in bodies:
-                hit = line_plane_intersection(
-                    line, *body.q.as_integer_ratio(), *body.eps.as_integer_ratio())
+                hit = line_plane_intersection(line, *body.q.as_integer_ratio(), body.k)
                 if hit is None:
                     continue
                 un, wn, ud = hit

@@ -25,7 +25,7 @@ every call is a body's first, as in the read commands: ``pierce`` reads
 only the plane's ints a body sets at construction, and a certificate also
 reads the body's cached ``eps``, ``r_min`` and ``r_max`` for the first
 time.  The last three columns time ``non_piercing_certificate`` for each
-missed line, given its class as ``refute`` gives it, in the same way.
+missed line, which classifies the line itself, in the same way.
 
 A last row is shaped like one ``cover --verify`` of the read benchmark:
 the first ``READ_N`` bodies at delta 1/2, decoded afresh from their records
@@ -34,7 +34,9 @@ for each round, and the pool of session 0 of
 and 8 generic lines.  It times one ``piercing_matrix`` over them, then, on
 the same bodies, the cross-check pierce of each body by the first column of
 the minimum cover that its row marks; the cover itself is not timed.  Its
-medians are over ``READ_ROUNDS`` rounds.
+medians are over ``READ_ROUNDS`` rounds.  The row also gives the slab
+filter's census over the generic lines' cells: how many its height test
+decides, and how many reach the plane meet.
 
 The package is imported from ``src``; each row is timed in this one
 process, after one untimed round.  Exits 1 if a line does not pierce or
@@ -67,6 +69,7 @@ from linepierce.family import (  # noqa: E402
     m_of,
 )
 from linepierce.geometry import (  # noqa: E402
+    GENERIC,
     Line3,
     classify_line,
     line_from_record,
@@ -74,6 +77,7 @@ from linepierce.geometry import (  # noqa: E402
     ruling_line_y,
 )
 from linepierce.refutation import (  # noqa: E402
+    _surely_misses,
     min_line_cover,
     non_piercing_certificate,
     pierce,
@@ -117,14 +121,14 @@ def aimed_lines(body: ConvexBody) -> dict[tuple[str, bool], Line3]:
     return lines
 
 
-def cost_us(decide, line: Line3, body: ConvexBody, calls: int, *extra) -> tuple[float, list]:
-    """Median microseconds per ``decide(line, body, *extra)`` call over fresh
-    bodies, and the answers of the last round."""
+def cost_us(decide, line: Line3, body: ConvexBody, calls: int) -> tuple[float, list]:
+    """Median microseconds per ``decide(line, body)`` call over fresh bodies,
+    and the answers of the last round."""
     samples = []
     for _ in range(ROUNDS + 1):
         fresh = [ConvexBody(body.q, body.f_index, body.support) for _ in range(calls)]
         start = time.perf_counter()
-        answers = [decide(line, b, *extra) for b in fresh]
+        answers = [decide(line, b) for b in fresh]
         samples.append((time.perf_counter() - start) / calls * 1e6)
     return statistics.median(samples[1:]), answers
 
@@ -132,7 +136,7 @@ def cost_us(decide, line: Line3, body: ConvexBody, calls: int, *extra) -> tuple[
 def read_row() -> list[str]:
     """Print the read-shaped row: the median, over ``READ_ROUNDS`` rounds, of the
     milliseconds of one ``piercing_matrix`` and the microseconds per cross-check
-    pierce; return its faults."""
+    pierce, and the filter's census; return its faults."""
     records = [body_to_record(b) for b in islice(FamilyStream(Fraction(1, 2)).bodies(), READ_N)]
     lines = [line_from_record(rec) for rec, _ in read_sessions(READ_SEED, 1)[0][1]]
     matrix_s, verify_us, missed = [], [], False
@@ -148,9 +152,14 @@ def read_row() -> list[str]:
         answers = [pierce(line, body) for line, body in pairs]
         verify_us.append((time.perf_counter() - start) / len(pairs) * 1e6)
         missed |= not all(answers)
+    cells = [(line, body) for line in lines if classify_line(line).kind == GENERIC
+             for body in bodies]
+    decided = sum(_surely_misses(line, body) for line, body in cells)
     print(f"read: {READ_N} decoded bodies x {len(lines)} lines, piercing_matrix "
           f"{statistics.median(matrix_s[1:]) * 1e3:.1f} ms, cover --verify pierce "
-          f"{statistics.median(verify_us[1:]):.1f} us per call")
+          f"{statistics.median(verify_us[1:]):.1f} us per call; the height test "
+          f"decides {decided} of {len(cells)} generic cells, {len(cells) - decided} "
+          f"reach the plane meet")
     return ["read row: a cover line misses a body its row marks"] if missed else []
 
 
@@ -174,7 +183,7 @@ def main() -> int:
                     faults.append(f"f = {f}: the {cls} line aimed to {'pierce' if pierces else 'miss'} does not")
         for cls in COLUMNS:
             line = lines[cls, False]
-            us, certs = cost_us(non_piercing_certificate, line, body, calls, classify_line(line))
+            us, certs = cost_us(non_piercing_certificate, line, body, calls)
             cells.append(f"{us:>18.1f}")
             if not all(cert is not None and cert.holds() for cert in certs):
                 faults.append(f"f = {f}: a certificate of the missed {cls} line does not hold")
