@@ -10,8 +10,9 @@ A set is one denominator and its endpoints' ints over it, so a query is
 one ``divmod`` and one ``bisect``.  A support is written straight onto
 its cover's grid: one ``subtract_open`` pass keeps [0,1] minus every run
 of picked cover intervals, left to right in one list.  A support is read
-as one flat list of endpoints and rendered from tables, parsing and
-rendering each distinct endpoint once per process, through bounded caches.
+as one flat list of endpoint texts and rendered, both through bounded
+tables: each distinct text is parsed, and each distinct end rendered,
+once per process, and a read is a few passes of table lookups.
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice, repeat
+from itertools import filterfalse, islice, repeat
 from math import gcd, lcm
-from operator import floordiv, le, lt, mul
+from operator import floordiv, le, lt
 
 from .exactnum import Record, format_rational, parse_rational
 
 LIFT_FACTOR = 4  # the bounds of ``IntervalSet.from_pairs`` on a lift
 LIFT_FLOOR = 2**16
-TEXTS_BOUND = 4096  # most texts ``IntervalSet.to_pairs`` keeps in _TEXTS (den -> {e: text})
-_TEXTS: dict[int, dict[int, str]] = {}
+TEXTS_BOUND = 4096  # most entries _TEXTS holds, and most the read tables hold
+_TEXTS: dict[int, dict[int, str]] = {}  # den -> {e: text}, as ``to_pairs`` writes
+# read: text -> its reduced denominator and numerator (one entry), den -> {text:
+# its end on den}; filled from ``parse_rational`` alone, so a read re-checks a write
+_DENS: dict[str, int] = {}
+_NUMS: dict[str, int] = {}
+_ENDS: dict[int, dict[str, int]] = {}
 
 
 class IntervalSet(Record):
@@ -48,38 +53,37 @@ class IntervalSet(Record):
         object.__setattr__(self, "ends", ends)
 
     @staticmethod
-    def from_pairs(ratios) -> IntervalSet:
-        """The set of the flat endpoints lo_0, hi_0, lo_1, ... as reduced int pairs
-        from ``parse_endpoint``, in canonical order: each lo <= hi and above the
-        previous hi.  The name is kept because ``perfbench/tracer.py`` binds it.
+    def from_pairs(flat) -> IntervalSet:
+        """The set of the flat endpoint texts lo_0, hi_0, lo_1, ..., in
+        canonical order: each lo <= hi and above the previous hi.  The name
+        is kept because ``perfbench/tracer.py`` binds it.
 
-        The endpoints are lifted to their least common denominator, which
-        leaves gcd 1, and ordered as ints.  The lift is quadratic over
-        unrelated denominators, so it is refused, step by step and at linear
-        cost, once the endpoint count times the denominator's bits exceeds
-        both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints' own bits,
-        which are summed only once it exceeds the first.
-        """
-        if len(ratios) % 2:
-            raise ValueError(f"a support needs an even number of endpoints, got {len(ratios)}")
-        nums, dens = zip(*ratios) if ratios else ((), ())
-        den, own = 1, 0
-        for d in set(dens):
-            den = lcm(den, d)
-            if len(ratios) * den.bit_length() > max(LIFT_FACTOR * own, LIFT_FLOOR):
-                own = own or sum(map(int.bit_length, nums)) + sum(map(int.bit_length, dens))
-                limit = max(LIFT_FACTOR * own, LIFT_FLOOR)
-                if len(ratios) * den.bit_length() > limit:
-                    raise ValueError(
-                        f"support of {len(ratios)} endpoints of {own} bits does not "
-                        f"lift to one denominator within {limit} bits"
-                    )
-        ends = tuple(map(mul, nums, map(floordiv, repeat(den), dens)))
+        The texts' denominators, from _DENS, lift the support to one grid,
+        which leaves gcd 1, and each text's end on it is read from _ENDS[den].
+        A text the tables lack is parsed in order, so the first bad one raises
+        ``parse_rational``'s error; tables past ``TEXTS_BOUND`` are cleared."""
+        if len(flat) % 2:
+            raise ValueError(f"a support needs an even number of endpoints, got {len(flat)}")
+        try:
+            den = _lift(flat, set(map(_DENS.__getitem__, flat)))
+            ends = tuple(map(_ENDS[den].__getitem__, flat))
+        except KeyError:  # learn what the tables lack, then read through them
+            try:
+                for text in filterfalse(_DENS.__contains__, flat):
+                    _NUMS[text], _DENS[text] = parse_rational(text).as_integer_ratio()
+                den = _lift(flat, set(map(_DENS.__getitem__, flat)))
+                table = _ENDS.setdefault(den, {})
+                table.update((t, _NUMS[t] * (den // _DENS[t])) for t in set(flat).difference(table))
+                ends = tuple(map(table.__getitem__, flat))
+            finally:
+                if len(_DENS) + sum(map(len, _ENDS.values())) > TEXTS_BOUND:
+                    for read in (_DENS, _NUMS, _ENDS):
+                        read.clear()
         if all(map(le, ends[::2], ends[1::2])) and all(map(lt, ends[1:-1:2], ends[2::2])):
             return IntervalSet(den, ends)
         for j in range(0, len(ends), 2):  # name the first fault
             if ends[j + 1] < ends[j] or j and ends[j] <= ends[j - 1]:
-                lo, hi, prev = (format_rational(Fraction(*ratios[i])) for i in (j, j + 1, j - 1))
+                lo, hi, prev = (format_rational(Fraction(ends[i], den)) for i in (j, j + 1, j - 1))
                 raise ValueError(
                     f"interval endpoints out of order: [{lo}, {hi}]" if ends[j + 1] < ends[j]
                     else f"interval [{lo}, {hi}] does not start above the previous one's end {prev}"
@@ -153,28 +157,34 @@ class IntervalSet(Record):
     def from_strings(pairs) -> IntervalSet:
         """The set of a support as a family record states it: a JSON array
         of [lo, hi] arrays of rational strings, in canonical order.  One pass
-        flattens it, a bad top level or piece adding a None; each endpoint is
-        parsed by ``parse_endpoint`` and order is checked by ``from_pairs``."""
+        flattens it, a bad top level or piece adding a None, and ``from_pairs``
+        reads the texts."""
         flat = []
         for piece in pairs if type(pairs) is list else [None]:
             flat += piece if type(piece) is list and len(piece) == 2 else [None]
         if set(map(type, flat)) - {str}:
             raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
-        return IntervalSet.from_pairs(list(map(parse_endpoint, flat)))
+        return IntervalSet.from_pairs(flat)
 
 
-@lru_cache(maxsize=4096)
-def parse_endpoint(text: str) -> tuple[int, int]:
-    """``parse_rational``'s value as its reduced (numerator, denominator)
-    pair, memoised for support endpoints.
-
-    A family file holds tens of thousands of endpoint strings but only a few
-    hundred distinct ones.  The cache is bounded, and ``lru_cache`` stores
-    no raised exception, so a bad string fails the same way on every call.
-    ``parse_rational`` is looked up by its module-level name at each miss,
-    so a wrapper rebound to that name sees every string actually parsed.
-    """
-    return parse_rational(text).as_integer_ratio()
+def _lift(flat, dens) -> int:
+    """The least common denominator of a support's texts, of ``dens``.  The
+    lift is quadratic over unrelated denominators, so it is refused, step by
+    step and at linear cost, once the endpoint count times the denominator's
+    bits exceeds both ``LIFT_FLOOR`` and ``LIFT_FACTOR`` times the endpoints'
+    own bits, which are summed only once it exceeds the first."""
+    den, own = 1, 0
+    for d in dens:
+        den = lcm(den, d)
+        if len(flat) * den.bit_length() > max(LIFT_FACTOR * own, LIFT_FLOOR):
+            own = own or sum(map(int.bit_length, [*map(_NUMS.get, flat), *map(_DENS.get, flat)]))
+            limit = max(LIFT_FACTOR * own, LIFT_FLOOR)
+            if len(flat) * den.bit_length() > limit:
+                raise ValueError(
+                    f"support of {len(flat)} endpoints of {own} bits does not "
+                    f"lift to one denominator within {limit} bits"
+                )
+    return den
 
 
 class CoverSpec(Record):

@@ -1,8 +1,9 @@
 """Reference implementations that tests compare the package against.
 
 Each one computes its answer by a route of its own: it shares no code with
-the package path it checks.  ``prefix`` alone is no oracle: it is the
-family's first bodies as the package reads them, for every test module.
+the package path it checks.  ``prefix`` and ``clear_read_tables`` are no
+oracles: they are the family's first bodies as the package reads them, and
+a reset of the package's support reader, for every test module.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import chain, count, islice
 from math import lcm
 
+from linepierce import intervals
 from linepierce.exactnum import QuadExt, format_rational, parse_rational
 from linepierce.family import ConvexBody, FamilyStream, _LevelCursor, enumerate_Q0, tilt_exponent
 from linepierce.geometry import Line3, Point3
@@ -23,6 +25,13 @@ from linepierce.refutation import Certificate, _parallel_miss
 def prefix(delta: Fraction, n: int) -> list[ConvexBody]:
     """The first n bodies of the family at delta, read from a fresh stream."""
     return list(islice(FamilyStream(delta).bodies(), n))
+
+
+def clear_read_tables() -> None:
+    """Empty the tables ``IntervalSet.from_pairs`` reads texts through, so
+    the next read of each text parses it."""
+    for table in (intervals._DENS, intervals._NUMS, intervals._ENDS):
+        table.clear()
 
 
 def point_at(line: Line3, s: Fraction) -> Point3:
@@ -52,9 +61,8 @@ def surface_residual_parts(pt: Point3) -> tuple[Fraction, Fraction]:
 
 def interval_set(pairs) -> IntervalSet:
     """``IntervalSet.from_pairs`` of (lo, hi) ``Fraction`` pieces, each
-    endpoint given, flat and in order, as its reduced (numerator,
-    denominator) pair."""
-    return IntervalSet.from_pairs([x.as_integer_ratio() for pair in pairs for x in pair])
+    endpoint given, flat and in order, as its ``format_rational`` text."""
+    return IntervalSet.from_pairs([format_rational(x) for pair in pairs for x in pair])
 
 
 def measure(s) -> Fraction:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linepierce
-from linepierce import cli, refutation
+from linepierce import cli, intervals, refutation
 from linepierce.cli import (
     MAX_PRECISION,
     InputError,
@@ -40,9 +40,9 @@ from linepierce.geometry import (
     ruling_line_x,
     ruling_line_y,
 )
-from linepierce.intervals import IntervalSet, parse_endpoint
+from linepierce.intervals import IntervalSet
 from linepierce.refutation import Certificate, InternalError, pierce, refute
-from oracles import expected_certificate, interval_set, prefix
+from oracles import clear_read_tables, expected_certificate, interval_set, prefix
 
 
 def write_lines(path, lines):
@@ -167,6 +167,20 @@ class TestConstruct:
         monkeypatch.setattr(cli, "_write", lambda path, parts: write(path, list(parts)))
         assert main(["construct", "--delta", "1/2", "-N", "12",
                      "--out", str(tmp_path / "f.jsonl"), "--verify"]) == 0
+
+    def test_verify_reads_back_without_the_writers_texts(self, tmp_path, monkeypatch, capsys):
+        """One end's text in the writer's table is made wrong, yet in order,
+        so the file states a support that was not built.  A reader that took
+        its texts from the writer's table would read back the one built."""
+        support = prefix(F(1, 2), 1)[0].support
+        support.to_pairs()  # so the writer's table holds its ends
+        lo, hi = next((lo, hi) for lo, hi in zip(support.ends[::2], support.ends[1::2])
+                      if lo < hi)
+        wrong = format_rational(F(lo + hi, 2 * support.den))
+        monkeypatch.setitem(intervals._TEXTS[support.den], hi, wrong)
+        assert main(["construct", "--delta", "1/2", "-N", "5",
+                     "--out", str(tmp_path / "f.jsonl"), "--verify"]) == 5
+        assert "reloaded family differs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("support, code", [
         (((F(0), F(1, 4)), (F(1, 2), F(3, 4) - F(1, 2**70))), 5),
@@ -867,29 +881,34 @@ class TestSupportLiftBound:
     cost quadratic in its size is an input error, refused at linear cost."""
 
     def test_witness_refuses_it_naming_its_line(self, tmp_path):
+        # twice: the second read finds every text in the reader's tables
         family = tmp_path / "family.jsonl"
-        hostile = {**GOOD_BODY, "support": hostile_support()}
-        family.write_text(json.dumps(GOOD_BODY) + "\n" + json.dumps(hostile) + "\n",
+        hostile = json.dumps({**GOOD_BODY, "support": hostile_support()})
+        family.write_text(json.dumps(GOOD_BODY) + "\n" + hostile + "\n" + hostile + "\n",
                           encoding="utf-8")
         done = assert_exits_3_without_traceback(
             tmp_path, ["witness", "--family", str(family), "--t", "1"]
         )
-        assert f"{family}:2: malformed body record: support of 3000 endpoints" in done.stderr
-        assert "does not lift to one denominator" in done.stderr
+        for ln in (2, 3):
+            assert f"{family}:{ln}: malformed body record: support of 3000 endpoints" in done.stderr
+        assert done.stderr.count("does not lift to one denominator") == 2
         assert not (tmp_path / "out.json").exists()
 
     def test_refusal_stays_small(self):
         support = hostile_support()
-        parse_endpoint.cache_clear()
+        texts = {text for piece in support for text in piece}
+        clear_read_tables()
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="does not lift to one denominator"):
-                IntervalSet.from_strings(support)
+            for read in range(2):  # parsing every text, then finding each in the tables
+                assert read == 0 or texts <= intervals._DENS.keys()
+                with pytest.raises(ValueError, match="does not lift to one denominator"):
+                    IntervalSet.from_strings(support)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            parse_endpoint.cache_clear()
-        # the parsed endpoints and their cache; lifting them all would take
+            clear_read_tables()
+        # the parsed endpoints and their tables; lifting them all would take
         # about 3000 ints of 192,000 bits, some 70 MB
         assert peak < 4 * 2**20
 

@@ -15,11 +15,11 @@ from linepierce.intervals import (
     IntervalSet,
     deep_witness,
     make_cover,
-    parse_endpoint,
     remove_intervals,
 )
 from oracles import (
     FractionSet,
+    clear_read_tables,
     decode_support,
     depth_profile,
     interval_set,
@@ -473,7 +473,7 @@ class TestFromPairsOrder:
 
     def test_refuses_an_odd_count_of_endpoints(self):
         with pytest.raises(ValueError, match="an even number of endpoints, got 3"):
-            IntervalSet.from_pairs([(0, 1), (1, 2), (1, 1)])
+            IntervalSet.from_pairs(["0/1", "1/2", "1/1"])
 
 
 # what a record may state where a support's text belongs: well-formed
@@ -513,6 +513,33 @@ def support_records(draw):
     return pieces
 
 
+def spelled(draw, x):
+    """A text ``parse_rational`` reads as x: reduced or scaled ("2/4"), its
+    numerator signed or not ("+0/5"), padded or not (" 1/3")."""
+    n, d = x.as_integer_ratio()
+    k = draw(st.integers(1, 3))
+    sign = "+" if n >= 0 and draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", " ", "\t"])) + f"{sign}{k * n}/{k * d}"
+
+
+@st.composite
+def shared_text_supports(draw):
+    """Supports over a few shared values of mixed denominators, each
+    endpoint spelled anew, so supports share texts and values; with
+    ``support_records`` interleaved, well-formed or broken."""
+    values = draw(st.lists(st.fractions(-1, 2, max_denominator=12), min_size=1, max_size=8,
+                           unique=True))
+    supports = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            supports.append(draw(support_records()))
+            continue
+        chosen = sorted(draw(st.lists(st.sampled_from(values), max_size=8)))
+        texts = [spelled(draw, x) for x in chosen[: len(chosen) // 2 * 2]]
+        supports.append([texts[i : i + 2] for i in range(0, len(texts), 2)])
+    return supports
+
+
 def decoded(decode, support):
     """The points a decoder reads a support as, or its ValueError's message."""
     return outcome(lambda s: decode(s).points, support)
@@ -538,6 +565,19 @@ class TestFromStrings:
                         [["0/1", "1/1", "1/1"]], [[0, 1]], [[True, "1/1"]], [["0/1", {}]]):
             with pytest.raises(ValueError, match=r"a support must be a JSON array of \[lo, hi\]"):
                 IntervalSet.from_strings(support)
+
+    @settings(max_examples=300)
+    @given(supports=shared_text_supports())
+    @example(supports=[[["0/1", "2/4"], [" 1/2", "1/1"]], [["+0/5", "1/3"]], [["1/2", "1/0"]],
+                       [["0/3", " 1/3"], ["2/4", "2/4"]]])
+    def test_a_hit_reads_as_the_miss_did(self, supports):
+        # each support twice: its new texts parsed on the first read, and
+        # every text found in the tables on the second
+        clear_read_tables()
+        for support in supports:
+            want = decoded(decode_support, support)
+            assert decoded(IntervalSet.from_strings, support) == want
+            assert decoded(IntervalSet.from_strings, support) == want
 
 
 @st.composite
@@ -695,7 +735,7 @@ REPEATING_SUPPORTS = [
 
 class TestEndpointCache:
     def test_each_distinct_endpoint_is_parsed_once(self, monkeypatch):
-        parse_endpoint.cache_clear()
+        clear_read_tables()
         parsed = Counter()
 
         def counting(text):
@@ -706,6 +746,10 @@ class TestEndpointCache:
         sets = [IntervalSet.from_strings(s) for s in REPEATING_SUPPORTS * 2]
         assert parsed == Counter({"0/1": 1, "1/4": 1, "1/2": 1, "3/4": 1, "1/1": 1})
         assert [s.to_pairs() for s in sets] == REPEATING_SUPPORTS * 2
+        # other spellings of the same values are texts of their own
+        assert IntervalSet.from_strings([["0/2", "2/8"], [" 1/2", "1/1"]]) == sets[0]
+        assert parsed == Counter({"0/1": 1, "1/4": 1, "1/2": 1, "3/4": 1, "1/1": 1,
+                                  "0/2": 1, "2/8": 1, " 1/2": 1})
 
     def test_each_distinct_endpoint_is_rendered_once(self, monkeypatch):
         intervals._TEXTS.clear()
@@ -728,7 +772,7 @@ class TestEndpointCache:
 
     @pytest.mark.parametrize("bad", ["1/0", "0.5", "1e5"])
     def test_bad_endpoint_fails_the_same_way_every_time(self, bad):
-        parse_endpoint.cache_clear()
+        clear_read_tables()
         with pytest.raises(ValueError) as direct:
             parse_rational(bad)
         messages = set()
@@ -737,11 +781,40 @@ class TestEndpointCache:
                 IntervalSet.from_strings([["0/1", "1/4"], ["1/2", bad]])
             messages.add(str(info.value))
         assert messages == {str(direct.value)}
-        assert parse_endpoint.cache_info().currsize == 3  # the good strings only
+        # the good texts only, and no end: the support was never lifted
+        assert set(intervals._DENS) == set(intervals._NUMS) == {"0/1", "1/4", "1/2"}
+        assert intervals._ENDS == {}
 
     def test_cache_is_bounded(self):
-        assert parse_endpoint.cache_info().maxsize == 4096
         assert intervals.TEXTS_BOUND == 4096
+        clear_read_tables()
+        seen = 0
+        for den in (7, 7, 1, 11, 7, 3**40, 1, 11):  # over every table and the bound
+            for start in range(0, 3 * intervals.TEXTS_BOUND, 64):
+                values = [F(e, den) for e in range(start, start + 64)]
+                s = IntervalSet.from_strings([[format_rational(x)] * 2 for x in values])
+                assert s.points == tuple(x for x in values for _ in "lh")
+                held = len(intervals._DENS) + sum(map(len, intervals._ENDS.values()))
+                assert held <= intervals.TEXTS_BOUND
+                assert len(intervals._NUMS) == len(intervals._DENS)
+                seen = max(seen, held)
+        assert seen > intervals.TEXTS_BOUND - 128  # the tables did fill before each clear
+
+    def test_a_clear_mid_file_reads_the_same_sets(self, monkeypatch, pinned_family):
+        supports = [body.support.to_pairs() for body in pinned_family[:300]]
+        clear_read_tables()
+        want = [IntervalSet.from_strings(s) for s in supports]
+        # the 300 supports hold 89 distinct texts, and a bound of 200 entries
+        # fills and is cleared a few times over them
+        monkeypatch.setattr(intervals, "TEXTS_BOUND", 200)
+        clear_read_tables()
+        clears, held = 0, 0
+        for support, s in zip(supports, want):
+            assert IntervalSet.from_strings(support) == s
+            clears += len(intervals._DENS) < held
+            held = len(intervals._DENS)
+        assert clears >= 2
+        assert want == [body.support for body in pinned_family[:300]]
 
     @settings(max_examples=200)
     @given(

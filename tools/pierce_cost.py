@@ -31,12 +31,14 @@ A last row is shaped like one ``cover --verify`` of the read benchmark:
 the first ``READ_N`` bodies at delta 1/2, decoded afresh from their records
 for each round, and the pool of session 0 of
 ``perfbench/pools.py::read_sessions(READ_SEED, 1)``, 17 x-rulings at j/16
-and 8 generic lines.  It times one ``piercing_matrix`` over them, then, on
-the same bodies, the cross-check pierce of each body by the first column of
-the minimum cover that its row marks; the cover itself is not timed.  Its
-medians are over ``READ_ROUNDS`` rounds.  The row also gives the slab
-filter's census over the generic lines' cells: how many its height test
-decides, and how many reach the plane meet.
+and 8 generic lines.  It times the decode of the records, one
+``piercing_matrix`` over the bodies, then, on the same bodies, the
+cross-check pierce of each body by the first column of the minimum cover
+that its row marks; the cover itself is not timed.  Its medians are over
+``READ_ROUNDS`` rounds, after the untimed first, so each timed decode
+finds every support endpoint text in the reader's tables.  The row also
+gives the slab filter's census over the generic lines' cells: how many
+its height test decides, and how many reach the plane meet.
 
 The package is imported from ``src``; each row is timed in this one
 process, after one untimed round.  Exits 1 if a line does not pierce or
@@ -135,13 +137,15 @@ def cost_us(decide, line: Line3, body: ConvexBody, calls: int) -> tuple[float, l
 
 def read_row() -> list[str]:
     """Print the read-shaped row: the median, over ``READ_ROUNDS`` rounds, of the
-    milliseconds of one ``piercing_matrix`` and the microseconds per cross-check
-    pierce, and the filter's census; return its faults."""
+    milliseconds of the records' decode and of one ``piercing_matrix``, and the
+    microseconds per cross-check pierce, and the filter's census; return its faults."""
     records = [body_to_record(b) for b in islice(FamilyStream(Fraction(1, 2)).bodies(), READ_N)]
     lines = [line_from_record(rec) for rec, _ in read_sessions(READ_SEED, 1)[0][1]]
-    matrix_s, verify_us, missed = [], [], False
+    decode_s, matrix_s, verify_us, missed = [], [], [], False
     for _ in range(READ_ROUNDS + 1):
+        start = time.perf_counter()
         bodies = [body_from_record(rec) for rec in records]
+        decode_s.append(time.perf_counter() - start)
         start = time.perf_counter()
         matrix = piercing_matrix(bodies, lines)
         matrix_s.append(time.perf_counter() - start)
@@ -155,7 +159,8 @@ def read_row() -> list[str]:
     cells = [(line, body) for line in lines if classify_line(line).kind == GENERIC
              for body in bodies]
     decided = sum(_surely_misses(line, body) for line, body in cells)
-    print(f"read: {READ_N} decoded bodies x {len(lines)} lines, piercing_matrix "
+    print(f"read: {READ_N} bodies x {len(lines)} lines, decode "
+          f"{statistics.median(decode_s[1:]) * 1e3:.1f} ms, piercing_matrix "
           f"{statistics.median(matrix_s[1:]) * 1e3:.1f} ms, cover --verify pierce "
           f"{statistics.median(verify_us[1:]):.1f} us per call; the height test "
           f"decides {decided} of {len(cells)} generic cells, {len(cells) - decided} "
