@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Callable
 
 from .exactnum import format_rational, parse_integer, parse_rational
 from .family import (
@@ -302,8 +302,9 @@ def cmd_export_plot(args) -> int:
         for k in range(args.samples):
             u = body.r_min + step * k
             w = body.parabola(u)
-            pt = body.from_chart(u, w)
-            arc_rows.append(f"{bi},{k},{dec(u)},{dec(w)},{dec(pt.x)},{dec(pt.y)},{dec(pt.z)}")
+            # the chart point (u, w) is the body point (u, y, w): x and z repeat u and w
+            x, z = dec(u), dec(w)
+            arc_rows.append(f"{bi},{k},{x},{z},{x},{dec(body.from_chart(u, w).y)},{z}")
         # the lower walk samples each support interval and crosses each gap
         # by its chord; the top chord closes the hull.  Every vertex lies
         # over the closed support, where the hull meets the parabola.

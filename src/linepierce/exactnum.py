@@ -17,10 +17,6 @@ from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from operator import attrgetter
-from typing import Union
-
-Scalar = Union[Fraction, "QuadExt"]
-
 
 _INTEGER = r"[+-]?[0-9]+"
 _RATIONAL = re.compile(rf"({_INTEGER})(?:/([0-9]+))?")
@@ -170,7 +166,7 @@ class QuadExt(Record):
         object.__setattr__(self, "d", d)
 
     @staticmethod
-    def of(x: Scalar | int) -> QuadExt:
+    def of(x: Fraction | QuadExt | int) -> QuadExt:
         if isinstance(x, QuadExt):
             return x
         return QuadExt(Fraction(x), Fraction(0), Fraction(0))

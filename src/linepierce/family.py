@@ -60,7 +60,7 @@ def _sorted_base(n: int) -> list[tuple[int, int]]:
 
 
 def tilt_exponent(n: int) -> int:
-    """k with eps_of(n) = 2^-k: the n-th tilt 4^-(n+2) is 2^-(2n+4)."""
+    """k with the n-th emission's tilt 4^-(n+2) = 2^-k, strictly decreasing to 0."""
     return 2 * n + 4
 
 
@@ -78,13 +78,6 @@ def _power_of_two(k: int) -> Decimal:
     k0, value = _last_power if _last_power[0] <= k else (0, Decimal(1))
     _last_power = (k, _EXACT.multiply(value, _EXACT.power(2, k - k0)))
     return _last_power[1]
-
-
-def eps_of(n: int) -> Fraction:
-    """Tilt of the n-th emitted body: 4^-(n+2), strictly decreasing to 0."""
-    if n < 1:
-        raise ValueError(f"tilt index must be positive, got {n}")
-    return Fraction(1, 1 << tilt_exponent(n))
 
 
 def m_of(n: int) -> int:
@@ -304,7 +297,7 @@ class ConvexBody(Record):
 
     @cached_property
     def eps(self) -> Fraction:
-        return eps_of(self.f_index)
+        return Fraction(1, 1 << self.k)
 
     @cached_property
     def r_min(self) -> Fraction:
@@ -434,10 +427,10 @@ def body_from_record(record: dict) -> ConvexBody:
         m = _integer_field(record, "m")
         f = _integer_field(record, "f")
         num, den = rational_digits(record["eps"])
-        support = IntervalSet.from_strings(record["support"])
+        support = IntervalSet.from_pairs(record["support"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed body record: {exc}") from exc
-    # eps_of(f) = 2^-k is num/den when den's canonical digits are those of num * 2^k, over
+    # the tilt 2^-k is num/den when den's canonical digits are those of num * 2^k, over
     # 0.3 * k of them: 2^k is computed only then, so the work stays bounded by the record
     k = tilt_exponent(f)
     if f < 1 or 10 * len(den) < 3 * k or den.lstrip("0") != str(

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 
-from .exactnum import QuadExt, Record, Scalar, format_rational, parse_rational, solve_quadratic
+from .exactnum import QuadExt, Record, format_rational, parse_rational, solve_quadratic
 
 X_RULING = "x-ruling"  # x = c, z = c*y: pierces a body iff c is in its support
 Y_RULING = "y-ruling"  # y = b, z = b*x: constant-y line on the surface
@@ -30,7 +30,7 @@ GENERIC = "generic"
 class Point3(Record):
     __slots__ = _fields = ("x", "y", "z")
 
-    def __init__(self, x: Scalar, y: Scalar, z: Scalar) -> None:
+    def __init__(self, x: Fraction | QuadExt, y: Fraction | QuadExt, z: Fraction | QuadExt) -> None:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)

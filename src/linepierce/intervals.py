@@ -10,7 +10,7 @@ A set is one denominator and its endpoints' ints over it, so a query is
 one ``divmod`` and one ``bisect``.  A support is written straight onto
 its cover's grid: one ``subtract_open`` pass keeps [0,1] minus every run
 of picked cover intervals, left to right in one list.  A support is read
-as one flat list of endpoint texts and rendered, both through bounded
+from its [lo, hi] text pairs and written back to them, both through bounded
 tables: each distinct text is parsed, and each distinct end rendered,
 once per process, and a read is a few passes of table lookups.
 """
@@ -53,17 +53,21 @@ class IntervalSet(Record):
         object.__setattr__(self, "ends", ends)
 
     @staticmethod
-    def from_pairs(flat) -> IntervalSet:
-        """The set of the flat endpoint texts lo_0, hi_0, lo_1, ..., in
-        canonical order: each lo <= hi and above the previous hi.  The name
-        is kept because ``perfbench/tracer.py`` binds it.
+    def from_pairs(pairs) -> IntervalSet:
+        """The set of a support as a family record states it, and as
+        ``to_pairs`` writes it: a JSON array of [lo, hi] arrays of rational
+        strings, in canonical order, each lo <= hi and above the previous hi.
 
+        One pass flattens the pairs, a bad top level or piece adding a None.
         The texts' denominators, from _DENS, lift the support to one grid,
         which leaves gcd 1, and each text's end on it is read from _ENDS[den].
         A text the tables lack is parsed in order, so the first bad one raises
         ``parse_rational``'s error; tables past ``TEXTS_BOUND`` are cleared."""
-        if len(flat) % 2:
-            raise ValueError(f"a support needs an even number of endpoints, got {len(flat)}")
+        flat = []
+        for piece in pairs if type(pairs) is list else [None]:
+            flat += piece if type(piece) is list and len(piece) == 2 else [None]
+        if set(map(type, flat)) - {str}:
+            raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
         try:
             den = _lift(flat, set(map(_DENS.__getitem__, flat)))
             ends = tuple(map(_ENDS[den].__getitem__, flat))
@@ -152,19 +156,6 @@ class IntervalSet(Record):
             if sum(map(len, _TEXTS.values())) > TEXTS_BOUND:
                 _TEXTS.clear()  # whole, when full
             return pairs
-
-    @staticmethod
-    def from_strings(pairs) -> IntervalSet:
-        """The set of a support as a family record states it: a JSON array
-        of [lo, hi] arrays of rational strings, in canonical order.  One pass
-        flattens it, a bad top level or piece adding a None, and ``from_pairs``
-        reads the texts."""
-        flat = []
-        for piece in pairs if type(pairs) is list else [None]:
-            flat += piece if type(piece) is list and len(piece) == 2 else [None]
-        if set(map(type, flat)) - {str}:
-            raise ValueError("a support must be a JSON array of [lo, hi] arrays of strings")
-        return IntervalSet.from_pairs(flat)
 
 
 def _lift(flat, dens) -> int:

@@ -453,12 +453,12 @@ class RefutationOutcome(Record):
 
     def to_record(self) -> dict:
         if self.witness is None:
-            return {"found": False, "checked": self.n_max, "n_max": self.n_max}
+            return {"found": False, "checked": self.checked, "n_max": self.n_max}
         return {
             "found": True,
             "witness": body_to_record(self.witness),
             "emission_index": self.witness.f_index,
-            "checked": self.witness.f_index,
+            "checked": self.checked,
             "lines": [info.to_record(i) for i, info in enumerate(self.line_infos)],
             "certificates": [
                 cert.to_record(i) for i, cert in enumerate(self.certificates)

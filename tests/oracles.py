@@ -61,8 +61,8 @@ def surface_residual_parts(pt: Point3) -> tuple[Fraction, Fraction]:
 
 def interval_set(pairs) -> IntervalSet:
     """``IntervalSet.from_pairs`` of (lo, hi) ``Fraction`` pieces, each
-    endpoint given, flat and in order, as its ``format_rational`` text."""
-    return IntervalSet.from_pairs([format_rational(x) for pair in pairs for x in pair])
+    endpoint given, in order, as its ``format_rational`` text."""
+    return IntervalSet.from_pairs([[format_rational(lo), format_rational(hi)] for lo, hi in pairs])
 
 
 def measure(s) -> Fraction:
@@ -263,7 +263,7 @@ def stored_support_walk(delta: Fraction, m: int) -> Iterator[IntervalSet]:
 
 def stated_tilt_fault(text, f: int) -> str | None:
     """The message ``body_from_record`` gives for a record stating tilt
-    ``text`` at index f, or None if it states eps_of(f) = 2^-(2f+4): the
+    ``text`` at index f, or None if it states the tilt 2^-(2f+4): the
     text is read as a ``Fraction``, which must then be 1 over a power of two
     of that exponent.  Whatever its digits, it costs a quadratic parse."""
     try:

@@ -903,7 +903,7 @@ class TestSupportLiftBound:
             for read in range(2):  # parsing every text, then finding each in the tables
                 assert read == 0 or texts <= intervals._DENS.keys()
                 with pytest.raises(ValueError, match="does not lift to one denominator"):
-                    IntervalSet.from_strings(support)
+                    IntervalSet.from_pairs(support)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,9 +24,9 @@ from linepierce.family import (
     body_to_record,
     dyadic_approach,
     enumerate_Q0,
-    eps_of,
     m_of,
     record_line,
+    tilt_exponent,
 )
 from linepierce.exactnum import format_rational
 from linepierce.geometry import (
@@ -88,17 +88,23 @@ class TestBaseEnumeration:
         assert [enumerate_Q0(n) for n in range(1, 20_001)] == want
 
 
+def tilt(n: int) -> F:
+    """The n-th emission's tilt as ``tilt_exponent`` states it, 2^-k."""
+    return F(1, 2 ** tilt_exponent(n))
+
+
 class TestEpsSequence:
     def test_first_values(self):
-        assert eps_of(1) == F(1, 64)
-        assert eps_of(2) == F(1, 256)
+        assert tilt(1) == F(1, 64)
+        assert tilt(2) == F(1, 256)
+        assert all(tilt(n) == F(1, 4 ** (n + 2)) for n in range(1, 1001))
 
     def test_strictly_decreasing(self):
-        values = [eps_of(n) for n in range(1, 1001)]
+        values = [tilt(n) for n in range(1, 1001)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_eventually_below_any_bound(self):
-        assert eps_of(49) < F(1, 4**50)
+        assert tilt(49) < F(1, 4**50)
 
 
 def next_value(approach, registry):
@@ -597,7 +603,7 @@ class TestRecordCodec:
     def test_tilt_renders_as_format_rational_in_any_order(self, order):
         for f in order:
             body = ConvexBody(q=F(1, 4), f_index=f, support=interval_set([(F(0), F(1))]))
-            assert body_to_record(body)["eps"] == format_rational(eps_of(f))
+            assert body_to_record(body)["eps"] == format_rational(F(1, 4 ** (f + 2)))
 
     @settings(max_examples=300)
     @given(case=stated_tilts())

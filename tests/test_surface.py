@@ -6,7 +6,7 @@ the package other than its own definition and the package root's re-export,
 so a helper kept alive only by its own tests fails here.  References match
 by name.  The allowlist names what the acceptance criteria call although the
 package does not.  Starting the CLI imports neither ``dataclasses`` nor
-``inspect``.
+``inspect``, nor ``typing``.
 """
 
 import ast
@@ -109,9 +109,11 @@ def test_no_module_imports_dataclasses():
 
 
 def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # without site (-S), whose own imports would hide the package's
     probe = ("import sys, linepierce.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
