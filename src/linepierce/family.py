@@ -128,17 +128,19 @@ class _LevelCursor:
     increasing order; ``reach[p]`` counts the points below the right end of
     an interval p over some point, one past the last point p holds.
     ``need[i]`` counts the greedy picks that cover the points from i on, more
-    than any slot count when one of them has no candidate.  ``__init__``
-    does no rational arithmetic either: a point's intervals take one divmod.
+    than any slot count when one of them has no candidate.
     """
 
     def __init__(self, cover: CoverSpec, target: Fraction, excluded: list[tuple[int, int]]):
         self.size = cover.picks_per_set
-        forbidden = cover.covering_indices(target)  # k or k, k + 1: the cover holds [0,1]
-        self.allowed = [*range(forbidden[0]), *range(forbidden[-1] + 1, cover.size)]
+        # no rational arithmetic: in units of step interval p is (p-1, p+1), so a point of
+        # [0,1] is interior to k alone on the grid and to k and k + 1 off it, by one divmod
         sn, sd = cover.step.as_integer_ratio()
+        k, r = divmod(target.numerator * sd, target.denominator * sn)
+        forbidden = [k, k + 1] if r else [k]
+        self.allowed = [*range(forbidden[0]), *range(forbidden[-1] + 1, cover.size)]
         self.cands = []
-        for n, d in excluded:  # as covering_indices: n/d <= 1 is below the last center
+        for n, d in excluded:
             k, r = divmod(n * sd, d * sn)
             ps = [k, k + 1] if r else [k]
             near = forbidden[0] - 1 <= k <= forbidden[-1]  # else no p of ps is forbidden
@@ -282,6 +284,8 @@ class ConvexBody(Record):
         object.__setattr__(self, "support", support)
         if not isinstance(self.q, Rational):
             raise ValueError("body offset q must be rational")
+        if self.f_index < 1:
+            raise ValueError(f"tilt index must be positive, got {self.f_index}")
         object.__setattr__(self, "qn", self.q.numerator)
         object.__setattr__(self, "qd", self.q.denominator)
         object.__setattr__(self, "k", tilt_exponent(self.f_index))

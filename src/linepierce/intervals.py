@@ -199,18 +199,6 @@ class CoverSpec(Record):
     def picks_per_set(self) -> int:
         return 2**self.level
 
-    def covering_indices(self, x: Fraction) -> list[int]:
-        """Indices of cover intervals whose open interior contains x.
-
-        In units of step interval k is (k-1, k+1), so a grid point
-        x = k*step is interior to interval k alone and any other x to
-        floor(x/step) and the next one, found by one integer divmod.
-        """
-        step = self.step
-        k, rem = divmod(x.numerator * step.denominator, x.denominator * step.numerator)
-        around = (k,) if rem == 0 else (k, k + 1)
-        return [idx for idx in around if 0 <= idx < self.size]
-
 
 def make_cover(delta: Fraction, level: int) -> CoverSpec:
     """Level-i cover: open intervals of length (1-delta)/2^i, centered on

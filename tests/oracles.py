@@ -218,13 +218,18 @@ def sorted_pairs(points) -> list[tuple[int, int]]:
 
 def covering_cursor_tables(cover: CoverSpec, target: Fraction, excluded) -> tuple[list, ...]:
     """``allowed``, ``cands``, ``reach`` and ``need`` of a ``_LevelCursor``,
-    built as the cursor once built them: every interval over a point comes
-    from ``covering_indices`` in ``Fraction`` arithmetic.  ``excluded`` is
-    a sorted list of ``Fraction``s."""
+    with the intervals over each point found by brute force over the cover in
+    ``Fraction`` arithmetic: interval p holds x when |x - p*step| < step, the
+    open interval (p-1, p+1) in units of step.  ``excluded`` is a sorted list
+    of ``Fraction``s."""
     size = cover.picks_per_set
-    forbidden = set(cover.covering_indices(target))
+
+    def holding(x: Fraction) -> list[int]:
+        return [p for p in range(cover.size) if abs(x - p * cover.step) < cover.step]
+
+    forbidden = set(holding(target))
     allowed = [p for p in range(cover.size) if p not in forbidden]
-    cands = [[p for p in cover.covering_indices(e) if p not in forbidden] for e in excluded]
+    cands = [[p for p in holding(e) if p not in forbidden] for e in excluded]
     reach = [0] * cover.size
     for i, ps in enumerate(cands):
         for p in ps:

@@ -367,7 +367,7 @@ class TestIntegerSetUp:
     @example((make_cover(F(2, 7), 6), F(1), [F(5, 448), F(1, 2), F(1)]))
     # the target is a grid point and an excluded one, which then has no candidate
     @example((make_cover(F(9, 10), 1), F(1, 40), [F(0), F(1, 40), F(39, 40), F(1)]))
-    def test_tables_match_the_covering_indices_build(self, inputs):
+    def test_tables_match_a_brute_force_build(self, inputs):
         cover, target, excluded = inputs
         cursor = _LevelCursor(cover, target, sorted_pairs(excluded))
         got = (cursor.allowed, cursor.cands, cursor.reach, cursor.need)
@@ -416,6 +416,11 @@ class TestIntegerSetUp:
 
 
 class TestBuildBody:
+    @pytest.mark.parametrize("f_index", [0, -3])
+    def test_refuses_a_tilt_index_below_one(self, f_index):
+        with pytest.raises(ValueError, match=f"tilt index must be positive, got {f_index}"):
+            ConvexBody(q=F(1, 4), f_index=f_index, support=IntervalSet(1, (0, 1)))
+
     def test_full_support_shape(self):
         body = ConvexBody(q=F(1, 2), f_index=1, support=IntervalSet(1, (0, 1)))
         assert body.eps == F(1, 64)

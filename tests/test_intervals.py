@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from linepierce import intervals
 from linepierce.exactnum import format_rational, parse_rational
-from linepierce.family import SupportAssigner, m_of
+from linepierce.family import SupportAssigner, _LevelCursor, m_of
 from linepierce.intervals import (
     IntervalSet,
     deep_witness,
@@ -20,6 +20,7 @@ from linepierce.intervals import (
 from oracles import (
     FractionSet,
     clear_read_tables,
+    covering_cursor_tables,
     decode_support,
     depth_profile,
     interval_set,
@@ -27,6 +28,7 @@ from oracles import (
     measure,
     open_span,
     pieces,
+    sorted_pairs,
 )
 
 
@@ -130,12 +132,6 @@ def pick_cases(draw):
 CUT_ENDS = [F(k, 24) for k in range(-12, 37)]
 
 
-def within(span, x) -> bool:
-    """Does the open interval span hold x?"""
-    lo, hi = span
-    return lo < x < hi
-
-
 class TestMakeCover:
     def test_level_one_half(self):
         c = make_cover(F(1, 2), 1)
@@ -179,37 +175,15 @@ class TestMakeCover:
     @pytest.mark.parametrize("delta", COVER_DELTAS)
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_covering_indices_on_and_between_grid_points(self, delta, level):
-        # every half step from two steps below 0 to two steps past the last
-        # center: grid points, and the midpoints between them
+        # every half step of [0,1], grid points and the midpoints between
+        # them, once as the cursor's target and once as its excluded point,
+        # paired with the half steps in reverse order
         c = make_cover(delta, level)
-        half_step = c.step / 2
-        for j in range(-4, 2 * c.size + 3):
-            x = j * half_step
-            want = [p for p in range(c.size) if within(open_span(delta, level, p), x)]
-            assert c.covering_indices(x) == want
-
-    @settings(max_examples=300)
-    @given(
-        delta=st.sampled_from(COVER_DELTAS),
-        level=st.integers(1, 5),
-        x=st.fractions(F(-1, 4), F(5, 4), max_denominator=10**4),
-    )
-    @example(delta=F(2, 5), level=1, x=F(1))  # interior to the last two intervals
-    @example(delta=F(2, 5), level=1, x=F(21, 20))  # the last center, past 1
-    @example(delta=F(1, 2), level=5, x=F(-1, 256))  # left of 0, inside interval 0
-    def test_covering_indices_match_brute_force(self, delta, level, x):
-        c = make_cover(delta, level)
-        want = [p for p in range(c.size) if within(open_span(delta, level, p), x)]
-        assert c.covering_indices(x) == want
-
-    def test_covering_indices(self):
-        c = make_cover(F(1, 2), 1)
-        # grid point: a single interval; off grid: two
-        assert c.covering_indices(F(0)) == [0]
-        assert c.covering_indices(F(1, 2)) == [4]
-        assert c.covering_indices(F(1, 5)) == [1, 2]
-        for idx in c.covering_indices(F(1, 5)):
-            assert within(open_span(F(1, 2), 1, idx), F(1, 5))
+        half_steps = [j * c.step / 2 for j in range(int(2 / c.step) + 1)]
+        for target, x in zip(half_steps, reversed(half_steps)):
+            cursor = _LevelCursor(c, target, sorted_pairs([x]))
+            got = (cursor.allowed, cursor.cands, cursor.reach, cursor.need)
+            assert got == covering_cursor_tables(c, target, [x]), (target, x)
 
 
 class TestRemoveIntervals:

@@ -1,12 +1,14 @@
-"""The package's public surface stays what the package itself uses.
+"""The package's surface stays what the package itself uses.
 
 Every public top-level function or class in ``src/linepierce``, and every
 public method or property of a public class, must be referenced somewhere in
 the package other than its own definition and the package root's re-export,
-so a helper kept alive only by its own tests fails here.  References match
-by name.  The allowlist names what the acceptance criteria call although the
-package does not.  Starting the CLI imports neither ``dataclasses`` nor
-``inspect``, nor ``typing``.
+so a helper kept alive only by its own tests fails here.  So must every
+private top-level function or class and every other method, dunders left
+out, so a private helper fails here once its last caller goes.  References
+match by name.  The allowlist names what the acceptance criteria call
+although the package does not.  Starting the CLI imports neither
+``dataclasses`` nor ``inspect``, nor ``typing``.
 """
 
 import ast
@@ -29,19 +31,29 @@ def parsed_modules() -> dict[str, ast.Module]:
     }
 
 
-def public_definitions(trees):
+def is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(trees):
+    """Top-level functions and classes, dunders left out."""
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not is_dunder(node.name):
                 yield module, node
 
 
-def public_methods(trees):
-    for module, node in public_definitions(trees):
+def methods(trees):
+    """Each class's methods and properties, dunders left out, with the class."""
+    for module, node in definitions(trees):
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}", member
+                if isinstance(member, ast.FunctionDef) and not is_dunder(member.name):
+                    yield module, node, member
 
 
 def uses(trees, definition) -> int:
@@ -66,8 +78,8 @@ def test_every_public_definition_is_used_by_the_package():
     trees = parsed_modules()
     unused = [
         f"{module}.{node.name}"
-        for module, node in public_definitions(trees)
-        if node.name not in ALLOWED_UNUSED and not uses(trees, node)
+        for module, node in definitions(trees)
+        if is_public(node.name) and node.name not in ALLOWED_UNUSED and not uses(trees, node)
     ]
     assert unused == []
 
@@ -75,9 +87,30 @@ def test_every_public_definition_is_used_by_the_package():
 def test_every_public_method_is_used_by_the_package():
     trees = parsed_modules()
     unused = [
-        f"{owner}.{node.name}"
-        for owner, node in public_methods(trees)
-        if not uses(trees, node)
+        f"{module}.{owner.name}.{member.name}"
+        for module, owner, member in methods(trees)
+        if is_public(owner.name) and is_public(member.name) and not uses(trees, member)
+    ]
+    assert unused == []
+
+
+def test_every_private_definition_is_used_by_the_package():
+    trees = parsed_modules()
+    unused = [
+        f"{module}.{node.name}"
+        for module, node in definitions(trees)
+        if not is_public(node.name) and not uses(trees, node)
+    ]
+    assert unused == []
+
+
+def test_every_private_method_is_used_by_the_package():
+    # private methods, and every method of a private class
+    trees = parsed_modules()
+    unused = [
+        f"{module}.{owner.name}.{member.name}"
+        for module, owner, member in methods(trees)
+        if not (is_public(owner.name) and is_public(member.name)) and not uses(trees, member)
     ]
     assert unused == []
 
